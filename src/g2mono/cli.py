@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,20 +146,16 @@ def cmd_solve(args, parser) -> int:
     return 0
 
 
-def _sweep_one(met, m, tol):
-    prof = shooting.solve_monopole(met, m, tol=tol)
-    rep = energy.intermediate_energy(prof, met)
-    return (m, prof.beta, rep.value, prof.R_end, prof)
-
-
 def cmd_sweep(args, parser) -> int:
     if args.steps < 1 or args.mass_min <= 0 or args.mass_max < args.mass_min:
         parser.error("need steps >= 1 and 0 < mass-min <= mass-max")
     met = _metric_arg(args.metric)
     masses = np.linspace(args.mass_min, args.mass_max, args.steps)
-    workers = int(os.environ.get("G2MONO_THREADS", os.cpu_count() or 1))
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as ex:
-        rows = list(ex.map(lambda m: _sweep_one(met, m, args.tol), masses))
+    rows = []
+    for m in masses:
+        prof = shooting.solve_monopole(met, m, tol=args.tol)
+        rep = energy.intermediate_energy(prof, met)
+        rows.append((m, prof.beta, rep.value, prof.R_end, prof))
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["mass", "beta", "E_I", "R_end"])
@@ -170,7 +165,7 @@ def cmd_sweep(args, parser) -> int:
                    {"metric": args.metric, "mass_min": args.mass_min,
                     "mass_max": args.mass_max, "steps": args.steps,
                     "tol": args.tol},
-                   {"metric": met.id, "threads": workers})
+                   {"metric": met.id, "threads": 1})
     if args.plot:
         curves = [([m for m, *_ in rows], [b for _, b, *_ in rows], "beta(m)")]
         _svg_plot(args.plot, curves, f"mass -> beta on {met.id}")
@@ -212,11 +207,8 @@ def cmd_verify(args, parser) -> int:
         met = met or metric.BS_S4
     else:
         parser.error(f"unknown oracle {name!r}")
-    if met.id in ("bs_s4", "bs_cp2"):
-        radii = np.array([metric.rho_of_s(s)
-                          for s in np.geomspace(args.r_min, args.r_max, args.n)])
-    else:
-        radii = np.geomspace(args.r_min, args.r_max, args.n)
+    # --r-min/--r-max are in the metric's chart coordinate (s on BS)
+    radii = met.chart.r_of_x(np.geomspace(args.r_min, args.r_max, args.n))
     sup = oracles.residual(form, system, met, radii)
     print(json.dumps({"oracle": name, "params": list(form.params),
                       "system": system, "metric": met.id,

@@ -12,13 +12,9 @@ from fractions import Fraction
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        # floats are accepted but converted exactly; callers who want
-        # rational results should pass Fraction/int/str themselves
-        return Fraction(x)
-    return Fraction(x)
+    # floats are converted exactly; callers who want rational results
+    # should pass Fraction/int/str themselves
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class FormalSeries:

@@ -8,7 +8,13 @@ file-defined custom backend.  Each background exposes
 * the local expansion h^2(r) = r^2 (phi_0 + phi_1 r + ...) with exact
   rational coefficients,
 * the Green's-function tail G(r) = int_r^inf dt / (2 h^2(t))  (fixed
-  sign convention: G >= 0, G(inf) = 0).
+  sign convention: G >= 0, G(inf) = 0),
+* the integration chart: the radial coordinate x(r) the ODEs are
+  integrated in, with its inverse r(x), the Jacobian dr/dx and h^2 as a
+  function of x.  Every background but the two BS profiles uses the
+  identity chart x = r; the BS profiles use the fiber coordinate s, in
+  which h^2 = s^2 sqrt(1+s^2) is explicit, so no right-hand side has to
+  invert rho(s).
 
 The BS reparametrization rho(s) = int_0^s (1+t^2)^(-1/4) dt and the tail
 integral both reduce to Gauss hypergeometric functions, so no runtime
@@ -54,9 +60,10 @@ def bs_f2(s):
 
 
 def bs_f(s):
-    """f = (1+s^2)^(-1/4)."""
+    """f = (1+s^2)^(-1/4) = d rho/ds."""
     s = np.asarray(s, dtype=float)
-    return (1.0 + s * s) ** -0.25
+    out = (1.0 + s * s) ** -0.25
+    return float(out) if out.ndim == 0 else out
 
 
 def rho_of_s(s):
@@ -107,7 +114,8 @@ def _s_of_rho_scalar(rho: float) -> float:
 def bs_h2_of_s(s):
     """h^2 as a function of s: s^2 sqrt(1+s^2)."""
     s = np.asarray(s, dtype=float)
-    return s * s * np.sqrt(1.0 + s * s)
+    out = s * s * np.sqrt(1.0 + s * s)
+    return float(out) if out.ndim == 0 else out
 
 
 def bs_green_of_s(s):
@@ -145,6 +153,27 @@ def _bs_series_coeffs(order: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Chart:
+    """Integration coordinate x(r).  Each map takes a float or an array
+    and returns the same kind, except that the identity chart's dr_dx
+    returns 1.0, which broadcasts."""
+
+    x_of_r: Callable
+    r_of_x: Callable
+    dr_dx: Callable
+    h2_of_x: Callable
+
+
+# BS fiber coordinate s; s_of_rho is looked up when called
+S_CHART = Chart(x_of_r=lambda rho: s_of_rho(rho), r_of_x=rho_of_s,
+                dr_dx=bs_f, h2_of_x=bs_h2_of_s)
+
+
+def _identity(x):
+    return x
+
+
+@dataclass(frozen=True)
 class MetricProfile:
     """Immutable radial background; all evaluations are pure."""
 
@@ -154,6 +183,14 @@ class MetricProfile:
     _h2: Callable = field(repr=False)
     _green: Optional[Callable] = field(repr=False)
     _series: Callable = field(repr=False)   # order -> list[Fraction]
+    _chart: Optional[Chart] = field(default=None, repr=False)  # None: x = r
+
+    @property
+    def chart(self) -> Chart:
+        if self._chart is not None:
+            return self._chart
+        return Chart(x_of_r=_identity, r_of_x=_identity,
+                     dr_dx=lambda x: 1.0, h2_of_x=self.h2)
 
     def h(self, r):
         r_arr = np.asarray(r, dtype=float)
@@ -245,6 +282,7 @@ def _bs(name: str) -> MetricProfile:
         _h2=h2,
         _green=green,
         _series=_bs_series_coeffs,
+        _chart=S_CHART,
     )
 
 

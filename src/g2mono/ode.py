@@ -12,21 +12,23 @@ Three systems appear:
   Bryant-Salamon background.
 
 Derivatives are always with respect to the geodesic radius r (called
-rho on the BS backgrounds).  Internally BS integrations run in the
-fiber coordinate s to avoid inverting rho(s) inside the right-hand
-side; results are reported in r.
+rho on the BS backgrounds).  Internally every integration runs in the
+coordinate x of the metric's chart (`MetricProfile.chart`): x = r on
+most backgrounds, the fiber coordinate s on the BS ones, so that no
+right-hand side has to invert rho(s).  Results are reported in r.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp, cumulative_trapezoid
 
-from .metric import MetricProfile, DomainError, bs_f, bs_h2_of_s, rho_of_s, s_of_rho
+from .metric import (MetricProfile, DomainError, S_CHART, bs_f, bs_h2_of_s,
+                     s_of_rho)
 
 V_BLOWUP = 50.0
 PHI_R_BLOWUP = 1.0e6
@@ -83,8 +85,11 @@ def rhs_plus(state: ProfileState, metric: MetricProfile, sigma: int):
             sigma * (1.0 + state.a ** 2) / (2.0 * h2))
 
 
-def rhs_su3(state: SU3State, metric: MetricProfile = None):
-    """Five-field system on the BS background (derivatives in rho)."""
+def rhs_su3(state: SU3State, metric: MetricProfile):
+    """Five-field system on a BS background (derivatives in rho)."""
+    if metric.chart is not S_CHART:
+        raise DomainError(
+            f"the su3 system needs a Bryant-Salamon background, not {metric.id!r}")
     if state.r <= 0:
         raise DomainError("rhs requires r > 0")
     s = s_of_rho(state.r)
@@ -142,15 +147,17 @@ class IntegrationResult:
                 for r, row in zip(self.r, self.y.T)]
 
 
-def _bs_like(metric: MetricProfile) -> bool:
-    return metric.id in ("bs_s4", "bs_cp2")
+def _terminal(event, direction=0):
+    event.terminal = True
+    event.direction = direction
+    return event
 
 
 def integrate(system: str, initial, metric: MetricProfile, r_max: float,
               tol: float = 1e-10, sigma: int = -1, r_min: float = None,
               v_stop: float = None) -> IntegrationResult:
     """Adaptive embedded Runge-Kutta (DOP853) trace of one of the
-    reduced systems.
+    reduced systems, in the metric's chart x(r).
 
     `initial` is a ProfileState (minus/plus) or SU3State.  For the plus
     system pass r_min < initial.r to integrate backwards toward the
@@ -162,158 +169,73 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     if initial.r <= 0:
         raise DomainError("initial radius must be > 0")
 
+    chart = metric.chart
+    x_of_r, r_of_x, dr_dx, h2_of_x = (chart.x_of_r, chart.r_of_x,
+                                      chart.dr_dx, chart.h2_of_x)
+    r_to = r_max
+    flat = False
+    stops = []                      # terminal events that are not blow-ups
     if system == "minus":
-        return _integrate_minus(initial, metric, r_max, tol, v_stop)
-    if system == "plus":
-        return _integrate_plus(initial, metric, r_max, tol, sigma, r_min)
-    if system == "su3":
-        return _integrate_su3(initial, metric, r_max, tol)
-    raise ValueError(f"unknown system {system!r}")
+        if initial.a <= 0:
+            raise DomainError("minus system requires a > 0 (use a=0 via green.dirac)")
+        y0 = [2.0 * math.log(initial.a), 4.0 * initial.phi]
+        flat = y0 == [0.0, 0.0]
 
+        def fun(x, y):
+            J = dr_dx(x)
+            return [J * y[1], J * 2.0 * _expm1_clipped(y[0]) / h2_of_x(x)]
 
-def _variable_change(metric: MetricProfile):
-    """Return (to_x, to_r, jac, h2_x): the integration variable x, maps
-    between x and r, the Jacobian dr/dx, and h^2 as a function of x."""
-    if _bs_like(metric):
-        return (lambda r: s_of_rho(r), lambda x: rho_of_s(x),
-                lambda x: float(bs_f(x)), lambda x: float(bs_h2_of_s(x)))
-    return (lambda r: r, lambda x: x, lambda x: 1.0,
-            lambda x: metric.h2(x))
+        blowups = [
+            _terminal(lambda x, y: y[0] - V_BLOWUP, 1),
+            _terminal(lambda x, y: abs(y[1]) * 0.25 * r_of_x(x) - PHI_R_BLOWUP),
+        ]
+        if v_stop is not None:
+            stops.append(_terminal(lambda x, y: y[0] - v_stop, -1))
+        stops.append(_terminal(lambda x, y: y[0] - _V_FLOOR, -1))
+    elif system == "plus":
+        if sigma not in (-1, 1):
+            raise ValueError("sigma must be +1 or -1")
+        if r_min is not None:
+            r_to = r_min
+        y0 = [initial.a, initial.phi]
 
+        def fun(x, y):
+            J = dr_dx(x)
+            return [J * sigma * 2.0 * y[0] * y[1],
+                    J * sigma * (1.0 + y[0] ** 2) / (2.0 * h2_of_x(x))]
 
-def _run(fun, x0, x1, y0, tol, events, complex_ok=False):
+        blowups = [_terminal(lambda x, y: abs(y[1]) * r_of_x(x) - PHI_R_BLOWUP)]
+    elif system == "su3":
+        # rhs_su3 rejects a metric without the s chart on the first call
+        y0 = np.array([initial.b1, initial.b2, initial.b3,
+                       initial.phi1, initial.phi2], dtype=complex)
+
+        def fun(x, y):
+            st = SU3State(r_of_x(x), y[0], y[1], y[2], y[3].real, y[4].real)
+            J = dr_dx(x)
+            return [J * di for di in rhs_su3(st, metric)]
+
+        blowups = [_terminal(
+            lambda x, y: float(np.max(np.abs(y))) - PHI_R_BLOWUP)]
+    else:
+        raise ValueError(f"unknown system {system!r}")
+
     sol = solve_ivp(
-        fun, (x0, x1), y0, method="DOP853", dense_output=True,
-        rtol=0.9 * tol, atol=0.1 * tol, events=events,
+        fun, (x_of_r(initial.r), x_of_r(r_to)), y0, method="DOP853",
+        dense_output=True, rtol=0.9 * tol, atol=0.1 * tol,
+        events=blowups + stops,
     )
     if sol.status == -1:
         raise StiffnessError(sol.message, state=(sol.t[-1], sol.y[:, -1]))
-    return sol
-
-
-def _integrate_minus(initial: ProfileState, metric, r_max, tol, v_stop):
-    if initial.a <= 0:
-        raise DomainError("minus system requires a > 0 (use a=0 via green.dirac)")
-    v0 = 2.0 * math.log(initial.a)
-    w0 = 4.0 * initial.phi
-    to_x, to_r, jac, h2_x = _variable_change(metric)
-    x0, x1 = to_x(initial.r), to_x(r_max)
-
-    def fun(x, y):
-        J = jac(x)
-        return [J * y[1], J * 2.0 * _expm1_clipped(y[0]) / h2_x(x)]
-
-    def ev_blowup(x, y):
-        return y[0] - V_BLOWUP
-    ev_blowup.terminal = True
-    ev_blowup.direction = 1
-
-    def ev_phi(x, y):
-        return abs(y[1]) * 0.25 * to_r(x) - PHI_R_BLOWUP
-    ev_phi.terminal = True
-
-    events = [ev_blowup, ev_phi]
-    if v_stop is not None:
-        def ev_stop(x, y):
-            return y[0] - v_stop
-        ev_stop.terminal = True
-        ev_stop.direction = -1
-        events.append(ev_stop)
-
-    def ev_floor(x, y):
-        return y[0] - _V_FLOOR
-    ev_floor.terminal = True
-    ev_floor.direction = -1
-    events.append(ev_floor)
-
-    flat = v0 == 0.0 and w0 == 0.0
-    sol = _run(fun, x0, x1, [v0, w0], tol, events)
-    blowup = len(sol.t_events[0]) > 0 or len(sol.t_events[1]) > 0
-    classification = "flat" if flat else ("blowup" if blowup else "bounded")
-
-    xs = sol.t
-    rs = np.array([to_r(x) for x in xs]) if _bs_like(metric) else xs.copy()
-
-    def evaluate(r_arr):
-        x = np.array([to_x(r) for r in np.atleast_1d(r_arr)]) \
-            if _bs_like(metric) else np.atleast_1d(r_arr)
-        return sol.sol(x)
-
+    blowup = any(len(t) for t in sol.t_events[:len(blowups)])
+    rs = r_of_x(sol.t)
     return IntegrationResult(
-        system="minus", metric=metric, classification=classification,
+        system=system, metric=metric,
+        classification="flat" if flat else ("blowup" if blowup else "bounded"),
         stats={"nfev": sol.nfev, "n_steps": len(sol.t) - 1,
                "status": sol.status, "message": sol.message},
-        r=rs, y=sol.y, r_end=float(rs[-1]), _eval=evaluate,
-    )
-
-
-def _integrate_plus(initial: ProfileState, metric, r_max, tol, sigma, r_min):
-    if sigma not in (-1, 1):
-        raise ValueError("sigma must be +1 or -1")
-    to_x, to_r, jac, h2_x = _variable_change(metric)
-    x0 = to_x(initial.r)
-    x1 = to_x(r_min) if r_min is not None else to_x(r_max)
-
-    def fun(x, y):
-        J = jac(x)
-        return [J * sigma * 2.0 * y[0] * y[1],
-                J * sigma * (1.0 + y[0] ** 2) / (2.0 * h2_x(x))]
-
-    def ev_phi(x, y):
-        return abs(y[1]) * to_r(x) - PHI_R_BLOWUP
-    ev_phi.terminal = True
-
-    sol = _run(fun, x0, x1, [initial.a, initial.phi], tol, [ev_phi])
-    blowup = len(sol.t_events[0]) > 0
-    classification = "blowup" if blowup else "bounded"
-
-    xs = sol.t
-    rs = np.array([to_r(x) for x in xs]) if _bs_like(metric) else xs.copy()
-
-    def evaluate(r_arr):
-        x = np.array([to_x(r) for r in np.atleast_1d(r_arr)]) \
-            if _bs_like(metric) else np.atleast_1d(r_arr)
-        return sol.sol(x)
-
-    return IntegrationResult(
-        system="plus", metric=metric, classification=classification,
-        stats={"nfev": sol.nfev, "n_steps": len(sol.t) - 1,
-               "status": sol.status, "message": sol.message},
-        r=rs, y=sol.y, r_end=float(rs[-1]), _eval=evaluate, sigma=sigma,
-    )
-
-
-def _integrate_su3(initial: SU3State, metric, r_max, tol):
-    to_x, to_r, jac, h2_x = _variable_change(metric)
-    x0, x1 = to_x(initial.r), to_x(r_max)
-    y0 = np.array([initial.b1, initial.b2, initial.b3,
-                   initial.phi1, initial.phi2], dtype=complex)
-
-    def fun(x, y):
-        st = SU3State(to_r(x), y[0], y[1], y[2], y[3].real, y[4].real)
-        d = rhs_su3(st, metric)
-        J = jac(x)
-        return [J * di for di in d]
-
-    def ev_big(x, y):
-        return float(np.max(np.abs(y))) - PHI_R_BLOWUP
-    ev_big.terminal = True
-
-    sol = _run(fun, x0, x1, y0, tol, [ev_big])
-    classification = "blowup" if len(sol.t_events[0]) else "bounded"
-    xs = sol.t
-    rs = np.array([to_r(x) for x in xs]) if _bs_like(metric) else xs.copy()
-
-    def evaluate(r_arr):
-        x = np.array([to_x(r) for r in np.atleast_1d(r_arr)]) \
-            if _bs_like(metric) else np.atleast_1d(r_arr)
-        return sol.sol(x)
-
-    return IntegrationResult(
-        system="su3", metric=metric, classification=classification,
-        stats={"nfev": sol.nfev, "n_steps": len(sol.t) - 1,
-               "status": sol.status, "message": sol.message},
-        r=rs, y=sol.y, r_end=float(rs[-1]), _eval=evaluate,
+        r=rs, y=sol.y, r_end=float(rs[-1]),
+        _eval=lambda r: sol.sol(x_of_r(np.atleast_1d(r))), sigma=sigma,
     )
 
 
@@ -370,19 +292,16 @@ def envelope_check(result: IntegrationResult, metric: MetricProfile,
     II = cumulative_trapezoid(J, rs, initial=0.0)
     lower_quad = tangent - 2.0 * II
 
-    # auxiliary linear integration, in the same variable change as the
-    # main solve
-    to_x, to_r, jac, h2_x = _variable_change(metric)
-    xs0, xs1 = to_x(d), to_x(r_end)
+    # auxiliary linear integration, in the same chart as the main solve
+    chart = metric.chart
 
     def lin(x, y):
-        Jx = jac(x)
-        return [Jx * y[1], Jx * 2.0 * y[0] / h2_x(x)]
+        Jx = chart.dr_dx(x)
+        return [Jx * y[1], Jx * 2.0 * y[0] / chart.h2_of_x(x)]
 
-    sol = solve_ivp(lin, (xs0, xs1), [v0, w0], method="DOP853",
-                    dense_output=True, rtol=1e-10, atol=1e-12)
-    x_eval = np.array([to_x(r) for r in rs]) if _bs_like(metric) else rs
-    lower_lin = sol.sol(x_eval)[0]
+    sol = solve_ivp(lin, (chart.x_of_r(d), chart.x_of_r(r_end)), [v0, w0],
+                    method="DOP853", dense_output=True, rtol=1e-10, atol=1e-12)
+    lower_lin = sol.sol(chart.x_of_r(rs))[0]
 
     tol = slack * (1.0 + np.abs(v))
     ok = (v >= np.maximum(lower_quad, lower_lin) - tol) & (v <= tangent + tol)

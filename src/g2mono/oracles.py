@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ode
-from .metric import (MetricProfile, EUCLIDEAN, DomainError, bs_f, bs_f2,
-                     rho_of_s, s_of_rho)
+from .metric import (MetricProfile, DomainError, S_CHART, bs_f, bs_f2,
+                     get_metric, s_of_rho)
 from .ode import ProfileState, SU3State, rhs_minus, rhs_plus, rhs_su3
 
 _SMALL_R = 1e-3
@@ -37,71 +36,46 @@ _COTH_SER = (1.0 / 3.0, -1.0 / 45.0, 2.0 / 945.0, -1.0 / 4725.0,
              2.0 / 93555.0, -1382.0 / 638512875.0)
 
 
-def _x_over_sinh(x):
-    """x / sinh(x), stable near 0."""
+def _series_or_closed(x, coeffs, odd, closed):
+    """sum_k coeffs[k] x^(2k), times x when `odd`, for |x| < 0.2 and
+    closed(x) elsewhere."""
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     small = np.abs(x) < 0.2
     out = np.empty_like(x)
-    xs = x[small] ** 2
+    xs = x[small]
+    x2 = xs ** 2
     acc = np.zeros_like(xs)
-    for c in reversed(_A_SER):
-        acc = acc * xs + c
-    out[small] = acc
-    xb = x[~small]
-    out[~small] = xb / np.sinh(xb)
+    for c in reversed(coeffs):
+        acc = acc * x2 + c
+    out[small] = xs * acc if odd else acc
+    out[~small] = closed(x[~small])
     return float(out[0]) if scalar else out
+
+
+def _x_over_sinh(x):
+    """x / sinh(x), stable near 0."""
+    return _series_or_closed(x, _A_SER, False, lambda t: t / np.sinh(t))
 
 
 def _x_over_sinh_prime(x):
     """d/dx of x / sinh(x), stable near 0."""
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    small = np.abs(x) < 0.2
-    out = np.empty_like(x)
-    xs = x[small]
-    x2 = xs ** 2
-    acc = np.zeros_like(xs)
-    for k in range(len(_A_SER) - 1, 0, -1):
-        acc = acc * x2 + 2 * k * _A_SER[k]
-    out[small] = xs * acc
-    xb = x[~small]
-    sh, ch = np.sinh(xb), np.cosh(xb)
-    out[~small] = 1.0 / sh - xb * ch / sh ** 2
-    return float(out[0]) if scalar else out
+    return _series_or_closed(
+        x, [2 * k * c for k, c in enumerate(_A_SER)][1:], True,
+        lambda t: 1.0 / np.sinh(t) - t * np.cosh(t) / np.sinh(t) ** 2)
 
 
 def _coth_minus_inv(x):
     """coth(x) - 1/x, stable near 0."""
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    small = np.abs(x) < 0.2
-    out = np.empty_like(x)
-    xs = x[small]
-    x2 = xs ** 2
-    acc = np.zeros_like(xs)
-    for c in reversed(_COTH_SER):
-        acc = acc * x2 + c
-    out[small] = xs * acc
-    xb = x[~small]
-    out[~small] = 1.0 / np.tanh(xb) - 1.0 / xb
-    return float(out[0]) if scalar else out
+    return _series_or_closed(x, _COTH_SER, True,
+                             lambda t: 1.0 / np.tanh(t) - 1.0 / t)
 
 
 def _coth_minus_inv_prime(x):
     """d/dx of coth(x) - 1/x, i.e. 1/x^2 - csch^2(x), stable near 0."""
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    small = np.abs(x) < 0.2
-    out = np.empty_like(x)
-    x2 = x[small] ** 2
-    acc = np.zeros_like(x2)
-    for k in range(len(_COTH_SER) - 1, -1, -1):
-        acc = acc * x2 + (2 * k + 1) * _COTH_SER[k]
-    out[small] = acc
-    xb = x[~small]
-    out[~small] = 1.0 / xb ** 2 - 1.0 / np.sinh(xb) ** 2
-    return float(out[0]) if scalar else out
+    return _series_or_closed(
+        x, [(2 * k + 1) * c for k, c in enumerate(_COTH_SER)], False,
+        lambda t: 1.0 / t ** 2 - 1.0 / np.sinh(t) ** 2)
 
 
 @dataclass(frozen=True)
@@ -327,11 +301,12 @@ def physical_fields(profile, background: str):
     """Convert the rescaled solver field a to the
     geometric connection coefficient a_conn = f^2 * a on a BS
     background, with the asymptotic decay diagnostic."""
-    if background not in ("bs_s4", "bs_cp2"):
+    chart = get_metric(background).chart
+    if chart is not S_CHART:
         raise ValueError("physical_fields requires a BS background")
     rho = np.asarray(profile.r, dtype=float)
     pos = rho > 0
-    s = np.array([s_of_rho(x) for x in rho[pos]])
+    s = chart.x_of_r(rho[pos])
     f2 = bs_f2(s)
     a_conn = np.ones_like(rho)
     a_conn[pos] = f2 * np.asarray(profile.a)[pos]

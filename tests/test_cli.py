@@ -83,6 +83,8 @@ def test_sweep_table_and_plot(tmp_path, capsys):
     assert all(b2 < b1 for b1, b2 in zip(betas, betas[1:]))
     assert os.path.exists(svg)
     assert open(svg).read().startswith("<svg")
+    with open(str(tmp_path / "sweep.json")) as fh:
+        assert json.load(fh)["threads"] == 1
 
 
 def test_sweep_empty_range_exit2(tmp_path, capsys):
@@ -98,6 +100,14 @@ def test_verify_su3(capsys):
                           "--c", "2", "--r-min", "0.01", "--r-max", "50")
     assert code == 0
     assert json.loads(stdout)["sup_residual"] <= 1e-10
+
+
+def test_verify_su3_rejects_non_bs_metric(capsys):
+    code, stdout, err = run(capsys, "verify", "--oracle", "su3_instanton",
+                            "--metric", "euclidean")
+    assert code != 0
+    assert stdout == ""
+    assert "Bryant-Salamon" in err
 
 
 def test_verify_bps(capsys):
@@ -130,14 +140,3 @@ def test_deterministic_outputs(tmp_path, capsys):
     run(capsys, "solve", "--metric", "hyperbolic", "--mass", "1", "--out", a)
     run(capsys, "solve", "--metric", "hyperbolic", "--mass", "1", "--out", b)
     assert open(a).read() == open(b).read()
-
-
-def test_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("G2MONO_THREADS", "1")
-    out = str(tmp_path / "s.csv")
-    code, _, _ = run(capsys, "sweep", "--metric", "euclidean",
-                     "--mass-min", "1", "--mass-max", "1", "--steps", "1",
-                     "--out", out)
-    assert code == 0
-    with open(str(tmp_path / "s.json")) as fh:
-        assert json.load(fh)["threads"] == 1

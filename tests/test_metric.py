@@ -62,6 +62,20 @@ def test_series_matches_h2():
             assert abs(val / met.h2(r) - 1.0) <= 1e-10 + 10 * r ** 10
 
 
+def test_chart_contract():
+    rs = np.geomspace(1e-3, 1e3, 61)
+    for met in (EUCLIDEAN, HYPERBOLIC, BS_S4, BS_CP2):
+        ch = met.chart
+        xs = ch.x_of_r(rs)
+        assert np.max(np.abs(ch.r_of_x(xs) / rs - 1.0)) <= 1e-13, met.id
+        assert np.max(np.abs(ch.h2_of_x(xs) / met.h2(rs) - 1.0)) <= 1e-12, met.id
+        dx = 1e-6 * xs
+        fd = (ch.r_of_x(xs + dx) - ch.r_of_x(xs - dx)) / (2.0 * dx)
+        assert np.max(np.abs(ch.dr_dx(xs) / fd - 1.0)) <= 1e-8, met.id
+    assert BS_S4.chart is metric.S_CHART and BS_CP2.chart is metric.S_CHART
+    assert EUCLIDEAN.chart.x_of_r(2.5) == 2.5
+
+
 def test_bs_series_low_order():
     cs = BS_S4.series_coeffs(6)
     assert cs[0] == 1

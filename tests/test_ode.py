@@ -78,6 +78,15 @@ def test_rhs_su3_abelian_limit():
     assert abs(d[4] - 1.0 / (2.0 * h2)) <= 1e-14
 
 
+def test_su3_rejected_off_bs_backgrounds():
+    st = oracles.eval(oracles.su3_instanton(2.0, 1), metric.rho_of_s(0.5))
+    for met in (metric.EUCLIDEAN, metric.HYPERBOLIC):
+        with pytest.raises(DomainError):
+            rhs_su3(st, met)
+        with pytest.raises(DomainError):
+            integrate("su3", st, met, 5.0)
+
+
 def test_integrate_bps_accuracy():
     res = integrate("minus", _bps_initial(0.05), metric.EUCLIDEAN, 10.0,
                     tol=1e-11)
