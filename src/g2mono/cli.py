@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, energy, green, metric, oracles, series, shooting
+from . import __version__, energy, green, metric, ode, oracles, series, shooting
 
 _FMT = "%.17g"
 
@@ -30,6 +30,13 @@ def _metric_arg(name: str):
     if name.endswith(".txt") or name.endswith(".cfg") or os.path.sep in name:
         return metric.load_custom(name)
     return metric.get_metric(name)
+
+
+def _tol_arg(text: str) -> float:
+    try:
+        return ode.check_tol(float(text))
+    except ValueError as exc:           # a usage error: argparse exits 2
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _sidecar_path(out: str) -> str:
@@ -284,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--metric", required=True)
     s.add_argument("--mass", type=float)
     s.add_argument("--beta", type=float)
-    s.add_argument("--tol", type=float, default=1e-10)
+    s.add_argument("--tol", type=_tol_arg, default=1e-10)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_solve)
 
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mass-min", type=float, required=True)
     s.add_argument("--mass-max", type=float, required=True)
     s.add_argument("--steps", type=int, required=True)
-    s.add_argument("--tol", type=float, default=1e-10)
+    s.add_argument("--tol", type=_tol_arg, default=1e-10)
     s.add_argument("--out", required=True)
     s.add_argument("--plot")
     s.set_defaults(fn=cmd_sweep)

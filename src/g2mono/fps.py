@@ -59,18 +59,6 @@ class FormalSeries:
     def truncate(self, order: int) -> "FormalSeries":
         return FormalSeries(self.coeffs, order)
 
-    @staticmethod
-    def zero(order: int) -> "FormalSeries":
-        return FormalSeries([0], order)
-
-    @staticmethod
-    def one(order: int) -> "FormalSeries":
-        return FormalSeries([1], order)
-
-    @staticmethod
-    def x(order: int) -> "FormalSeries":
-        return FormalSeries([0, 1], order)
-
     # -- ring operations ---------------------------------------------
 
     def _join(self, other) -> tuple["FormalSeries", int]:
@@ -200,20 +188,19 @@ class FormalSeries:
     def reversion(self) -> "FormalSeries":
         """Compositional inverse g with self(g(x)) = x.
 
-        Requires coefficients (0, nonzero, ...).  Solved term by term.
+        Requires coefficients (0, nonzero, ...).  By Lagrange inversion,
+        g_k = (1/k) [x^(k-1)] (x/self)^k: one inverse and n-1 products.
         """
         if self[0] != 0 or self[1] == 0:
             raise ValueError("reversion requires series of the form a1 x + ...")
         n = self.order
-        g = FormalSeries([0, 1 / self[1]], n)
+        x_over_f = self.shift(-1).inverse()     # order n-1
+        power = x_over_f                        # (x/self)^k, kept at order n-1
+        g = [Fraction(0), power[0]]
         for k in range(2, n + 1):
-            # residual of self(g) - x at order k is linear in g_k with
-            # coefficient a1
-            err = self.compose(g)[k]
-            g = FormalSeries(
-                [g[i] for i in range(k)] + [-err / self[1]], n
-            )
-        return g
+            power = power * x_over_f
+            g.append(power[k - 1] / k)
+        return FormalSeries(g)
 
     # -- numerics -----------------------------------------------------
 

@@ -79,36 +79,35 @@ def rho_of_s(s):
 
 
 def s_of_rho(rho):
-    """Inverse of rho_of_s, by bracketing + Newton polish."""
-    scalar = np.isscalar(rho) or np.ndim(rho) == 0
-    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
+    """Inverse of rho_of_s, by Newton's method on the whole array.
+
+    Each element stops at its own step; one that has not converged after
+    60 steps is solved by bisection instead.
+    """
+    rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0):
         raise DomainError("rho must be >= 0")
-    out = np.empty_like(rho_arr)
-    for i, p in enumerate(rho_arr):
-        out[i] = _s_of_rho_scalar(p)
-    return float(out[0]) if scalar else out
-
-
-def _s_of_rho_scalar(rho: float) -> float:
-    if rho == 0.0:
-        return 0.0
+    out = np.zeros(rho_arr.size)                    # rho = 0 -> s = 0
+    idx = np.flatnonzero(rho_arr)
+    p = rho_arr.ravel()[idx]
     # initial guess: rho ~ s for small s, rho ~ 2 sqrt(s) - 1.198 for large
-    s = rho if rho < 1.0 else ((rho + 1.198) / 2.0) ** 2
+    s = np.where(p < 1.0, p, ((p + 1.198) / 2.0) ** 2)
     for _ in range(60):
+        if not idx.size:
+            break
         # Newton on rho(s) - rho;  d rho/ds = (1+s^2)^(-1/4)
-        step = (rho_of_s(s) - rho) * (1.0 + s * s) ** 0.25
-        s_new = s - step
-        if s_new <= 0.0:
-            s_new = 0.5 * s
-        if abs(s_new - s) <= 1e-15 * max(1.0, s):
-            return s_new
-        s = s_new
-    # Newton should never get here; fall back to bisection
-    hi = max(4.0 * s, 1.0)
-    while rho_of_s(hi) < rho:
-        hi *= 4.0
-    return brentq(lambda t: rho_of_s(t) - rho, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+        s_new = s - (s * hyp2f1(0.25, 0.5, 1.5, -s * s) - p) * (1.0 + s * s) ** 0.25
+        s_new = np.where(s_new <= 0.0, 0.5 * s, s_new)
+        done = np.abs(s_new - s) <= 1e-15 * np.maximum(1.0, s)
+        out[idx[done]] = s_new[done]
+        idx, p, s = idx[~done], p[~done], s_new[~done]
+    for i, pi, si in zip(idx, p, s):    # Newton should never get here
+        hi = max(4.0 * si, 1.0)
+        while rho_of_s(hi) < pi:
+            hi *= 4.0
+        out[i] = brentq(lambda t: rho_of_s(t) - pi, 0.0, hi, xtol=1e-15,
+                        rtol=8.9e-16)
+    return float(out[0]) if rho_arr.ndim == 0 else out.reshape(rho_arr.shape)
 
 
 def bs_h2_of_s(s):
@@ -210,12 +209,6 @@ class MetricProfile:
         if order < 0:
             raise ValueError("order must be >= 0")
         return self._series(order)
-
-    def series_truncation_bound(self, r: float, order: int) -> float:
-        """Crude a-posteriori bound on |h^2(r) - r^2 * truncated series|."""
-        cs = self.series_coeffs(order)
-        top = max(abs(float(c)) for c in cs) or 1.0
-        return 10.0 * top * r ** (order + 3)
 
     def green_tail(self, r):
         if not self.nonparabolic:

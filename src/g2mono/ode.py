@@ -85,17 +85,16 @@ def rhs_plus(state: ProfileState, metric: MetricProfile, sigma: int):
             sigma * (1.0 + state.a ** 2) / (2.0 * h2))
 
 
-def rhs_su3(state: SU3State, metric: MetricProfile):
-    """Five-field system on a BS background (derivatives in rho)."""
+def _require_bs(metric: MetricProfile):
     if metric.chart is not S_CHART:
         raise DomainError(
             f"the su3 system needs a Bryant-Salamon background, not {metric.id!r}")
-    if state.r <= 0:
-        raise DomainError("rhs requires r > 0")
-    s = s_of_rho(state.r)
+
+
+def _rhs_su3_of_s(s, b1, b2, b3, p1, p2):
+    """The su3 right-hand side (derivatives in rho) at fiber coordinate s."""
     h2 = bs_h2_of_s(s)
     fs = bs_f(s) / s
-    b1, b2, b3, p1, p2 = state.b1, state.b2, state.b3, state.phi1, state.phi2
     return (
         fs * b2 * b3 - b1 * (2.0 * p1 + p2),
         fs * b1 * b3 + b2 * (p1 - p2),
@@ -103,6 +102,15 @@ def rhs_su3(state: SU3State, metric: MetricProfile):
         (b2 * b2 - b1 * b1 - 1.0).real / (2.0 * h2),
         (b3 * b3 - b2 * b2 + 1.0).real / (2.0 * h2),
     )
+
+
+def rhs_su3(state: SU3State, metric: MetricProfile):
+    """Five-field system on a BS background (derivatives in rho)."""
+    _require_bs(metric)
+    if state.r <= 0:
+        raise DomainError("rhs requires r > 0")
+    return _rhs_su3_of_s(s_of_rho(state.r), state.b1, state.b2, state.b3,
+                         state.phi1, state.phi2)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +161,12 @@ def _terminal(event, direction=0):
     return event
 
 
+def check_tol(tol: float) -> float:
+    if not 1e-14 <= tol <= 1e-6:
+        raise ValueError("tol must lie in [1e-14, 1e-6]")
+    return tol
+
+
 def integrate(system: str, initial, metric: MetricProfile, r_max: float,
               tol: float = 1e-10, sigma: int = -1, r_min: float = None,
               v_stop: float = None) -> IntegrationResult:
@@ -164,8 +178,7 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     singular origin.  `v_stop` adds a terminal event at v = v_stop
     (minus system only; used by the shooting driver).
     """
-    if not 1e-14 <= tol <= 1e-6:
-        raise ValueError("tol must lie in [1e-14, 1e-6]")
+    check_tol(tol)
     if initial.r <= 0:
         raise DomainError("initial radius must be > 0")
 
@@ -206,14 +219,14 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
 
         blowups = [_terminal(lambda x, y: abs(y[1]) * r_of_x(x) - PHI_R_BLOWUP)]
     elif system == "su3":
-        # rhs_su3 rejects a metric without the s chart on the first call
+        _require_bs(metric)          # so x is s
         y0 = np.array([initial.b1, initial.b2, initial.b3,
                        initial.phi1, initial.phi2], dtype=complex)
 
         def fun(x, y):
-            st = SU3State(r_of_x(x), y[0], y[1], y[2], y[3].real, y[4].real)
             J = dr_dx(x)
-            return [J * di for di in rhs_su3(st, metric)]
+            return [J * di for di in
+                    _rhs_su3_of_s(x, y[0], y[1], y[2], y[3].real, y[4].real)]
 
         blowups = [_terminal(
             lambda x, y: float(np.max(np.abs(y))) - PHI_R_BLOWUP)]

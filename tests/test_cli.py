@@ -55,6 +55,20 @@ def test_solve_usage_error_exit2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--metric", "euclidean", "--mass", "1", "--tol", "1e-3"],
+    ["sweep", "--metric", "euclidean", "--mass-min", "1", "--mass-max", "2",
+     "--steps", "2", "--tol", "1e-20"],
+], ids=["solve", "sweep"])
+def test_tol_out_of_range_exit2(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "tol must lie in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_energy_roundtrip(tmp_path, capsys):
     out = str(tmp_path / "bps.csv")
     run(capsys, "solve", "--metric", "euclidean", "--mass", "1",

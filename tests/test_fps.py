@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2mono import metric
 from g2mono.fps import FormalSeries
 
 F = Fraction
@@ -14,6 +15,17 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 def coeff_lists(min_size=1, max_size=6):
     return st.lists(rationals, min_size=min_size, max_size=max_size)
+
+
+def reversion_oracle(f):
+    """Compositional inverse solved term by term: the residual of
+    f(g) - x at order k is linear in g_k with coefficient a1."""
+    n = f.order
+    g = FormalSeries([0, 1 / f[1]], n)
+    for k in range(2, n + 1):
+        err = f.compose(g)[k]
+        g = FormalSeries([g[i] for i in range(k)] + [-err / f[1]], n)
+    return g
 
 
 def test_add_mul_basics():
@@ -54,6 +66,31 @@ def test_reversion_roundtrip():
     f = FormalSeries([0, 1, F(1, 2), F(-1, 3)], 7)
     g = f.reversion()
     assert f.compose(g) == FormalSeries([0, 1], 7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 12), rationals.filter(bool), st.data())
+def test_reversion_matches_oracle(n, a1, data):
+    rest = data.draw(st.lists(rationals, max_size=n - 1))
+    f = FormalSeries([0, a1] + rest, n)
+    g = f.reversion()
+    assert g.order == n
+    assert g.coeffs == reversion_oracle(f).coeffs
+    x = FormalSeries([0, 1], n)
+    assert f.compose(g) == x
+    assert g.compose(f) == x
+
+
+def test_bs_series_matches_oracle_reversion(monkeypatch):
+    fast = metric._bs_series_coeffs(12)
+    monkeypatch.setattr(FormalSeries, "reversion", reversion_oracle)
+    assert metric._bs_series_coeffs(12) == fast
+
+
+def test_reversion_requires_linear_head():
+    for cs in ([1, 1], [0, 0, 1]):
+        with pytest.raises(ValueError):
+            FormalSeries(cs, 4).reversion()
 
 
 def test_integrate_differentiate():

@@ -26,6 +26,63 @@ def test_s_of_rho_roundtrip():
     assert np.max(np.abs(back / ss - 1.0)) <= 1e-12
 
 
+def s_of_rho_loop(rho):
+    """One point at a time: the same Newton steps and stop rule as
+    s_of_rho, in scalar arithmetic."""
+    if rho == 0.0:
+        return 0.0
+    s = rho if rho < 1.0 else ((rho + 1.198) / 2.0) ** 2
+    for _ in range(60):
+        s_new = s - (rho_of_s(s) - rho) * (1.0 + s * s) ** 0.25
+        if s_new <= 0.0:
+            s_new = 0.5 * s
+        if abs(s_new - s) <= 1e-15 * max(1.0, s):
+            return s_new
+        s = s_new
+    raise AssertionError(f"no convergence at rho={rho}")
+
+
+def test_s_of_rho_matches_scalar_loop():
+    # numpy's vector pow may round differently from the scalar one, and a
+    # different last bit can move the point where Newton stops: allow the
+    # stop rule's own tolerance (observed: up to 5 ulp, 6.7e-16 relative)
+    rho = np.concatenate([np.geomspace(1e-8, 1e8, 2001), [0.0, 1.0]])
+    ref = np.array([s_of_rho_loop(p) for p in rho])
+    assert np.all(np.abs(s_of_rho(rho) - ref) <= 1e-15 * np.maximum(1.0, ref))
+
+
+def test_s_of_rho_interleaved_zeros():
+    rho = np.array([0.0, 0.3, 0.0, 0.0, 7.0, 0.0, 2e4, 0.0])
+    s = s_of_rho(rho)
+    assert s.shape == rho.shape
+    assert np.all(s[rho == 0] == 0.0)
+    assert np.all(s[rho > 0] > 0.0)
+    assert np.array_equal(s[rho > 0], s_of_rho(rho[rho > 0]))
+    assert s_of_rho(0.0) == 0.0 and s_of_rho(np.zeros(3)).tolist() == [0.0] * 3
+
+
+def test_s_of_rho_scalar_equals_array_element():
+    rho = np.geomspace(1e-6, 1e5, 23)
+    s = s_of_rho(rho)
+    for i, p in enumerate(rho):
+        one = s_of_rho(float(p))
+        assert type(one) is float
+        assert one == s[i]
+        assert s_of_rho(p) == s[i]               # numpy scalar input
+
+
+def test_s_of_rho_roundtrip_wide_range():
+    rho = np.geomspace(1e-8, 1e8, 2001)
+    back = rho_of_s(s_of_rho(rho))
+    assert np.max(np.abs(back / rho - 1.0)) <= 1e-14
+
+
+def test_s_of_rho_rejects_negative_entries():
+    for bad in (-1e-300, -2.0, [1.0, -0.5, 3.0], np.array([0.0, 0.0, -1.0])):
+        with pytest.raises(DomainError):
+            s_of_rho(bad)
+
+
 def test_bs_green_quadrature_oracle():
     # G(s) = int_s^inf f(t) / (2 h^2(t)) dt
     def integrand(t):

@@ -161,6 +161,18 @@ def test_su3_instanton_constraint_drift():
     assert drift <= 1e-9
 
 
+def test_su3_integration_matches_instanton():
+    # end state within the ODE tolerance of the closed form (observed 2.1e-12)
+    c, branch = 2.0, 1
+    form = oracles.su3_instanton(c, branch)
+    res = integrate("su3", oracles.eval(form, metric.rho_of_s(0.05)),
+                    metric.BS_S4, metric.rho_of_s(6.0), tol=1e-11)
+    end = oracles.eval(form, res.r_end)
+    ref = [end.b1, end.b2, end.b3, end.phi1, end.phi2]
+    assert res.classification == "bounded"
+    assert np.max(np.abs(res.y[:, -1] - ref)) <= 1e-10
+
+
 def test_envelope_bps():
     res = integrate("minus", _bps_initial(0.05), metric.EUCLIDEAN, 10.0,
                     tol=1e-11)
