@@ -11,7 +11,7 @@ __version__ = "1.0.0"
 
 from .metric import (EUCLIDEAN, HYPERBOLIC, BS_S4, BS_CP2, MetricProfile,
                      get_metric, load_custom)
-from .series import v_series, v_series_oracle
+from .series import v_series
 from .ode import integrate, envelope_check
 from .shooting import (MonopoleProfile, mass_of_beta, beta_of_mass,
                        solve_monopole, profile_of_beta, bubbling_report)
@@ -25,7 +25,7 @@ __all__ = [
     "__version__",
     "EUCLIDEAN", "HYPERBOLIC", "BS_S4", "BS_CP2", "MetricProfile",
     "get_metric", "load_custom",
-    "v_series", "v_series_oracle",
+    "v_series",
     "integrate", "envelope_check",
     "MonopoleProfile", "mass_of_beta", "beta_of_mass", "solve_monopole",
     "profile_of_beta", "bubbling_report",

@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,6 +38,19 @@ def _tol_arg(text: str) -> float:
         return ode.check_tol(float(text))
     except ValueError as exc:           # a usage error: argparse exits 2
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _fraction_arg(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a number or fraction: {text!r}") from None
+
+
+def _real_arg(text: str) -> float:
+    """A float that may be written as a fraction, e.g. -1/3."""
+    return float(_fraction_arg(text))
 
 
 def _sidecar_path(out: str) -> str:
@@ -290,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="shoot one monopole profile")
     s.add_argument("--metric", required=True)
     s.add_argument("--mass", type=float)
-    s.add_argument("--beta", type=float)
+    s.add_argument("--beta", type=_real_arg)
     s.add_argument("--tol", type=_tol_arg, default=1e-10)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_solve)
@@ -334,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("series", help="singular-point series coefficients")
     s.add_argument("--metric", required=True)
-    s.add_argument("--beta", type=str, default="-1/3")
+    s.add_argument("--beta", type=_fraction_arg, default="-1/3")
     s.add_argument("--order", type=int, default=12)
     s.set_defaults(fn=cmd_series)
     return p
@@ -343,9 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cmd == "series":
-        from fractions import Fraction
-        args.beta = Fraction(args.beta)
     try:
         return args.fn(args, parser)
     except (shooting.NoSolutionError, shooting.OutOfRangeError,

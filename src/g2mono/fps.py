@@ -8,7 +8,15 @@ more.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
+
+
+def common_denominator(cs) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the denominators of `cs`."""
+    d = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (d // c.denominator) for c in cs], d
 
 
 def _as_fraction(x) -> Fraction:
@@ -86,17 +94,16 @@ class FormalSeries:
         if not isinstance(other, FormalSeries):
             c = _as_fraction(other)
             return FormalSeries([c * a for a in self.coeffs])
+        # integer convolution over the product of the common denominators:
+        # one normalisation per output coefficient instead of one per term
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            ci = self[i]
-            if ci == 0:
-                continue
-            for j in range(n + 1 - i):
-                cj = other[j]
-                if cj:
-                    out[i + j] += ci * cj
-        return FormalSeries(out)
+        na, da = common_denominator(self.coeffs[: n + 1])
+        nb, db = common_denominator(other.coeffs[: n + 1])
+        d = da * db
+        return FormalSeries([
+            Fraction(sum(map(mul, na[: k + 1], reversed(nb[: k + 1]))), d)
+            for k in range(n + 1)
+        ])
 
     __rmul__ = __mul__
 
@@ -201,11 +208,3 @@ class FormalSeries:
             power = power * x_over_f
             g.append(power[k - 1] / k)
         return FormalSeries(g)
-
-    # -- numerics -----------------------------------------------------
-
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc

@@ -25,6 +25,7 @@ lives in the tests.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -61,6 +62,8 @@ def bs_f2(s):
 
 def bs_f(s):
     """f = (1+s^2)^(-1/4) = d rho/ds."""
+    if isinstance(s, float):            # the right-hand side's hot path
+        return (1.0 + s * s) ** -0.25
     s = np.asarray(s, dtype=float)
     out = (1.0 + s * s) ** -0.25
     return float(out) if out.ndim == 0 else out
@@ -72,7 +75,7 @@ def rho_of_s(s):
     Closed form: rho = s * 2F1(1/4, 1/2; 3/2; -s^2).
     """
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
+    if not np.all(s >= 0):
         raise DomainError("s must be >= 0")
     out = s * hyp2f1(0.25, 0.5, 1.5, -s * s)
     return float(out) if out.ndim == 0 else out
@@ -85,7 +88,7 @@ def s_of_rho(rho):
     60 steps is solved by bisection instead.
     """
     rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr < 0):
+    if not np.all(rho_arr >= 0):
         raise DomainError("rho must be >= 0")
     out = np.zeros(rho_arr.size)                    # rho = 0 -> s = 0
     idx = np.flatnonzero(rho_arr)
@@ -112,6 +115,8 @@ def s_of_rho(rho):
 
 def bs_h2_of_s(s):
     """h^2 as a function of s: s^2 sqrt(1+s^2)."""
+    if isinstance(s, float):
+        return s * s * math.sqrt(1.0 + s * s)
     s = np.asarray(s, dtype=float)
     out = s * s * np.sqrt(1.0 + s * s)
     return float(out) if out.ndim == 0 else out
@@ -193,14 +198,18 @@ class MetricProfile:
 
     def h(self, r):
         r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr <= 0):
+        if not np.all(r_arr > 0):
             raise DomainError("h(r) requires r > 0")
         out = np.sqrt(self._h2(r_arr))
         return float(out) if out.ndim == 0 else out
 
     def h2(self, r):
+        if isinstance(r, float):            # the right-hand side's hot path
+            if not r > 0:
+                raise DomainError("h2(r) requires r > 0")
+            return float(self._h2(r))
         r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr <= 0):
+        if not np.all(r_arr > 0):
             raise DomainError("h2(r) requires r > 0")
         out = self._h2(r_arr)
         return float(out) if np.ndim(out) == 0 else out
@@ -216,7 +225,7 @@ class MetricProfile:
                 f"metric {self.id!r} has a divergent Green's-function tail"
             )
         r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr <= 0):
+        if not np.all(r_arr > 0):
             raise DomainError("green_tail requires r > 0")
         out = self._green(r_arr)
         return float(out) if np.ndim(out) == 0 else out
@@ -329,8 +338,8 @@ def load_custom(path: str) -> MetricProfile:
         if np.any(np.diff(table_r) <= 0):
             raise UnsupportedBackend("custom table radii must be increasing")
 
-    phi = FormalSeries(coeffs)
-    n_series = phi.order
+    n_series = len(coeffs) - 1
+    horner = [float(c) for c in reversed(coeffs)]
 
     # estimated far-field power law h ~ c r^p from the last table decade
     tail_p = tail_c = None
@@ -342,18 +351,34 @@ def load_custom(path: str) -> MetricProfile:
 
     r_series = min(0.5, float(table_r[0]) if table_r is not None else 0.5)
 
+    if table_r is not None:
+        log_r, log_h = np.log(table_r), np.log(table_h)
+
     def h2(r):
+        if isinstance(r, float) and (table_r is None or r <= table_r[-1]):
+            # one right-hand-side call: the steps below, on floats
+            if table_r is None or r <= r_series:
+                acc = 0.0
+                for c in horner:
+                    acc = acc * r + c
+                return r * r * acc
+            h = np.exp(np.interp(np.log(r), log_r, log_h))
+            return float(h * h)
         r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.empty_like(r)
         small = r <= r_series if table_r is not None else np.ones_like(r, bool)
-        out[small] = r[small] ** 2 * np.array([phi(x) for x in r[small]])
+        rs = r[small]
+        acc = np.zeros_like(rs)
+        for c in horner:
+            acc = acc * rs + c
+        out[small] = rs ** 2 * acc
         if table_r is not None and np.any(~small):
             big = ~small
             inside = r[big] <= table_r[-1]
             vals = np.empty(big.sum())
             # log-log interpolation on the table, power-law beyond it
             vals[inside] = np.exp(
-                np.interp(np.log(r[big][inside]), np.log(table_r), np.log(table_h))
+                np.interp(np.log(r[big][inside]), log_r, log_h)
             ) ** 2
             vals[~inside] = (tail_c * r[big][~inside] ** tail_p) ** 2
             out[big] = vals
@@ -385,7 +410,7 @@ def load_custom(path: str) -> MetricProfile:
             raise UnsupportedBackend(
                 f"custom backend has analytic data only to order {n_series}"
             )
-        return [phi[i] for i in range(order + 1)]
+        return coeffs[: order + 1]
 
     return MetricProfile(
         id="custom",

@@ -61,7 +61,8 @@ class SU3State:
 
 
 def _expm1_clipped(v):
-    return np.expm1(np.clip(v, None, _EXP_CLIP))
+    # numpy's expm1, not math.expm1: the two differ in the last bit
+    return np.expm1(min(v, _EXP_CLIP))
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,19 @@ coefficients satisfy
 where the right-hand side is evaluated with v_n := 0 (its linear
 occurrence, psi_0 * v_n, has been moved to the left).
 
-`v_series` runs this recurrence in exact rational arithmetic;
-`v_series_oracle` independently builds the same series by fixed-point
-iteration of the double integral of (2/h^2)(exp(v) - 1).
+The recurrence runs in exact rational arithmetic.  Each v_n is a
+polynomial in beta; `v_series` builds these polynomials once per metric
+series and order and evaluates them exactly at each beta.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fps import FormalSeries
+from .fps import FormalSeries, common_denominator
 
 
 class SeriesTruncationError(ValueError):
@@ -67,62 +68,65 @@ def _checked_metric(metric_coeffs, order) -> FormalSeries:
     return phi
 
 
-def v_series(beta, metric_coeffs, order: int) -> SeriesSolution:
-    """Recurrence solution of the formal initial value problem."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    beta = Fraction(beta)
-    phi = _checked_metric(metric_coeffs, order)
-    psi = phi.inverse()
+def _recurrence(beta: Fraction, psi: FormalSeries, order: int) -> list:
+    """v_0 .. v_order at one exact beta, psi = 1/phi."""
     v = [Fraction(0), Fraction(0), beta] + [Fraction(0)] * (order - 2)
     for n in range(3, order + 1):
         ev = FormalSeries(v, n).exp() - FormalSeries([1], n)
         rhs = (psi.truncate(n) * ev)[n]
         v[n] = 2 * rhs / ((n - 2) * (n + 1))
-    return SeriesSolution(
-        beta=beta,
-        coeffs=tuple(v),
-        metric_coeffs=tuple(phi[i] for i in range(order + 1)),
-        order=order,
-    )
+    return v
 
 
-def v_series_oracle(beta, metric_coeffs, order: int) -> SeriesSolution:
-    """Independent construction: iterate
+@functools.lru_cache(maxsize=16)
+def _beta_polynomials(phi: tuple, order: int) -> tuple:
+    """v_n as exact polynomials in beta, each (integer coefficients
+    c_0 .. c_d, common denominator).
 
-        v  <-  double integral of  psi(r) * (e^v - 1) * 2 / r^2
-
-    starting from v = beta r^2.  The map is affine in each coefficient
-    (the e^v linear term feeds v_n back into itself with slope
-    lambda_n = 2/((n-1)n)), so each raw sweep only contracts; a
-    per-coefficient affine extrapolation x = (m - lambda*x_old)/(1-lambda)
-    turns every sweep into an exact solve of its lowest unconverged
-    order.  `order` sweeps therefore suffice for exact agreement.
+    Every monomial of [r^n] psi (e^v - 1) is psi_j * prod v_{k_i} with
+    k_i >= 2 and j + sum k_i = n, and v_2 = beta, so v_n has degree at
+    most n // 2.  The recurrence at the nodes beta = 0, 1, .., order // 2
+    therefore fixes each v_n; Newton divided differences recover it.
     """
+    psi = FormalSeries(phi).inverse()
+    deg = order // 2
+    values = [_recurrence(Fraction(b), psi, order) for b in range(deg + 1)]
+    polys = []
+    for n in range(order + 1):
+        dd = [vals[n] for vals in values]          # divided differences
+        for k in range(1, deg + 1):                # nodes i and i - k are k apart
+            for i in range(deg, k - 1, -1):
+                dd[i] = (dd[i] - dd[i - 1]) / k
+        poly = [dd[deg]]                           # Newton form -> monomials
+        for k in range(deg - 1, -1, -1):
+            poly = [Fraction(0)] + poly            # poly * (beta - k) + dd[k]
+            for i in range(deg - k):
+                poly[i] -= k * poly[i + 1]
+            poly[0] += dd[k]
+        while len(poly) > 1 and poly[-1] == 0:
+            poly.pop()
+        polys.append(common_denominator(poly))
+    return tuple(polys)
+
+
+def v_series(beta, metric_coeffs, order: int) -> SeriesSolution:
+    """Recurrence solution of the formal initial value problem,
+    evaluated exactly from the cached beta-polynomials."""
     if order < 2:
         raise ValueError("order must be >= 2")
     beta = Fraction(beta)
-    phi = _checked_metric(metric_coeffs, order)
-    psi = phi.inverse()
-    v = FormalSeries([0, 0, beta], order)
-    for _ in range(order):
-        ev = v.exp() - FormalSeries([1], order)
-        w = (psi * ev * 2).shift(-2)           # (2/h^2)(e^v - 1), regular at 0
-        mapped = w.integrate().integrate().truncate(order)
-        out = [Fraction(0), Fraction(0), beta]
-        for n in range(3, order + 1):
-            lam = Fraction(2, (n - 1) * n)
-            out.append((mapped[n] - lam * v[n]) / (1 - lam))
-        v_new = FormalSeries(out, order)
-        if v_new == v:
-            break
-        v = v_new
-    return SeriesSolution(
-        beta=beta,
-        coeffs=tuple(v[i] for i in range(order + 1)),
-        metric_coeffs=tuple(phi[i] for i in range(order + 1)),
-        order=order,
-    )
+    phi = tuple(_checked_metric(metric_coeffs, order))
+    p, q = beta.numerator, beta.denominator
+    coeffs = []
+    for num, den in _beta_polynomials(phi, order):
+        # Horner in p/q over the common denominator den * q^deg
+        acc, qk = num[-1], 1
+        for c in reversed(num[:-1]):
+            qk *= q
+            acc = acc * p + c * qk
+        coeffs.append(Fraction(acc, den * qk))
+    return SeriesSolution(beta=beta, coeffs=tuple(coeffs), metric_coeffs=phi,
+                          order=order)
 
 
 def choose_delta(series: SeriesSolution, bound: float = 1e-14,

@@ -55,6 +55,28 @@ def test_solve_usage_error_exit2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_solve_beta_accepts_fraction(tmp_path, capsys):
+    outs = []
+    for beta in ("--beta=-1/3", "--beta=-0.3333333333333333"):
+        out = str(tmp_path / f"p{len(outs)}.csv")
+        code, stdout, _ = run(capsys, "solve", "--metric", "euclidean", beta,
+                              "--out", out)
+        assert code == 0
+        assert json.loads(stdout)["beta"] == -1.0 / 3.0
+        outs.append(open(out).read())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--metric", "euclidean", "--beta=1/0", "--out", "x.csv"],
+    ["series", "--metric", "euclidean", "--beta=abc"],
+])
+def test_bad_beta_exit2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--metric", "euclidean", "--mass", "1", "--tol", "1e-3"],
     ["sweep", "--metric", "euclidean", "--mass-min", "1", "--mass-max", "2",

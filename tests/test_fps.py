@@ -28,6 +28,33 @@ def reversion_oracle(f):
     return g
 
 
+def mul_oracle(f, g):
+    """Term-by-term truncated product, one Fraction operation per term."""
+    n = min(f.order, g.order)
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += f[i] * g[j]
+    return FormalSeries(out)
+
+
+sparse_rationals = st.one_of(st.just(F(0)), rationals,
+                             st.fractions(max_denominator=10 ** 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 12),
+       st.lists(sparse_rationals, max_size=13),
+       st.lists(sparse_rationals, max_size=13))
+def test_mul_matches_termwise_oracle(n1, n2, a, b):
+    f, g = FormalSeries(a, n1), FormalSeries(b, n2)
+    for x, y in ((f, g), (g, f)):
+        got = x * y
+        assert got.order == min(n1, n2)
+        assert got.coeffs == mul_oracle(x, y).coeffs
+        assert all(type(c) is F for c in got.coeffs)
+
+
 def test_add_mul_basics():
     f = FormalSeries([1, 2, 3], 4)
     g = FormalSeries([0, 1], 4)

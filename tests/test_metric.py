@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from g2mono import metric
 from g2mono.metric import (BS_CP2, BS_S4, EUCLIDEAN, HYPERBOLIC, DomainError,
-                           NonparabolicRequired, UnsupportedBackend,
+                           NonparabolicRequired, UnsupportedBackend, bs_f,
                            bs_green_of_s, bs_h2_of_s, get_metric, load_custom,
                            rho_of_s, s_of_rho)
 
@@ -160,6 +160,73 @@ def test_domain_errors():
         BS_S4.green_tail(-1.0)
     with pytest.raises(UnsupportedBackend):
         get_metric("nope")
+
+
+NAN = float("nan")
+NAN_GUARDED = {
+    "h": EUCLIDEAN.h,
+    "h2": EUCLIDEAN.h2,
+    "h2_bs": BS_S4.h2,
+    "green_tail": HYPERBOLIC.green_tail,
+    "rho_of_s": rho_of_s,
+    "s_of_rho": s_of_rho,
+}
+
+
+@pytest.mark.parametrize("name", NAN_GUARDED)
+@pytest.mark.parametrize("x", [NAN, np.float64(NAN), np.array([1.0, NAN])],
+                         ids=["float", "numpy-scalar", "array"])
+def test_nan_radius_rejected(name, x):
+    with pytest.raises(DomainError):
+        NAN_GUARDED[name](x)
+
+
+@pytest.mark.parametrize("met", [EUCLIDEAN, HYPERBOLIC, BS_S4, BS_CP2],
+                         ids=lambda m: m.id)
+def test_h2_float_path_domain(met):
+    for bad in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            met.h2(bad)
+
+
+def test_bs_float_path_bit_identical():
+    xs = np.concatenate([[0.0, 0.5, 1.0, 3.0], np.geomspace(1e-8, 1e8, 2001)])
+    for fn in (bs_f, bs_h2_of_s):
+        scalar = np.array([fn(float(x)) for x in xs])
+        assert type(fn(float(xs[5]))) is float
+        # a 0-d array takes the array path, as scalar calls used to
+        assert np.array_equal(scalar, [fn(np.asarray(x)) for x in xs])
+        # a whole array may use numpy's SIMD pow, which can round the other
+        # way (bs_f); sqrt and products are correctly rounded (bs_h2_of_s)
+        ulps = np.abs(fn(xs) - scalar) / np.spacing(scalar)
+        assert ulps.max() <= (1.0 if fn is bs_f else 0.0)
+
+
+def test_h2_float_path_bit_identical(tmp_path):
+    custom = load_custom(_write_custom(tmp_path))
+    no_table = tmp_path / "series_only.txt"
+    no_table.write_text("type=custom\ncoeffs=1,0,1/3,0,-1/7\n")
+    rs = np.concatenate([np.geomspace(1e-6, 1e3, 301), [0.5, 100.0, 150.0]])
+    for met in (EUCLIDEAN, HYPERBOLIC, BS_S4, BS_CP2, custom,
+                load_custom(str(no_table))):
+        scalar = [met.h2(float(r)) for r in rs]
+        assert all(type(v) is float for v in scalar), met.id
+        assert scalar == [met.h2(np.asarray(r)) for r in rs], met.id
+        assert scalar == [met.h2(r) for r in rs], met.id      # numpy scalars
+
+
+def test_custom_series_branch_matches_pointwise_horner(tmp_path):
+    coeffs = "1,0,1/3,0,-2/45,0,1/7"
+    met = load_custom(_write_custom(tmp_path, coeffs=coeffs))
+
+    def phi(x):                         # one point at a time, in Python floats
+        acc = 0.0
+        for c in reversed(coeffs.split(",")):
+            acc = acc * x + float(Fraction(c))
+        return acc
+
+    rs = np.concatenate([np.linspace(1e-4, 0.5, 777), [1e-300]])
+    assert np.array_equal(met.h2(rs), rs ** 2 * np.array([phi(x) for x in rs]))
 
 
 def test_get_metric_registry():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from g2mono import metric, oracles
+from g2mono import metric, ode, oracles
 from g2mono.metric import DomainError
 from g2mono.ode import (ProfileState, SU3State, StiffnessError,
                         envelope_check, integrate, rhs_minus, rhs_plus,
@@ -207,3 +207,14 @@ def test_maximum_principle_and_monotonicity():
 def test_tol_validation():
     with pytest.raises(ValueError):
         integrate("minus", _bps_initial(0.05), metric.EUCLIDEAN, 5.0, tol=1e-3)
+
+
+def test_expm1_clipped_scalar_matches_array_form():
+    # the right-hand side clips with min() on a float; the array form
+    # np.clip is what it replaced
+    vs = np.concatenate([np.linspace(-800.0, 800.0, 4001),
+                         [-1e-300, 0.0, 1e-17, 699.99, 700.0, 700.01, 1e308]])
+    for v in vs:
+        want = np.expm1(np.clip(v, None, 700.0))
+        assert ode._expm1_clipped(float(v)) == want
+        assert ode._expm1_clipped(v) == want           # numpy scalar

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2mono import metric
+from g2mono import metric, series
+from g2mono.fps import FormalSeries
 from g2mono.series import (SeriesTruncationError, choose_delta, initial_data,
-                           v_series, v_series_oracle)
+                           v_series)
+from series_oracle import v_series_oracle
 
 F = Fraction
 BACKENDS = (metric.EUCLIDEAN, metric.HYPERBOLIC, metric.BS_S4, metric.BS_CP2)
@@ -81,3 +83,34 @@ def test_recurrence_oracle_agree_random_beta(beta):
     a = v_series(beta, coeffs, 8)
     b = v_series_oracle(beta, coeffs, 8)
     assert a.coeffs == b.coeffs
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.lists(rationals, max_size=12),
+       st.one_of(st.fractions(min_value=-40, max_value=5, max_denominator=60),
+                 st.floats(-40.0, 5.0)))
+def test_v_series_matches_per_beta_recurrence(order, phi_tail, beta):
+    # phi with odd terms too; beta as given by shooting (float) or exact
+    phi = [F(1)] + phi_tail
+    sol = v_series(beta, phi, order)
+    psi = FormalSeries(phi, order).inverse()
+    assert list(sol.coeffs) == series._recurrence(F(beta), psi, order)
+    assert sol.beta == F(beta) and sol.order == order
+    assert sol.metric_coeffs == tuple(FormalSeries(phi, order).coeffs)
+
+
+def test_beta_polynomial_degrees():
+    for met in BACKENDS:
+        phi = tuple(FormalSeries(met.series_coeffs(12), 12).coeffs)
+        for n, (num, den) in enumerate(series._beta_polynomials(phi, 12)):
+            assert len(num) - 1 <= n // 2 and den > 0
+
+
+def test_v_series_rejects_bad_input():
+    with pytest.raises(ValueError):
+        v_series(F(-1), [1, 0, 0], 1)
+    with pytest.raises(ValueError):
+        v_series(F(-1), [2, 0, 0], 2)
