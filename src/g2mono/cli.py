@@ -40,6 +40,16 @@ def _tol_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _finite_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
+    return value
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -156,13 +166,19 @@ def cmd_solve(args, parser) -> int:
         prof = shooting.profile_of_beta(args.beta, met, tol=args.tol)
     _write_profile_csv(args.out, prof)
     stats = prof.result.stats if prof.result is not None else {}
+    # a-posteriori parts of the mass error; none needs an extra shot
+    budget = {"series_truncation": prof.series.truncation_bound(prof.delta),
+              "ode_tol": prof.tol, "tail_bound": prof.tail[2]}
+    if args.mass is not None:
+        budget["mass_residual"] = abs(prof.mass - args.mass)
     _write_sidecar(args.out, "solve",
                    {"metric": args.metric, "mass": args.mass,
                     "beta": args.beta, "tol": args.tol},
                    {"metric": met.id, "beta": prof.beta, "mass": prof.mass,
                     "tol": prof.tol, "stats": stats,
                     "tail": {"R_end": prof.R_end, "a_end": prof.a_end,
-                             "bound": prof.tail[2]}})
+                             "bound": prof.tail[2]},
+                    "error_budget": budget})
     print(json.dumps({"out": args.out, "mass": prof.mass, "beta": prof.beta}))
     return 0
 
@@ -303,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="shoot one monopole profile")
     s.add_argument("--metric", required=True)
-    s.add_argument("--mass", type=float)
+    s.add_argument("--mass", type=_finite_arg)
     s.add_argument("--beta", type=_real_arg)
     s.add_argument("--tol", type=_tol_arg, default=1e-10)
     s.add_argument("--out", required=True)
@@ -311,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="mass sweep table")
     s.add_argument("--metric", required=True)
-    s.add_argument("--mass-min", type=float, required=True)
-    s.add_argument("--mass-max", type=float, required=True)
+    s.add_argument("--mass-min", type=_finite_arg, required=True)
+    s.add_argument("--mass-max", type=_finite_arg, required=True)
     s.add_argument("--steps", type=int, required=True)
     s.add_argument("--tol", type=_tol_arg, default=1e-10)
     s.add_argument("--out", required=True)

@@ -2,8 +2,8 @@
 
 All operations are exact (fractions.Fraction) and truncated at a fixed
 order.  This is deliberately a small, boring toolkit: enough to expand
-metric coefficients, exponentiate, compose and revert series, nothing
-more.
+metric coefficients, raise to powers, compose and revert series,
+nothing more.
 """
 
 from __future__ import annotations
@@ -148,22 +148,6 @@ class FormalSeries:
         return FormalSeries(self.coeffs[-k:])
 
     # -- transcendental -----------------------------------------------
-
-    def exp(self) -> "FormalSeries":
-        """exp of a series with zero constant term."""
-        if self[0] != 0:
-            raise ValueError("exp requires zero constant term")
-        n = self.order
-        out = [Fraction(1)] + [Fraction(0)] * n
-        # e' = a' e  =>  k e_k = sum_{j=1..k} j a_j e_{k-j}
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                aj = self[j]
-                if aj:
-                    acc += j * aj * out[k - j]
-            out[k] = acc / k
-        return FormalSeries(out)
 
     def pow(self, p) -> "FormalSeries":
         """Raise to a rational power; requires constant term 1."""

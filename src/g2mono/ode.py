@@ -138,13 +138,13 @@ class IntegrationResult:
     def eval_a_phi(self, r):
         if self.system != "minus":
             raise ValueError("eval_a_phi applies to the minus system")
-        v, w = self._eval(np.asarray(r, dtype=float))
+        v, w = self._eval(np.asarray(r, dtype=float))[:2]
         return np.exp(0.5 * np.clip(v, _V_FLOOR, _EXP_CLIP)), 0.25 * w
 
     @property
     def samples(self) -> Sequence:
         if self.system == "minus":
-            v, w = self.y
+            v, w = self.y[:2]
             a = np.exp(0.5 * np.clip(v, _V_FLOOR, _EXP_CLIP))
             return [ProfileState(float(r), float(ai), float(0.25 * wi))
                     for r, ai, wi in zip(self.r, a, w)]
@@ -170,7 +170,7 @@ def check_tol(tol: float) -> float:
 
 def integrate(system: str, initial, metric: MetricProfile, r_max: float,
               tol: float = 1e-10, sigma: int = -1, r_min: float = None,
-              v_stop: float = None) -> IntegrationResult:
+              v_stop: float = None, variation=None) -> IntegrationResult:
     """Adaptive embedded Runge-Kutta (DOP853) trace of one of the
     reduced systems, in the metric's chart x(r).
 
@@ -178,15 +178,26 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     system pass r_min < initial.r to integrate backwards toward the
     singular origin.  `v_stop` adds a terminal event at v = v_stop
     (minus system only; used by the shooting driver).
+
+    `variation=(dv0, dw0)` (minus system only) appends the forward
+    variational rows  dv' = dw,  dw' = 2 e^v dv / h^2  to the state, so
+    rows 2 and 3 of `y` carry d(v, w)/dp for a parameter p of the
+    initial data.  They are left out of error control, and the (v, w)
+    tolerances are scaled by 1/sqrt(2) to undo the RMS norm over four
+    components, so the shot takes the same steps as without them, up to
+    last-bit rounding of the stage sums (rarely one step more or less).
     """
     check_tol(tol)
     if initial.r <= 0:
         raise DomainError("initial radius must be > 0")
+    if variation is not None and system != "minus":
+        raise ValueError("variation applies to the minus system")
 
     chart = metric.chart
     x_of_r, r_of_x, dr_dx, h2_of_x = (chart.x_of_r, chart.r_of_x,
                                       chart.dr_dx, chart.h2_of_x)
     r_to = r_max
+    rtol, atol = 0.9 * tol, 0.1 * tol
     flat = False
     stops = []                      # terminal events that are not blow-ups
     if system == "minus":
@@ -198,6 +209,19 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
         def fun(x, y):
             J = dr_dx(x)
             return [J * y[1], J * 2.0 * _expm1_clipped(y[0]) / h2_of_x(x)]
+
+        if variation is not None:
+            y0 += list(variation)
+            s = math.sqrt(0.5)
+            rtol = np.array([0.9 * s, 0.9 * s, 0.9, 0.9]) * tol
+            atol = np.array([0.1 * s * tol, 0.1 * s * tol, np.inf, np.inf])
+
+            def fun(x, y):
+                J = dr_dx(x)
+                h2 = h2_of_x(x)
+                e = _expm1_clipped(y[0])
+                return [J * y[1], J * 2.0 * e / h2,
+                        J * y[3], J * 2.0 * (e + 1.0) * y[2] / h2]
 
         blowups = [
             _terminal(lambda x, y: y[0] - V_BLOWUP, 1),
@@ -236,7 +260,7 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
 
     sol = solve_ivp(
         fun, (x_of_r(initial.r), x_of_r(r_to)), y0, method="DOP853",
-        dense_output=True, rtol=0.9 * tol, atol=0.1 * tol,
+        dense_output=True, rtol=rtol, atol=atol,
         events=blowups + stops,
     )
     if sol.status == -1:

@@ -54,6 +54,22 @@ class SeriesSolution:
             acc = acc * r + i * float(self.coeffs[i])
         return acc
 
+    def beta_derivative_at(self, r: float) -> tuple[float, float]:
+        """(dv/dbeta, dv'/dbeta) at r, from the derivatives of the exact
+        beta-polynomials; float arithmetic, as it only steers Newton."""
+        b = float(self.beta)
+        d = []
+        for num, den in _beta_polynomials(self.metric_coeffs, self.order):
+            acc = 0.0
+            for k in range(len(num) - 1, 0, -1):
+                acc = acc * b + k * num[k] / den
+            d.append(acc)
+        dv = dw = 0.0                              # v_0 = 0 for every beta
+        for n in range(self.order, 0, -1):
+            dv = (dv + d[n]) * r
+            dw = dw * r + n * d[n]
+        return dv, dw
+
     def truncation_bound(self, delta: float) -> float:
         # a-posteriori monitor: magnitude of the last retained terms
         n = self.order
@@ -69,12 +85,21 @@ def _checked_metric(metric_coeffs, order) -> FormalSeries:
 
 
 def _recurrence(beta: Fraction, psi: FormalSeries, order: int) -> list:
-    """v_0 .. v_order at one exact beta, psi = 1/phi."""
-    v = [Fraction(0), Fraction(0), beta] + [Fraction(0)] * (order - 2)
+    """v_0 .. v_order at one exact beta, psi = 1/phi.
+
+    E = e^v is kept term by term: with v_n := 0, n E_n = sum_{j=2}^{n-1}
+    j v_j E_{n-j}; once v_n is solved, E_n gains v_n (the j = n term).
+    """
+    zero = Fraction(0)
+    v = [zero, zero, beta] + [zero] * (order - 2)
+    E = [Fraction(1), zero, beta] + [zero] * (order - 2)
+    p = psi.truncate(order).coeffs
     for n in range(3, order + 1):
-        ev = FormalSeries(v, n).exp() - FormalSeries([1], n)
-        rhs = (psi.truncate(n) * ev)[n]
+        E[n] = sum((j * v[j] * E[n - j] for j in range(2, n) if v[j]), zero) / n
+        rhs = sum((p[j] * E[n - j] for j in range(n) if p[j] and E[n - j]),
+                  zero)                                   # [r^n] psi (E - 1)
         v[n] = 2 * rhs / ((n - 2) * (n + 1))
+        E[n] += v[n]
     return v
 
 

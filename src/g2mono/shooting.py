@@ -8,8 +8,15 @@ radius R through the tail identity
     phi(inf) = phi(R) - G(R) + eps,   0 <= eps <= a^2(R) G(R),
 
 so  m_hat = 2 (G(R) - phi(R))  with error at most 2 a^2(R) G(R).
-Inversion (mass -> beta) uses bracketing + Brent on the strictly
-monotone map.
+
+Inversion (mass -> beta) is a safeguarded Newton iteration in
+x = log(-beta) on the strictly monotone map.  Each step shoots the
+forward variational system next to the solution, seeded with the exact
+beta-derivatives of the series head, which gives dm/dbeta = -dw(R)/2 at
+the cost of one shot.  A bracket in x is kept from the sign of
+m(beta) - m; a step that leaves it, or a slope that is not negative,
+falls back to bisection, or to geometric expansion while one side of
+the bracket is still open.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import ode
 from .metric import MetricProfile
@@ -28,6 +34,9 @@ from .series import SeriesSolution, v_series, choose_delta, initial_data
 
 _V_STOP = 2.0 * math.log(1e-8)       # integrate at least until a < 1e-8
 _SERIES_ORDER = 12
+_X_MIN, _X_MAX = math.log(1e-12), math.log(1e6)   # -1e6 <= beta <= -1e-12
+_X_STEP = math.log(16.0)             # longest step in x = log(-beta)
+_MAX_SHOTS = 100
 
 
 class NoSolutionError(ValueError):
@@ -108,12 +117,20 @@ def _series_for(beta, metric: MetricProfile) -> SeriesSolution:
     return v_series(Fraction(beta), coeffs, _SERIES_ORDER)
 
 
-def _shoot(beta: float, metric: MetricProfile, tol: float):
+def _require_finite(name: str, value) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, not {value!r}")
+
+
+def _shoot(beta: float, metric: MetricProfile, tol: float,
+           slope: bool = False):
     """Integrate one beta < 0 trajectory far enough for mass extraction.
-    Returns (mass, series, delta, result)."""
+    Returns (mass, series, delta, result, tail).  With `slope`, rows 2
+    and 3 of `result.y` carry d(v, w)/dbeta."""
     ser = _series_for(beta, metric)
     delta = choose_delta(ser)
     a0, phi0, _ = initial_data(ser, delta)
+    variation = ser.beta_derivative_at(delta) if slope else None
 
     m_est = max(math.sqrt(-3.0 * beta), 0.05)   # Euclidean-tangent guess
     r_max = delta + 60.0 / m_est
@@ -121,7 +138,7 @@ def _shoot(beta: float, metric: MetricProfile, tol: float):
     initial = ode.ProfileState(delta, a0, phi0)
     while True:
         res = ode.integrate("minus", initial, metric, r_max, tol=tol,
-                            v_stop=v_stop)
+                            v_stop=v_stop, variation=variation)
         if res.classification == "blowup":
             raise NoSolutionError(
                 f"trajectory for beta={beta} blew up (metric {metric.id})")
@@ -145,7 +162,16 @@ def _shoot(beta: float, metric: MetricProfile, tol: float):
     return mass, ser, delta, res, (R, a_R, G_R)
 
 
+def _mass_slope(beta: float, metric: MetricProfile, tol: float):
+    """(m(beta), dm/dbeta) from one shot.  dm/dbeta = -dw(R)/2 at the
+    shot's end radius R; the beta-dependence of R is dropped, since
+    dm/dR = -a^2(R)/h^2(R) is negligible there (a(R) < 1e-8)."""
+    mass, _, _, res, _ = _shoot(beta, metric, tol, slope=True)
+    return mass, -0.5 * float(res.y[3, -1])
+
+
 def mass_of_beta(beta: float, metric: MetricProfile, tol: float = 1e-10) -> float:
+    _require_finite("beta", beta)
     if beta > 0:
         raise NoSolutionError("no solutions exist for beta > 0")
     if beta == 0:
@@ -155,28 +181,58 @@ def mass_of_beta(beta: float, metric: MetricProfile, tol: float = 1e-10) -> floa
 
 
 def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9) -> float:
+    """The beta < 0 with |m(beta) - mass| <= tol, m shot at ODE tol `tol`.
+
+    Newton in x = log(-beta) on log m (a line in flat space), from the
+    flat-space root beta = -m^2/3.  A Newton step is taken only if the
+    slope is negative, the step stays inside the bracket, is at most
+    _X_STEP long and at most half the step before last; otherwise the
+    bracket is bisected, or expanded by _X_STEP while one side is open.
+    """
+    _require_finite("mass", mass)
     if mass <= 0:
         raise ValueError("mass must be > 0")
-    lo, hi = -2.0 * mass ** 2, -mass ** 2 / 100.0
-    # expand the bracket geometrically; mass_of_beta increases with |beta|
-    while mass_of_beta(hi, metric, tol) > mass:
-        hi /= 4.0
-        if hi > -1e-12:
+    lo, hi = -math.inf, math.inf            # x with m < mass, m > mass
+    x = 2.0 * math.log(mass) - math.log(3.0)
+    dx_prev = dx_last = math.inf            # the last two steps in x
+    for _ in range(_MAX_SHOTS):
+        if x < _X_MIN:
             raise OutOfRangeError("bracket collapse near beta = 0")
-    while mass_of_beta(lo, metric, tol) < mass:
-        lo *= 4.0
-        if lo < -1e6:
+        if x > _X_MAX:
             raise OutOfRangeError("no bracket found with beta >= -1e6")
-    beta = brentq(lambda b: mass_of_beta(b, metric, tol) - mass, lo, hi,
-                  xtol=1e-14, rtol=8.9e-16)
-    if abs(mass_of_beta(beta, metric, tol) - mass) > tol:
-        raise OutOfRangeError("root polish failed to reach tolerance")
-    return beta
+        beta = -math.exp(x)
+        m, dm = _mass_slope(beta, metric, tol)
+        if m < mass:
+            lo = x
+        else:
+            hi = x
+        step = math.nan
+        if dm < 0 and m > 0:
+            step = (math.log(mass) - math.log(m)) * m / (dm * beta)
+        if lo < x + step < hi and abs(step) <= min(_X_STEP, 0.5 * dx_prev):
+            x_new = x + step
+            beta_new = -math.exp(x_new)
+            predicted = abs(dm * (beta_new - beta))
+        else:
+            if hi == math.inf:
+                x_new = lo + _X_STEP
+            elif lo == -math.inf:
+                x_new = hi - _X_STEP
+            else:
+                x_new = 0.5 * (lo + hi)
+            beta_new, predicted = beta, abs(m - mass)   # this shot's own
+        if (predicted <= tol / 10.0
+                and abs(mass_of_beta(beta_new, metric, tol) - mass) <= tol):
+            return beta_new
+        dx_prev, dx_last = dx_last, abs(x_new - x)
+        x = x_new
+    raise OutOfRangeError("root polish failed to reach tolerance")
 
 
 def profile_of_beta(beta: float, metric: MetricProfile,
                     tol: float = 1e-10) -> MonopoleProfile:
     """Full sampled profile for a given shooting parameter."""
+    _require_finite("beta", beta)
     if beta > 0:
         raise NoSolutionError("no solutions exist for beta > 0")
     if beta == 0:

@@ -1,14 +1,38 @@
-"""Test-side oracle for the singular-point series.
+"""Test-side oracles for the singular-point series.
 
 `v_series_oracle` builds the series of `g2mono.series.v_series` in an
 independent way: by fixed-point iteration of the double integral of
-(2/h^2)(exp(v) - 1).
+(2/h^2)(exp(v) - 1).  `recurrence_oracle` is the per-n recurrence with
+e^v rebuilt from scratch for every n, by `series_exp`.
 """
 
 from fractions import Fraction
 
 from g2mono.fps import FormalSeries
 from g2mono.series import SeriesSolution
+
+
+def series_exp(f: FormalSeries) -> FormalSeries:
+    """exp of a series with zero constant term, from e' = f' e:
+    k e_k = sum_{j=1..k} j f_j e_{k-j}."""
+    if f[0] != 0:
+        raise ValueError("exp requires zero constant term")
+    n = f.order
+    out = [Fraction(1)] + [Fraction(0)] * n
+    for k in range(1, n + 1):
+        out[k] = sum(j * f[j] * out[k - j] for j in range(1, k + 1)) / k
+    return FormalSeries(out)
+
+
+def recurrence_oracle(beta: Fraction, psi: FormalSeries, order: int) -> list:
+    """v_0 .. v_order at one exact beta, psi = 1/phi, with e^v taken as
+    `FormalSeries.exp` of the coefficients known so far (v_n := 0)."""
+    v = [Fraction(0), Fraction(0), beta] + [Fraction(0)] * (order - 2)
+    for n in range(3, order + 1):
+        ev = series_exp(FormalSeries(v, n)) - FormalSeries([1], n)
+        rhs = (psi.truncate(n) * ev)[n]
+        v[n] = 2 * rhs / ((n - 2) * (n + 1))
+    return v
 
 
 def v_series_oracle(beta, metric_coeffs, order: int) -> SeriesSolution:
@@ -32,7 +56,7 @@ def v_series_oracle(beta, metric_coeffs, order: int) -> SeriesSolution:
     psi = phi.inverse()
     v = FormalSeries([0, 0, beta], order)
     for _ in range(order):
-        ev = v.exp() - FormalSeries([1], order)
+        ev = series_exp(v) - FormalSeries([1], order)
         w = (psi * ev * 2).shift(-2)           # (2/h^2)(e^v - 1), regular at 0
         mapped = w.integrate().integrate().truncate(order)
         out = [Fraction(0), Fraction(0), beta]

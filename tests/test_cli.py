@@ -31,6 +31,10 @@ def test_solve_writes_csv_and_sidecar(tmp_path, capsys):
     assert abs(side["mass"] - 1.0) <= 1e-8
     assert abs(side["beta"] + 1.0 / 3.0) <= 1e-8
     assert "stats" in side and "timestamp" in side
+    budget = side["error_budget"]
+    assert set(budget) == {"series_truncation", "ode_tol", "tail_bound",
+                           "mass_residual"}
+    assert all(0 <= part <= 1e-8 for part in budget.values())
 
 
 def test_solve_beta_zero_flat(tmp_path, capsys):
@@ -89,6 +93,21 @@ def test_tol_out_of_range_exit2(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "tol must lie in" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--metric", "euclidean", "--mass", "inf", "--out", "x.csv"],
+    ["solve", "--metric", "euclidean", "--mass", "nan", "--out", "x.csv"],
+    ["sweep", "--metric", "euclidean", "--mass-min", "nan", "--mass-max", "1",
+     "--steps", "2", "--out", "x.csv"],
+    ["sweep", "--metric", "euclidean", "--mass-min", "1", "--mass-max", "inf",
+     "--steps", "2", "--out", "x.csv"],
+], ids=["solve-inf", "solve-nan", "sweep-min-nan", "sweep-max-inf"])
+def test_non_finite_mass_exit2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_energy_roundtrip(tmp_path, capsys):

@@ -218,3 +218,33 @@ def test_expm1_clipped_scalar_matches_array_form():
         want = np.expm1(np.clip(v, None, 700.0))
         assert ode._expm1_clipped(float(v)) == want
         assert ode._expm1_clipped(v) == want           # numpy scalar
+
+
+# -- forward variation --------------------------------------------------------
+
+def test_variation_rows_match_bps_family():
+    # euclidean beta = -m^2/3 is v = 2 log(m r / sinh(m r)); its beta-
+    # derivative is (dv/dm)(dm/dbeta) with dm/dbeta = -3/(2m)
+    m = 1.3
+    sol = v_series(-m * m / 3.0, metric.EUCLIDEAN.series_coeffs(12), 12)
+    d = choose_delta(sol)
+    a0, phi0, _ = initial_data(sol, d)
+    res = integrate("minus", ProfileState(d, a0, phi0), metric.EUCLIDEAN,
+                    12.0, tol=1e-11, variation=sol.beta_derivative_at(d))
+    rs = np.linspace(0.5, 12.0, 60)
+    v, w, dv, dw = res.eval(rs)
+    x, dm = m * rs, -1.5 / m
+    assert np.max(np.abs(v - 2.0 * np.log(x / np.sinh(x)))) <= 1e-9
+    dv_ref = 2.0 * (1.0 / m - rs / np.tanh(x)) * dm
+    dw_ref = -2.0 * (1.0 / np.tanh(x) - x / np.sinh(x) ** 2) * dm
+    assert np.max(np.abs(dv - dv_ref) / np.abs(dv_ref)) <= 1e-7
+    assert np.max(np.abs(dw - dw_ref) / np.abs(dw_ref)) <= 1e-7
+    a, phi = res.eval_a_phi(rs)                # still two rows
+    assert a.shape == phi.shape == rs.shape
+    assert isinstance(res.samples[0], ProfileState)
+
+
+def test_variation_only_on_the_minus_system():
+    with pytest.raises(ValueError):
+        integrate("plus", ProfileState(1.0, 0.0, 0.0), metric.EUCLIDEAN, 2.0,
+                  variation=(0.0, 1.0))

@@ -10,7 +10,7 @@ from g2mono import metric, series
 from g2mono.fps import FormalSeries
 from g2mono.series import (SeriesTruncationError, choose_delta, initial_data,
                            v_series)
-from series_oracle import v_series_oracle
+from series_oracle import recurrence_oracle, v_series_oracle
 
 F = Fraction
 BACKENDS = (metric.EUCLIDEAN, metric.HYPERBOLIC, metric.BS_S4, metric.BS_CP2)
@@ -114,3 +114,50 @@ def test_v_series_rejects_bad_input():
         v_series(F(-1), [1, 0, 0], 1)
     with pytest.raises(ValueError):
         v_series(F(-1), [2, 0, 0], 2)
+
+
+def test_incremental_exp_recurrence_matches_exp_oracle(monkeypatch):
+    for met in BACKENDS:
+        phi = tuple(FormalSeries(met.series_coeffs(12), 12).coeffs)
+        psi = FormalSeries(phi).inverse()
+        for beta in BETAS + (F(0), F(7, 2)):
+            assert series._recurrence(beta, psi, 12) == \
+                recurrence_oracle(beta, psi, 12), (met.id, beta)
+        built = series._beta_polynomials.__wrapped__(phi, 12)
+        monkeypatch.setattr(series, "_recurrence", recurrence_oracle)
+        assert built == series._beta_polynomials.__wrapped__(phi, 12), met.id
+        monkeypatch.undo()
+
+
+def test_beta_derivative_matches_bps_family():
+    # euclidean: v = 2 log(m r / sinh(m r)) with beta = -m^2/3
+    m = 1.3
+    sol = v_series(F(-169, 300), metric.EUCLIDEAN.series_coeffs(12), 12)
+    dm_dbeta = -1.5 / m
+    for r in (0.01, 0.05, 0.1):
+        x = m * r
+        dv = 2.0 * (1.0 / m - r / math.tanh(x)) * dm_dbeta
+        dw = -2.0 * (1.0 / math.tanh(x) - x / math.sinh(x) ** 2) * dm_dbeta
+        got = sol.beta_derivative_at(r)        # the closed forms cancel
+        assert abs(got[0] - dv) <= 1e-10 * abs(dv)   # to ~1e-16 / r^2
+        assert abs(got[1] - dw) <= 1e-10 * abs(dw)
+
+
+def test_beta_derivative_matches_exact_difference():
+    # v_n is a polynomial in beta of degree <= 6: the exact central
+    # difference over +-h differs from the derivative by O(h^2)
+    h = F(1, 10 ** 6)
+    for met in BACKENDS:
+        coeffs = met.series_coeffs(12)
+        for beta in BETAS:
+            lo, hi = v_series(beta - h, coeffs, 12), v_series(beta + h, coeffs, 12)
+            mid = v_series(beta, coeffs, 12)
+            for r in (0.03, 0.1):
+                dv = float(sum((b - a) * F(r) ** n for n, (a, b) in
+                               enumerate(zip(lo.coeffs, hi.coeffs))) / (2 * h))
+                dw = float(sum(n * (b - a) * F(r) ** (n - 1) for n, (a, b) in
+                               enumerate(zip(lo.coeffs, hi.coeffs)) if n)
+                           / (2 * h))
+                got = mid.beta_derivative_at(r)
+                assert abs(got[0] - dv) <= 1e-11 * abs(dv), (met.id, beta, r)
+                assert abs(got[1] - dw) <= 1e-11 * abs(dw), (met.id, beta, r)

@@ -1,12 +1,17 @@
 """Mass bijection and full profiles."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from g2mono import metric
+from g2mono import energy, metric, ode, shooting
 from g2mono.shooting import (MonopoleProfile, NoSolutionError,
-                             beta_of_mass, bubbling_report, mass_of_beta,
-                             profile_of_beta, solve_monopole)
+                             OutOfRangeError, beta_of_mass, bubbling_report,
+                             mass_of_beta, profile_of_beta, solve_monopole)
+
+BACKENDS = (metric.EUCLIDEAN, metric.HYPERBOLIC, metric.BS_S4, metric.BS_CP2)
 
 
 def test_mass_of_beta_bps():
@@ -89,3 +94,121 @@ def test_bubbling_euclidean_exact():
     rep = bubbling_report([2.0, 4.0], metric.EUCLIDEAN, R=1.0)
     assert max(rep.sup_bps) <= 1e-7
     assert all(rep.translated_ok)
+
+
+# -- Newton with forward sensitivities ------------------------------------
+
+def _flat_table_metric(tmp_path):
+    rs = np.geomspace(0.5, 200.0, 300)
+    table = tmp_path / "flat.csv"
+    table.write_text("r,h\n" + "".join(f"{r:.17g},{r:.17g}\n" for r in rs))
+    cfg = tmp_path / "flat.txt"
+    zeros = ",0" * 12                          # flat series to order 12
+    cfg.write_text(f"type=custom\ncoeffs=1{zeros}\ntable={table}\n")
+    return metric.load_custom(str(cfg))
+
+
+def test_slope_shot_keeps_the_plain_shot(tmp_path):
+    # the variational rows are outside error control and the (v, w)
+    # tolerances undo the RMS norm over four rows, so the slope shot
+    # takes the plain shot's steps.  The stage sums over two and four
+    # rows can round differently in the last bit, which has been seen to
+    # flip one step decision (hyperbolic, beta = -0.02, tol 1e-9): allow
+    # one step (15 evaluations) on a case, and the same nfev on most.
+    cases = equal = 0
+    for met in BACKENDS + (_flat_table_metric(tmp_path),):
+        for beta in (-0.02, -1.0 / 3.0, -3.0, -12.0, -80.0):
+            for tol in (1e-9, 1e-10):
+                m0, _, _, plain, _ = shooting._shoot(beta, met, tol)
+                m1, _, _, sens, _ = shooting._shoot(beta, met, tol, slope=True)
+                assert abs(m1 - m0) <= 1e-14 * max(1.0, m0), (met.id, beta)
+                diff = sens.stats["nfev"] - plain.stats["nfev"]
+                assert abs(diff) <= 15, (met.id, beta, tol, diff)
+                cases += 1
+                equal += diff == 0
+    assert equal >= cases - 2
+
+
+@pytest.mark.parametrize("met", BACKENDS, ids=lambda m: m.id)
+def test_slope_matches_central_difference(met):
+    for beta in (-0.1, -2.0, -30.0):
+        _, slope = shooting._mass_slope(beta, met, 1e-12)
+        h = 1e-4 * abs(beta)
+        diff = (mass_of_beta(beta + h, met, 1e-12)
+                - mass_of_beta(beta - h, met, 1e-12)) / (2.0 * h)
+        assert slope < 0
+        assert abs(slope - diff) <= 1e-6 * abs(diff), (met.id, beta)
+
+
+def _count_shots(monkeypatch):
+    count = [0]
+    series = shooting.v_series
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "v_series", counted)
+    return count
+
+
+@pytest.mark.parametrize("met,budget", [(metric.EUCLIDEAN, 3),
+                                        (metric.BS_S4, 8)],
+                         ids=["euclidean", "bs_s4"])
+def test_beta_of_mass_shot_budget(monkeypatch, met, budget):
+    count = _count_shots(monkeypatch)
+    for m in (0.25, 1.0, 4.0, 16.0):
+        count[0] = 0
+        beta = beta_of_mass(m, met)
+        assert count[0] <= budget, (met.id, m, count[0])
+        assert abs(mass_of_beta(beta, met, 1e-9) - m) <= 1e-9
+
+
+@pytest.mark.parametrize("corrupt", [lambda dm: -dm, lambda dm: 10.0 * dm],
+                         ids=["sign", "x10"])
+def test_bad_slope_falls_back_to_bisection(monkeypatch, corrupt):
+    true_slope = shooting._mass_slope
+
+    def bad(beta, met, tol):
+        m, dm = true_slope(beta, met, tol)
+        return m, corrupt(dm)
+
+    monkeypatch.setattr(shooting, "_mass_slope", bad)
+    for met, m in ((metric.EUCLIDEAN, 1.0), (metric.BS_S4, 2.5)):
+        beta = beta_of_mass(m, met)
+        assert abs(mass_of_beta(beta, met, 1e-9) - m) <= 1e-9
+
+
+def test_beta_of_mass_out_of_range(monkeypatch):
+    with pytest.raises(OutOfRangeError, match="near beta = 0"):
+        beta_of_mass(1e-7, metric.EUCLIDEAN)
+    with pytest.raises(OutOfRangeError, match="beta >= -1e6"):
+        beta_of_mass(3000.0, metric.EUCLIDEAN)
+    # a root check that never passes ends at the shot cap
+    monkeypatch.setattr(shooting, "_MAX_SHOTS", 4)
+    monkeypatch.setattr(shooting, "mass_of_beta", lambda *a: math.inf)
+    with pytest.raises(OutOfRangeError, match="root polish"):
+        beta_of_mass(1.0, metric.EUCLIDEAN)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_rejected_before_any_shot(monkeypatch, value):
+    count = _count_shots(monkeypatch)
+    for call in (lambda: mass_of_beta(value, metric.BS_S4),
+                 lambda: beta_of_mass(value, metric.BS_S4),
+                 lambda: solve_monopole(metric.BS_S4, value),
+                 lambda: profile_of_beta(value, metric.BS_S4)):
+        with pytest.raises(ValueError, match="must be finite"):
+            call()
+    assert count[0] == 0
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from(BACKENDS),
+       st.floats(math.log(0.1), math.log(20.0)).map(math.exp))
+def test_mass_properties(met, m):
+    prof = solve_monopole(met, m)
+    assert abs(mass_of_beta(prof.beta, met) - m) <= 1e-8
+    assert beta_of_mass(m * (1.0 + 1e-3), met) < prof.beta
+    assert abs(energy.intermediate_energy(prof, met).value - m / 2.0) <= 1e-5
+    assert ode.envelope_check(prof.result, met).passed
