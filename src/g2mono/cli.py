@@ -156,6 +156,18 @@ def _svg_plot(path: str, curves, title: str, width=640, height=420):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _run_record(prof, mass=None) -> dict:
+    """The integrator stats and the a-posteriori parts of the mass
+    error of one profile; none needs an extra shot.  `mass` is the
+    requested mass, if any."""
+    budget = {"series_truncation": prof.series.truncation_bound(prof.delta),
+              "ode_tol": prof.tol, "tail_bound": prof.tail[2]}
+    if mass is not None:
+        budget["mass_residual"] = abs(prof.mass - mass)
+    return {"stats": prof.result.stats if prof.result is not None else {},
+            "error_budget": budget}
+
+
 def cmd_solve(args, parser) -> int:
     if (args.mass is None) == (args.beta is None):
         parser.error("exactly one of --mass / --beta is required")
@@ -165,20 +177,14 @@ def cmd_solve(args, parser) -> int:
     else:
         prof = shooting.profile_of_beta(args.beta, met, tol=args.tol)
     _write_profile_csv(args.out, prof)
-    stats = prof.result.stats if prof.result is not None else {}
-    # a-posteriori parts of the mass error; none needs an extra shot
-    budget = {"series_truncation": prof.series.truncation_bound(prof.delta),
-              "ode_tol": prof.tol, "tail_bound": prof.tail[2]}
-    if args.mass is not None:
-        budget["mass_residual"] = abs(prof.mass - args.mass)
     _write_sidecar(args.out, "solve",
                    {"metric": args.metric, "mass": args.mass,
                     "beta": args.beta, "tol": args.tol},
                    {"metric": met.id, "beta": prof.beta, "mass": prof.mass,
-                    "tol": prof.tol, "stats": stats,
+                    "tol": prof.tol,
                     "tail": {"R_end": prof.R_end, "a_end": prof.a_end,
                              "bound": prof.tail[2]},
-                    "error_budget": budget})
+                    **_run_record(prof, args.mass)})
     print(json.dumps({"out": args.out, "mass": prof.mass, "beta": prof.beta}))
     return 0
 
@@ -202,7 +208,9 @@ def cmd_sweep(args, parser) -> int:
                    {"metric": args.metric, "mass_min": args.mass_min,
                     "mass_max": args.mass_max, "steps": args.steps,
                     "tol": args.tol},
-                   {"metric": met.id, "threads": 1})
+                   {"metric": met.id, "threads": 1,
+                    "rows": [{"mass": m, "beta": beta, **_run_record(prof, m)}
+                             for m, beta, _, _, prof in rows]})
     if args.plot:
         curves = [([m for m, *_ in rows], [b for _, b, *_ in rows], "beta(m)")]
         _svg_plot(args.plot, curves, f"mass -> beta on {met.id}")

@@ -16,16 +16,23 @@ rho on the BS backgrounds).  Internally every integration runs in the
 coordinate x of the metric's chart (`MetricProfile.chart`): x = r on
 most backgrounds, the fiber coordinate s on the BS ones, so that no
 right-hand side has to invert rho(s).  Results are reported in r.
+
+Two integration paths share one right-hand side per system.  A plain
+call runs `solve_ivp` (DOP853) to r_max with blow-up events located on
+its dense output.  A minus-system shot (`tail_stop=True`) steps a bare DOP853
+solver instead and stops at the first accepted step whose tail bound
+2 a^2 G is at most tol/10; blow-up is a per-step test on the state, and
+interpolants are built only when the caller asks for dense output.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp, cumulative_trapezoid
+from scipy.integrate import DOP853, OdeSolution, solve_ivp, cumulative_trapezoid
 
 from .metric import (MetricProfile, DomainError, S_CHART, bs_f, bs_h2_of_s,
                      s_of_rho)
@@ -34,6 +41,7 @@ V_BLOWUP = 50.0
 PHI_R_BLOWUP = 1.0e6
 A_FLOOR = 1.0e-120
 _V_FLOOR = 2.0 * math.log(A_FLOOR)
+V_TAIL = 2.0 * math.log(1e-8)       # test the tail bound once a < 1e-8
 _EXP_CLIP = 700.0
 
 
@@ -127,18 +135,22 @@ class IntegrationResult:
     r: np.ndarray                        # adaptive grid (geodesic radius)
     y: np.ndarray                        # rows: system state on the grid
     r_end: float
-    _eval: Callable = field(repr=False)  # r array -> state rows
+    _eval: Optional[Callable] = field(repr=False)  # r array -> state rows
     sigma: int = -1
-
-    # minus-system conveniences -------------------------------------
+    tail: Optional[tuple] = None         # (R, a(R), G(R)) where a tail stop fired
 
     def eval(self, r):
+        if self._eval is None:
+            raise ValueError(
+                f"this {self.system}-system result was built without dense output")
         return self._eval(np.asarray(r, dtype=float))
+
+    # minus-system conveniences -------------------------------------
 
     def eval_a_phi(self, r):
         if self.system != "minus":
             raise ValueError("eval_a_phi applies to the minus system")
-        v, w = self._eval(np.asarray(r, dtype=float))[:2]
+        v, w = self.eval(r)[:2]
         return np.exp(0.5 * np.clip(v, _V_FLOOR, _EXP_CLIP)), 0.25 * w
 
     @property
@@ -170,14 +182,27 @@ def check_tol(tol: float) -> float:
 
 def integrate(system: str, initial, metric: MetricProfile, r_max: float,
               tol: float = 1e-10, sigma: int = -1, r_min: float = None,
-              v_stop: float = None, variation=None) -> IntegrationResult:
+              variation=None, tail_stop: bool = False,
+              dense: bool = True) -> IntegrationResult:
     """Adaptive embedded Runge-Kutta (DOP853) trace of one of the
-    reduced systems, in the metric's chart x(r).
+    reduced systems, in the metric's chart x(r), from `initial` to r_max.
 
     `initial` is a ProfileState (minus/plus) or SU3State.  For the plus
     system pass r_min < initial.r to integrate backwards toward the
-    singular origin.  `v_stop` adds a terminal event at v = v_stop
-    (minus system only; used by the shooting driver).
+    singular origin.  Blow-up stops the trace and classifies it
+    "blowup"; a minus trace also stops where a falls to A_FLOOR.
+
+    `tail_stop` (minus system only) is the shooting mode: r_max is only
+    a far bound, and the trace stops at the first accepted step where
+    the tail bound 2 a^2 G(r) is at most tol/10, with `tail` set to
+    (R, a(R), G(R)) there.  G is evaluated only once v <= V_TAIL, and
+    after a failed test only once v falls below the level at which that
+    G would pass.  If the far bound comes first, `tail` is None.  Stops
+    are per-step tests on the state, not located events, so R is an
+    accepted step of the integrator.
+
+    `dense` builds the interpolant behind `eval`/`eval_a_phi`; without
+    it those raise ValueError.
 
     `variation=(dv0, dw0)` (minus system only) appends the forward
     variational rows  dv' = dw,  dw' = 2 e^v dv / h^2  to the state, so
@@ -190,8 +215,8 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     check_tol(tol)
     if initial.r <= 0:
         raise DomainError("initial radius must be > 0")
-    if variation is not None and system != "minus":
-        raise ValueError("variation applies to the minus system")
+    if (variation is not None or tail_stop) and system != "minus":
+        raise ValueError("variation and tail_stop apply to the minus system")
 
     chart = metric.chart
     x_of_r, r_of_x, dr_dx, h2_of_x = (chart.x_of_r, chart.r_of_x,
@@ -227,8 +252,6 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
             _terminal(lambda x, y: y[0] - V_BLOWUP, 1),
             _terminal(lambda x, y: abs(y[1]) * 0.25 * r_of_x(x) - PHI_R_BLOWUP),
         ]
-        if v_stop is not None:
-            stops.append(_terminal(lambda x, y: y[0] - v_stop, -1))
         stops.append(_terminal(lambda x, y: y[0] - _V_FLOOR, -1))
     elif system == "plus":
         if sigma not in (-1, 1):
@@ -258,23 +281,68 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     else:
         raise ValueError(f"unknown system {system!r}")
 
-    sol = solve_ivp(
-        fun, (x_of_r(initial.r), x_of_r(r_to)), y0, method="DOP853",
-        dense_output=True, rtol=rtol, atol=atol,
-        events=blowups + stops,
-    )
-    if sol.status == -1:
-        raise StiffnessError(sol.message, state=(sol.t[-1], sol.y[:, -1]))
-    blowup = any(len(t) for t in sol.t_events[:len(blowups)])
-    rs = r_of_x(sol.t)
+    x_span = (float(x_of_r(initial.r)), float(x_of_r(r_to)))
+    tail = None
+    if tail_stop:
+        rs, y, interp, nfev, blowup, tail = _step_to_tail(
+            fun, x_span, y0, rtol, atol, tol, metric, dense)
+        status = 1 if blowup or tail else 0
+        message = "tail bound reached" if tail else (
+            "blow-up" if blowup else "far bound reached")
+    else:
+        sol = solve_ivp(fun, x_span, y0, method="DOP853", dense_output=dense,
+                        rtol=rtol, atol=atol, events=blowups + stops)
+        if sol.status == -1:
+            raise StiffnessError(sol.message, state=(sol.t[-1], sol.y[:, -1]))
+        blowup = any(len(t) for t in sol.t_events[:len(blowups)])
+        rs, y, interp, nfev = r_of_x(sol.t), sol.y, sol.sol, sol.nfev
+        status, message = sol.status, sol.message
     return IntegrationResult(
         system=system, metric=metric,
         classification="flat" if flat else ("blowup" if blowup else "bounded"),
-        stats={"nfev": sol.nfev, "n_steps": len(sol.t) - 1,
-               "status": sol.status, "message": sol.message},
-        r=rs, y=sol.y, r_end=float(rs[-1]),
-        _eval=lambda r: sol.sol(x_of_r(np.atleast_1d(r))), sigma=sigma,
+        stats={"nfev": nfev, "n_steps": len(rs) - 1,
+               "status": status, "message": message},
+        r=rs, y=y, r_end=float(rs[-1]),
+        _eval=None if interp is None else (
+            lambda r: interp(x_of_r(np.atleast_1d(r)))),
+        sigma=sigma, tail=tail,
     )
+
+
+def _step_to_tail(fun, x_span, y0, rtol, atol, tol, metric, dense):
+    """Step a bare DOP853 solver over x_span until a blow-up test or the
+    tail test 2 e^v G(r) <= tol/10 passes on an accepted step.  Returns
+    (r grid, state rows, OdeSolution or None, nfev, blowup, tail)."""
+    r_of_x = metric.chart.r_of_x
+    # r <= r_max, so |phi| r can pass PHI_R_BLOWUP only where phi > phi_far
+    phi_far = PHI_R_BLOWUP / r_of_x(x_span[1])
+    solver = DOP853(fun, x_span[0], y0, x_span[1], rtol=rtol, atol=atol)
+    xs, ys, interpolants = [solver.t], [solver.y], []
+    v_test = V_TAIL
+    blowup, tail = False, None
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise StiffnessError(message, state=(solver.t, solver.y))
+        x, y = solver.t, solver.y
+        xs.append(x)
+        ys.append(y)
+        if dense:
+            interpolants.append(solver.dense_output())
+        v, phi = y[0], abs(y[1]) * 0.25
+        if v > V_BLOWUP or (phi > phi_far and phi * r_of_x(x) > PHI_R_BLOWUP):
+            blowup = True
+            break
+        if v <= v_test:
+            r = r_of_x(x)
+            G = metric.green_tail(r)
+            if 2.0 * math.exp(v) * G <= tol / 10.0:
+                tail = (float(r), math.exp(0.5 * v), G)
+                break
+            v_test = math.log(tol / (20.0 * G))
+    interp = OdeSolution(xs, interpolants) if dense else None
+    return (r_of_x(np.array(xs)), np.array(ys).T, interp, solver.nfev,
+            blowup, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ radius R through the tail identity
 
     phi(inf) = phi(R) - G(R) + eps,   0 <= eps <= a^2(R) G(R),
 
-so  m_hat = 2 (G(R) - phi(R))  with error at most 2 a^2(R) G(R).
+so  m_hat = 2 (G(R) - phi(R))  with error at most 2 a^2(R) G(R).  A shot
+is one `ode.integrate` call in tail-stop mode: R is the first accepted
+integrator step past the tail test 2 a^2(R) G(R) <= tol/10, and only
+`profile_of_beta` asks it for dense output.
 
 Inversion (mass -> beta) is a safeguarded Newton iteration in
 x = log(-beta) on the strictly monotone map.  Each step shoots the
@@ -32,7 +35,7 @@ from . import ode
 from .metric import MetricProfile
 from .series import SeriesSolution, v_series, choose_delta, initial_data
 
-_V_STOP = 2.0 * math.log(1e-8)       # integrate at least until a < 1e-8
+_R_FAR = 1e5                         # no shot integrates past this radius
 _SERIES_ORDER = 12
 _X_MIN, _X_MAX = math.log(1e-12), math.log(1e6)   # -1e6 <= beta <= -1e-12
 _X_STEP = math.log(16.0)             # longest step in x = log(-beta)
@@ -123,43 +126,25 @@ def _require_finite(name: str, value) -> None:
 
 
 def _shoot(beta: float, metric: MetricProfile, tol: float,
-           slope: bool = False):
+           slope: bool = False, dense: bool = False):
     """Integrate one beta < 0 trajectory far enough for mass extraction.
     Returns (mass, series, delta, result, tail).  With `slope`, rows 2
-    and 3 of `result.y` carry d(v, w)/dbeta."""
+    and 3 of `result.y` carry d(v, w)/dbeta; with `dense`, `result`
+    can be evaluated between its steps."""
     ser = _series_for(beta, metric)
     delta = choose_delta(ser)
     a0, phi0, _ = initial_data(ser, delta)
     variation = ser.beta_derivative_at(delta) if slope else None
-
-    m_est = max(math.sqrt(-3.0 * beta), 0.05)   # Euclidean-tangent guess
-    r_max = delta + 60.0 / m_est
-    v_stop = _V_STOP
-    initial = ode.ProfileState(delta, a0, phi0)
-    while True:
-        res = ode.integrate("minus", initial, metric, r_max, tol=tol,
-                            v_stop=v_stop, variation=variation)
-        if res.classification == "blowup":
-            raise NoSolutionError(
-                f"trajectory for beta={beta} blew up (metric {metric.id})")
-        R = res.r_end
-        v_R, w_R = res.y[0, -1], res.y[1, -1]
-        a_R = math.exp(0.5 * v_R)
-        G_R = metric.green_tail(R)
-        if 2.0 * a_R ** 2 * G_R <= tol / 10.0:
-            break
-        if v_R > v_stop + 1.0 and R >= r_max * 0.999:
-            # ran out of range before reaching v_stop
-            r_max *= 2.0
-            if r_max > 1e5:
-                raise OutOfRangeError("integration range exhausted")
-            continue
-        # reached a < 1e-8 but the tail bound is not yet small enough
-        v_stop = math.log(tol / (20.0 * G_R))
-        r_max = max(r_max, R * 2.0 + 10.0)
-    phi_R = 0.25 * w_R
-    mass = 2.0 * (G_R - phi_R)
-    return mass, ser, delta, res, (R, a_R, G_R)
+    res = ode.integrate("minus", ode.ProfileState(delta, a0, phi0), metric,
+                        _R_FAR, tol=tol, variation=variation, tail_stop=True,
+                        dense=dense)
+    if res.classification == "blowup":
+        raise NoSolutionError(
+            f"trajectory for beta={beta} blew up (metric {metric.id})")
+    if res.tail is None:
+        raise OutOfRangeError("integration range exhausted")
+    mass = 2.0 * (res.tail[2] - 0.25 * res.y[1, -1])
+    return mass, ser, delta, res, res.tail
 
 
 def _mass_slope(beta: float, metric: MetricProfile, tol: float):
@@ -243,7 +228,8 @@ def profile_of_beta(beta: float, metric: MetricProfile,
             series=ser, result=None, r=r, a=np.ones_like(r),
             phi=np.zeros_like(r), v=np.zeros_like(r), flat=True,
         )
-    mass, ser, delta, res, (R, a_R, G_R) = _shoot(float(beta), metric, tol)
+    mass, ser, delta, res, (R, a_R, G_R) = _shoot(float(beta), metric, tol,
+                                                  dense=True)
     r_head = np.linspace(delta / 32.0, delta, 32, endpoint=False)
     n_mid = 1500
     r_mid = np.linspace(delta, R, n_mid)

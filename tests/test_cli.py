@@ -139,7 +139,16 @@ def test_sweep_table_and_plot(tmp_path, capsys):
     assert os.path.exists(svg)
     assert open(svg).read().startswith("<svg")
     with open(str(tmp_path / "sweep.json")) as fh:
-        assert json.load(fh)["threads"] == 1
+        side = json.load(fh)
+    assert side["threads"] == 1
+    assert [row["mass"] for row in side["rows"]] == masses
+    assert [row["beta"] for row in side["rows"]] == betas
+    for row in side["rows"]:
+        assert row["stats"]["nfev"] > 0
+        budget = row["error_budget"]
+        assert set(budget) == {"series_truncation", "ode_tol", "tail_bound",
+                               "mass_residual"}
+        assert all(0 <= part <= 1e-8 for part in budget.values())
 
 
 def test_sweep_empty_range_exit2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Reduced systems: right-hand sides, integration, classification,
 comparison envelopes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -248,3 +249,126 @@ def test_variation_only_on_the_minus_system():
     with pytest.raises(ValueError):
         integrate("plus", ProfileState(1.0, 0.0, 0.0), metric.EUCLIDEAN, 2.0,
                   variation=(0.0, 1.0))
+
+
+# -- tail-stop stepping loop ---------------------------------------------------
+
+def _shot_initial(beta, met):
+    sol = v_series(beta, met.series_coeffs(12), 12)
+    d = choose_delta(sol)
+    a, phi, _ = initial_data(sol, d)
+    return ProfileState(d, a, phi)
+
+
+@pytest.mark.parametrize("met", [metric.EUCLIDEAN, metric.BS_S4],
+                         ids=lambda m: m.id)
+def test_tail_stop_takes_the_solve_ivp_steps(met):
+    # the bare stepper's accepted steps are those of solve_ivp over a
+    # longer range; it stops at the first step past the tail test
+    init, tol = _shot_initial(-0.4, met), 1e-10
+    shot = integrate("minus", init, met, 1e5, tol=tol, tail_stop=True)
+    R, a_R, G_R = shot.tail
+    assert R == shot.r_end and a_R == math.exp(0.5 * shot.y[0, -1])
+    assert G_R == met.green_tail(R) and 2.0 * a_R ** 2 * G_R <= tol / 10.0
+    ref = integrate("minus", init, met, 2.0 * R, tol=tol)
+    n = len(shot.r)
+    assert len(ref.r) > n
+    assert np.array_equal(ref.r[:n], shot.r)
+    assert np.array_equal(ref.y[:, :n], shot.y)
+    assert shot.stats["n_steps"] == n - 1
+
+
+def _scaled_green_shot(scale, tol=1e-10):
+    """The euclidean beta = -0.4 shot with G scaled by `scale`, and the
+    radii of its G evaluations."""
+    radii = []
+
+    def green(r):
+        radii.append(float(r))
+        return scale * 0.5 / r
+
+    met = dataclasses.replace(metric.EUCLIDEAN, _green=green)
+    res = integrate("minus", _shot_initial(-0.4, met), met, 1e5, tol=tol,
+                    tail_stop=True, dense=False)
+    return res, radii
+
+
+def test_tail_stop_lowers_the_v_threshold_after_a_failed_test():
+    # a G large enough that the test at a < 1e-8 fails: the next test is
+    # at the first step below the v where that G would pass, and passes
+    tol = 1e-10
+    res, radii = _scaled_green_shot(1e30, tol)
+    v = dict(zip(res.r, res.y[0]))
+    G0 = 1e30 * 0.5 / radii[0]
+    assert v[radii[0]] <= ode.V_TAIL
+    assert 2.0 * math.exp(v[radii[0]]) * G0 > tol / 10.0
+    assert len(radii) == 2 and radii[1] == res.r_end
+    R, a_R, G_R = res.tail
+    assert 2.0 * a_R ** 2 * G_R <= tol / 10.0
+    lowered = math.log(tol / (20.0 * G0))
+    between = (res.r > radii[0]) & (res.r < R)
+    assert np.count_nonzero(between) >= 3
+    assert np.all(res.y[0][between] > lowered)
+
+
+def test_tail_stop_needs_a_tenth_of_tol():
+    # scale G so that the first test reads tol/2: not yet a stop
+    tol = 1e-10
+    res, radii = _scaled_green_shot(1.0, tol)
+    v0 = dict(zip(res.r, res.y[0]))[radii[0]]
+    scale = 0.5 * tol / (math.exp(v0) / radii[0])
+    res, radii = _scaled_green_shot(scale, tol)
+    assert len(radii) == 2 and res.r_end > radii[0]
+    assert 2.0 * res.tail[1] ** 2 * res.tail[2] <= tol / 10.0
+
+
+def test_tail_stop_dense_output_only_on_request():
+    init, tol = _shot_initial(-0.4, metric.HYPERBOLIC), 1e-10
+    bare = integrate("minus", init, metric.HYPERBOLIC, 1e5, tol=tol,
+                     tail_stop=True, dense=False)
+    dense = integrate("minus", init, metric.HYPERBOLIC, 1e5, tol=tol,
+                      tail_stop=True)
+    assert np.array_equal(bare.y, dense.y)
+    # DOP853's interpolant costs three extra evaluations per step
+    assert dense.stats["nfev"] == bare.stats["nfev"] + 3 * bare.stats["n_steps"]
+    assert np.max(np.abs(dense.eval(dense.r) - dense.y)) <= 1e-12
+    for call in (bare.eval, bare.eval_a_phi):
+        with pytest.raises(ValueError, match="built without dense output"):
+            call(1.0)
+
+
+def test_non_dense_plain_integration_refuses_eval():
+    res = integrate("plus", ProfileState(1.0, 0.0, 0.0), metric.EUCLIDEAN,
+                    2.0, dense=False)
+    assert res.classification == "bounded" and res.r_end == 2.0
+    with pytest.raises(ValueError, match="built without dense output"):
+        res.eval(1.5)
+
+
+def test_tail_stop_blowup_is_a_per_step_test():
+    for met in (metric.EUCLIDEAN, metric.BS_S4):
+        res = integrate("minus", _shot_initial(0.5, met), met, 1e5,
+                        tail_stop=True, dense=False)
+        assert res.classification == "blowup", met.id
+        assert res.tail is None
+        assert (res.y[0, -1] > ode.V_BLOWUP
+                or abs(res.y[1, -1]) * 0.25 * res.r_end > ode.PHI_R_BLOWUP)
+    # |phi| r is tested on the state, so a trace that starts past
+    # PHI_R_BLOWUP stops at its first step (an event needs a crossing)
+    res = integrate("minus", ProfileState(1.0, 0.5, -2e6), metric.EUCLIDEAN,
+                    1e5, tail_stop=True)
+    assert res.classification == "blowup" and res.stats["n_steps"] == 1
+
+
+def test_tail_stop_far_bound_leaves_no_tail():
+    # the tail test cannot pass before r = 3: the trace ends at the bound
+    res = integrate("minus", _shot_initial(-0.4, metric.EUCLIDEAN),
+                    metric.EUCLIDEAN, 3.0, tail_stop=True)
+    assert res.tail is None and res.r_end == 3.0
+    assert res.classification == "bounded"
+
+
+def test_tail_stop_only_on_the_minus_system():
+    with pytest.raises(ValueError):
+        integrate("plus", ProfileState(1.0, 0.0, 0.0), metric.EUCLIDEAN, 2.0,
+                  tail_stop=True)

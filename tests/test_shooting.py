@@ -212,3 +212,64 @@ def test_mass_properties(met, m):
     assert beta_of_mass(m * (1.0 + 1e-3), met) < prof.beta
     assert abs(energy.intermediate_energy(prof, met).value - m / 2.0) <= 1e-5
     assert ode.envelope_check(prof.result, met).passed
+
+
+# -- one bare-stepper integration per shot ---------------------------------
+
+def _count_integrations(monkeypatch):
+    calls = []
+    integrate = ode.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "integrate", counted)
+    return calls
+
+
+def test_shot_is_one_integration_past_the_tail_bound(tmp_path, monkeypatch):
+    calls = _count_integrations(monkeypatch)
+    for met in BACKENDS + (_flat_table_metric(tmp_path),):
+        for beta in (-0.02, -0.4, -3.0, -30.0):
+            for tol in (1e-9, 1e-10):
+                for slope in (False, True):
+                    calls.clear()
+                    m, _, _, res, (R, a_R, G_R) = shooting._shoot(
+                        beta, met, tol, slope=slope)
+                    assert len(calls) == 1, (met.id, beta, tol, slope)
+                    assert not calls[0]["dense"]
+                    a_end = math.exp(0.5 * res.y[0, -1])
+                    G_end = met.green_tail(res.r_end)
+                    assert (R, a_R, G_R) == (res.r_end, a_end, G_end)
+                    assert 2.0 * a_end ** 2 * G_end <= tol / 10.0, (met.id, beta)
+                    assert m == 2.0 * (G_end - 0.25 * res.y[1, -1])
+
+
+def test_blowup_shot_raises_through_the_loop(monkeypatch):
+    calls = _count_integrations(monkeypatch)
+    for met in (metric.EUCLIDEAN, metric.BS_S4):
+        calls.clear()
+        with pytest.raises(NoSolutionError, match="blew up"):
+            shooting._shoot(0.5, met, 1e-10)
+        assert len(calls) == 1
+
+
+def test_exhausted_range_raises(monkeypatch):
+    monkeypatch.setattr(shooting, "_R_FAR", 3.0)
+    with pytest.raises(OutOfRangeError, match="range exhausted"):
+        mass_of_beta(-0.4, metric.EUCLIDEAN)
+
+
+@pytest.mark.parametrize("met", BACKENDS, ids=lambda m: m.id)
+def test_profile_is_the_only_dense_shot(monkeypatch, met):
+    calls = _count_integrations(monkeypatch)
+    for tol in (1e-9, 1e-10):
+        calls.clear()
+        prof = solve_monopole(met, 1.5, tol=tol)
+        assert [c["dense"] for c in calls] == [False] * (len(calls) - 1) + [True]
+        assert prof.tail[2] <= tol / 10.0
+        assert prof.R_end == prof.result.r_end
+        # the profile's grid ends on the shot's last accepted step
+        assert prof.r[-1] == prof.R_end
+        assert abs(prof.phi[-1] - 0.25 * prof.result.y[1, -1]) <= 1e-14
