@@ -50,6 +50,16 @@ def _finite_arg(text: str) -> float:
     return value
 
 
+def _count_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -346,28 +356,28 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("verify", help="oracle residual check")
     s.add_argument("--oracle", required=True, choices=_ORACLES)
     s.add_argument("--metric")
-    s.add_argument("--mass", type=float, default=1.0)
-    s.add_argument("--C", type=float, default=1.0)
-    s.add_argument("--D", type=float, default=0.0)
-    s.add_argument("--c", type=float, default=1.0)
+    s.add_argument("--mass", type=_finite_arg, default=1.0)
+    s.add_argument("--C", type=_finite_arg, default=1.0)
+    s.add_argument("--D", type=_finite_arg, default=0.0)
+    s.add_argument("--c", type=_finite_arg, default=1.0)
     s.add_argument("--branch", type=int, default=1, choices=(-1, 1))
     s.add_argument("--sign", type=int, default=1, choices=(-1, 1))
-    s.add_argument("--r-min", type=float, default=0.01)
-    s.add_argument("--r-max", type=float, default=10.0)
-    s.add_argument("--n", type=int, default=200)
+    s.add_argument("--r-min", type=_finite_arg, default=0.01)
+    s.add_argument("--r-max", type=_finite_arg, default=10.0)
+    s.add_argument("--n", type=_count_arg, default=200)
     s.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("green", help="Dirac monopole report")
     s.add_argument("--metric", required=True)
     s.add_argument("--charge", type=int, required=True)
-    s.add_argument("--mass", type=float, default=0.0)
-    s.add_argument("--r", type=float, default=50.0)
+    s.add_argument("--mass", type=_finite_arg, default=0.0)
+    s.add_argument("--r", type=_finite_arg, default=50.0)
     s.set_defaults(fn=cmd_green)
 
     s = sub.add_parser("energy", help="energy report for a profile CSV")
     s.add_argument("--profile", required=True)
     s.add_argument("--metric")
-    s.add_argument("--mass", type=float)
+    s.add_argument("--mass", type=_finite_arg)
     s.set_defaults(fn=cmd_energy)
 
     s = sub.add_parser("series", help="singular-point series coefficients")

@@ -93,17 +93,11 @@ def intermediate_energy(profile, metric: MetricProfile,
                             quad_tol=0.0, r=r, partial=z, boundary=z)
 
     if res is not None:
-        # head on [0, delta] from the series, mid on the dense output
-        delta = profile.delta
-        r_h = np.linspace(0.0, delta, 129)
-        v_h = np.array([profile.series.v_at(x) for x in r_h])
-        w_h = np.array([profile.series.vdot_at(x) for x in r_h])
-        a_h, p_h = np.exp(0.5 * v_h), 0.25 * w_h
-        r_m = np.linspace(delta, profile.R_end, n_grid + 1)
-        a_m, p_m = res.eval_a_phi(r_m)
-        r_f = np.concatenate([r_h[:-1], r_m])
-        a_f = np.concatenate([a_h[:-1], a_m])
-        p_f = np.concatenate([p_h[:-1], p_m])
+        # series head on [0, delta), dense output on [delta, R_end]
+        r_f = np.concatenate([np.linspace(0.0, profile.delta, 129)[:-1],
+                              np.linspace(profile.delta, profile.R_end,
+                                          n_grid + 1)])
+        a_f, p_f = profile.fields(r_f)
     else:
         r_f = np.asarray(profile.r, dtype=float)
         a_f = np.asarray(profile.a, dtype=float)

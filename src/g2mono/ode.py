@@ -17,19 +17,18 @@ coordinate x of the metric's chart (`MetricProfile.chart`): x = r on
 most backgrounds, the fiber coordinate s on the BS ones, so that no
 right-hand side has to invert rho(s).  Results are reported in r.
 
-Two integration paths share one right-hand side per system.  A plain
-call runs `solve_ivp` (DOP853) to r_max with blow-up events located on
-its dense output.  A minus-system shot (`tail_stop=True`) steps a bare DOP853
-solver instead and stops at the first accepted step whose tail bound
-2 a^2 G is at most tol/10; blow-up is a per-step test on the state, and
-interpolants are built only when the caller asks for dense output.
+Every system runs through one loop: a bare DOP853 stepper, whose
+accepted steps are those of `solve_ivp(method="DOP853")`, with each stop
+(blow-up, a at A_FLOOR, and in shooting mode the tail bound 2 a^2 G <=
+tol/10) a test on the state at an accepted step.  Interpolants are built
+only when the caller asks for dense output.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution, solve_ivp, cumulative_trapezoid
@@ -153,26 +152,6 @@ class IntegrationResult:
         v, w = self.eval(r)[:2]
         return np.exp(0.5 * np.clip(v, _V_FLOOR, _EXP_CLIP)), 0.25 * w
 
-    @property
-    def samples(self) -> Sequence:
-        if self.system == "minus":
-            v, w = self.y[:2]
-            a = np.exp(0.5 * np.clip(v, _V_FLOOR, _EXP_CLIP))
-            return [ProfileState(float(r), float(ai), float(0.25 * wi))
-                    for r, ai, wi in zip(self.r, a, w)]
-        if self.system == "plus":
-            return [ProfileState(float(r), float(a), float(p))
-                    for r, a, p in zip(self.r, self.y[0], self.y[1])]
-        return [SU3State(float(r), *map(complex, row[:3]), float(row[3].real),
-                         float(row[4].real))
-                for r, row in zip(self.r, self.y.T)]
-
-
-def _terminal(event, direction=0):
-    event.terminal = True
-    event.direction = direction
-    return event
-
 
 def check_tol(tol: float) -> float:
     if not 1e-14 <= tol <= 1e-6:
@@ -189,17 +168,21 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
 
     `initial` is a ProfileState (minus/plus) or SU3State.  For the plus
     system pass r_min < initial.r to integrate backwards toward the
-    singular origin.  Blow-up stops the trace and classifies it
-    "blowup"; a minus trace also stops where a falls to A_FLOOR.
+    singular origin.
+
+    Every stop is a per-step test on the state, not a located event, so
+    a stopped trace ends at the first accepted step past its threshold.
+    Blow-up stops the trace and classifies it "blowup": v > V_BLOWUP or
+    |phi| r > PHI_R_BLOWUP (minus), |phi| r > PHI_R_BLOWUP (plus),
+    max |y| > PHI_R_BLOWUP (su3).  A minus trace also stops, "bounded",
+    once a falls to A_FLOOR.
 
     `tail_stop` (minus system only) is the shooting mode: r_max is only
     a far bound, and the trace stops at the first accepted step where
     the tail bound 2 a^2 G(r) is at most tol/10, with `tail` set to
     (R, a(R), G(R)) there.  G is evaluated only once v <= V_TAIL, and
     after a failed test only once v falls below the level at which that
-    G would pass.  If the far bound comes first, `tail` is None.  Stops
-    are per-step tests on the state, not located events, so R is an
-    accepted step of the integrator.
+    G would pass.  If the far bound comes first, `tail` is None.
 
     `dense` builds the interpolant behind `eval`/`eval_a_phi`; without
     it those raise ValueError.
@@ -221,10 +204,18 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     chart = metric.chart
     x_of_r, r_of_x, dr_dx, h2_of_x = (chart.x_of_r, chart.r_of_x,
                                       chart.dr_dx, chart.h2_of_x)
-    r_to = r_max
+    r_to = r_min if system == "plus" and r_min is not None else r_max
+    x_span = (float(x_of_r(initial.r)), float(x_of_r(r_to)))
+    # no r on the span exceeds that at its larger end (r_max, or the
+    # start of a backward run), so |phi| r can pass PHI_R_BLOWUP only
+    # where |phi| > phi_far
+    phi_far = PHI_R_BLOWUP / r_of_x(max(x_span))
+
+    def phi_r_blowup(phi, x):
+        return phi > phi_far and phi * r_of_x(x) > PHI_R_BLOWUP
+
     rtol, atol = 0.9 * tol, 0.1 * tol
     flat = False
-    stops = []                      # terminal events that are not blow-ups
     if system == "minus":
         if initial.a <= 0:
             raise DomainError("minus system requires a > 0 (use a=0 via green.dirac)")
@@ -248,16 +239,13 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
                 return [J * y[1], J * 2.0 * e / h2,
                         J * y[3], J * 2.0 * (e + 1.0) * y[2] / h2]
 
-        blowups = [
-            _terminal(lambda x, y: y[0] - V_BLOWUP, 1),
-            _terminal(lambda x, y: abs(y[1]) * 0.25 * r_of_x(x) - PHI_R_BLOWUP),
-        ]
-        stops.append(_terminal(lambda x, y: y[0] - _V_FLOOR, -1))
+        def stop_at(x, y):
+            if y[0] > V_BLOWUP or phi_r_blowup(abs(y[1]) * 0.25, x):
+                return "blow-up"
+            return "a fell to A_FLOOR" if y[0] <= _V_FLOOR else None
     elif system == "plus":
         if sigma not in (-1, 1):
             raise ValueError("sigma must be +1 or -1")
-        if r_min is not None:
-            r_to = r_min
         y0 = [initial.a, initial.phi]
 
         def fun(x, y):
@@ -265,7 +253,8 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
             return [J * sigma * 2.0 * y[0] * y[1],
                     J * sigma * (1.0 + y[0] ** 2) / (2.0 * h2_of_x(x))]
 
-        blowups = [_terminal(lambda x, y: abs(y[1]) * r_of_x(x) - PHI_R_BLOWUP)]
+        def stop_at(x, y):
+            return "blow-up" if phi_r_blowup(abs(y[1]), x) else None
     elif system == "su3":
         _require_bs(metric)          # so x is s
         y0 = np.array([initial.b1, initial.b2, initial.b3,
@@ -276,51 +265,17 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
             return [J * di for di in
                     _rhs_su3_of_s(x, y[0], y[1], y[2], y[3].real, y[4].real)]
 
-        blowups = [_terminal(
-            lambda x, y: float(np.max(np.abs(y))) - PHI_R_BLOWUP)]
+        def stop_at(x, y):
+            return "blow-up" if np.max(np.abs(y)) > PHI_R_BLOWUP else None
     else:
         raise ValueError(f"unknown system {system!r}")
 
-    x_span = (float(x_of_r(initial.r)), float(x_of_r(r_to)))
-    tail = None
-    if tail_stop:
-        rs, y, interp, nfev, blowup, tail = _step_to_tail(
-            fun, x_span, y0, rtol, atol, tol, metric, dense)
-        status = 1 if blowup or tail else 0
-        message = "tail bound reached" if tail else (
-            "blow-up" if blowup else "far bound reached")
-    else:
-        sol = solve_ivp(fun, x_span, y0, method="DOP853", dense_output=dense,
-                        rtol=rtol, atol=atol, events=blowups + stops)
-        if sol.status == -1:
-            raise StiffnessError(sol.message, state=(sol.t[-1], sol.y[:, -1]))
-        blowup = any(len(t) for t in sol.t_events[:len(blowups)])
-        rs, y, interp, nfev = r_of_x(sol.t), sol.y, sol.sol, sol.nfev
-        status, message = sol.status, sol.message
-    return IntegrationResult(
-        system=system, metric=metric,
-        classification="flat" if flat else ("blowup" if blowup else "bounded"),
-        stats={"nfev": nfev, "n_steps": len(rs) - 1,
-               "status": status, "message": message},
-        r=rs, y=y, r_end=float(rs[-1]),
-        _eval=None if interp is None else (
-            lambda r: interp(x_of_r(np.atleast_1d(r)))),
-        sigma=sigma, tail=tail,
-    )
-
-
-def _step_to_tail(fun, x_span, y0, rtol, atol, tol, metric, dense):
-    """Step a bare DOP853 solver over x_span until a blow-up test or the
-    tail test 2 e^v G(r) <= tol/10 passes on an accepted step.  Returns
-    (r grid, state rows, OdeSolution or None, nfev, blowup, tail)."""
-    r_of_x = metric.chart.r_of_x
-    # r <= r_max, so |phi| r can pass PHI_R_BLOWUP only where phi > phi_far
-    phi_far = PHI_R_BLOWUP / r_of_x(x_span[1])
+    # the accepted steps of solve_ivp(method="DOP853"), without its events
     solver = DOP853(fun, x_span[0], y0, x_span[1], rtol=rtol, atol=atol)
     xs, ys, interpolants = [solver.t], [solver.y], []
     v_test = V_TAIL
-    blowup, tail = False, None
-    while solver.status == "running":
+    stop = tail = None
+    while solver.status == "running" and stop is None:
         message = solver.step()
         if solver.status == "failed":
             raise StiffnessError(message, state=(solver.t, solver.y))
@@ -329,20 +284,29 @@ def _step_to_tail(fun, x_span, y0, rtol, atol, tol, metric, dense):
         ys.append(y)
         if dense:
             interpolants.append(solver.dense_output())
-        v, phi = y[0], abs(y[1]) * 0.25
-        if v > V_BLOWUP or (phi > phi_far and phi * r_of_x(x) > PHI_R_BLOWUP):
-            blowup = True
-            break
-        if v <= v_test:
+        stop = stop_at(x, y)
+        if tail_stop and stop is None and y[0] <= v_test:
             r = r_of_x(x)
             G = metric.green_tail(r)
-            if 2.0 * math.exp(v) * G <= tol / 10.0:
-                tail = (float(r), math.exp(0.5 * v), G)
-                break
-            v_test = math.log(tol / (20.0 * G))
+            if 2.0 * math.exp(y[0]) * G <= tol / 10.0:
+                tail = (float(r), math.exp(0.5 * y[0]), G)
+                stop = "tail bound reached"
+            else:
+                v_test = math.log(tol / (20.0 * G))
+    rs = r_of_x(np.array(xs))
     interp = OdeSolution(xs, interpolants) if dense else None
-    return (r_of_x(np.array(xs)), np.array(ys).T, interp, solver.nfev,
-            blowup, tail)
+    return IntegrationResult(
+        system=system, metric=metric,
+        classification="flat" if flat else (
+            "blowup" if stop == "blow-up" else "bounded"),
+        stats={"nfev": solver.nfev, "n_steps": len(rs) - 1,
+               "status": 0 if stop is None else 1,
+               "message": stop or "end of the range reached"},
+        r=rs, y=np.array(ys).T, r_end=float(rs[-1]),
+        _eval=None if interp is None else (
+            lambda r: interp(x_of_r(np.atleast_1d(r)))),
+        sigma=sigma, tail=tail,
+    )
 
 
 # ---------------------------------------------------------------------------

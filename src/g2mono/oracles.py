@@ -262,8 +262,9 @@ def deriv(form: ClosedForm, r):
 
 def residual(obj, system: str, metric: MetricProfile, radii) -> float:
     """sup over radii of |d(state)/dr - rhs(state)| for a ClosedForm or
-    a sampled profile (finite differences in the latter case)."""
-    worst = 0.0
+    a sampled profile (finite differences in the latter case).  A NaN
+    term makes the result NaN."""
+    terms = []
     if isinstance(obj, ClosedForm):
         for r in np.atleast_1d(radii):
             r = float(r)
@@ -277,20 +278,21 @@ def residual(obj, system: str, metric: MetricProfile, radii) -> float:
                 rhs = rhs_su3(st, metric)
             else:
                 raise ValueError(f"unknown system {system!r}")
-            worst = max(worst, max(abs(x - y) for x, y in zip(d, rhs)))
-        return worst
-    # sampled profile: central differences on its own evaluator
-    for r in np.atleast_1d(radii):
-        r = float(r)
-        h = 1e-5 * (1.0 + r)
-        a_p, a_m = obj.eval_a(r + h), obj.eval_a(r - h)
-        p_p, p_m = obj.eval_phi(r + h), obj.eval_phi(r - h)
-        st = ProfileState(r, obj.eval_a(r), obj.eval_phi(r))
-        rhs = rhs_minus(st, metric)
-        da = (a_p - a_m) / (2 * h)
-        dphi = (p_p - p_m) / (2 * h)
-        worst = max(worst, abs(da - rhs[0]), abs(dphi - rhs[1]))
-    return worst
+            terms += [abs(x - y) for x, y in zip(d, rhs)]
+    else:
+        # sampled profile: central differences on its own evaluator
+        for r in np.atleast_1d(radii):
+            r = float(r)
+            h = 1e-5 * (1.0 + r)
+            a_p, a_m = obj.eval_a(r + h), obj.eval_a(r - h)
+            p_p, p_m = obj.eval_phi(r + h), obj.eval_phi(r - h)
+            st = ProfileState(r, obj.eval_a(r), obj.eval_phi(r))
+            rhs = rhs_minus(st, metric)
+            da = (a_p - a_m) / (2 * h)
+            dphi = (p_p - p_m) / (2 * h)
+            terms += [abs(da - rhs[0]), abs(dphi - rhs[1])]
+    # np.max, unlike max(), does not drop a NaN that follows a number
+    return float(np.max(terms, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -69,30 +69,23 @@ class MonopoleProfile:
     flat: bool = False
 
     @property
-    def samples(self):
-        return list(zip(self.r, self.a, self.phi))
-
-    @property
     def tail(self):
         return (self.R_end, self.a_end, 2.0 * self.a_end ** 2 * self.G_end)
 
-    # piecewise evaluation: series head / dense integrator / analytic tail
-    def _eval(self, r):
+    def fields(self, r):
+        """(a, phi) on an array of radii, piecewise: series head below
+        delta, dense integrator output up to R_end, analytic tail past it."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        a = np.empty_like(r)
-        phi = np.empty_like(r)
         if self.flat:
             return np.ones_like(r), np.zeros_like(r)
+        a = np.empty_like(r)
+        phi = np.empty_like(r)
         head = r < self.delta
         mid = (r >= self.delta) & (r <= self.R_end)
         tail = r > self.R_end
         if head.any():
-            vh = np.array([self.series.v_at(x) for x in r[head]])
-            wh = np.array([self.series.vdot_at(x) for x in r[head]])
-            a[head] = np.exp(0.5 * vh)
-            phi[head] = 0.25 * wh
-            zero = r[head] == 0.0
-            a[head] = np.where(zero, 1.0, a[head])
+            a[head] = np.exp(0.5 * self.series.v_at(r[head]))
+            phi[head] = 0.25 * self.series.vdot_at(r[head])
         if mid.any():
             am, pm = self.result.eval_a_phi(r[mid])
             a[mid] = am
@@ -107,11 +100,11 @@ class MonopoleProfile:
         return a, phi
 
     def eval_a(self, r):
-        a, _ = self._eval(r)
+        a, _ = self.fields(r)
         return a if np.ndim(r) else float(a[0])
 
     def eval_phi(self, r):
-        _, phi = self._eval(r)
+        _, phi = self.fields(r)
         return phi if np.ndim(r) else float(phi[0])
 
 
@@ -234,11 +227,9 @@ def profile_of_beta(beta: float, metric: MetricProfile,
     n_mid = 1500
     r_mid = np.linspace(delta, R, n_mid)
     v_mid, w_mid = res.eval(r_mid)
-    v_head = np.array([ser.v_at(x) for x in r_head])
-    w_head = np.array([ser.vdot_at(x) for x in r_head])
     r_all = np.concatenate([r_head, r_mid])
-    v_all = np.concatenate([v_head, v_mid])
-    w_all = np.concatenate([w_head, w_mid])
+    v_all = np.concatenate([ser.v_at(r_head), v_mid])
+    w_all = np.concatenate([ser.vdot_at(r_head), w_mid])
     return MonopoleProfile(
         metric_id=metric.id, beta=float(beta), mass=mass, tol=tol,
         delta=delta, series=ser, result=res, r=r_all,

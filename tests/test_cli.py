@@ -110,6 +110,33 @@ def test_non_finite_mass_exit2(argv, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+_VERIFY = ["verify", "--oracle"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (_VERIFY + ["hyperbolic", "--mass", "inf"], "--mass"),
+    (_VERIFY + ["bps", "--C", "nan"], "--C"),
+    (_VERIFY + ["bps", "--D=-inf"], "--D"),
+    (_VERIFY + ["su3_instanton", "--c", "nan"], "--c"),
+    (_VERIFY + ["bps", "--r-min", "nan"], "--r-min"),
+    (_VERIFY + ["bps", "--r-max", "inf"], "--r-max"),
+    (_VERIFY + ["bps", "--n", "0"], "--n"),
+    (_VERIFY + ["bps", "--n", "-3"], "--n"),
+    (_VERIFY + ["bps", "--n", "2.5"], "--n"),
+    (["green", "--metric", "euclidean", "--charge", "1", "--mass", "nan"],
+     "--mass"),
+    (["green", "--metric", "euclidean", "--charge", "1", "--r", "inf"], "--r"),
+    (["energy", "--profile", "x.csv", "--mass", "nan"], "--mass"),
+], ids=["verify-mass-inf", "verify-C-nan", "verify-D-inf", "verify-c-nan",
+        "verify-r-min-nan", "verify-r-max-inf", "verify-n-0", "verify-n-neg",
+        "verify-n-float", "green-mass-nan", "green-r-inf", "energy-mass-nan"])
+def test_bad_numeric_flag_exit2(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 def test_energy_roundtrip(tmp_path, capsys):
     out = str(tmp_path / "bps.csv")
     run(capsys, "solve", "--metric", "euclidean", "--mass", "1",

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from g2mono import metric, ode, oracles
 from g2mono.metric import DomainError
@@ -242,7 +243,6 @@ def test_variation_rows_match_bps_family():
     assert np.max(np.abs(dw - dw_ref) / np.abs(dw_ref)) <= 1e-7
     a, phi = res.eval_a_phi(rs)                # still two rows
     assert a.shape == phi.shape == rs.shape
-    assert isinstance(res.samples[0], ProfileState)
 
 
 def test_variation_only_on_the_minus_system():
@@ -260,22 +260,148 @@ def _shot_initial(beta, met):
     return ProfileState(d, a, phi)
 
 
+def _chart_rhs(system, met, sigma=-1):
+    """The system's right-hand side in the chart x, as `integrate` steps it."""
+    c = met.chart
+    if system == "minus":
+        def fun(x, y):
+            J = c.dr_dx(x)
+            return [J * y[1], J * 2.0 * ode._expm1_clipped(y[0]) / c.h2_of_x(x)]
+    elif system == "plus":
+        def fun(x, y):
+            J = c.dr_dx(x)
+            return [J * sigma * 2.0 * y[0] * y[1],
+                    J * sigma * (1.0 + y[0] ** 2) / (2.0 * c.h2_of_x(x))]
+    else:
+        def fun(x, y):
+            J = c.dr_dx(x)
+            return [J * d for d in
+                    ode._rhs_su3_of_s(x, y[0], y[1], y[2], y[3].real, y[4].real)]
+    return fun
+
+
+def _solve_ivp_steps(system, y0, met, r0, r1, tol, sigma=-1):
+    """(r grid, state rows, nfev) of scipy's solve_ivp DOP853 over [r0, r1]."""
+    c = met.chart
+    sol = solve_ivp(_chart_rhs(system, met, sigma),
+                    (float(c.x_of_r(r0)), float(c.x_of_r(r1))), y0,
+                    method="DOP853", rtol=0.9 * tol, atol=0.1 * tol)
+    assert sol.status == 0
+    return c.r_of_x(sol.t), sol.y, sol.nfev
+
+
+def _su3_initial():
+    return oracles.eval(oracles.su3_instanton(2.0, 1), metric.rho_of_s(0.05))
+
+
+_PLAIN_RUNS = {
+    # system, initial state, metric, r_max, keyword arguments
+    "minus-euclidean": lambda: ("minus", _shot_initial(-0.4, metric.EUCLIDEAN),
+                                metric.EUCLIDEAN, 15.0, {}),
+    "minus-bs_s4": lambda: ("minus", _shot_initial(-0.4, metric.BS_S4),
+                            metric.BS_S4, 15.0, {}),
+    "plus-backward": lambda: ("plus", ProfileState(1.0, 0.0, 0.0),
+                              metric.BS_S4, 1.0, {"sigma": -1, "r_min": 1e-3}),
+    "su3": lambda: ("su3", _su3_initial(), metric.BS_S4, metric.rho_of_s(6.0),
+                    {}),
+}
+
+
+def _y0(system, init):
+    if system == "minus":
+        return [2.0 * math.log(init.a), 4.0 * init.phi]
+    if system == "plus":
+        return [init.a, init.phi]
+    return np.array([init.b1, init.b2, init.b3, init.phi1, init.phi2],
+                    dtype=complex)
+
+
+@pytest.mark.parametrize("case", sorted(_PLAIN_RUNS))
+def test_plain_run_takes_the_solve_ivp_steps(case):
+    # a run that reaches its end takes scipy's DOP853 steps to the bit
+    system, init, met, r_max, kw = _PLAIN_RUNS[case]()
+    tol = 1e-11
+    r_end = kw.get("r_min", r_max)
+    r, y, nfev = _solve_ivp_steps(system, _y0(system, init), met, init.r,
+                                  r_end, tol, kw.get("sigma", -1))
+    bare = integrate(system, init, met, r_max, tol=tol, dense=False, **kw)
+    dense = integrate(system, init, met, r_max, tol=tol, **kw)
+    for res in (bare, dense):
+        assert res.classification == "bounded" and res.stats["status"] == 0
+        assert np.array_equal(res.r, r) and np.array_equal(res.y, y)
+        assert res.r_end == r[-1] and res.stats["n_steps"] == len(r) - 1
+    assert bare.stats["nfev"] == nfev
+    assert dense.stats["nfev"] == nfev + 3 * bare.stats["n_steps"]
+
+
 @pytest.mark.parametrize("met", [metric.EUCLIDEAN, metric.BS_S4],
                          ids=lambda m: m.id)
 def test_tail_stop_takes_the_solve_ivp_steps(met):
-    # the bare stepper's accepted steps are those of solve_ivp over a
-    # longer range; it stops at the first step past the tail test
+    # the shot's accepted steps are those of solve_ivp over a longer
+    # range; it stops at the first step past the tail test
     init, tol = _shot_initial(-0.4, met), 1e-10
     shot = integrate("minus", init, met, 1e5, tol=tol, tail_stop=True)
     R, a_R, G_R = shot.tail
     assert R == shot.r_end and a_R == math.exp(0.5 * shot.y[0, -1])
     assert G_R == met.green_tail(R) and 2.0 * a_R ** 2 * G_R <= tol / 10.0
-    ref = integrate("minus", init, met, 2.0 * R, tol=tol)
+    r, y, _ = _solve_ivp_steps("minus", _y0("minus", init), met, init.r,
+                               2.0 * R, tol)
     n = len(shot.r)
-    assert len(ref.r) > n
-    assert np.array_equal(ref.r[:n], shot.r)
-    assert np.array_equal(ref.y[:, :n], shot.y)
+    assert len(r) > n
+    assert np.array_equal(r[:n], shot.r)
+    assert np.array_equal(y[:, :n], shot.y)
     assert shot.stats["n_steps"] == n - 1
+
+
+def test_integrate_never_calls_solve_ivp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate called solve_ivp")
+
+    monkeypatch.setattr(ode, "solve_ivp", refuse)
+    for case in _PLAIN_RUNS.values():
+        system, init, met, r_max, kw = case()
+        assert integrate(system, init, met, r_max, **kw).r_end > 0
+    shot = integrate("minus", _shot_initial(-0.4, metric.HYPERBOLIC),
+                     metric.HYPERBOLIC, 1e5, tail_stop=True)
+    assert shot.tail is not None
+
+
+def test_stops_end_at_the_first_step_past_the_threshold():
+    # stops are per-step tests: the last accepted step is past the
+    # threshold and the one before it is not
+    res = integrate("minus", _shot_initial(0.5, metric.EUCLIDEAN),
+                    metric.EUCLIDEAN, 5000.0, tol=1e-10)
+    assert res.classification == "blowup" and res.stats["status"] == 1
+    past = (res.y[0] > ode.V_BLOWUP) | (
+        np.abs(res.y[1]) * 0.25 * res.r > ode.PHI_R_BLOWUP)
+    assert past[-1] and not past[:-1].any()
+
+    res = integrate("plus", ProfileState(1.0, 0.4, -0.2), metric.EUCLIDEAN,
+                    5.0, tol=1e-11, sigma=-1)
+    assert res.classification == "blowup" and res.r_end < 5.0
+    past = np.abs(res.y[1]) * res.r > ode.PHI_R_BLOWUP
+    assert past[-1] and not past[:-1].any()
+
+    # a falls to A_FLOOR: a "bounded" stop short of r_max
+    res = integrate("minus", _shot_initial(-0.4, metric.EUCLIDEAN),
+                    metric.EUCLIDEAN, 3000.0, tol=1e-10)
+    assert res.classification == "bounded" and res.r_end < 3000.0
+    assert res.stats["status"] == 1
+    assert res.y[0, -1] <= ode._V_FLOOR < res.y[0, -2]
+
+
+def test_plus_and_su3_blowup_are_per_step_tests():
+    # a start past the bound stops after one step, with no crossing
+    res = integrate("plus", ProfileState(1.0, 0.0, 2e6), metric.EUCLIDEAN,
+                    5.0)
+    assert res.classification == "blowup" and res.stats["n_steps"] == 1
+    # backward, the bound uses the largest radius of the span
+    res = integrate("plus", ProfileState(1.0, 0.0, 2e6), metric.BS_S4, 1.0,
+                    sigma=-1, r_min=1e-3)
+    assert res.classification == "blowup" and res.stats["n_steps"] == 1
+    st = SU3State(metric.rho_of_s(0.5), 0.0, 0.0, 0.0, 2e6, 0.0)
+    res = integrate("su3", st, metric.BS_S4, metric.rho_of_s(6.0))
+    assert res.classification == "blowup" and res.stats["n_steps"] == 1
 
 
 def _scaled_green_shot(scale, tol=1e-10):
@@ -354,7 +480,7 @@ def test_tail_stop_blowup_is_a_per_step_test():
         assert (res.y[0, -1] > ode.V_BLOWUP
                 or abs(res.y[1, -1]) * 0.25 * res.r_end > ode.PHI_R_BLOWUP)
     # |phi| r is tested on the state, so a trace that starts past
-    # PHI_R_BLOWUP stops at its first step (an event needs a crossing)
+    # PHI_R_BLOWUP stops at its first step
     res = integrate("minus", ProfileState(1.0, 0.5, -2e6), metric.EUCLIDEAN,
                     1e5, tail_stop=True)
     assert res.classification == "blowup" and res.stats["n_steps"] == 1

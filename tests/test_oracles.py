@@ -70,6 +70,27 @@ def test_flat_residual_zero():
         assert oracles.residual(oracles.flat(), "minus", met, RS) == 0.0
 
 
+def test_residual_does_not_hide_nan():
+    # max(worst, nan) keeps worst: a NaN term must not read as 0.0
+    with np.errstate(invalid="ignore"):
+        for form, met in ((oracles.bps_mass(np.nan), metric.EUCLIDEAN),
+                          (oracles.bps(np.nan, 0.0), metric.EUCLIDEAN),
+                          (oracles.hyperbolic(np.inf), metric.HYPERBOLIC)):
+            assert not np.isfinite(oracles.residual(form, "minus", met, RS))
+
+    class Sampled:                   # NaN at one radius past the first
+        def eval_a(self, r):
+            return np.nan if r > 2.5 else 1.0
+
+        def eval_phi(self, r):
+            return 0.0
+
+    assert oracles.residual(Sampled(), "minus", metric.EUCLIDEAN,
+                            [1.0, 2.0]) == 0.0
+    assert np.isnan(oracles.residual(Sampled(), "minus", metric.EUCLIDEAN,
+                                     [1.0, 3.0]))
+
+
 def test_su3_u_values():
     assert oracles.su3_u(0.0, 3.7) == 1.0
     assert oracles.su3_u(5.0, 0.0) == 1.0
