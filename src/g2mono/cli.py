@@ -33,44 +33,26 @@ def _metric_arg(name: str):
     return metric.get_metric(name)
 
 
-def _tol_arg(text: str) -> float:
-    try:
-        return ode.check_tol(float(text))
-    except ValueError as exc:           # a usage error: argparse exits 2
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg(convert, ok=lambda value: True, what=""):
+    """An argparse type: `convert` the flag's text, then require
+    `ok(value)`.  Either failure is a usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ArithmeticError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, not {text!r}")
+        return value
+    return parse
 
 
-def _finite_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
-    return value
-
-
-def _count_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
-
-
-def _fraction_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"not a number or fraction: {text!r}") from None
-
-
-def _real_arg(text: str) -> float:
-    """A float that may be written as a fraction, e.g. -1/3."""
-    return float(_fraction_arg(text))
+_FINITE = _arg(float, math.isfinite, "finite")
+_POSITIVE = _arg(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_COUNT = _arg(int, lambda v: v >= 1, "at least 1")
+_FRACTION = _arg(Fraction)
+_REAL = _arg(lambda text: float(Fraction(text)))       # e.g. -1/3
+_TOL = _arg(lambda text: ode.check_tol(float(text)))
 
 
 def _sidecar_path(out: str) -> str:
@@ -179,8 +161,6 @@ def _run_record(prof, mass=None) -> dict:
 
 
 def cmd_solve(args, parser) -> int:
-    if (args.mass is None) == (args.beta is None):
-        parser.error("exactly one of --mass / --beta is required")
     met = _metric_arg(args.metric)
     if args.mass is not None:
         prof = shooting.solve_monopole(met, args.mass, tol=args.tol)
@@ -200,8 +180,8 @@ def cmd_solve(args, parser) -> int:
 
 
 def cmd_sweep(args, parser) -> int:
-    if args.steps < 1 or args.mass_min <= 0 or args.mass_max < args.mass_min:
-        parser.error("need steps >= 1 and 0 < mass-min <= mass-max")
+    if args.mass_max < args.mass_min:
+        parser.error("need mass-min <= mass-max")
     met = _metric_arg(args.metric)
     masses = np.linspace(args.mass_min, args.mass_max, args.steps)
     rows = []
@@ -232,40 +212,28 @@ def cmd_sweep(args, parser) -> int:
     return 0
 
 
-_ORACLES = ("bps", "bps_mass", "hyperbolic", "dirac", "flat",
-            "bs_instanton", "su3_instanton")
+# oracle -> (closed form from the flags, system, default background)
+_ORACLES = {
+    "bps": (lambda a: oracles.bps(a.C, a.D), "minus", metric.EUCLIDEAN),
+    "bps_mass": (lambda a: oracles.bps_mass(a.mass), "minus", metric.EUCLIDEAN),
+    "hyperbolic": (lambda a: oracles.hyperbolic(a.mass), "minus", metric.HYPERBOLIC),
+    "dirac": (lambda a: oracles.dirac_euclidean(a.mass), "minus", metric.EUCLIDEAN),
+    "flat": (lambda a: oracles.flat(), "minus", metric.EUCLIDEAN),
+    "bs_instanton": (lambda a: oracles.bs_instanton(a.sign), "minus", metric.BS_S4),
+    "su3_instanton": (lambda a: oracles.su3_instanton(a.c, a.branch), "su3",
+                      metric.BS_S4),
+}
 
 
 def cmd_verify(args, parser) -> int:
-    name = args.oracle
-    met = _metric_arg(args.metric) if args.metric else None
-    if name == "bps":
-        form, system = oracles.bps(args.C, args.D), "minus"
-        met = met or metric.EUCLIDEAN
-    elif name == "bps_mass":
-        form, system = oracles.bps_mass(args.mass), "minus"
-        met = met or metric.EUCLIDEAN
-    elif name == "hyperbolic":
-        form, system = oracles.hyperbolic(args.mass), "minus"
-        met = met or metric.HYPERBOLIC
-    elif name == "dirac":
-        form, system = oracles.dirac_euclidean(args.mass), "minus"
-        met = met or metric.EUCLIDEAN
-    elif name == "flat":
-        form, system = oracles.flat(), "minus"
-        met = met or metric.EUCLIDEAN
-    elif name == "bs_instanton":
-        form, system = oracles.bs_instanton(args.sign), "minus"
-        met = met or metric.BS_S4
-    elif name == "su3_instanton":
-        form, system = oracles.su3_instanton(args.c, args.branch), "su3"
-        met = met or metric.BS_S4
-    else:
-        parser.error(f"unknown oracle {name!r}")
+    make_form, system, met = _ORACLES[args.oracle]
+    if args.metric:
+        met = _metric_arg(args.metric)
+    form = make_form(args)
     # --r-min/--r-max are in the metric's chart coordinate (s on BS)
     radii = met.chart.r_of_x(np.geomspace(args.r_min, args.r_max, args.n))
     sup = oracles.residual(form, system, met, radii)
-    print(json.dumps({"oracle": name, "params": list(form.params),
+    print(json.dumps({"oracle": args.oracle, "params": list(form.params),
                       "system": system, "metric": met.id,
                       "sup_residual": sup,
                       "range": [float(radii[0]), float(radii[-1])]}))
@@ -337,18 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="shoot one monopole profile")
     s.add_argument("--metric", required=True)
-    s.add_argument("--mass", type=_finite_arg)
-    s.add_argument("--beta", type=_real_arg)
-    s.add_argument("--tol", type=_tol_arg, default=1e-10)
+    g = s.add_mutually_exclusive_group(required=True)
+    g.add_argument("--mass", type=_FINITE)
+    g.add_argument("--beta", type=_REAL)
+    s.add_argument("--tol", type=_TOL, default=1e-10)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_solve)
 
     s = sub.add_parser("sweep", help="mass sweep table")
     s.add_argument("--metric", required=True)
-    s.add_argument("--mass-min", type=_finite_arg, required=True)
-    s.add_argument("--mass-max", type=_finite_arg, required=True)
-    s.add_argument("--steps", type=int, required=True)
-    s.add_argument("--tol", type=_tol_arg, default=1e-10)
+    s.add_argument("--mass-min", type=_POSITIVE, required=True)
+    s.add_argument("--mass-max", type=_POSITIVE, required=True)
+    s.add_argument("--steps", type=_COUNT, required=True)
+    s.add_argument("--tol", type=_TOL, default=1e-10)
     s.add_argument("--out", required=True)
     s.add_argument("--plot")
     s.set_defaults(fn=cmd_sweep)
@@ -356,33 +325,33 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("verify", help="oracle residual check")
     s.add_argument("--oracle", required=True, choices=_ORACLES)
     s.add_argument("--metric")
-    s.add_argument("--mass", type=_finite_arg, default=1.0)
-    s.add_argument("--C", type=_finite_arg, default=1.0)
-    s.add_argument("--D", type=_finite_arg, default=0.0)
-    s.add_argument("--c", type=_finite_arg, default=1.0)
+    s.add_argument("--mass", type=_FINITE, default=1.0)
+    s.add_argument("--C", type=_FINITE, default=1.0)
+    s.add_argument("--D", type=_FINITE, default=0.0)
+    s.add_argument("--c", type=_FINITE, default=1.0)
     s.add_argument("--branch", type=int, default=1, choices=(-1, 1))
     s.add_argument("--sign", type=int, default=1, choices=(-1, 1))
-    s.add_argument("--r-min", type=_finite_arg, default=0.01)
-    s.add_argument("--r-max", type=_finite_arg, default=10.0)
-    s.add_argument("--n", type=_count_arg, default=200)
+    s.add_argument("--r-min", type=_POSITIVE, default=0.01)
+    s.add_argument("--r-max", type=_POSITIVE, default=10.0)
+    s.add_argument("--n", type=_COUNT, default=200)
     s.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("green", help="Dirac monopole report")
     s.add_argument("--metric", required=True)
     s.add_argument("--charge", type=int, required=True)
-    s.add_argument("--mass", type=_finite_arg, default=0.0)
-    s.add_argument("--r", type=_finite_arg, default=50.0)
+    s.add_argument("--mass", type=_FINITE, default=0.0)
+    s.add_argument("--r", type=_POSITIVE, default=50.0)
     s.set_defaults(fn=cmd_green)
 
     s = sub.add_parser("energy", help="energy report for a profile CSV")
     s.add_argument("--profile", required=True)
     s.add_argument("--metric")
-    s.add_argument("--mass", type=_finite_arg)
+    s.add_argument("--mass", type=_FINITE)
     s.set_defaults(fn=cmd_energy)
 
     s = sub.add_parser("series", help="singular-point series coefficients")
     s.add_argument("--metric", required=True)
-    s.add_argument("--beta", type=_fraction_arg, default="-1/3")
+    s.add_argument("--beta", type=_FRACTION, default="-1/3")
     s.add_argument("--order", type=int, default=12)
     s.set_defaults(fn=cmd_series)
     return p
@@ -393,10 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, parser)
-    except (shooting.NoSolutionError, shooting.OutOfRangeError,
-            energy.UndefinedEnergyError, metric.DomainError,
-            metric.NonparabolicRequired, metric.UnsupportedBackend,
-            series.SeriesTruncationError, OSError, ValueError) as exc:
+    except (OSError, ValueError, ode.StiffnessError) as exc:
         print(f"g2mono: error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,7 @@
 
 All operations are exact (fractions.Fraction) and truncated at a fixed
 order.  This is deliberately a small, boring toolkit: enough to expand
-metric coefficients, raise to powers, compose and revert series,
+metric coefficients, raise to powers and revert series,
 nothing more.
 """
 
@@ -80,15 +80,9 @@ class FormalSeries:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "FormalSeries":
-        return FormalSeries([-c for c in self.coeffs])
-
     def __sub__(self, other) -> "FormalSeries":
         other, n = self._join(other)
         return FormalSeries([self[i] - other[i] for i in range(n + 1)])
-
-    def __rsub__(self, other) -> "FormalSeries":
-        return (-self).__add__(other)
 
     def __mul__(self, other) -> "FormalSeries":
         if not isinstance(other, FormalSeries):
@@ -121,17 +115,7 @@ class FormalSeries:
             out[k] = -inv0 * acc
         return FormalSeries(out)
 
-    def __truediv__(self, other) -> "FormalSeries":
-        if not isinstance(other, FormalSeries):
-            return self * (Fraction(1) / _as_fraction(other))
-        return self * other.inverse()
-
     # -- calculus -----------------------------------------------------
-
-    def differentiate(self) -> "FormalSeries":
-        if self.order == 0:
-            return FormalSeries([0])
-        return FormalSeries([i * self[i] for i in range(1, self.order + 1)])
 
     def integrate(self) -> "FormalSeries":
         """Antiderivative with zero constant term; order grows by one."""
@@ -165,16 +149,6 @@ class FormalSeries:
                     acc += (j * p - (k - j)) * aj * out[k - j]
             out[k] = acc / k
         return FormalSeries(out)
-
-    def compose(self, inner: "FormalSeries") -> "FormalSeries":
-        """self(inner(x)); inner must have zero constant term."""
-        if inner[0] != 0:
-            raise ValueError("composition requires inner constant term 0")
-        n = min(self.order, inner.order)
-        out = FormalSeries([self[n]], n)
-        for i in range(n - 1, -1, -1):  # Horner
-            out = out * inner + self[i]
-        return out.truncate(n)
 
     def reversion(self) -> "FormalSeries":
         """Compositional inverse g with self(g(x)) = x.

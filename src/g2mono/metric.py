@@ -1,8 +1,10 @@
 """Radial metric backgrounds g = dr^2 + h^2(r) g_{S^2}.
 
 Four built-in backends (euclidean, hyperbolic and the two Bryant-Salamon
-profiles, which share the radial function h^2 = s^2 sqrt(1+s^2)), plus a
-file-defined custom backend.  Each background exposes
+manifolds Lambda^2_-(S^4) and Lambda^2_-(CP^2)), plus a file-defined
+custom backend.  The two Bryant-Salamon metrics have the same radial
+function h^2 = s^2 sqrt(1+s^2), so one profile serves both: BS_CP2 is
+BS_S4 under another id, sharing its functions.  Each background exposes
 
 * exact evaluation h(r),
 * the local expansion h^2(r) = r^2 (phi_0 + phi_1 r + ...) with exact
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -182,12 +184,14 @@ class MetricProfile:
     """Immutable radial background; all evaluations are pure."""
 
     id: str
-    nonparabolic: bool
-    r_series: float                      # radius up to which the expansion is used in checks
     _h2: Callable = field(repr=False)
-    _green: Optional[Callable] = field(repr=False)
+    _green: Optional[Callable] = field(repr=False)   # None: the tail diverges
     _series: Callable = field(repr=False)   # order -> list[Fraction]
     _chart: Optional[Chart] = field(default=None, repr=False)  # None: x = r
+
+    @property
+    def nonparabolic(self) -> bool:
+        return self._green is not None
 
     @property
     def chart(self) -> Chart:
@@ -231,15 +235,12 @@ class MetricProfile:
         return float(out) if np.ndim(out) == 0 else out
 
 
-def _euclidean() -> MetricProfile:
-    return MetricProfile(
-        id="euclidean",
-        nonparabolic=True,
-        r_series=np.inf,
-        _h2=lambda r: r * r,
-        _green=lambda r: 0.5 / r,
-        _series=lambda order: [Fraction(1)] + [Fraction(0)] * order,
-    )
+EUCLIDEAN = MetricProfile(
+    id="euclidean",
+    _h2=lambda r: r * r,
+    _green=lambda r: 0.5 / r,
+    _series=lambda order: [Fraction(1)] + [Fraction(0)] * order,
+)
 
 
 def _hyperbolic_series(order: int) -> list[Fraction]:
@@ -257,41 +258,27 @@ def _hyperbolic_series(order: int) -> list[Fraction]:
     return out
 
 
-def _hyperbolic() -> MetricProfile:
-    return MetricProfile(
-        id="hyperbolic",
-        nonparabolic=True,
-        r_series=0.5,
-        # arguments clipped below the overflow threshold; values beyond
-        # it are ~1e303 and behave as +inf for every caller
-        _h2=lambda r: np.sinh(np.minimum(r, 350.0)) ** 2,
-        _green=lambda r: 1.0 / np.expm1(np.minimum(2.0 * r, 700.0)),  # (coth r - 1)/2
-        _series=_hyperbolic_series,
-    )
+HYPERBOLIC = MetricProfile(
+    id="hyperbolic",
+    # arguments clipped below the overflow threshold; values beyond
+    # it are ~1e303 and behave as +inf for every caller
+    _h2=lambda r: np.sinh(np.minimum(r, 350.0)) ** 2,
+    _green=lambda r: 1.0 / np.expm1(np.minimum(2.0 * r, 700.0)),  # (coth r - 1)/2
+    _series=_hyperbolic_series,
+)
 
 
-def _bs(name: str) -> MetricProfile:
-    def h2(rho):
-        return bs_h2_of_s(s_of_rho(rho))
-
-    def green(rho):
-        return bs_green_of_s(s_of_rho(rho))
-
-    return MetricProfile(
-        id=name,
-        nonparabolic=True,
-        r_series=0.5,
-        _h2=h2,
-        _green=green,
-        _series=_bs_series_coeffs,
-        _chart=S_CHART,
-    )
+def _bs_h2(rho):
+    return bs_h2_of_s(s_of_rho(rho))
 
 
-EUCLIDEAN = _euclidean()
-HYPERBOLIC = _hyperbolic()
-BS_S4 = _bs("bs_s4")
-BS_CP2 = _bs("bs_cp2")
+def _bs_green(rho):
+    return bs_green_of_s(s_of_rho(rho))
+
+
+BS_S4 = MetricProfile(id="bs_s4", _h2=_bs_h2, _green=_bs_green,
+                      _series=_bs_series_coeffs, _chart=S_CHART)
+BS_CP2 = replace(BS_S4, id="bs_cp2")
 
 _REGISTRY = {m.id: m for m in (EUCLIDEAN, HYPERBOLIC, BS_S4, BS_CP2)}
 
@@ -322,8 +309,10 @@ def load_custom(path: str) -> MetricProfile:
             keys[k.strip()] = v.strip()
     if keys.get("type") != "custom":
         raise UnsupportedBackend("custom metric file must declare type=custom")
+    if "coeffs" not in keys:
+        raise UnsupportedBackend("custom metric file must give coeffs=")
     coeffs = [Fraction(c) for c in keys["coeffs"].split(",")]
-    if not coeffs or coeffs[0] != 1 or (len(coeffs) > 1 and coeffs[1] != 0):
+    if coeffs[0] != 1 or (len(coeffs) > 1 and coeffs[1] != 0):
         raise UnsupportedBackend("custom series must start with 1, 0 (smoothness at 0)")
 
     table_r = table_h = None
@@ -335,6 +324,10 @@ def load_custom(path: str) -> MetricProfile:
                 hs.append(float(row["h"]))
         table_r = np.asarray(rs)
         table_h = np.asarray(hs)
+        if len(table_r) < 4:
+            raise UnsupportedBackend("custom table needs at least 4 rows")
+        if not (np.all(table_r > 0) and np.all(table_h > 0)):
+            raise UnsupportedBackend("custom table r and h must be > 0")
         if np.any(np.diff(table_r) <= 0):
             raise UnsupportedBackend("custom table radii must be increasing")
 
@@ -343,16 +336,13 @@ def load_custom(path: str) -> MetricProfile:
 
     # estimated far-field power law h ~ c r^p from the last table decade
     tail_p = tail_c = None
-    if table_r is not None and len(table_r) >= 4:
+    if table_r is not None:
         sel = table_r >= table_r[-1] / 10.0
         lp = np.polyfit(np.log(table_r[sel]), np.log(table_h[sel]), 1)
         tail_p, tail_c = lp[0], float(np.exp(lp[1]))
-    nonparabolic = tail_p is not None and 2.0 * tail_p > 1.0
-
-    r_series = min(0.5, float(table_r[0]) if table_r is not None else 0.5)
-
-    if table_r is not None:
         log_r, log_h = np.log(table_r), np.log(table_h)
+        r_series = min(0.5, float(table_r[0]))   # series inside, table beyond
+    nonparabolic = tail_p is not None and 2.0 * tail_p > 1.0
 
     def h2(r):
         if isinstance(r, float) and (table_r is None or r <= table_r[-1]):
@@ -365,23 +355,15 @@ def load_custom(path: str) -> MetricProfile:
             h = np.exp(np.interp(np.log(r), log_r, log_h))
             return float(h * h)
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        small = r <= r_series if table_r is not None else np.ones_like(r, bool)
-        rs = r[small]
-        acc = np.zeros_like(rs)
+        acc = np.zeros_like(r)
         for c in horner:
-            acc = acc * rs + c
-        out[small] = rs ** 2 * acc
-        if table_r is not None and np.any(~small):
-            big = ~small
-            inside = r[big] <= table_r[-1]
-            vals = np.empty(big.sum())
+            acc = acc * r + c
+        out = r ** 2 * acc
+        if table_r is not None:
             # log-log interpolation on the table, power-law beyond it
-            vals[inside] = np.exp(
-                np.interp(np.log(r[big][inside]), log_r, log_h)
-            ) ** 2
-            vals[~inside] = (tail_c * r[big][~inside] ** tail_p) ** 2
-            out[big] = vals
+            out = np.where(r <= r_series, out, np.where(
+                r <= table_r[-1], np.exp(np.interp(np.log(r), log_r, log_h)) ** 2,
+                (tail_c * r ** tail_p) ** 2))
         return out if out.size > 1 else out[0]
 
     def green(r):
@@ -414,8 +396,6 @@ def load_custom(path: str) -> MetricProfile:
 
     return MetricProfile(
         id="custom",
-        nonparabolic=nonparabolic,
-        r_series=r_series,
         _h2=h2,
         _green=green if nonparabolic else None,
         _series=series,

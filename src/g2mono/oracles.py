@@ -19,7 +19,8 @@ Families (all exact solutions of their reduced systems):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -80,40 +81,102 @@ def _coth_minus_inv_prime(x):
 
 @dataclass(frozen=True)
 class ClosedForm:
+    """One member of a family: its fields at r and their analytic d/dr
+    (explicit differentiation of the closed form, not the ODE
+    right-hand sides)."""
+
     family: str
     params: tuple
+    state: Callable = field(repr=False, compare=False)
+    derivative: Callable = field(repr=False, compare=False)
 
 
 def bps(C: float, D: float) -> ClosedForm:
     if C <= 0 or D < 0:
         raise DomainError("bps family requires C > 0, D >= 0")
-    return ClosedForm("bps", (float(C), float(D)))
+    C, D = float(C), float(D)
+
+    def state(r):
+        if r <= 0 and not (D == 0 and r == 0):
+            raise DomainError("bps requires r > 0")
+        if D == 0 and r < _SMALL_R:
+            x = C * r
+            return ProfileState(r, _x_over_sinh(x), -0.5 * C * _coth_minus_inv(x))
+        X = C * r + D
+        return ProfileState(r, float(C * r / np.sinh(X)),
+                            float(0.5 * (1.0 / r - C / np.tanh(X))))
+
+    def derivative(r):
+        if D == 0:                      # a = xos(Cr), phi = -(C/2) cmi(Cr)
+            return (C * _x_over_sinh_prime(C * r),
+                    -0.5 * C * C * _coth_minus_inv_prime(C * r))
+        X = C * r + D
+        sh, ch = np.sinh(X), np.cosh(X)
+        da = C / sh - C * r * C * ch / sh ** 2
+        dphi = 0.5 * (-1.0 / r ** 2 + C * C / sh ** 2)
+        return (float(da), float(dphi))
+
+    return ClosedForm("bps", (C, D), state, derivative)
 
 
 def bps_mass(m: float) -> ClosedForm:
     if m <= 0:
         raise DomainError("bps_mass requires m > 0")
-    return ClosedForm("bps", (float(m), 0.0))
+    return bps(m, 0.0)
 
 
 def hyperbolic(m: float) -> ClosedForm:
     if m <= 0:
         raise DomainError("hyperbolic family requires m > 0")
-    return ClosedForm("hyperbolic", (float(m),))
+    m = float(m)
+    mu = m + 1.0
+
+    def state(r):
+        if r < 0:
+            raise DomainError("hyperbolic requires r >= 0")
+        a = _x_over_sinh(mu * r) / _x_over_sinh(float(r))
+        phi = -0.5 * (mu * _coth_minus_inv(mu * r) - _coth_minus_inv(float(r)))
+        return ProfileState(r, a, phi)
+
+    def derivative(r):
+        # a = xos(mu r)/xos(r), phi = (cmi(r) - mu cmi(mu r))/2
+        num, den = float(_x_over_sinh(mu * r)), float(_x_over_sinh(float(r)))
+        dnum = mu * float(_x_over_sinh_prime(mu * r))
+        dden = float(_x_over_sinh_prime(float(r)))
+        da = (dnum * den - num * dden) / den ** 2
+        dphi = 0.5 * (float(_coth_minus_inv_prime(float(r)))
+                      - mu * mu * float(_coth_minus_inv_prime(mu * r)))
+        return (da, dphi)
+
+    return ClosedForm("hyperbolic", (m,), state, derivative)
 
 
 def dirac_euclidean(m: float) -> ClosedForm:
-    return ClosedForm("dirac_euclidean", (float(m),))
+    m = float(m)
+
+    def state(r):
+        if r <= 0:
+            raise DomainError("Dirac monopole is singular at r = 0")
+        return ProfileState(r, 0.0, m + 0.5 / r)
+
+    return ClosedForm("dirac_euclidean", (m,), state,
+                      lambda r: (0.0, -0.5 / r ** 2))
+
+
+def _constant(family: str, params: tuple, a: float) -> ClosedForm:
+    """a fixed, phi = 0."""
+    return ClosedForm(family, params, lambda r: ProfileState(r, a, 0.0),
+                      lambda r: (0.0, 0.0))
 
 
 def flat() -> ClosedForm:
-    return ClosedForm("flat", ())
+    return _constant("flat", (), 1.0)
 
 
 def bs_instanton(sign: int = 1) -> ClosedForm:
     if sign not in (-1, 1):
         raise DomainError("sign must be +1 or -1")
-    return ClosedForm("bs_instanton", (sign,))
+    return _constant("bs_instanton", (sign,), float(sign))
 
 
 def su3_instanton(c: float, branch: int = 1) -> ClosedForm:
@@ -121,7 +184,27 @@ def su3_instanton(c: float, branch: int = 1) -> ClosedForm:
         raise DomainError("branch must be +1 or -1")
     if c < 0 and c != -1:
         raise DomainError("family requires c >= 0 (or the flat case c = -1)")
-    return ClosedForm("su3_instanton", (float(c), branch))
+    c = float(c)
+
+    def fields(r):                      # s, u_c(s), b1 = sqrt(u_c^2 - 1)
+        s = s_of_rho(r)
+        u = su3_u(c, s)
+        return s, u, complex(np.sqrt(complex(u * u - 1.0)))
+
+    def state(r):
+        _, u, b1 = fields(r)
+        return SU3State(r, b1, branch * u, branch * b1, 0.0, 0.0)
+
+    def derivative(r):
+        s, u, b1 = fields(r)
+        up = _su3_u_prime(c, s)
+        f = float(bs_f(s))
+        # d/d rho = f^{-1} d/ds; d b1/ds = u u' / sqrt(u^2-1)
+        db1 = (u * up / b1) / f if b1 != 0 else 0.0j
+        db2 = branch * up / f
+        return (db1, db2, branch * db1, 0.0, 0.0)
+
+    return ClosedForm("su3_instanton", (c, branch), state, derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -161,136 +244,41 @@ def bs_instanton_profile(sign: int, s):
 
 
 # ---------------------------------------------------------------------------
-# evaluation and analytic derivatives
+# evaluation, analytic derivatives and residuals
 # ---------------------------------------------------------------------------
 
 def eval(form: ClosedForm, r):
     """Evaluate a family at radius r (rho on BS backgrounds)."""
-    fam = form.family
-    if fam == "bps":
-        C, D = form.params
-        if r <= 0 and not (D == 0 and r == 0):
-            raise DomainError("bps requires r > 0")
-        if D == 0:
-            if r < _SMALL_R:
-                x = C * r
-                a = float(_x_over_sinh(np.array(x)))
-                phi = -0.5 * C * float(_coth_minus_inv(np.array(x)))
-                return ProfileState(r, a, phi)
-            a = C * r / np.sinh(C * r)
-            phi = 0.5 * (1.0 / r - C / np.tanh(C * r))
-            return ProfileState(r, float(a), float(phi))
-        X = C * r + D
-        return ProfileState(r, float(C * r / np.sinh(X)),
-                            float(0.5 * (1.0 / r - C / np.tanh(X))))
-    if fam == "hyperbolic":
-        (m,) = form.params
-        mu = m + 1.0
-        if r < 0:
-            raise DomainError("hyperbolic requires r >= 0")
-        a = float(_x_over_sinh(np.array(mu * r)) / _x_over_sinh(np.array(float(r))))
-        phi = -0.5 * float(mu * _coth_minus_inv(np.array(mu * r))
-                           - _coth_minus_inv(np.array(float(r))))
-        return ProfileState(r, a, phi)
-    if fam == "dirac_euclidean":
-        (m,) = form.params
-        if r <= 0:
-            raise DomainError("Dirac monopole is singular at r = 0")
-        return ProfileState(r, 0.0, m + 0.5 / r)
-    if fam == "flat":
-        return ProfileState(r, 1.0, 0.0)
-    if fam == "bs_instanton":
-        (sign,) = form.params
-        return ProfileState(r, float(sign), 0.0)
-    if fam == "su3_instanton":
-        c, branch = form.params
-        s = s_of_rho(r)
-        u = su3_u(c, s)
-        b1 = complex(np.sqrt(complex(u * u - 1.0)))
-        return SU3State(r, b1, branch * u, branch * b1, 0.0, 0.0)
-    raise ValueError(f"unknown family {form.family!r}")
+    return form.state(r)
 
 
 def deriv(form: ClosedForm, r):
-    """Analytic d/dr of the family fields (explicit differentiation of
-    the closed forms; does not reuse the ODE right-hand sides)."""
-    fam = form.family
-    if fam == "bps":
-        C, D = form.params
-        if D == 0:
-            # a = xos(Cr), phi = -(C/2) cmi(Cr)
-            da = C * float(_x_over_sinh_prime(C * r))
-            dphi = -0.5 * C * C * float(_coth_minus_inv_prime(C * r))
-            return (da, dphi)
-        X = C * r + D
-        sh, ch = np.sinh(X), np.cosh(X)
-        da = C / sh - C * r * C * ch / sh ** 2
-        dphi = 0.5 * (-1.0 / r ** 2 + C * C / sh ** 2)
-        return (float(da), float(dphi))
-    if fam == "hyperbolic":
-        (m,) = form.params
-        mu = m + 1.0
-        # a = xos(mu r)/xos(r), phi = (cmi(r) - mu cmi(mu r))/2
-        num, den = float(_x_over_sinh(mu * r)), float(_x_over_sinh(float(r)))
-        dnum = mu * float(_x_over_sinh_prime(mu * r))
-        dden = float(_x_over_sinh_prime(float(r)))
-        da = (dnum * den - num * dden) / den ** 2
-        dphi = 0.5 * (float(_coth_minus_inv_prime(float(r)))
-                      - mu * mu * float(_coth_minus_inv_prime(mu * r)))
-        return (da, dphi)
-    if fam == "dirac_euclidean":
-        return (0.0, -0.5 / r ** 2)
-    if fam in ("flat", "bs_instanton"):
-        return (0.0, 0.0)
-    if fam == "su3_instanton":
-        c, branch = form.params
-        s = s_of_rho(r)
-        u = su3_u(c, s)
-        up = _su3_u_prime(c, s)
-        f = float(bs_f(s))
-        b1 = complex(np.sqrt(complex(u * u - 1.0)))
-        # d/d rho = f^{-1} d/ds; d b1/ds = u u' / sqrt(u^2-1)
-        db1 = (u * up / b1) / f if b1 != 0 else 0.0j
-        db2 = branch * up / f
-        return (db1, db2, branch * db1, 0.0, 0.0)
-    raise ValueError(f"unknown family {form.family!r}")
+    """Analytic d/dr of the family fields."""
+    return form.derivative(r)
 
-
-# ---------------------------------------------------------------------------
-# residuals
-# ---------------------------------------------------------------------------
 
 def residual(obj, system: str, metric: MetricProfile, radii) -> float:
     """sup over radii of |d(state)/dr - rhs(state)| for a ClosedForm or
-    a sampled profile (finite differences in the latter case).  A NaN
-    term makes the result NaN."""
-    terms = []
+    a sampled profile (central differences on its own evaluator in the
+    latter case).  A NaN term makes the result NaN."""
+    rhs = {"minus": rhs_minus, "su3": rhs_su3,
+           "plus": lambda st, met: rhs_plus(st, met, -1)}.get(system)
+    if rhs is None:
+        raise ValueError(f"unknown system {system!r}")
     if isinstance(obj, ClosedForm):
-        for r in np.atleast_1d(radii):
-            r = float(r)
-            st = eval(obj, r)
-            d = deriv(obj, r)
-            if system == "minus":
-                rhs = rhs_minus(st, metric)
-            elif system == "plus":
-                rhs = rhs_plus(st, metric, -1)
-            elif system == "su3":
-                rhs = rhs_su3(st, metric)
-            else:
-                raise ValueError(f"unknown system {system!r}")
-            terms += [abs(x - y) for x, y in zip(d, rhs)]
+        state, derivative = obj.state, obj.derivative
     else:
-        # sampled profile: central differences on its own evaluator
-        for r in np.atleast_1d(radii):
-            r = float(r)
+        def state(r):
+            return ProfileState(r, obj.eval_a(r), obj.eval_phi(r))
+
+        def derivative(r):
             h = 1e-5 * (1.0 + r)
-            a_p, a_m = obj.eval_a(r + h), obj.eval_a(r - h)
-            p_p, p_m = obj.eval_phi(r + h), obj.eval_phi(r - h)
-            st = ProfileState(r, obj.eval_a(r), obj.eval_phi(r))
-            rhs = rhs_minus(st, metric)
-            da = (a_p - a_m) / (2 * h)
-            dphi = (p_p - p_m) / (2 * h)
-            terms += [abs(da - rhs[0]), abs(dphi - rhs[1])]
+            return ((obj.eval_a(r + h) - obj.eval_a(r - h)) / (2 * h),
+                    (obj.eval_phi(r + h) - obj.eval_phi(r - h)) / (2 * h))
+    terms = []
+    for r in np.atleast_1d(radii):
+        r = float(r)
+        terms += [abs(x - y) for x, y in zip(derivative(r), rhs(state(r), metric))]
     # np.max, unlike max(), does not drop a NaN that follows a number
     return float(np.max(terms, initial=0.0))
 
@@ -307,13 +295,11 @@ def physical_fields(profile, background: str):
     if chart is not S_CHART:
         raise ValueError("physical_fields requires a BS background")
     rho = np.asarray(profile.r, dtype=float)
+    a = np.asarray(profile.a, dtype=float)
     pos = rho > 0
-    s = chart.x_of_r(rho[pos])
-    f2 = bs_f2(s)
     a_conn = np.ones_like(rho)
-    a_conn[pos] = f2 * np.asarray(profile.a)[pos]
-    table = {"rho": rho, "a_conn": a_conn,
-             "phi": np.asarray(profile.phi, dtype=float)}
-    table["ratio_to_f2"] = np.where(pos, np.asarray(profile.a, dtype=float), 1.0)
-    table["a_conn_limit"] = float(a_conn[-1])
-    return table
+    a_conn[pos] = bs_f2(chart.x_of_r(rho[pos])) * a[pos]
+    return {"rho": rho, "a_conn": a_conn,
+            "phi": np.asarray(profile.phi, dtype=float),
+            "ratio_to_f2": np.where(pos, a, 1.0),
+            "a_conn_limit": float(a_conn[-1])}

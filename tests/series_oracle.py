@@ -3,7 +3,8 @@
 `v_series_oracle` builds the series of `g2mono.series.v_series` in an
 independent way: by fixed-point iteration of the double integral of
 (2/h^2)(exp(v) - 1).  `recurrence_oracle` is the per-n recurrence with
-e^v rebuilt from scratch for every n, by `series_exp`.
+e^v rebuilt from scratch for every n, by `series_exp`.  `compose` and
+`differentiate` are the series operations that only the tests use.
 """
 
 from fractions import Fraction
@@ -22,6 +23,23 @@ def series_exp(f: FormalSeries) -> FormalSeries:
     for k in range(1, n + 1):
         out[k] = sum(j * f[j] * out[k - j] for j in range(1, k + 1)) / k
     return FormalSeries(out)
+
+
+def compose(outer: FormalSeries, inner: FormalSeries) -> FormalSeries:
+    """outer(inner(x)); inner must have zero constant term."""
+    if inner[0] != 0:
+        raise ValueError("composition requires inner constant term 0")
+    n = min(outer.order, inner.order)
+    out = FormalSeries([outer[n]], n)
+    for i in range(n - 1, -1, -1):  # Horner
+        out = out * inner + outer[i]
+    return out.truncate(n)
+
+
+def differentiate(f: FormalSeries) -> FormalSeries:
+    if f.order == 0:
+        return FormalSeries([0])
+    return FormalSeries([i * f[i] for i in range(1, f.order + 1)])
 
 
 def recurrence_oracle(beta: Fraction, psi: FormalSeries, order: int) -> list:

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from g2mono import ode, shooting
 from g2mono.cli import main
 
 
@@ -74,6 +75,7 @@ def test_solve_beta_accepts_fraction(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["solve", "--metric", "euclidean", "--beta=1/0", "--out", "x.csv"],
     ["series", "--metric", "euclidean", "--beta=abc"],
+    ["solve", "--metric", "euclidean", "--beta=1e400", "--out", "x.csv"],
 ])
 def test_bad_beta_exit2(argv):
     with pytest.raises(SystemExit) as exc:
@@ -127,9 +129,18 @@ _VERIFY = ["verify", "--oracle"]
      "--mass"),
     (["green", "--metric", "euclidean", "--charge", "1", "--r", "inf"], "--r"),
     (["energy", "--profile", "x.csv", "--mass", "nan"], "--mass"),
+    (_VERIFY + ["bps", "--r-min", "0"], "--r-min"),
+    (_VERIFY + ["bps", "--r-max", "-1"], "--r-max"),
+    (["green", "--metric", "euclidean", "--charge", "1", "--r", "0"], "--r"),
+    (["sweep", "--metric", "euclidean", "--mass-min", "0", "--mass-max", "1",
+      "--steps", "2", "--out", "x.csv"], "--mass-min"),
+    (["sweep", "--metric", "euclidean", "--mass-min", "1", "--mass-max", "2",
+      "--steps", "0", "--out", "x.csv"], "--steps"),
 ], ids=["verify-mass-inf", "verify-C-nan", "verify-D-inf", "verify-c-nan",
         "verify-r-min-nan", "verify-r-max-inf", "verify-n-0", "verify-n-neg",
-        "verify-n-float", "green-mass-nan", "green-r-inf", "energy-mass-nan"])
+        "verify-n-float", "green-mass-nan", "green-r-inf", "energy-mass-nan",
+        "verify-r-min-0", "verify-r-max-neg", "green-r-0", "sweep-mass-min-0",
+        "sweep-steps-0"])
 def test_bad_numeric_flag_exit2(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -206,6 +217,35 @@ def test_verify_bps(capsys):
                           "--mass", "1")
     assert code == 0
     assert json.loads(stdout)["sup_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("oracle, met, system", [
+    ("bps", "euclidean", "minus"),
+    ("bps_mass", "euclidean", "minus"),
+    ("hyperbolic", "hyperbolic", "minus"),
+    ("dirac", "euclidean", "minus"),
+    ("flat", "euclidean", "minus"),
+    ("bs_instanton", "bs_s4", "minus"),
+    ("su3_instanton", "bs_s4", "su3"),
+])
+def test_verify_default_flags(oracle, met, system, capsys):
+    code, stdout, _ = run(capsys, "verify", "--oracle", oracle)
+    assert code == 0
+    rep = json.loads(stdout)
+    assert (rep["oracle"], rep["metric"], rep["system"]) == (oracle, met, system)
+    assert rep["sup_residual"] <= 1e-10
+
+
+def test_stiffness_error_exit1(tmp_path, capsys, monkeypatch):
+    def stiff(*args, **kwargs):
+        raise ode.StiffnessError("required step size is less than spacing")
+
+    monkeypatch.setattr(shooting, "solve_monopole", stiff)
+    code, stdout, err = run(capsys, "solve", "--metric", "euclidean",
+                            "--mass", "1", "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert stdout == ""
+    assert "g2mono: error: required step size" in err
 
 
 def test_green_command(capsys):

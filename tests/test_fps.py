@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from g2mono import metric
 from g2mono.fps import FormalSeries
-from series_oracle import series_exp
+from series_oracle import compose, differentiate, series_exp
 
 F = Fraction
 
@@ -24,7 +24,7 @@ def reversion_oracle(f):
     n = f.order
     g = FormalSeries([0, 1 / f[1]], n)
     for k in range(2, n + 1):
-        err = f.compose(g)[k]
+        err = compose(f, g)[k]
         g = FormalSeries([g[i] for i in range(k)] + [-err / f[1]], n)
     return g
 
@@ -93,7 +93,7 @@ def test_pow_sqrt():
 def test_reversion_roundtrip():
     f = FormalSeries([0, 1, F(1, 2), F(-1, 3)], 7)
     g = f.reversion()
-    assert f.compose(g) == FormalSeries([0, 1], 7)
+    assert compose(f, g) == FormalSeries([0, 1], 7)
 
 
 @settings(max_examples=30, deadline=None)
@@ -105,8 +105,8 @@ def test_reversion_matches_oracle(n, a1, data):
     assert g.order == n
     assert g.coeffs == reversion_oracle(f).coeffs
     x = FormalSeries([0, 1], n)
-    assert f.compose(g) == x
-    assert g.compose(f) == x
+    assert compose(f, g) == x
+    assert compose(g, f) == x
 
 
 def test_bs_series_matches_oracle_reversion(monkeypatch):
@@ -123,7 +123,7 @@ def test_reversion_requires_linear_head():
 
 def test_integrate_differentiate():
     f = FormalSeries([1, 2, 3], 5)
-    assert f.integrate().differentiate() == f.truncate(5)
+    assert differentiate(f.integrate()) == f.truncate(5)
 
 
 def test_shift():

@@ -234,6 +234,12 @@ def test_get_metric_registry():
     assert get_metric("bs_cp2") is BS_CP2
 
 
+def test_bs_manifolds_share_one_profile():
+    assert (BS_S4.id, BS_CP2.id) == ("bs_s4", "bs_cp2")
+    assert BS_CP2._h2 is BS_S4._h2 and BS_CP2._green is BS_S4._green
+    assert BS_CP2._series is BS_S4._series and BS_CP2.chart is BS_S4.chart
+
+
 # -- custom backend ---------------------------------------------------------
 
 def _write_custom(tmp_path, p=1.0, coeffs="1,0,1/3"):
@@ -276,5 +282,21 @@ def test_custom_backend_series(tmp_path):
 def test_custom_backend_rejects_bad_header(tmp_path):
     cfg = tmp_path / "m.txt"
     cfg.write_text("type=custom\ncoeffs=2,0,1\n")
+    with pytest.raises(UnsupportedBackend):
+        load_custom(str(cfg))
+
+
+@pytest.mark.parametrize("coeffs, rows", [
+    (None, [(0.5, 0.5), (1, 1), (2, 2), (4, 4)]),
+    ("1,0,1/3", [(0.5, 0.5), (1, 1), (2, -2), (4, 4)]),
+    ("1,0,1/3", [(0, 0.5), (1, 1), (2, 2), (4, 4)]),
+    ("1,0,1/3", [(1, 1), (2, 2), (4, 4)]),
+], ids=["no-coeffs", "h-negative", "r-zero", "three-rows"])
+def test_custom_backend_rejects_bad_file(tmp_path, coeffs, rows):
+    table = tmp_path / "table.csv"
+    table.write_text("r,h\n" + "".join(f"{r},{h}\n" for r, h in rows))
+    cfg = tmp_path / "metric.txt"
+    cfg.write_text("type=custom\n" + (f"coeffs={coeffs}\n" if coeffs else "")
+                   + f"table={table}\n")
     with pytest.raises(UnsupportedBackend):
         load_custom(str(cfg))
