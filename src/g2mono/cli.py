@@ -50,6 +50,7 @@ def _arg(convert, ok=lambda value: True, what=""):
 _FINITE = _arg(float, math.isfinite, "finite")
 _POSITIVE = _arg(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _COUNT = _arg(int, lambda v: v >= 1, "at least 1")
+_ORDER = _arg(int, lambda v: v >= 2, "at least 2")      # v_series needs order >= 2
 _FRACTION = _arg(Fraction)
 _REAL = _arg(lambda text: float(Fraction(text)))       # e.g. -1/3
 _TOL = _arg(lambda text: ode.check_tol(float(text)))
@@ -186,7 +187,9 @@ def cmd_sweep(args, parser) -> int:
     masses = np.linspace(args.mass_min, args.mass_max, args.steps)
     rows = []
     for m in masses:
-        prof = shooting.solve_monopole(met, m, tol=args.tol)
+        # continuation: the previous root, scaled as in flat space (beta ~ m^2)
+        beta0 = rows[-1][1] * (m / rows[-1][0]) ** 2 if rows else None
+        prof = shooting.solve_monopole(met, m, tol=args.tol, beta0=beta0)
         rep = energy.intermediate_energy(prof, met)
         rows.append((m, prof.beta, rep.value, prof.R_end, prof))
     with open(args.out, "w", newline="") as fh:
@@ -352,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("series", help="singular-point series coefficients")
     s.add_argument("--metric", required=True)
     s.add_argument("--beta", type=_FRACTION, default="-1/3")
-    s.add_argument("--order", type=int, default=12)
+    s.add_argument("--order", type=_ORDER, default=12)
     s.set_defaults(fn=cmd_series)
     return p
 

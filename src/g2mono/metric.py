@@ -319,7 +319,10 @@ def load_custom(path: str) -> MetricProfile:
     if "table" in keys:
         rs, hs = [], []
         with open(keys["table"]) as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            if not {"r", "h"} <= set(reader.fieldnames or ()):
+                raise UnsupportedBackend("custom table needs the header r,h")
+            for row in reader:
                 rs.append(float(row["r"]))
                 hs.append(float(row["h"]))
         table_r = np.asarray(rs)
@@ -334,10 +337,11 @@ def load_custom(path: str) -> MetricProfile:
     n_series = len(coeffs) - 1
     horner = [float(c) for c in reversed(coeffs)]
 
-    # estimated far-field power law h ~ c r^p from the last table decade
+    # estimated far-field power law h ~ c r^p from the last table decade,
+    # or the last two rows if the decade holds fewer
     tail_p = tail_c = None
     if table_r is not None:
-        sel = table_r >= table_r[-1] / 10.0
+        sel = table_r >= min(table_r[-1] / 10.0, table_r[-2])
         lp = np.polyfit(np.log(table_r[sel]), np.log(table_h[sel]), 1)
         tail_p, tail_c = lp[0], float(np.exp(lp[1]))
         log_r, log_h = np.log(table_r), np.log(table_h)

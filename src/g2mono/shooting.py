@@ -19,7 +19,11 @@ beta-derivatives of the series head, which gives dm/dbeta = -dw(R)/2 at
 the cost of one shot.  A bracket in x is kept from the sign of
 m(beta) - m; a step that leaves it, or a slope that is not negative,
 falls back to bisection, or to geometric expansion while one side of
-the bracket is still open.
+the bracket is still open.  Newton converges quadratically here, so
+after two Newton shots in a row the next residual is predicted from
+theirs, and the plain check shot comes one slope shot earlier.  The
+start is beta = -m^2/3, or a caller's `beta0` (`sweep` passes the
+previous root, scaled to the next mass).
 """
 
 from __future__ import annotations
@@ -158,21 +162,37 @@ def mass_of_beta(beta: float, metric: MetricProfile, tol: float = 1e-10) -> floa
     return mass
 
 
-def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9) -> float:
+def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9,
+                 beta0: Optional[float] = None) -> float:
     """The beta < 0 with |m(beta) - mass| <= tol, m shot at ODE tol `tol`.
 
-    Newton in x = log(-beta) on log m (a line in flat space), from the
-    flat-space root beta = -m^2/3.  A Newton step is taken only if the
-    slope is negative, the step stays inside the bracket, is at most
-    _X_STEP long and at most half the step before last; otherwise the
-    bracket is bisected, or expanded by _X_STEP while one side is open.
+    Newton in x = log(-beta) on log m (a line in flat space), from
+    `beta0` if given, else from the flat-space root beta = -m^2/3.  A
+    Newton step is taken only if the slope is negative, the step stays
+    inside the bracket, is at most _X_STEP long and at most half the
+    step before last; otherwise the bracket is bisected, or expanded by
+    _X_STEP while one side is open.
+
+    The new iterate is checked by one plain shot once its residual is
+    predicted to be at most tol/10: by the linear change |dm dbeta|, or,
+    after two Newton shots in a row with residuals e' > e > 0, by the
+    quadratic rate C e^2 with C = e / e'^2.  A bisection or expansion
+    clears that history.  A failed check costs one shot and the
+    iteration goes on from the checked iterate.
     """
     _require_finite("mass", mass)
     if mass <= 0:
         raise ValueError("mass must be > 0")
+    if beta0 is None:
+        x = 2.0 * math.log(mass) - math.log(3.0)
+    else:
+        _require_finite("beta0", beta0)
+        if not beta0 < 0:
+            raise ValueError(f"beta0 must be < 0, not {beta0!r}")
+        x = math.log(-beta0)
     lo, hi = -math.inf, math.inf            # x with m < mass, m > mass
-    x = 2.0 * math.log(mass) - math.log(3.0)
     dx_prev = dx_last = math.inf            # the last two steps in x
+    e_prev = 0.0                            # residual a Newton step came from; 0: none
     for _ in range(_MAX_SHOTS):
         if x < _X_MIN:
             raise OutOfRangeError("bracket collapse near beta = 0")
@@ -180,6 +200,7 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9) -> float
             raise OutOfRangeError("no bracket found with beta >= -1e6")
         beta = -math.exp(x)
         m, dm = _mass_slope(beta, metric, tol)
+        e = abs(m - mass)
         if m < mass:
             lo = x
         else:
@@ -191,6 +212,9 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9) -> float
             x_new = x + step
             beta_new = -math.exp(x_new)
             predicted = abs(dm * (beta_new - beta))
+            if 0 < e < e_prev:                  # C e^2 with C = e / e_prev^2
+                predicted = min(predicted, e ** 3 / e_prev ** 2)
+            e_prev = e
         else:
             if hi == math.inf:
                 x_new = lo + _X_STEP
@@ -198,7 +222,8 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9) -> float
                 x_new = hi - _X_STEP
             else:
                 x_new = 0.5 * (lo + hi)
-            beta_new, predicted = beta, abs(m - mass)   # this shot's own
+            beta_new, predicted = beta, e           # this shot's own
+            e_prev = 0.0
         if (predicted <= tol / 10.0
                 and abs(mass_of_beta(beta_new, metric, tol) - mass) <= tol):
             return beta_new
@@ -238,9 +263,11 @@ def profile_of_beta(beta: float, metric: MetricProfile,
     )
 
 
-def solve_monopole(metric: MetricProfile, mass: float,
-                   tol: float = 1e-10) -> MonopoleProfile:
-    beta = beta_of_mass(mass, metric, tol=max(tol, 1e-9))
+def solve_monopole(metric: MetricProfile, mass: float, tol: float = 1e-10,
+                   beta0: Optional[float] = None) -> MonopoleProfile:
+    """The profile of the given mass; `beta0` is the Newton starting
+    point passed on to `beta_of_mass`."""
+    beta = beta_of_mass(mass, metric, tol=max(tol, 1e-9), beta0=beta0)
     return profile_of_beta(beta, metric, tol=tol)
 
 

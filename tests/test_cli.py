@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from g2mono import ode, shooting
+from g2mono import metric, ode, shooting
 from g2mono.cli import main
 
 
@@ -136,11 +136,14 @@ _VERIFY = ["verify", "--oracle"]
       "--steps", "2", "--out", "x.csv"], "--mass-min"),
     (["sweep", "--metric", "euclidean", "--mass-min", "1", "--mass-max", "2",
       "--steps", "0", "--out", "x.csv"], "--steps"),
+    (["series", "--metric", "euclidean", "--order", "-1"], "--order"),
+    (["series", "--metric", "euclidean", "--order", "0"], "--order"),
+    (["series", "--metric", "euclidean", "--order", "1"], "--order"),
 ], ids=["verify-mass-inf", "verify-C-nan", "verify-D-inf", "verify-c-nan",
         "verify-r-min-nan", "verify-r-max-inf", "verify-n-0", "verify-n-neg",
         "verify-n-float", "green-mass-nan", "green-r-inf", "energy-mass-nan",
         "verify-r-min-0", "verify-r-max-neg", "green-r-0", "sweep-mass-min-0",
-        "sweep-steps-0"])
+        "sweep-steps-0", "series-order-neg", "series-order-0", "series-order-1"])
 def test_bad_numeric_flag_exit2(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -187,6 +190,35 @@ def test_sweep_table_and_plot(tmp_path, capsys):
         assert set(budget) == {"series_truncation", "ode_tol", "tail_bound",
                                "mass_residual"}
         assert all(0 <= part <= 1e-8 for part in budget.values())
+
+
+@pytest.mark.parametrize("met", ["bs_s4", "hyperbolic"])
+def test_sweep_warm_start_matches_cold_roots(tmp_path, capsys, monkeypatch, met):
+    starts = []
+    solve = shooting.solve_monopole
+
+    def spy(metric_, mass, tol=1e-10, beta0=None):
+        starts.append(beta0)
+        return solve(metric_, mass, tol=tol, beta0=beta0)
+
+    monkeypatch.setattr(shooting, "solve_monopole", spy)
+    out = str(tmp_path / "sweep.csv")
+    code, _, _ = run(capsys, "sweep", "--metric", met, "--mass-min", "0.8",
+                     "--mass-max", "1.2", "--steps", "5", "--out", out)
+    assert code == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    # every mass after the first starts from the previous root, scaled as
+    # beta ~ m^2
+    masses = [float(row["mass"]) for row in rows]
+    betas = [float(row["beta"]) for row in rows]
+    assert starts == [None] + [pytest.approx(b * (m1 / m0) ** 2, rel=1e-15)
+                               for b, m0, m1 in zip(betas, masses, masses[1:])]
+    for row in rows:
+        beta = float(row["beta"])
+        cold = solve(metric.get_metric(met), float(row["mass"])).beta
+        assert abs(beta - cold) <= 1e-9 * abs(cold), (row["mass"], beta, cold)
 
 
 def test_sweep_empty_range_exit2(tmp_path, capsys):

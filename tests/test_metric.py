@@ -1,6 +1,7 @@
 """Metric backgrounds against independent quadrature oracles."""
 
 import textwrap
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from g2mono import metric
+from g2mono.cli import main
 from g2mono.metric import (BS_CP2, BS_S4, EUCLIDEAN, HYPERBOLIC, DomainError,
                            NonparabolicRequired, UnsupportedBackend, bs_f,
                            bs_green_of_s, bs_h2_of_s, get_metric, load_custom,
@@ -286,17 +288,45 @@ def test_custom_backend_rejects_bad_header(tmp_path):
         load_custom(str(cfg))
 
 
-@pytest.mark.parametrize("coeffs, rows", [
-    (None, [(0.5, 0.5), (1, 1), (2, 2), (4, 4)]),
-    ("1,0,1/3", [(0.5, 0.5), (1, 1), (2, -2), (4, 4)]),
-    ("1,0,1/3", [(0, 0.5), (1, 1), (2, 2), (4, 4)]),
-    ("1,0,1/3", [(1, 1), (2, 2), (4, 4)]),
-], ids=["no-coeffs", "h-negative", "r-zero", "three-rows"])
-def test_custom_backend_rejects_bad_file(tmp_path, coeffs, rows):
+@pytest.mark.parametrize("coeffs, header, rows", [
+    (None, "r,h", [(0.5, 0.5), (1, 1), (2, 2), (4, 4)]),
+    ("1,0,1/3", "r,h", [(0.5, 0.5), (1, 1), (2, -2), (4, 4)]),
+    ("1,0,1/3", "r,h", [(0, 0.5), (1, 1), (2, 2), (4, 4)]),
+    ("1,0,1/3", "r,h", [(1, 1), (2, 2), (4, 4)]),
+    ("1,0,1/3", "x,y", [(1, 1), (2, 2), (3, 3), (4, 4)]),
+], ids=["no-coeffs", "h-negative", "r-zero", "three-rows", "no-r-h-header"])
+def test_custom_backend_rejects_bad_file(tmp_path, coeffs, header, rows):
     table = tmp_path / "table.csv"
-    table.write_text("r,h\n" + "".join(f"{r},{h}\n" for r, h in rows))
+    table.write_text(header + "\n" + "".join(f"{r},{h}\n" for r, h in rows))
     cfg = tmp_path / "metric.txt"
     cfg.write_text("type=custom\n" + (f"coeffs={coeffs}\n" if coeffs else "")
                    + f"table={table}\n")
     with pytest.raises(UnsupportedBackend):
         load_custom(str(cfg))
+
+
+def _table_metric(tmp_path, rs):
+    table = tmp_path / "table.csv"
+    table.write_text("r,h\n" + "".join(f"{r:.17g},{r:.17g}\n" for r in rs))
+    cfg = tmp_path / "metric.txt"
+    cfg.write_text(f"type=custom\ncoeffs=1,0\ntable={table}\n")
+    return str(cfg)
+
+
+def test_custom_tail_fit_uses_two_rows_when_the_last_decade_has_one(tmp_path):
+    cfg = _table_metric(tmp_path, [1.0, 10.0, 100.0, 1001.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")           # no RankWarning from the fit
+        met = load_custom(cfg)
+    assert met.nonparabolic
+    assert abs(met.h2(5000.0) / 2.5e7 - 1.0) <= 1e-9
+    assert main(["green", "--metric", cfg, "--charge", "1"]) == 0
+
+
+def test_custom_tail_fit_keeps_the_last_decade(tmp_path):
+    rs = np.geomspace(0.5, 200.0, 257)
+    met = load_custom(_table_metric(tmp_path, rs))
+    sel = rs >= rs[-1] / 10.0
+    p, log_c = np.polyfit(np.log(rs[sel]), np.log(rs[sel]), 1)
+    far = np.array([250.0, 1e3, 1e5])
+    assert np.array_equal(met.h2(far), (float(np.exp(log_c)) * far ** p) ** 2)

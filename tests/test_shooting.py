@@ -153,7 +153,7 @@ def _count_shots(monkeypatch):
 
 
 @pytest.mark.parametrize("met,budget", [(metric.EUCLIDEAN, 3),
-                                        (metric.BS_S4, 8)],
+                                        (metric.BS_S4, 5)],
                          ids=["euclidean", "bs_s4"])
 def test_beta_of_mass_shot_budget(monkeypatch, met, budget):
     count = _count_shots(monkeypatch)
@@ -162,6 +162,97 @@ def test_beta_of_mass_shot_budget(monkeypatch, met, budget):
         beta = beta_of_mass(m, met)
         assert count[0] <= budget, (met.id, m, count[0])
         assert abs(mass_of_beta(beta, met, 1e-9) - m) <= 1e-9
+
+
+@pytest.mark.parametrize("met", [metric.BS_S4, metric.BS_CP2], ids=lambda m: m.id)
+def test_warm_start_from_a_neighbouring_root(monkeypatch, met):
+    # the flat-space continuation a sweep uses: two slope shots and the check
+    count = _count_shots(monkeypatch)
+    for m in (0.25, 1.0, 4.0, 16.0):
+        beta0 = beta_of_mass(m, met) * 1.02 ** 2
+        count[0] = 0
+        beta = beta_of_mass(1.02 * m, met, beta0=beta0)
+        assert count[0] <= 3, (met.id, m, count[0])
+        assert abs(mass_of_beta(beta, met, 1e-9) - 1.02 * m) <= 1e-9
+
+
+def test_failed_check_takes_another_slope_shot(monkeypatch):
+    slopes = [0]
+    true_slope = shooting._mass_slope
+
+    def counted(*args):
+        slopes[0] += 1
+        return true_slope(*args)
+
+    monkeypatch.setattr(shooting, "_mass_slope", counted)
+    for met, m in ((metric.EUCLIDEAN, 1.0), (metric.BS_S4, 2.5)):
+        slopes[0] = 0
+        beta_of_mass(m, met)
+        n_plain = slopes[0]
+        checks = []
+        true_check = shooting.mass_of_beta
+
+        def fails_once(*args):
+            checks.append(args[0])
+            return math.inf if len(checks) == 1 else true_check(*args)
+
+        monkeypatch.setattr(shooting, "mass_of_beta", fails_once)
+        slopes[0] = 0
+        beta = beta_of_mass(m, met)
+        monkeypatch.setattr(shooting, "mass_of_beta", true_check)
+        assert slopes[0] == n_plain + 1, (met.id, slopes[0], n_plain)
+        assert len(checks) == 2 and beta == checks[-1]
+        assert abs(mass_of_beta(beta, met, 1e-9) - m) <= 1e-9
+
+
+class _ScriptEnd(Exception):
+    pass
+
+
+def _scripted(monkeypatch, shots):
+    """Feed beta_of_mass the (m, dm) of `shots` in turn, and pass every
+    root check; return the number of slope shots taken before each check."""
+    script = iter(shots)
+    taken, checks = [], []
+
+    def slope(beta, met, tol):
+        taken.append(beta)
+        try:
+            return next(script)
+        except StopIteration:
+            raise _ScriptEnd from None
+
+    def check(beta, met, tol):
+        checks.append(len(taken))
+        return 1.0
+
+    monkeypatch.setattr(shooting, "_mass_slope", slope)
+    monkeypatch.setattr(shooting, "mass_of_beta", check)
+    return checks
+
+
+def test_quadratic_rate_predicts_the_check(monkeypatch):
+    # residuals 1e-2 then 1e-5 from two Newton shots: the second step's
+    # linear change is 1e-5, but C e^2 = e^3 / e'^2 = 1e-11 <= tol/10
+    checks = _scripted(monkeypatch, [(1.01, -0.5), (1.0 + 1e-5, -0.5)])
+    beta_of_mass(1.0, metric.EUCLIDEAN, beta0=-1.0)
+    assert checks == [2]
+    # a bisection in between (a positive slope) clears that history
+    checks = _scripted(monkeypatch,
+                       [(1.01, -0.5), (0.999, 0.5), (1.0 + 1e-5, -0.5)])
+    with pytest.raises(_ScriptEnd):
+        beta_of_mass(1.0, metric.EUCLIDEAN, beta0=-1.0)
+    assert checks == []
+
+
+@pytest.mark.parametrize("beta0", [math.nan, math.inf, -math.inf, 0.0, 0.5])
+def test_bad_beta0_rejected_before_any_shot(monkeypatch, beta0):
+    count = _count_shots(monkeypatch)
+    for call in (lambda: beta_of_mass(1.0, metric.BS_S4, beta0=beta0),
+                 lambda: solve_monopole(metric.BS_S4, 1.0, beta0=beta0)):
+        with pytest.raises(ValueError, match="beta0 must be"):
+            call()
+    assert count[0] == 0
 
 
 @pytest.mark.parametrize("corrupt", [lambda dm: -dm, lambda dm: 10.0 * dm],
