@@ -39,8 +39,10 @@ class EnergyReport:
 
     @property
     def passed(self) -> bool:
-        return (self.identity_residual <= max(1e-5, 10.0 * self.quad_tol)
-                and self.max_partial_residual <= self.quad_tol)
+        """Acceptance criterion 11: |E_I - m/2| <= 1e-5 and the partial
+        integrals match the boundary term within the quadrature estimate."""
+        return bool(self.identity_residual <= 1e-5
+                    and self.max_partial_residual <= self.quad_tol)
 
 
 def energy_density(r, a, phi, metric: MetricProfile):
@@ -82,6 +84,8 @@ def intermediate_energy(profile, metric: MetricProfile,
     reported together with the partial-vs-boundary identity arrays on
     the profile's own sample grid.
     """
+    if not n_grid >= 2:
+        raise ValueError(f"n_grid must be >= 2, not {n_grid!r}")
     res = getattr(profile, "result", None)
     if res is not None and res.classification == "blowup":
         raise UndefinedEnergyError("blow-up trajectory: energy undefined")

@@ -71,15 +71,26 @@ def bs_f(s):
     return float(out) if out.ndim == 0 else out
 
 
+# Past s = _S_FAR, rho(s) = 2 sqrt(s) - _RHO_OFFSET to double precision
+# (the next term, s^(-3/2)/6, is below 1e-40 of rho), and the closed
+# form below would overflow s^2 from s ~ 1.3e154 on.
+_S_FAR = 1e20
+_RHO_OFFSET = 1.1981402347355922     # 2 sqrt(pi) Gamma(3/4) / Gamma(1/4)
+_RHO_FAR = 2.0 * math.sqrt(_S_FAR) - _RHO_OFFSET
+
+
 def rho_of_s(s):
     """Geodesic radius rho(s) = int_0^s (1+t^2)^(-1/4) dt.
 
-    Closed form: rho = s * 2F1(1/4, 1/2; 3/2; -s^2).
+    Closed form: rho = s * 2F1(1/4, 1/2; 3/2; -s^2), or its asymptote
+    past _S_FAR.
     """
     s = np.asarray(s, dtype=float)
     if not np.all(s >= 0):
         raise DomainError("s must be >= 0")
-    out = s * hyp2f1(0.25, 0.5, 1.5, -s * s)
+    near = np.minimum(s, _S_FAR)
+    out = np.where(s < _S_FAR, near * hyp2f1(0.25, 0.5, 1.5, -near * near),
+                   2.0 * np.sqrt(s) - _RHO_OFFSET)
     return float(out) if out.ndim == 0 else out
 
 
@@ -87,14 +98,19 @@ def s_of_rho(rho):
     """Inverse of rho_of_s, by Newton's method on the whole array.
 
     Each element stops at its own step; one that has not converged after
-    60 steps is solved by bisection instead.
+    60 steps is solved by bisection instead.  Past _RHO_FAR the asymptote
+    of rho_of_s is inverted in closed form; s is inf where it overflows.
     """
     rho_arr = np.asarray(rho, dtype=float)
-    if not np.all(rho_arr >= 0):
-        raise DomainError("rho must be >= 0")
+    if not np.all((rho_arr >= 0) & (rho_arr < np.inf)):
+        raise DomainError("rho must be finite and >= 0")
     out = np.zeros(rho_arr.size)                    # rho = 0 -> s = 0
-    idx = np.flatnonzero(rho_arr)
-    p = rho_arr.ravel()[idx]
+    flat = rho_arr.ravel()
+    far = flat >= _RHO_FAR
+    with np.errstate(over="ignore"):
+        out[far] = (0.5 * (flat[far] + _RHO_OFFSET)) ** 2
+    idx = np.flatnonzero((flat > 0) & ~far)
+    p = flat[idx]
     # initial guess: rho ~ s for small s, rho ~ 2 sqrt(s) - 1.198 for large
     s = np.where(p < 1.0, p, ((p + 1.198) / 2.0) ** 2)
     for _ in range(60):
@@ -120,7 +136,8 @@ def bs_h2_of_s(s):
     if isinstance(s, float):
         return s * s * math.sqrt(1.0 + s * s)
     s = np.asarray(s, dtype=float)
-    out = s * s * np.sqrt(1.0 + s * s)
+    with np.errstate(over="ignore"):                # inf past s ~ 5.6e102
+        out = s * s * np.sqrt(1.0 + s * s)
     return float(out) if out.ndim == 0 else out
 
 
@@ -132,7 +149,8 @@ def bs_green_of_s(s):
         G = (1/5) u^(5/4) 2F1(5/4, 3/2; 9/4; u),  u = 1/(1+s^2).
     """
     s = np.asarray(s, dtype=float)
-    u = 1.0 / (1.0 + s * s)
+    with np.errstate(over="ignore"):                # u = 0 past s ~ 1.3e154
+        u = 1.0 / (1.0 + s * s)
     out = 0.2 * u ** 1.25 * hyp2f1(1.25, 1.5, 2.25, u)
     return float(out) if out.ndim == 0 else out
 

@@ -24,19 +24,27 @@ after two Newton shots in a row the next residual is predicted from
 theirs, and the plain check shot comes one slope shot earlier.  The
 start is beta = -m^2/3, or a caller's `beta0` (`sweep` passes the
 previous root, scaled to the next mass).
+
+Every shot starts from the exact series head, which needs the metric's
+expansion h^2/r^2 (on the Bryant-Salamon metrics an exact reversion of
+rho(s)).  `solve_monopole` and `beta_of_mass` build it once and share
+it with every shot they take: slope shots, the root check and the
+profile.  The memo lives on a copy of the metric that the call drops
+when it returns, so the next solve builds again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from . import ode
-from .metric import MetricProfile
+from .metric import DomainError, MetricProfile
 from .series import SeriesSolution, v_series, choose_delta, initial_data
 
 _R_FAR = 1e5                         # no shot integrates past this radius
@@ -80,6 +88,8 @@ class MonopoleProfile:
         """(a, phi) on an array of radii, piecewise: series head below
         delta, dense integrator output up to R_end, analytic tail past it."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
+        if not np.all(r >= 0):              # NaN would fall in no piece
+            raise DomainError("profile radii must be >= 0 and not NaN")
         if self.flat:
             return np.ones_like(r), np.zeros_like(r)
         a = np.empty_like(r)
@@ -115,6 +125,12 @@ class MonopoleProfile:
 def _series_for(beta, metric: MetricProfile) -> SeriesSolution:
     coeffs = metric.series_coeffs(_SERIES_ORDER)
     return v_series(Fraction(beta), coeffs, _SERIES_ORDER)
+
+
+def _one_series_build(metric: MetricProfile) -> MetricProfile:
+    """`metric` with its series expansion memoised for as long as the
+    returned copy lives: one build per order for one solve."""
+    return replace(metric, _series=functools.lru_cache(metric._series))
 
 
 def _require_finite(name: str, value) -> None:
@@ -190,6 +206,7 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9,
         if not beta0 < 0:
             raise ValueError(f"beta0 must be < 0, not {beta0!r}")
         x = math.log(-beta0)
+    metric = _one_series_build(metric)
     lo, hi = -math.inf, math.inf            # x with m < mass, m > mass
     dx_prev = dx_last = math.inf            # the last two steps in x
     e_prev = 0.0                            # residual a Newton step came from; 0: none
@@ -267,6 +284,7 @@ def solve_monopole(metric: MetricProfile, mass: float, tol: float = 1e-10,
                    beta0: Optional[float] = None) -> MonopoleProfile:
     """The profile of the given mass; `beta0` is the Newton starting
     point passed on to `beta_of_mass`."""
+    metric = _one_series_build(metric)
     beta = beta_of_mass(mass, metric, tol=max(tol, 1e-9), beta0=beta0)
     return profile_of_beta(beta, metric, tol=tol)
 

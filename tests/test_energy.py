@@ -82,3 +82,25 @@ def test_instanton_branch_zero_energy():
     dens = energy_density(rs, np.ones_like(rs), np.zeros_like(rs),
                           metric.BS_S4)
     assert np.max(np.abs(dens)) == 0.0
+
+
+def test_passed_is_criterion_11():
+    # coarse grids used to pass through a 10 * quad_tol escape
+    prof = solve_monopole(metric.EUCLIDEAN, 1.0)
+    fine = intermediate_energy(prof, metric.EUCLIDEAN)
+    assert fine.passed is True
+    coarse = intermediate_energy(prof, metric.EUCLIDEAN, n_grid=16)
+    assert coarse.identity_residual > 1e-5
+    assert coarse.passed is False
+    two = intermediate_energy(prof, metric.EUCLIDEAN, n_grid=2)
+    assert two.passed is False
+    prof = solve_monopole(metric.BS_S4, 1.0)
+    assert intermediate_energy(prof, metric.BS_S4).passed is True
+    assert intermediate_energy(prof, metric.BS_S4, n_grid=16).passed is False
+
+
+@pytest.mark.parametrize("n_grid", [1, 0, -4])
+def test_n_grid_below_two_rejected(n_grid):
+    prof = solve_monopole(metric.EUCLIDEAN, 1.0)
+    with pytest.raises(ValueError, match="n_grid"):
+        intermediate_energy(prof, metric.EUCLIDEAN, n_grid=n_grid)

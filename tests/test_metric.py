@@ -1,5 +1,6 @@
 """Metric backgrounds against independent quadrature oracles."""
 
+import json
 import textwrap
 import warnings
 from fractions import Fraction
@@ -330,3 +331,56 @@ def test_custom_tail_fit_keeps_the_last_decade(tmp_path):
     p, log_c = np.polyfit(np.log(rs[sel]), np.log(rs[sel]), 1)
     far = np.array([250.0, 1e3, 1e5])
     assert np.array_equal(met.h2(far), (float(np.exp(log_c)) * far ** p) ** 2)
+
+
+RHO_WIDE = [1e-300, 1.0, 1e5, 1e78, 1e200, 1.7e308]
+
+
+@pytest.mark.parametrize("met", [BS_S4, BS_CP2], ids=lambda m: m.id)
+def test_bs_every_finite_radius(met):
+    # past rho ~ 2.3e77 the Newton start used to overflow s^2; now s is
+    # inf only where s ~ (rho/2)^2 itself overflows (rho >~ 2.7e154)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = np.array([s_of_rho(p) for p in RHO_WIDE])
+        h2 = np.array([met.h2(p) for p in RHO_WIDE])
+        G = np.array([met.green_tail(p) for p in RHO_WIDE])
+        assert np.array_equal(s_of_rho(np.array(RHO_WIDE)), s)
+        assert np.array_equal(met.h2(np.array(RHO_WIDE)), h2)
+        assert np.array_equal(met.green_tail(np.array(RHO_WIDE)), G)
+    assert s[0] == 1e-300 and s[3] == 2.5e155
+    assert np.array_equal(np.isinf(s), [False] * 4 + [True] * 2)
+    for p, si in zip(RHO_WIDE[:4], s):
+        assert abs(rho_of_s(si) - p) <= 1e-15 * p
+    assert not np.any(np.isnan(h2)) and np.all(h2[3:] == np.inf)
+    assert not np.any(np.isnan(G)) and np.all(G >= 0)
+    assert np.all(np.diff(G) <= 0) and np.all(G[3:] == 0.0)
+
+
+def test_bs_far_asymptote_continues_newton():
+    # the closed form past _RHO_FAR agrees with Newton on both sides
+    rho = metric._RHO_FAR * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+    s = s_of_rho(rho)
+    assert np.all(np.diff(s) > 0)
+    assert np.all(np.abs(rho_of_s(s) / rho - 1.0) <= 1e-15)
+    assert rho_of_s(np.inf) == np.inf
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, [1.0, np.inf], -np.inf])
+def test_s_of_rho_rejects_non_finite_rho(bad):
+    with pytest.raises(DomainError, match="rho"):
+        s_of_rho(bad)
+
+
+def test_bs_infinite_radius_names_rho():
+    for fn in (BS_S4.h2, BS_S4.green_tail, BS_S4.h):
+        for r in (np.inf, [1.0, np.inf]):
+            with pytest.raises(DomainError, match="rho must be finite"):
+                fn(r)
+
+
+def test_green_command_at_a_huge_radius(capsys):
+    assert main(["green", "--metric", "bs_s4", "--charge", "1",
+                 "--r", "1e78"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["G"] == 0.0 and out["phi_D"] == 0.0

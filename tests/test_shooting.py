@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2mono import energy, metric, ode, shooting
+from g2mono import energy, fps, metric, ode, shooting
+from g2mono.metric import DomainError
 from g2mono.shooting import (MonopoleProfile, NoSolutionError,
                              OutOfRangeError, beta_of_mass, bubbling_report,
                              mass_of_beta, profile_of_beta, solve_monopole)
@@ -364,3 +365,67 @@ def test_profile_is_the_only_dense_shot(monkeypatch, met):
         # the profile's grid ends on the shot's last accepted step
         assert prof.r[-1] == prof.R_end
         assert abs(prof.phi[-1] - 0.25 * prof.result.y[1, -1]) <= 1e-14
+
+
+# -- one metric series build per solve --------------------------------------
+
+def _count_reversions(monkeypatch):
+    count = [0]
+    reversion = fps.FormalSeries.reversion
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        return reversion(self, *args, **kwargs)
+
+    monkeypatch.setattr(fps.FormalSeries, "reversion", counted)
+    return count
+
+
+def test_one_series_build_per_solve(monkeypatch):
+    # the BS expansion reverts rho(s) once per build; every shot of a
+    # solve shares that build, and the next solve on the same metric
+    # object builds again (no memo outlives its solve)
+    builds = _count_reversions(monkeypatch)
+    shots = _count_shots(monkeypatch)
+    calls = [("solve 0.5", lambda: solve_monopole(metric.BS_S4, 0.5), 3),
+             ("solve 4", lambda: solve_monopole(metric.BS_S4, 4.0), 3),
+             ("solve 4 again", lambda: solve_monopole(metric.BS_S4, 4.0), 3),
+             ("root", lambda: beta_of_mass(2.0, metric.BS_S4), 3),
+             ("mass", lambda: mass_of_beta(-1.0, metric.BS_S4), 1),
+             ("profile", lambda: profile_of_beta(-1.0, metric.BS_S4), 1)]
+    for name, call, min_shots in calls:
+        builds[0] = shots[0] = 0
+        call()
+        assert builds[0] == 1, (name, builds[0], shots[0])
+        assert shots[0] >= min_shots, (name, shots[0])
+
+
+@pytest.mark.parametrize("met", BACKENDS, ids=lambda m: m.id)
+def test_solve_keeps_the_callers_metric(met):
+    series = met._series
+    prof = solve_monopole(met, 1.5)
+    assert met._series is series
+    assert prof.metric_id == prof.result.metric.id == met.id
+    assert prof.result.metric._chart is met._chart
+    assert prof.result.metric.chart.r_of_x is met.chart.r_of_x
+    assert prof.result.metric.series_coeffs(12) == met.series_coeffs(12)
+
+
+@pytest.mark.parametrize("met", [metric.EUCLIDEAN, metric.BS_S4],
+                         ids=lambda m: m.id)
+def test_profile_rejects_nan_and_negative_radii(met):
+    # NaN matches none of the head, middle and tail pieces, and a
+    # negative radius used to evaluate the series head out of its domain
+    prof = solve_monopole(met, 1.0)
+    flat = profile_of_beta(0.0, met)
+    for p in (prof, flat):
+        for ev in (p.eval_a, p.eval_phi):
+            for r in (math.nan, np.array([1.0, math.nan, 2.0]), -1.0,
+                      np.array([0.5, -1e-300])):
+                with pytest.raises(DomainError, match="NaN"):
+                    ev(r)
+    # every other radius falls in exactly one piece
+    rs = np.array([0.0, 0.5 * prof.delta, prof.delta, prof.R_end,
+                   2.0 * prof.R_end])
+    a, phi = prof.fields(rs)
+    assert np.all((a > 0) & (a <= 1)) and np.all((phi <= 0) & (phi > -1))
