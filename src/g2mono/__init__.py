@@ -17,7 +17,7 @@ from .shooting import (MonopoleProfile, mass_of_beta, beta_of_mass,
                        solve_monopole, profile_of_beta, bubbling_report)
 from .oracles import (ClosedForm, bps, bps_mass, hyperbolic,
                       dirac_euclidean, flat, bs_instanton, su3_instanton,
-                      residual, physical_fields)
+                      residual)
 from .green import dirac, harmonicity_check, asymptotic_fit
 from .energy import intermediate_energy, boundary_term
 
@@ -30,7 +30,7 @@ __all__ = [
     "MonopoleProfile", "mass_of_beta", "beta_of_mass", "solve_monopole",
     "profile_of_beta", "bubbling_report",
     "ClosedForm", "bps", "bps_mass", "hyperbolic", "dirac_euclidean",
-    "flat", "bs_instanton", "su3_instanton", "residual", "physical_fields",
+    "flat", "bs_instanton", "su3_instanton", "residual",
     "dirac", "harmonicity_check", "asymptotic_fit",
     "intermediate_energy", "boundary_term",
 ]

@@ -85,12 +85,15 @@ def _write_profile_csv(path: str, prof):
 
 
 def _read_profile_csv(path: str):
-    rows = {"r": [], "a": [], "phi": [], "v": []}
+    """(r, a, phi) from a profile CSV, checked as an energy quadrature grid."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            for k in rows:
-                rows[k].append(float(row[k]))
-    return {k: np.asarray(v) for k, v in rows.items()}
+        reader = csv.DictReader(fh, restval="")
+        missing = [k for k in ("r", "a", "phi")
+                   if k not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks the column(s) {', '.join(missing)}")
+        rows = [(row["r"], row["a"], row["phi"]) for row in reader]
+    return energy.profile_samples(*np.array(rows, dtype=float).reshape(-1, 3).T)
 
 
 @dataclass
@@ -99,8 +102,6 @@ class SampledProfile:
     a: np.ndarray
     phi: np.ndarray
     mass: float
-    result = None
-    flat: bool = False
 
 
 def _svg_plot(path: str, curves, title: str, width=640, height=420):
@@ -259,7 +260,7 @@ def cmd_green(args, parser) -> int:
 
 
 def cmd_energy(args, parser) -> int:
-    data = _read_profile_csv(args.profile)
+    r, a, phi = _read_profile_csv(args.profile)
     side = _sidecar_path(args.profile)
     mass = args.mass
     met_name = args.metric
@@ -272,10 +273,8 @@ def cmd_energy(args, parser) -> int:
         parser.error("--metric required when no sidecar is present")
     met = _metric_arg(met_name)
     if mass is None:
-        R = float(data["r"][-1])
-        mass = 2.0 * (met.green_tail(R) - float(data["phi"][-1]))
-    prof = SampledProfile(r=data["r"], a=data["a"], phi=data["phi"],
-                          mass=float(mass), flat=float(mass) == 0.0)
+        mass = 2.0 * (met.green_tail(float(r[-1])) - float(phi[-1]))
+    prof = SampledProfile(r=r, a=a, phi=phi, mass=float(mass))
     rep = energy.intermediate_energy(prof, met)
     print(json.dumps({"metric": met.id, "mass": rep.mass, "E_I": rep.value,
                       "identity_residual": rep.identity_residual,

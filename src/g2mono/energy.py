@@ -74,38 +74,38 @@ def _cumulative(density, r):
     return simp, est
 
 
-def intermediate_energy(profile, metric: MetricProfile,
-                        n_grid: int = 4096) -> EnergyReport:
-    """Composite quadrature of the energy density on a dedicated fine
-    grid (series head + dense integrator output) plus the analytic tail
+def profile_samples(r, a, phi):
+    """(r, a, phi) as float arrays, checked as a quadrature grid: 2 or
+    more samples, all finite, r >= 0 and strictly increasing."""
+    r, a, phi = (np.asarray(x, dtype=float) for x in (r, a, phi))
+    if r.size < 2:
+        raise ValueError(f"a profile needs at least 2 samples, not {r.size}")
+    if not (np.isfinite(r).all() and r[0] >= 0 and (np.diff(r) > 0).all()):
+        raise ValueError("profile radii must be finite, >= 0 and strictly increasing")
+    if not (np.isfinite(a).all() and np.isfinite(phi).all()):
+        raise ValueError("profile a and phi must be finite")
+    return r, a, phi
+
+
+def intermediate_energy(profile, metric: MetricProfile) -> EnergyReport:
+    """Composite quadrature of the energy density on the profile's own
+    samples (a solved profile stores its series head and dense output on
+    [0, R_end]) plus the analytic tail
 
         int_{R_end}^inf e dr = G(R_end) + O(a^2(R_end)),
 
     reported together with the partial-vs-boundary identity arrays on
-    the profile's own sample grid.
+    the same samples.
     """
-    if not n_grid >= 2:
-        raise ValueError(f"n_grid must be >= 2, not {n_grid!r}")
     res = getattr(profile, "result", None)
     if res is not None and res.classification == "blowup":
         raise UndefinedEnergyError("blow-up trajectory: energy undefined")
-    if getattr(profile, "flat", False) or profile.mass == 0.0:
-        r = np.asarray(profile.r, dtype=float)
-        z = np.zeros_like(r)
+    r_f, a_f, p_f = profile_samples(profile.r, profile.a, profile.phi)
+    if profile.mass == 0.0:                 # the flat profile
+        z = np.zeros_like(r_f)
         return EnergyReport(metric_id=metric.id, mass=0.0, value=0.0,
                             boundary_limit=0.0, identity_residual=0.0,
-                            quad_tol=0.0, r=r, partial=z, boundary=z)
-
-    if res is not None:
-        # series head on [0, delta), dense output on [delta, R_end]
-        r_f = np.concatenate([np.linspace(0.0, profile.delta, 129)[:-1],
-                              np.linspace(profile.delta, profile.R_end,
-                                          n_grid + 1)])
-        a_f, p_f = profile.fields(r_f)
-    else:
-        r_f = np.asarray(profile.r, dtype=float)
-        a_f = np.asarray(profile.a, dtype=float)
-        p_f = np.asarray(profile.phi, dtype=float)
+                            quad_tol=0.0, r=r_f, partial=z, boundary=z)
 
     dens = energy_density(r_f, a_f, p_f, metric)
     cum, est = _cumulative(dens, r_f)

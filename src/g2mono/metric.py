@@ -141,17 +141,31 @@ def bs_h2_of_s(s):
     return float(out) if out.ndim == 0 else out
 
 
+# Below s = _S_NEAR the hypergeometric form loses G's 1/(2s) pole to
+# rounding in 1 - u (and is inf below s ~ 1e-8); the expansion
+#   G = 1/(2s) - _G_ZERO + 3s/8 - 7s^3/64 + 77s^5/1280 - 165s^7/4096
+# is used there instead (its next term, ~0.03 s^9, is below 4e-17 of G).
+_S_NEAR = 0.03
+_G_ZERO = 0.65551438857302995        # sqrt(pi) Gamma(5/4) / (2 Gamma(3/4))
+
+
 def bs_green_of_s(s):
     """G as a function of s: int_s^inf f(t) dt / (2 h^2(t)).
 
     Substituting u = 1/(1+t^2) turns this into an incomplete beta
     integral; in hypergeometric form
-        G = (1/5) u^(5/4) 2F1(5/4, 3/2; 9/4; u),  u = 1/(1+s^2).
+        G = (1/5) u^(5/4) 2F1(5/4, 3/2; 9/4; u),  u = 1/(1+s^2),
+    or its expansion at s = 0 below _S_NEAR.
     """
     s = np.asarray(s, dtype=float)
     with np.errstate(over="ignore"):                # u = 0 past s ~ 1.3e154
         u = 1.0 / (1.0 + s * s)
-    out = 0.2 * u ** 1.25 * hyp2f1(1.25, 1.5, 2.25, u)
+    t = np.minimum(s, _S_NEAR)
+    t2 = t * t
+    with np.errstate(divide="ignore"):              # G(0) = inf
+        near = (0.5 / t - _G_ZERO + t * (0.375 - t2 * (7 / 64 - t2 * (
+            77 / 1280 - t2 * (165 / 4096)))))
+    out = np.where(s < _S_NEAR, near, 0.2 * u ** 1.25 * hyp2f1(1.25, 1.5, 2.25, u))
     return float(out) if out.ndim == 0 else out
 
 

@@ -135,7 +135,6 @@ class IntegrationResult:
     y: np.ndarray                        # rows: system state on the grid
     r_end: float
     _eval: Optional[Callable] = field(repr=False)  # r array -> state rows
-    sigma: int = -1
     tail: Optional[tuple] = None         # (R, a(R), G(R)) where a tail stop fired
 
     def eval(self, r):
@@ -305,7 +304,7 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
         r=rs, y=np.array(ys).T, r_end=float(rs[-1]),
         _eval=None if interp is None else (
             lambda r: interp(x_of_r(np.atleast_1d(r)))),
-        sigma=sigma, tail=tail,
+        tail=tail,
     )
 
 

@@ -24,8 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .metric import (MetricProfile, DomainError, S_CHART, bs_f, bs_f2,
-                     get_metric, s_of_rho)
+from .metric import MetricProfile, DomainError, bs_f, bs_f2, s_of_rho
 from .ode import ProfileState, SU3State, rhs_minus, rhs_plus, rhs_su3
 
 _SMALL_R = 1e-3
@@ -281,25 +280,3 @@ def residual(obj, system: str, metric: MetricProfile, radii) -> float:
         terms += [abs(x - y) for x, y in zip(derivative(r), rhs(state(r), metric))]
     # np.max, unlike max(), does not drop a NaN that follows a number
     return float(np.max(terms, initial=0.0))
-
-
-# ---------------------------------------------------------------------------
-# solver fields -> geometric fields
-# ---------------------------------------------------------------------------
-
-def physical_fields(profile, background: str):
-    """Convert the rescaled solver field a to the
-    geometric connection coefficient a_conn = f^2 * a on a BS
-    background, with the asymptotic decay diagnostic."""
-    chart = get_metric(background).chart
-    if chart is not S_CHART:
-        raise ValueError("physical_fields requires a BS background")
-    rho = np.asarray(profile.r, dtype=float)
-    a = np.asarray(profile.a, dtype=float)
-    pos = rho > 0
-    a_conn = np.ones_like(rho)
-    a_conn[pos] = bs_f2(chart.x_of_r(rho[pos])) * a[pos]
-    return {"rho": rho, "a_conn": a_conn,
-            "phi": np.asarray(profile.phi, dtype=float),
-            "ratio_to_f2": np.where(pos, a, 1.0),
-            "a_conn_limit": float(a_conn[-1])}

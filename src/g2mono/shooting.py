@@ -71,7 +71,7 @@ class MonopoleProfile:
     delta: float
     series: SeriesSolution = field(repr=False)
     result: Optional[ode.IntegrationResult] = field(repr=False)
-    r: np.ndarray = field(repr=False)        # sample grid (series head + adaptive part)
+    r: np.ndarray = field(repr=False)        # energy quadrature grid, 0 to R_end
     a: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
@@ -251,7 +251,8 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9,
 
 def profile_of_beta(beta: float, metric: MetricProfile,
                     tol: float = 1e-10) -> MonopoleProfile:
-    """Full sampled profile for a given shooting parameter."""
+    """The profile of a given shooting parameter on the energy quadrature
+    grid: 128 series-head points on [0, delta), 4097 dense ones to R_end."""
     _require_finite("beta", beta)
     if beta > 0:
         raise NoSolutionError("no solutions exist for beta > 0")
@@ -265,9 +266,8 @@ def profile_of_beta(beta: float, metric: MetricProfile,
         )
     mass, ser, delta, res, (R, a_R, G_R) = _shoot(float(beta), metric, tol,
                                                   dense=True)
-    r_head = np.linspace(delta / 32.0, delta, 32, endpoint=False)
-    n_mid = 1500
-    r_mid = np.linspace(delta, R, n_mid)
+    r_head = np.linspace(0.0, delta, 129)[:-1]
+    r_mid = np.linspace(delta, R, 4097)
     v_mid, w_mid = res.eval(r_mid)
     r_all = np.concatenate([r_head, r_mid])
     v_all = np.concatenate([ser.v_at(r_head), v_mid])

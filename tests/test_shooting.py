@@ -429,3 +429,16 @@ def test_profile_rejects_nan_and_negative_radii(met):
                    2.0 * prof.R_end])
     a, phi = prof.fields(rs)
     assert np.all((a > 0) & (a <= 1)) and np.all((phi <= 0) & (phi > -1))
+
+
+@pytest.mark.parametrize("met", BACKENDS, ids=lambda m: m.id)
+def test_profile_samples_are_the_energy_grid(met):
+    # the grid intermediate_energy used to build on its own: 128 series-head
+    # samples on [0, delta), then 4097 dense-output samples up to R_end
+    prof = solve_monopole(met, 1.7)
+    grid = np.concatenate([np.linspace(0.0, prof.delta, 129)[:-1],
+                           np.linspace(prof.delta, prof.R_end, 4097)])
+    assert prof.r.size == 4225 and prof.r[-1] == prof.R_end
+    assert np.array_equal(prof.r, grid)
+    a, phi = prof.fields(grid)
+    assert np.array_equal(prof.a, a) and np.array_equal(prof.phi, phi)
