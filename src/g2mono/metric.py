@@ -144,8 +144,9 @@ def bs_h2_of_s(s):
 # Below s = _S_NEAR the hypergeometric form loses G's 1/(2s) pole to
 # rounding in 1 - u (and is inf below s ~ 1e-8); the expansion
 #   G = 1/(2s) - _G_ZERO + 3s/8 - 7s^3/64 + 77s^5/1280 - 165s^7/4096
-# is used there instead (its next term, ~0.03 s^9, is below 4e-17 of G).
-_S_NEAR = 0.03
+#       + 1463s^9/49152
+# is used there instead (its next term, -0.023 s^11, is below 8e-16 of G).
+_S_NEAR = 0.07
 _G_ZERO = 0.65551438857302995        # sqrt(pi) Gamma(5/4) / (2 Gamma(3/4))
 
 
@@ -164,7 +165,7 @@ def bs_green_of_s(s):
     t2 = t * t
     with np.errstate(divide="ignore"):              # G(0) = inf
         near = (0.5 / t - _G_ZERO + t * (0.375 - t2 * (7 / 64 - t2 * (
-            77 / 1280 - t2 * (165 / 4096)))))
+            77 / 1280 - t2 * (165 / 4096 - t2 * (1463 / 49152))))))
     out = np.where(s < _S_NEAR, near, 0.2 * u ** 1.25 * hyp2f1(1.25, 1.5, 2.25, u))
     return float(out) if out.ndim == 0 else out
 

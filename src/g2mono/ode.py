@@ -17,21 +17,24 @@ coordinate x of the metric's chart (`MetricProfile.chart`): x = r on
 most backgrounds, the fiber coordinate s on the BS ones, so that no
 right-hand side has to invert rho(s).  Results are reported in r.
 
-Every system runs through one loop: a bare DOP853 stepper, whose
-accepted steps are those of `solve_ivp(method="DOP853")`, with each stop
-(blow-up, a at A_FLOOR, and in shooting mode the tail bound 2 a^2 G <=
-tol/10) a test on the state at an accepted step.  Interpolants are built
-only when the caller asks for dense output.
+Every system runs through one DOP853 loop on Python floats (complex for
+su3) with scipy's tableau and controller, so its steps are those of
+`solve_ivp(method="DOP853")` up to rounding.  Each stop (blow-up, a at
+A_FLOOR, and in shooting mode the tail bound 2 a^2 G <= tol/10) is a
+test on the state at an accepted step.  Interpolants are built only when
+the caller asks for dense output.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from operator import mul
+from typing import Optional
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution, solve_ivp, cumulative_trapezoid
+from scipy.integrate import solve_ivp, cumulative_trapezoid
+from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from .metric import (MetricProfile, DomainError, S_CHART, bs_f, bs_h2_of_s,
                      s_of_rho)
@@ -68,8 +71,9 @@ class SU3State:
 
 
 def _expm1_clipped(v):
-    # numpy's expm1, not math.expm1: the two differ in the last bit
-    return np.expm1(min(v, _EXP_CLIP))
+    # numpy's expm1, not math.expm1: the two differ in the last bit; as
+    # a Python float, since a numpy scalar would slow every stage sum
+    return float(np.expm1(min(v, _EXP_CLIP)))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +126,104 @@ def rhs_su3(state: SU3State, metric: MetricProfile):
 
 
 # ---------------------------------------------------------------------------
+# DOP853 on Python floats
+# ---------------------------------------------------------------------------
+
+# scipy's tableau, from the module its DOP853 reads: (row of A, node) per
+# stage after the first.  Stage 12, with row B and node 1, is f(x + h,
+# y_new); stages 13-15 are the interpolant's.
+_N = _dop.N_STAGES
+_STAGES = [(_dop.A[s, :s].tolist(), float(_dop.C[s]))
+           for s in range(1, _dop.N_STAGES_EXTENDED)]
+_STEP, _DENSE = _STAGES[:_N], _STAGES[_N:]
+_E3, _E5, _D = _dop.E3.tolist(), _dop.E5.tolist(), _dop.D.tolist()
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's controller
+_ERROR_EXPONENT = -1.0 / 8.0         # -1 / (error estimator order + 1)
+
+
+def _add_stages(fun, x, h, y, K, stages):
+    """Append `stages` to K, where K[i] lists component i of the stages
+    so far; returns the last stage's argument and value."""
+    for a, c in stages:
+        arg = [yi + h * sum(map(mul, a, Ki)) for yi, Ki in zip(y, K)]
+        k = fun(x + c * h, arg)
+        for Ki, ki in zip(K, k):
+            Ki.append(ki)
+    return arg, k
+
+
+def _error_norm(K, h, y, y_new, rtol, atol, n_err):
+    """scipy's DOP853 error norm over the first n_err components."""
+    e5 = e3 = 0.0
+    for Ki, yi, yn in zip(K[:n_err], y, y_new):
+        scale = atol + max(abs(yi), abs(yn)) * rtol
+        q5 = abs(sum(map(mul, _E5, Ki))) / scale
+        q3 = abs(sum(map(mul, _E3, Ki))) / scale
+        e5 += q5 * q5
+        e3 += q3 * q3
+    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n_err) if e5 or e3 else 0.0
+
+
+def _dop853(fun, x, y, x_end, rtol, atol, n_err, dense):
+    """Step DOP853 from (x, y) toward x_end, yielding (x, y, nfev, F) at
+    each accepted step, with the error controlled on the first n_err
+    components.  F is None, or with `dense` the step's 7 interpolant
+    rows, at three more evaluations."""
+    direction = 1.0 if x_end > x else -1.0
+    f = fun(x, y)
+    # the first step: scipy's select_initial_step (Hairer et al. II.4)
+    scale = [atol + abs(yi) * rtol for yi in y[:n_err]]
+
+    def rms(v):
+        return math.sqrt(sum((abs(vi) / si) * (abs(vi) / si)
+                             for vi, si in zip(v, scale))) / n_err ** 0.5
+
+    interval = abs(x_end - x)
+    d0, d1 = rms(y), rms(f)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    f1 = fun(x + h0 * direction, [yi + h0 * direction * fi
+                                  for yi, fi in zip(y, f)])
+    d2 = rms([b - a for a, b in zip(f, f1)]) / h0 if h0 else math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0) if max(d1, d2) > 0 else math.inf
+    h_abs, nfev, F = min(100.0 * h0, h1, interval), 2, None
+    while direction * (x - x_end) < 0:
+        min_step = 10.0 * abs(math.nextafter(x, direction * math.inf) - x)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError("Required step size is less than "
+                                     "spacing between numbers.", state=(x, y))
+            x_new = x + h_abs * direction
+            if direction * (x_new - x_end) > 0:
+                x_new = x_end
+            h = x_new - x
+            h_abs = abs(h)
+            K = [[fi] for fi in f]
+            y_new, f_new = _add_stages(fun, x, h, y, K, _STEP)
+            nfev += _N
+            err = _error_norm(K, h, y, y_new, rtol, atol, n_err)
+            if err < 1.0:
+                factor = _MAX_FACTOR if err == 0.0 else min(
+                    _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+            rejected = True
+        if dense:
+            _add_stages(fun, x, h, y, K, _DENSE)
+            nfev += len(_DENSE)
+            dy = [b - a for a, b in zip(y, y_new)]
+            F = [dy, [h * f0 - d for f0, d in zip(f, dy)],
+                 [2.0 * d - h * (fn + f0) for d, f0, fn in zip(dy, f, f_new)]]
+            F += [[h * sum(map(mul, Dj, Ki)) for Ki in K] for Dj in _D]
+        x, y, f = x_new, y_new, f_new
+        yield x, y, nfev, F
+
+
+# ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
 
@@ -134,14 +236,24 @@ class IntegrationResult:
     r: np.ndarray                        # adaptive grid (geodesic radius)
     y: np.ndarray                        # rows: system state on the grid
     r_end: float
-    _eval: Optional[Callable] = field(repr=False)  # r array -> state rows
+    _dense: Optional[tuple] = field(repr=False)  # (x grid, rows F per step)
     tail: Optional[tuple] = None         # (R, a(R), G(R)) where a tail stop fired
 
     def eval(self, r):
-        if self._eval is None:
+        """State rows at radii r from the step interpolants; a point at a
+        step end takes the earlier step, as scipy's OdeSolution does."""
+        if self._dense is None:
             raise ValueError(
                 f"this {self.system}-system result was built without dense output")
-        return self._eval(np.asarray(r, dtype=float))
+        xs, F = self._dense
+        x = self.metric.chart.x_of_r(np.atleast_1d(np.asarray(r, dtype=float)))
+        sign = 1.0 if xs[-1] > xs[0] else -1.0
+        i = np.searchsorted(sign * xs[1:-1], sign * x)
+        u = ((x - xs[i]) / (xs[i + 1] - xs[i]))[:, None]
+        y = np.zeros_like(F[i, 0])
+        for j, Fj in enumerate(F[i].transpose(1, 0, 2)[::-1]):
+            y = (y + Fj) * (u if j % 2 == 0 else 1.0 - u)
+        return y.T + self.y[:, i]
 
     # minus-system conveniences -------------------------------------
 
@@ -163,7 +275,9 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
               variation=None, tail_stop: bool = False,
               dense: bool = True) -> IntegrationResult:
     """Adaptive embedded Runge-Kutta (DOP853) trace of one of the
-    reduced systems, in the metric's chart x(r), from `initial` to r_max.
+    reduced systems, in the metric's chart x(r), from `initial` to r_max
+    (a non-empty range).  A step below 10 ulp of x raises StiffnessError
+    with `state` the (x, y) it could not step from.
 
     `initial` is a ProfileState (minus/plus) or SU3State.  For the plus
     system pass r_min < initial.r to integrate backwards toward the
@@ -189,10 +303,8 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     `variation=(dv0, dw0)` (minus system only) appends the forward
     variational rows  dv' = dw,  dw' = 2 e^v dv / h^2  to the state, so
     rows 2 and 3 of `y` carry d(v, w)/dp for a parameter p of the
-    initial data.  They are left out of error control, and the (v, w)
-    tolerances are scaled by 1/sqrt(2) to undo the RMS norm over four
-    components, so the shot takes the same steps as without them, up to
-    last-bit rounding of the stage sums (rarely one step more or less).
+    initial data.  They are left out of error control, so the shot
+    takes the same steps as without them.
     """
     check_tol(tol)
     if initial.r <= 0:
@@ -205,6 +317,8 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
                                       chart.dr_dx, chart.h2_of_x)
     r_to = r_min if system == "plus" and r_min is not None else r_max
     x_span = (float(x_of_r(initial.r)), float(x_of_r(r_to)))
+    if not abs(x_span[1] - x_span[0]) > 0.0:
+        raise DomainError("the integration range is empty")
     # no r on the span exceeds that at its larger end (r_max, or the
     # start of a backward run), so |phi| r can pass PHI_R_BLOWUP only
     # where |phi| > phi_far
@@ -218,7 +332,7 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     if system == "minus":
         if initial.a <= 0:
             raise DomainError("minus system requires a > 0 (use a=0 via green.dirac)")
-        y0 = [2.0 * math.log(initial.a), 4.0 * initial.phi]
+        y0 = [2.0 * math.log(initial.a), 4.0 * float(initial.phi)]
         flat = y0 == [0.0, 0.0]
 
         def fun(x, y):
@@ -226,10 +340,7 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
             return [J * y[1], J * 2.0 * _expm1_clipped(y[0]) / h2_of_x(x)]
 
         if variation is not None:
-            y0 += list(variation)
-            s = math.sqrt(0.5)
-            rtol = np.array([0.9 * s, 0.9 * s, 0.9, 0.9]) * tol
-            atol = np.array([0.1 * s * tol, 0.1 * s * tol, np.inf, np.inf])
+            y0 += [float(d) for d in variation]
 
             def fun(x, y):
                 J = dr_dx(x)
@@ -245,19 +356,19 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     elif system == "plus":
         if sigma not in (-1, 1):
             raise ValueError("sigma must be +1 or -1")
-        y0 = [initial.a, initial.phi]
+        y0 = [float(initial.a), float(initial.phi)]
 
         def fun(x, y):
             J = dr_dx(x)
             return [J * sigma * 2.0 * y[0] * y[1],
-                    J * sigma * (1.0 + y[0] ** 2) / (2.0 * h2_of_x(x))]
+                    J * sigma * (1.0 + y[0] * y[0]) / (2.0 * h2_of_x(x))]
 
         def stop_at(x, y):
             return "blow-up" if phi_r_blowup(abs(y[1]), x) else None
     elif system == "su3":
         _require_bs(metric)          # so x is s
-        y0 = np.array([initial.b1, initial.b2, initial.b3,
-                       initial.phi1, initial.phi2], dtype=complex)
+        y0 = [complex(v) for v in (initial.b1, initial.b2, initial.b3,
+                                   initial.phi1, initial.phi2)]
 
         def fun(x, y):
             J = dr_dx(x)
@@ -265,24 +376,20 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
                     _rhs_su3_of_s(x, y[0], y[1], y[2], y[3].real, y[4].real)]
 
         def stop_at(x, y):
-            return "blow-up" if np.max(np.abs(y)) > PHI_R_BLOWUP else None
+            return "blow-up" if max(map(abs, y)) > PHI_R_BLOWUP else None
     else:
         raise ValueError(f"unknown system {system!r}")
 
-    # the accepted steps of solve_ivp(method="DOP853"), without its events
-    solver = DOP853(fun, x_span[0], y0, x_span[1], rtol=rtol, atol=atol)
-    xs, ys, interpolants = [solver.t], [solver.y], []
+    # the variational rows are left out of error control
+    n_err = 2 if system == "minus" else len(y0)
+    xs, ys, Fs = [x_span[0]], [y0], []
     v_test = V_TAIL
     stop = tail = None
-    while solver.status == "running" and stop is None:
-        message = solver.step()
-        if solver.status == "failed":
-            raise StiffnessError(message, state=(solver.t, solver.y))
-        x, y = solver.t, solver.y
+    for x, y, nfev, F in _dop853(fun, x_span[0], y0, x_span[1], rtol, atol,
+                                 n_err, dense):
         xs.append(x)
         ys.append(y)
-        if dense:
-            interpolants.append(solver.dense_output())
+        Fs.append(F)
         stop = stop_at(x, y)
         if tail_stop and stop is None and y[0] <= v_test:
             r = r_of_x(x)
@@ -292,18 +399,18 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
                 stop = "tail bound reached"
             else:
                 v_test = math.log(tol / (20.0 * G))
+        if stop is not None:
+            break
     rs = r_of_x(np.array(xs))
-    interp = OdeSolution(xs, interpolants) if dense else None
     return IntegrationResult(
         system=system, metric=metric,
         classification="flat" if flat else (
             "blowup" if stop == "blow-up" else "bounded"),
-        stats={"nfev": solver.nfev, "n_steps": len(rs) - 1,
+        stats={"nfev": nfev, "n_steps": len(rs) - 1,
                "status": 0 if stop is None else 1,
                "message": stop or "end of the range reached"},
         r=rs, y=np.array(ys).T, r_end=float(rs[-1]),
-        _eval=None if interp is None else (
-            lambda r: interp(x_of_r(np.atleast_1d(r)))),
+        _dense=(np.array(xs), np.array(Fs)) if dense else None,
         tail=tail,
     )
 

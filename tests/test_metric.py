@@ -110,9 +110,12 @@ def test_bs_green_small_s(s, ref):
 
 @pytest.mark.parametrize("ss,bound", [
     (np.logspace(-12, 2), 5e-14),
-    # just below the switch to 2F1, where the expansion's last term counts
     (np.linspace(0.02, 0.0299, 12), 1e-15),
-], ids=["logspace", "below-switch"])
+    # just below the switch to 2F1, where the expansion's last term counts
+    (np.linspace(0.06, 0.0699, 12), 1e-15),
+    # across the switch: 2F1 just above it is the least accurate
+    (np.geomspace(0.03, 3, 400), 5e-14),
+], ids=["logspace", "below-switch", "below-switch-0.07", "across-switch"])
 def test_bs_green_relative_error_against_mpmath(ss, bound):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):

@@ -1,6 +1,8 @@
 """Mass bijection and full profiles."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,23 @@ def test_mass_of_beta_zero_and_positive():
     assert mass_of_beta(0.0, metric.BS_S4) == 0.0
     with pytest.raises(NoSolutionError):
         mass_of_beta(0.25, metric.EUCLIDEAN)
+
+
+_PARENT_MASSES = json.loads(
+    (Path(__file__).parent / "data" / "mass_of_beta_parent.json").read_text())
+
+
+@pytest.mark.parametrize("metric_id", ["euclidean", "hyperbolic", "bs_s4"])
+def test_mass_of_beta_matches_the_scipy_stepper(metric_id):
+    # masses computed once with scipy's DOP853 (see the file's note): the
+    # float stepper rounds its stage sums differently, but the mass moves
+    # by no more than 1e-14 max(1, m)
+    met = metric.get_metric(metric_id)
+    records = [r for r in _PARENT_MASSES["records"] if r[0] == metric_id]
+    assert len(records) == 36
+    for _, tol, beta, mass in records:
+        m = mass_of_beta(beta, met, tol=tol)
+        assert abs(m - mass) <= 1e-14 * max(1.0, mass), (tol, beta)
 
 
 def test_beta_of_mass_inverts():
