@@ -10,8 +10,8 @@ print(f"shooting parameter beta = {prof.beta:.12f}   (closed form: -1/3)")
 print(f"extracted mass          = {prof.mass:.12f}")
 
 rs = np.linspace(0.0, 10.0, 201)
-a_ref = np.array([oracles.eval(oracles.bps_mass(1.0), r).a for r in rs])
-phi_ref = np.array([oracles.eval(oracles.bps_mass(1.0), r).phi for r in rs])
+a_ref = np.array([oracles.bps_mass(1.0).state(r).a for r in rs])
+phi_ref = np.array([oracles.bps_mass(1.0).state(r).phi for r in rs])
 print(f"sup |a - a_BPS|   on [0,10]: {np.max(np.abs(prof.eval_a(rs) - a_ref)):.2e}")
 print(f"sup |phi - phi_BPS] on [0,10]: {np.max(np.abs(prof.eval_phi(rs) - phi_ref)):.2e}")
 

@@ -15,7 +15,7 @@ print("\n  rho       phi_D(rho)")
 for r in (0.01, 0.1, 1.0, 10.0, 100.0):
     print(f"{r:7.2f}  {float(d.phi(r)):14.6f}")
 
-fit = green.asymptotic_fit(d, r_lo=20.0, r_hi=100.0)
+fit = green.asymptotic_fit(d)
 print(f"\ntail fit |phi_D + mass| ~ A (rho + c)^p:")
 print(f"  p = {fit.exponent:.6f}   (expected -5)")
 print(f"  A = {fit.amplitude:.6f}   (expected 32/5 = 6.4)")

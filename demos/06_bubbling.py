@@ -3,8 +3,7 @@ monopole near the origin and the Dirac monopole outside it."""
 
 from g2mono import metric, shooting
 
-rep = shooting.bubbling_report([5.0, 10.0, 20.0, 40.0], metric.BS_S4,
-                               R=1.0, r0=1.0)
+rep = shooting.bubbling_report([5.0, 10.0, 20.0, 40.0], metric.BS_S4)
 print("lambda   sup_{r<=1/lam} |a_lam - lam r/sinh(lam r)|")
 for lam, sup in zip(rep.lams, rep.sup_bps):
     print(f"{lam:6.1f}   {sup:.4e}")

@@ -77,9 +77,11 @@ class AsymptoticFit:
     max_rel_residual: float
 
 
-def asymptotic_fit(d: DiracMonopole, r_lo: float = 20.0, r_hi: float = 100.0,
-                   n: int = 60) -> AsymptoticFit:
-    """Fit |phi_D + mass| = amp * (r + offset)^p on [r_lo, r_hi].
+_FIT_RADII = (20.0, 100.0, 60)       # geomspace(r_lo, r_hi, n) of the fit
+
+
+def asymptotic_fit(d: DiracMonopole) -> AsymptoticFit:
+    """Fit |phi_D + mass| = amp * (r + offset)^p at the _FIT_RADII.
 
     The tail is a power of a shifted radius (on the BS backgrounds the
     geodesic radius differs from the cone coordinate by a constant), so
@@ -88,7 +90,7 @@ def asymptotic_fit(d: DiracMonopole, r_lo: float = 20.0, r_hi: float = 100.0,
     """
     if d.charge == 0:
         raise DomainError("asymptotic fit needs charge != 0")
-    rs = np.geomspace(r_lo, r_hi, n)
+    rs = np.geomspace(*_FIT_RADII)
     y = np.log(np.abs(np.asarray(d.phi(rs), dtype=float) + d.mass))
 
     def model(r, loga, p, off, q):

@@ -33,6 +33,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import hyp2f1
 
@@ -58,17 +59,12 @@ class UnsupportedBackend(ValueError):
 
 def bs_f2(s):
     """f^2 = (1+s^2)^(-1/2)."""
-    s = np.asarray(s, dtype=float)
     return 1.0 / np.sqrt(1.0 + s * s)
 
 
 def bs_f(s):
     """f = (1+s^2)^(-1/4) = d rho/ds."""
-    if isinstance(s, float):            # the right-hand side's hot path
-        return (1.0 + s * s) ** -0.25
-    s = np.asarray(s, dtype=float)
-    out = (1.0 + s * s) ** -0.25
-    return float(out) if out.ndim == 0 else out
+    return (1.0 + s * s) ** -0.25
 
 
 # Past s = _S_FAR, rho(s) = 2 sqrt(s) - _RHO_OFFSET to double precision
@@ -234,10 +230,7 @@ class MetricProfile:
                      dr_dx=lambda x: 1.0, h2_of_x=self.h2)
 
     def h(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        if not np.all(r_arr > 0):
-            raise DomainError("h(r) requires r > 0")
-        out = np.sqrt(self._h2(r_arr))
+        out = np.sqrt(self.h2(r))
         return float(out) if out.ndim == 0 else out
 
     def h2(self, r):
@@ -277,18 +270,9 @@ EUCLIDEAN = MetricProfile(
 
 
 def _hyperbolic_series(order: int) -> list[Fraction]:
-    # sinh^2 r / r^2 = sum_{k>=1} 2^(2k-1) r^(2k-2) / (2k)!
-    out = []
-    fact = 2  # (2k)! running value, k starts at 1
-    k = 1
-    for i in range(order + 1):
-        if i % 2 == 0:
-            out.append(Fraction(2 ** (2 * k - 1), fact))
-            k += 1
-            fact *= (2 * k - 1) * (2 * k)
-        else:
-            out.append(Fraction(0))
-    return out
+    # sinh^2 r / r^2 = sum_{i even} 2^(i+1) r^i / (i+2)!
+    return [Fraction(2 ** (i + 1), math.factorial(i + 2)) if i % 2 == 0
+            else Fraction(0) for i in range(order + 1)]
 
 
 HYPERBOLIC = MetricProfile(
@@ -362,8 +346,9 @@ def load_custom(path: str) -> MetricProfile:
         table_h = np.asarray(hs)
         if len(table_r) < 4:
             raise UnsupportedBackend("custom table needs at least 4 rows")
-        if not (np.all(table_r > 0) and np.all(table_h > 0)):
-            raise UnsupportedBackend("custom table r and h must be > 0")
+        if not np.all((table_r > 0) & (table_h > 0)
+                      & np.isfinite(table_r) & np.isfinite(table_h)):
+            raise UnsupportedBackend("custom table r and h must be finite and > 0")
         if np.any(np.diff(table_r) <= 0):
             raise UnsupportedBackend("custom table radii must be increasing")
 
@@ -382,47 +367,40 @@ def load_custom(path: str) -> MetricProfile:
     nonparabolic = tail_p is not None and 2.0 * tail_p > 1.0
 
     def h2(r):
-        if isinstance(r, float) and (table_r is None or r <= table_r[-1]):
-            # one right-hand-side call: the steps below, on floats
+        # the series inside r_series, log-log interpolation on the table,
+        # the power law past it: a float (the right-hand side) is looked
+        # up in its one region, an array in all three at once
+        if isinstance(r, float):
             if table_r is None or r <= r_series:
                 acc = 0.0
                 for c in horner:
                     acc = acc * r + c
                 return r * r * acc
-            h = np.exp(np.interp(np.log(r), log_r, log_h))
+            if r <= table_r[-1]:
+                h = np.exp(np.interp(np.log(r), log_r, log_h))
+            else:               # the ufunc: scalar ** can round otherwise
+                h = tail_c * np.power(r, tail_p)
             return float(h * h)
-        r = np.atleast_1d(np.asarray(r, dtype=float))
         acc = np.zeros_like(r)
         for c in horner:
             acc = acc * r + c
-        out = r ** 2 * acc
+        out = r * r * acc
         if table_r is not None:
-            # log-log interpolation on the table, power-law beyond it
-            out = np.where(r <= r_series, out, np.where(
-                r <= table_r[-1], np.exp(np.interp(np.log(r), log_r, log_h)) ** 2,
-                (tail_c * r ** tail_p) ** 2))
-        return out if out.size > 1 else out[0]
+            h = np.where(r <= table_r[-1], np.exp(np.interp(np.log(r), log_r, log_h)),
+                         tail_c * r ** tail_p)
+            out = np.where(r <= r_series, out, h * h)
+        return out
 
-    def green(r):
-        # quadrature up to the end of the table, analytic power-law tail beyond
-        from scipy.integrate import quad
+    def tail_from(x):
+        return x ** (1.0 - 2.0 * tail_p) / (2.0 * tail_c ** 2 * (2.0 * tail_p - 1.0))
 
-        def integrand(t):
-            return 1.0 / (2.0 * np.atleast_1d(h2(t))[0])
-
-        def tail_from(x):
-            return x ** (1.0 - 2.0 * tail_p) / (2.0 * tail_c ** 2 * (2.0 * tail_p - 1.0))
-
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        r_top = table_r[-1]
-        out = np.array(
-            [
-                tail_from(x) if x >= r_top
-                else quad(integrand, x, r_top, limit=200)[0] + tail_from(r_top)
-                for x in r
-            ]
-        )
-        return out if out.size > 1 else float(out[0])
+    def green_at(x):
+        """G at one radius: quadrature up to the end of the table, the
+        power-law tail beyond it."""
+        if x >= table_r[-1]:
+            return tail_from(x)
+        return (quad(lambda t: 1.0 / (2.0 * h2(t)), x, table_r[-1],
+                     limit=200)[0] + tail_from(table_r[-1]))
 
     def series(order):
         if order > n_series:
@@ -434,6 +412,6 @@ def load_custom(path: str) -> MetricProfile:
     return MetricProfile(
         id="custom",
         _h2=h2,
-        _green=green if nonparabolic else None,
+        _green=np.vectorize(green_at, otypes=[float]) if nonparabolic else None,
         _series=series,
     )

@@ -17,8 +17,9 @@ coordinate x of the metric's chart (`MetricProfile.chart`): x = r on
 most backgrounds, the fiber coordinate s on the BS ones, so that no
 right-hand side has to invert rho(s).  Results are reported in r.
 
-Every system runs through one DOP853 loop on Python floats (complex for
-su3) with scipy's tableau and controller, so its steps are those of
+Every system, and the linear comparison equation of `envelope_check`,
+runs through one DOP853 loop on Python floats (complex for su3) with
+scipy's tableau and controller, so its steps are those of
 `solve_ivp(method="DOP853")` up to rounding.  Each stop (blow-up, a at
 A_FLOOR, and in shooting mode the tail bound 2 a^2 G <= tol/10) is a
 test on the state at an accepted step.  Interpolants are built only when
@@ -33,7 +34,7 @@ from operator import mul
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp, cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from .metric import (MetricProfile, DomainError, S_CHART, bs_f, bs_h2_of_s,
@@ -45,6 +46,8 @@ A_FLOOR = 1.0e-120
 _V_FLOOR = 2.0 * math.log(A_FLOOR)
 V_TAIL = 2.0 * math.log(1e-8)       # test the tail bound once a < 1e-8
 _EXP_CLIP = 700.0
+_ENVELOPE_GRID = 400                # radii at which envelope_check compares
+_ENVELOPE_SLACK = 1e-7              # its relative slack
 
 
 class StiffnessError(RuntimeError):
@@ -81,15 +84,11 @@ def _expm1_clipped(v):
 # ---------------------------------------------------------------------------
 
 def rhs_minus(state: ProfileState, metric: MetricProfile):
-    if state.r <= 0:
-        raise DomainError("rhs requires r > 0")
     h2 = metric.h2(state.r)
     return (2.0 * state.phi * state.a, (state.a ** 2 - 1.0) / (2.0 * h2))
 
 
 def rhs_plus(state: ProfileState, metric: MetricProfile, sigma: int):
-    if state.r <= 0:
-        raise DomainError("rhs requires r > 0")
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +1 or -1")
     h2 = metric.h2(state.r)
@@ -223,6 +222,19 @@ def _dop853(fun, x, y, x_end, rtol, atol, n_err, dense):
         yield x, y, nfev, F
 
 
+def _interpolate(xs, F, y, x):
+    """State rows at chart points x, from the states y (rows) on the grid
+    xs and the interpolant rows F of each step.  A point at a step end
+    takes the earlier step, as scipy's OdeSolution does."""
+    sign = 1.0 if xs[-1] > xs[0] else -1.0
+    i = np.searchsorted(sign * xs[1:-1], sign * x)
+    u = ((x - xs[i]) / (xs[i + 1] - xs[i]))[:, None]
+    acc = np.zeros_like(F[i, 0])
+    for j, Fj in enumerate(F[i].transpose(1, 0, 2)[::-1]):
+        acc = (acc + Fj) * (u if j % 2 == 0 else 1.0 - u)
+    return acc.T + y[:, i]
+
+
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
@@ -240,20 +252,12 @@ class IntegrationResult:
     tail: Optional[tuple] = None         # (R, a(R), G(R)) where a tail stop fired
 
     def eval(self, r):
-        """State rows at radii r from the step interpolants; a point at a
-        step end takes the earlier step, as scipy's OdeSolution does."""
+        """State rows at radii r from the step interpolants."""
         if self._dense is None:
             raise ValueError(
                 f"this {self.system}-system result was built without dense output")
-        xs, F = self._dense
         x = self.metric.chart.x_of_r(np.atleast_1d(np.asarray(r, dtype=float)))
-        sign = 1.0 if xs[-1] > xs[0] else -1.0
-        i = np.searchsorted(sign * xs[1:-1], sign * x)
-        u = ((x - xs[i]) / (xs[i + 1] - xs[i]))[:, None]
-        y = np.zeros_like(F[i, 0])
-        for j, Fj in enumerate(F[i].transpose(1, 0, 2)[::-1]):
-            y = (y + Fj) * (u if j % 2 == 0 else 1.0 - u)
-        return y.T + self.y[:, i]
+        return _interpolate(*self._dense, self.y, x)
 
     # minus-system conveniences -------------------------------------
 
@@ -434,8 +438,7 @@ class EnvelopeReport:
         return bool(np.all(self.ok))
 
 
-def envelope_check(result: IntegrationResult, metric: MetricProfile,
-                   n_grid: int = 400, slack: float = 1e-7) -> EnvelopeReport:
+def envelope_check(result: IntegrationResult) -> EnvelopeReport:
     """Check the comparison envelopes for a bounded minus-type solution
     with v(d) <= 0, v'(d) <= 0:
 
@@ -446,16 +449,18 @@ def envelope_check(result: IntegrationResult, metric: MetricProfile,
     the linear comparison equation v'' = (2/h^2) v_lin with the same
     initial data (e^v - 1 >= v).  Note both computable curves bound v
     from below; the stated inequalities are those the comparison lemma
-    actually yields.
+    actually yields.  v_lin is stepped like `integrate`'s systems, at
+    rtol 1e-10 and atol 1e-12.
     """
     if result.system != "minus":
         raise ValueError("envelope_check applies to the minus system")
     if result.classification == "blowup":
         raise ValueError("envelope_check requires a non-blowup solution")
 
+    metric, chart = result.metric, result.metric.chart
     d = float(result.r[0])
     r_end = float(result.r_end)
-    rs = np.linspace(d, r_end, n_grid)
+    rs = np.linspace(d, r_end, _ENVELOPE_GRID)
     v, w = result.eval(rs)
     v0, w0 = float(v[0]), float(w[0])
     if v0 > 0 or w0 > 0:
@@ -468,18 +473,20 @@ def envelope_check(result: IntegrationResult, metric: MetricProfile,
     II = cumulative_trapezoid(J, rs, initial=0.0)
     lower_quad = tangent - 2.0 * II
 
-    # auxiliary linear integration, in the same chart as the main solve
-    chart = metric.chart
-
     def lin(x, y):
         Jx = chart.dr_dx(x)
         return [Jx * y[1], Jx * 2.0 * y[0] / chart.h2_of_x(x)]
 
-    sol = solve_ivp(lin, (chart.x_of_r(d), chart.x_of_r(r_end)), [v0, w0],
-                    method="DOP853", dense_output=True, rtol=1e-10, atol=1e-12)
-    lower_lin = sol.sol(chart.x_of_r(rs))[0]
+    xs, ys, Fs = [float(chart.x_of_r(d))], [[v0, w0]], []
+    for x, y, _, F in _dop853(lin, xs[0], ys[0], float(chart.x_of_r(r_end)),
+                              1e-10, 1e-12, 2, True):
+        xs.append(x)
+        ys.append(y)
+        Fs.append(F)
+    lower_lin = _interpolate(np.array(xs), np.array(Fs), np.array(ys).T,
+                             chart.x_of_r(rs))[0]
 
-    tol = slack * (1.0 + np.abs(v))
+    tol = _ENVELOPE_SLACK * (1.0 + np.abs(v))
     ok = (v >= np.maximum(lower_quad, lower_lin) - tol) & (v <= tangent + tol)
     margins = np.minimum(v - np.maximum(lower_quad, lower_lin), tangent - v)
     return EnvelopeReport(

@@ -19,6 +19,7 @@ Families (all exact solutions of their reduced systems):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -197,7 +198,7 @@ def su3_instanton(c: float, branch: int = 1) -> ClosedForm:
     def derivative(r):
         s, u, b1 = fields(r)
         up = _su3_u_prime(c, s)
-        f = float(bs_f(s))
+        f = bs_f(s)
         # d/d rho = f^{-1} d/ds; d b1/ds = u u' / sqrt(u^2-1)
         db1 = (u * up / b1) / f if b1 != 0 else 0.0j
         db2 = branch * up / f
@@ -210,9 +211,16 @@ def su3_instanton(c: float, branch: int = 1) -> ClosedForm:
 # u_c and the BS instanton profile
 # ---------------------------------------------------------------------------
 
+def _fiber_coordinate(s):
+    s = np.asarray(s, dtype=float)
+    if not np.all((s >= 0) & (s < np.inf)):
+        raise DomainError("s must be finite and >= 0")
+    return s
+
+
 def su3_u(c: float, s):
     """u_c(s) = 1 - 2 c s^2 / (s^2 (1+c) + 2 (sqrt(1+s^2) + 1))."""
-    s = np.asarray(s, dtype=float)
+    s = _fiber_coordinate(s)
     den = s * s * (1.0 + c) + 2.0 * (np.sqrt(1.0 + s * s) + 1.0)
     if np.any(den <= 0):
         raise DomainError("u_c denominator must be positive")
@@ -220,15 +228,13 @@ def su3_u(c: float, s):
     return float(out) if out.ndim == 0 else out
 
 
-def _su3_u_prime(c: float, s):
+def _su3_u_prime(c: float, s: float) -> float:
     """Analytic d u_c/ds by the quotient rule (independent of the ODE)."""
-    s = np.asarray(s, dtype=float)
-    den = s * s * (1.0 + c) + 2.0 * (np.sqrt(1.0 + s * s) + 1.0)
-    dden = 2.0 * s * (1.0 + c) + 2.0 * s / np.sqrt(1.0 + s * s)
+    den = s * s * (1.0 + c) + 2.0 * (math.sqrt(1.0 + s * s) + 1.0)
+    dden = 2.0 * s * (1.0 + c) + 2.0 * s / math.sqrt(1.0 + s * s)
     num = 2.0 * c * s * s
     dnum = 4.0 * c * s
-    out = -(dnum * den - num * dden) / (den * den)
-    return float(out) if out.ndim == 0 else out
+    return -(dnum * den - num * dden) / (den * den)
 
 
 def bs_instanton_profile(sign: int, s):
@@ -236,25 +242,13 @@ def bs_instanton_profile(sign: int, s):
     connection coefficient a_conn = f^2(s)."""
     if sign not in (-1, 1):
         raise DomainError("sign must be +1 or -1")
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise DomainError("s must be >= 0")
+    s = _fiber_coordinate(s)
     return {"b": sign * np.ones_like(s), "a_conn": bs_f2(s)}
 
 
 # ---------------------------------------------------------------------------
-# evaluation, analytic derivatives and residuals
+# residuals
 # ---------------------------------------------------------------------------
-
-def eval(form: ClosedForm, r):
-    """Evaluate a family at radius r (rho on BS backgrounds)."""
-    return form.state(r)
-
-
-def deriv(form: ClosedForm, r):
-    """Analytic d/dr of the family fields."""
-    return form.derivative(r)
-
 
 def residual(obj, system: str, metric: MetricProfile, radii) -> float:
     """sup over radii of |d(state)/dr - rhs(state)| for a ClosedForm or

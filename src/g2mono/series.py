@@ -29,6 +29,10 @@ from fractions import Fraction
 from .fps import FormalSeries, common_denominator
 
 
+TRUNCATION_BOUND = 1e-14     # largest truncation monitor at the hand-off
+MAX_DELTA = 0.1              # largest hand-off radius
+
+
 class SeriesTruncationError(ValueError):
     def __init__(self, msg, admissible_delta):
         super().__init__(msg)
@@ -154,31 +158,30 @@ def v_series(beta, metric_coeffs, order: int) -> SeriesSolution:
                           order=order)
 
 
-def choose_delta(series: SeriesSolution, bound: float = 1e-14,
-                 max_delta: float = 0.1) -> float:
-    """Largest hand-off radius with truncation monitor below `bound`."""
-    top = max(abs(float(c)) for c in series.coeffs[2:]) if series.order >= 2 else 0.0
-    if top == 0.0:
-        return max_delta
-    delta = max_delta
-    while delta > 1e-6 and series.truncation_bound(delta) > bound:
+def choose_delta(series: SeriesSolution) -> float:
+    """Largest hand-off radius, from MAX_DELTA down by factors 3/4, with
+    truncation monitor at most TRUNCATION_BOUND."""
+    delta = MAX_DELTA
+    while delta > 1e-6 and series.truncation_bound(delta) > TRUNCATION_BOUND:
         delta *= 0.75
     return delta
 
 
-def initial_data(series: SeriesSolution, delta: float,
-                 bound: float = 1e-14) -> tuple[float, float, float]:
-    """Evaluate (a, phi, truncation bound) at the hand-off radius.
+def initial_data(series: SeriesSolution,
+                 delta: float) -> tuple[float, float, float]:
+    """Evaluate (a, phi, truncation bound) at the hand-off radius, whose
+    truncation monitor must be at most TRUNCATION_BOUND.
 
     a = exp(v(delta)/2),  phi = v'(delta)/4.
     """
     tb = series.truncation_bound(delta)
-    if tb > bound:
+    if tb > TRUNCATION_BOUND:
         n = series.order
         top = abs(float(series.coeffs[n])) or abs(float(series.coeffs[n - 1]))
-        admissible = (bound / top) ** (1.0 / n) if top else delta
+        admissible = (TRUNCATION_BOUND / top) ** (1.0 / n) if top else delta
         raise SeriesTruncationError(
-            f"delta={delta} too large for order {n} (monitor {tb:.2e} > {bound:.2e})",
+            f"delta={delta} too large for order {n} "
+            f"(monitor {tb:.2e} > {TRUNCATION_BOUND:.2e})",
             admissible_delta=min(admissible, delta),
         )
     a = math.exp(0.5 * series.v_at(delta))

@@ -293,13 +293,17 @@ def solve_monopole(metric: MetricProfile, mass: float, tol: float = 1e-10,
 # bubbling
 # ---------------------------------------------------------------------------
 
+_BPS_R = 1.0                         # R: the BPS comparison runs on r <= R/lam
+_HIGGS_WINDOW = (1.0, 5.0)           # radii of the translated-Higgs check
+
+
 @dataclass
 class BubblingReport:
     metric_id: str
     lams: list
     sup_bps: list                    # sup_{r <= R/lam} |a_lam - lam r / sinh(lam r)|
     sup_decreasing: bool
-    translated_ok: list              # per lam: inequality holds at all samples r >= r0
+    translated_ok: list              # per lam: inequality holds at all samples
     worst_violation: float
 
     @property
@@ -307,11 +311,11 @@ class BubblingReport:
         return self.sup_decreasing and all(self.translated_ok)
 
 
-def bubbling_report(masses, metric: MetricProfile, R: float = 1.0,
-                    r0: float = 1.0, r_hi: float = 5.0,
-                    tol: float = 1e-10) -> BubblingReport:
-    """Large-mass comparison against the rescaled BPS profile, and the
-    translated-Higgs inequality 0 <= G - m/2 - phi <= G a^2 for r >= r0.
+def bubbling_report(masses, metric: MetricProfile) -> BubblingReport:
+    """Large-mass comparison against the rescaled BPS profile on
+    r <= _BPS_R/lam, and the translated-Higgs inequality
+    0 <= G - m/2 - phi <= G a^2 on _HIGGS_WINDOW, for
+    profiles solved at `solve_monopole`'s default tol.
 
     The inequality is checked against the profile's own extracted mass
     and with a slack proportional to the solver tolerance: at radii
@@ -322,13 +326,13 @@ def bubbling_report(masses, metric: MetricProfile, R: float = 1.0,
     sups, trans_ok = [], []
     worst = 0.0
     for lam in lams:
-        prof = solve_monopole(metric, lam, tol=tol)
-        rs = np.linspace(R / lam / 200.0, R / lam, 200)
+        prof = solve_monopole(metric, lam)
+        rs = np.linspace(_BPS_R / lam / 200.0, _BPS_R / lam, 200)
         x = lam * rs
         a_bps = x / np.sinh(x)
         sups.append(float(np.max(np.abs(prof.eval_a(rs) - a_bps))))
 
-        rs2 = np.geomspace(r0, r_hi, 80)
+        rs2 = np.geomspace(*_HIGGS_WINDOW, 80)
         G = np.asarray(metric.green_tail(rs2), dtype=float)
         a2 = prof.eval_a(rs2) ** 2
         u = G - prof.mass / 2.0 - prof.eval_phi(rs2)

@@ -43,7 +43,7 @@ def test_criterion_01_bps_reproduction():
 def test_criterion_02_hyperbolic_reproduction():
     prof = shooting.solve_monopole(metric.HYPERBOLIC, 1.0)
     rs = np.linspace(0.0, 10.0, 401)
-    refs = [oracles.eval(oracles.hyperbolic(1.0), r) for r in rs]
+    refs = [oracles.hyperbolic(1.0).state(r) for r in rs]
     err_a = float(np.max(np.abs(prof.eval_a(rs) - [s.a for s in refs])))
     err_p = float(np.max(np.abs(prof.eval_phi(rs) - [s.phi for s in refs])))
     ok = err_a <= 1e-6 and err_p <= 1e-6
@@ -114,7 +114,7 @@ def test_criterion_06_sign_maximum_principles():
                             and np.all(phi < 0)
                             and np.all(np.diff(a) < 1e-13)
                             and np.all(np.diff(phi) < 1e-13))
-            env_ok &= ode.envelope_check(prof.result, met).passed
+            env_ok &= ode.envelope_check(prof.result).passed
     ok = sign_ok and env_ok
     _report(6, "sign/maximum principles + envelopes",
             ok, f"signs/monotone={sign_ok} envelopes={env_ok}")
@@ -136,8 +136,7 @@ def test_criterion_07_instanton_residuals():
 def test_criterion_08_dirac_asymptotics():
     worst_p, worst_amp = 0.0, 0.0
     for met in (metric.BS_S4, metric.BS_CP2):
-        fit = green.asymptotic_fit(green.dirac(met, 1, 1.0),
-                                   r_lo=20.0, r_hi=100.0)
+        fit = green.asymptotic_fit(green.dirac(met, 1, 1.0))
         worst_p = max(worst_p, abs(fit.exponent + 5.0))
         worst_amp = max(worst_amp, abs(fit.amplitude - 6.4) / 6.4)
     ok = worst_p <= 0.05 and worst_amp <= 0.02
@@ -156,8 +155,7 @@ def test_criterion_09_plus_type_blowup():
 
 
 def test_criterion_10_bubbling():
-    rep = shooting.bubbling_report([5.0, 10.0, 20.0, 40.0], metric.BS_S4,
-                                   R=1.0, r0=1.0)
+    rep = shooting.bubbling_report([5.0, 10.0, 20.0, 40.0], metric.BS_S4)
     ok = rep.sup_decreasing and all(rep.translated_ok)
     sups = ", ".join(f"{s:.2e}" for s in rep.sup_bps)
     _report(10, "bubbling",

@@ -257,6 +257,17 @@ def test_h2_float_path_bit_identical(tmp_path):
         assert scalar == [met.h2(r) for r in rs], met.id      # numpy scalars
 
 
+def test_custom_h2_array_matches_floats(tmp_path):
+    # series (r <= 0.5), table and power-law tail (r > 100) in one array;
+    # energy densities and envelope grids take the array body
+    met = load_custom(_write_custom(tmp_path, p=1.3, coeffs="1,0,1/3,0,-1/7"))
+    rs = np.concatenate([np.geomspace(1e-4, 1e3, 500), [0.5, 100.0]])
+    out = met.h2(rs)
+    assert isinstance(out, np.ndarray) and out.shape == rs.shape
+    assert out.tolist() == [met.h2(float(r)) for r in rs]
+    assert np.array_equal(met.h2(rs.reshape(2, -1)), out.reshape(2, -1))
+
+
 def test_custom_series_branch_matches_pointwise_horner(tmp_path):
     coeffs = "1,0,1/3,0,-2/45,0,1/7"
     met = load_custom(_write_custom(tmp_path, coeffs=coeffs))
@@ -343,6 +354,24 @@ def test_custom_backend_rejects_bad_file(tmp_path, coeffs, header, rows):
                    + f"table={table}\n")
     with pytest.raises(UnsupportedBackend):
         load_custom(str(cfg))
+
+
+@pytest.mark.parametrize("rows", [
+    [(0.5, 0.5), (1, 1), (2, "inf"), (4, 4)],
+    [(0.5, 0.5), (1, 1), (2, 2), ("inf", 4)],
+], ids=["h-inf", "r-inf"])
+def test_custom_table_rejects_non_finite_rows(tmp_path, capsys, rows):
+    table = tmp_path / "table.csv"
+    table.write_text("r,h\n" + "".join(f"{r},{h}\n" for r, h in rows))
+    cfg = tmp_path / "metric.txt"
+    cfg.write_text(f"type=custom\ncoeffs=1,0,1/3\ntable={table}\n")
+    message = "custom table r and h must be finite and > 0"
+    with pytest.raises(UnsupportedBackend, match=message):
+        load_custom(str(cfg))
+    out = str(tmp_path / "profile.csv")
+    assert main(["solve", "--metric", str(cfg), "--mass", "1",
+                 "--out", out]) == 1
+    assert message in capsys.readouterr().err
 
 
 def _table_metric(tmp_path, rs):

@@ -1,14 +1,16 @@
 """Reduced systems: right-hand sides, integration, classification,
 comparison envelopes."""
 
+import ast
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from g2mono import metric, ode, oracles
+from g2mono import metric, ode, oracles, shooting
 from g2mono.metric import DomainError
 from g2mono.ode import (ProfileState, SU3State, StiffnessError,
                         envelope_check, integrate, rhs_minus, rhs_plus,
@@ -27,16 +29,16 @@ def test_rhs_minus_flat_fixed_point():
 
 
 def test_rhs_minus_matches_bps_derivative():
-    st = oracles.eval(oracles.bps_mass(1.0), 1.0)
-    d = oracles.deriv(oracles.bps_mass(1.0), 1.0)
+    st = oracles.bps_mass(1.0).state(1.0)
+    d = oracles.bps_mass(1.0).derivative(1.0)
     rhs = rhs_minus(st, metric.EUCLIDEAN)
     assert abs(d[0] - rhs[0]) <= 1e-13
     assert abs(d[1] - rhs[1]) <= 1e-13
 
 
 def test_rhs_minus_matches_hyperbolic_derivative():
-    st = oracles.eval(oracles.hyperbolic(1.0), 1.0)
-    d = oracles.deriv(oracles.hyperbolic(1.0), 1.0)
+    st = oracles.hyperbolic(1.0).state(1.0)
+    d = oracles.hyperbolic(1.0).derivative(1.0)
     rhs = rhs_minus(st, metric.HYPERBOLIC)
     assert max(abs(d[0] - rhs[0]), abs(d[1] - rhs[1])) <= 1e-12
 
@@ -52,6 +54,13 @@ def test_rhs_plus_signs_and_decoupled():
 def test_rhs_domain_errors():
     with pytest.raises(DomainError):
         rhs_minus(ProfileState(0.0, 1.0, 0.0), metric.EUCLIDEAN)
+    # the radius is checked by metric.h2, on every backend
+    for met in (metric.HYPERBOLIC, metric.BS_S4):
+        for r in (0.0, -1.0, float("nan")):
+            with pytest.raises(DomainError):
+                rhs_minus(ProfileState(r, 1.0, 0.0), met)
+            with pytest.raises(DomainError):
+                rhs_plus(ProfileState(r, 1.0, 0.0), met, 1)
     with pytest.raises(ValueError):
         rhs_plus(ProfileState(1.0, 1.0, 0.0), metric.EUCLIDEAN, 2)
 
@@ -81,7 +90,7 @@ def test_rhs_su3_abelian_limit():
 
 
 def test_su3_rejected_off_bs_backgrounds():
-    st = oracles.eval(oracles.su3_instanton(2.0, 1), metric.rho_of_s(0.5))
+    st = oracles.su3_instanton(2.0, 1).state(metric.rho_of_s(0.5))
     for met in (metric.EUCLIDEAN, metric.HYPERBOLIC):
         with pytest.raises(DomainError):
             rhs_su3(st, met)
@@ -155,7 +164,7 @@ def test_su3_instanton_constraint_drift():
     c, branch = 2.0, 1
     s0, s1 = 0.05, 100.0
     rho0 = metric.rho_of_s(s0)
-    st = oracles.eval(oracles.su3_instanton(c, branch), rho0)
+    st = oracles.su3_instanton(c, branch).state(rho0)
     res = integrate("su3", st, metric.BS_S4, metric.rho_of_s(s1), tol=1e-11)
     assert res.classification == "bounded"
     b1, b2 = res.y[0], res.y[1]
@@ -167,9 +176,9 @@ def test_su3_integration_matches_instanton():
     # end state within the ODE tolerance of the closed form (observed 2.1e-12)
     c, branch = 2.0, 1
     form = oracles.su3_instanton(c, branch)
-    res = integrate("su3", oracles.eval(form, metric.rho_of_s(0.05)),
+    res = integrate("su3", form.state(metric.rho_of_s(0.05)),
                     metric.BS_S4, metric.rho_of_s(6.0), tol=1e-11)
-    end = oracles.eval(form, res.r_end)
+    end = form.state(res.r_end)
     ref = [end.b1, end.b2, end.b3, end.phi1, end.phi2]
     assert res.classification == "bounded"
     assert np.max(np.abs(res.y[:, -1] - ref)) <= 1e-10
@@ -178,7 +187,7 @@ def test_su3_integration_matches_instanton():
 def test_envelope_bps():
     res = integrate("minus", _bps_initial(0.05), metric.EUCLIDEAN, 10.0,
                     tol=1e-11)
-    rep = envelope_check(res, metric.EUCLIDEAN)
+    rep = envelope_check(res)
     assert rep.passed
 
 
@@ -188,7 +197,7 @@ def test_envelope_bs():
     a, phi, _ = initial_data(sol, d)
     res = integrate("minus", ProfileState(d, a, phi), metric.BS_S4, 15.0,
                     tol=1e-10)
-    rep = envelope_check(res, metric.BS_S4)
+    rep = envelope_check(res)
     assert rep.passed
 
 
@@ -292,7 +301,7 @@ def _solve_ivp(system, y0, met, r0, r1, tol, sigma=-1, dense=False):
 
 
 def _su3_initial():
-    return oracles.eval(oracles.su3_instanton(2.0, 1), metric.rho_of_s(0.05))
+    return oracles.su3_instanton(2.0, 1).state(metric.rho_of_s(0.05))
 
 
 _PLAIN_RUNS = {
@@ -363,18 +372,53 @@ def test_tail_stop_takes_the_solve_ivp_steps(met):
     assert r[n] > R * (1.0 + 1e-6)
 
 
-def test_integrate_never_calls_solve_ivp(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("integrate called solve_ivp")
-
-    assert not hasattr(ode, "DOP853") and not hasattr(ode, "OdeSolution")
-    monkeypatch.setattr(ode, "solve_ivp", refuse)
+def test_integrate_never_calls_solve_ivp():
+    # no module of the package imports or names scipy's drivers, so every
+    # integration below runs on ode's own stepper
+    banned = {"solve_ivp", "DOP853", "OdeSolution"}
+    paths = sorted(pathlib.Path(ode.__file__).parent.glob("*.py"))
+    assert len(paths) >= 9
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.name.rsplit(".", 1)[-1] for a in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            else:
+                continue
+            assert not names & banned, (path.name, node.lineno, names & banned)
     for case in _PLAIN_RUNS.values():
         system, init, met, r_max, kw = case()
         assert integrate(system, init, met, r_max, **kw).r_end > 0
     shot = integrate("minus", _shot_initial(-0.4, metric.HYPERBOLIC),
                      metric.HYPERBOLIC, 1e5, tail_stop=True)
     assert shot.tail is not None
+
+
+@pytest.mark.parametrize("met", [metric.EUCLIDEAN, metric.HYPERBOLIC,
+                                 metric.BS_S4], ids=lambda m: m.id)
+@pytest.mark.parametrize("m", [0.5, 4.0])
+def test_envelope_linear_matches_solve_ivp(met, m):
+    # the linear comparison curve v'' = 2 v / h^2, stepped by ode's own
+    # DOP853, against scipy's at the same tolerances and in the same chart
+    prof = shooting.solve_monopole(met, m)
+    rep = envelope_check(prof.result)
+    c = met.chart
+
+    def lin(x, y):
+        J = c.dr_dx(x)
+        return [J * y[1], J * 2.0 * y[0] / c.h2_of_x(x)]
+
+    v0, w0 = prof.result.eval(rep.r[0])[:2, 0]
+    x_span = (float(c.x_of_r(rep.r[0])), float(c.x_of_r(rep.r[-1])))
+    sol = solve_ivp(lin, x_span, [v0, w0], method="DOP853",
+                    dense_output=True, rtol=1e-10, atol=1e-12)
+    ref = sol.sol(c.x_of_r(rep.r))[0]
+    assert np.all(np.abs(rep.lower_linear - ref)
+                  <= 1e-12 * np.maximum(1.0, np.abs(rep.v)))
+    assert rep.passed
 
 
 def test_stops_end_at_the_first_step_past_the_threshold():

@@ -11,13 +11,13 @@ RS = np.geomspace(0.01, 10.0, 200)
 
 
 def test_bps_point_values():
-    st = oracles.eval(oracles.bps_mass(1.0), 1.0)
+    st = oracles.bps_mass(1.0).state(1.0)
     assert abs(st.a - 0.85092) <= 1e-5
     assert abs(st.phi + 0.15652) <= 1e-5
 
 
 def test_hyperbolic_point_values():
-    st = oracles.eval(oracles.hyperbolic(1.0), 1.0)
+    st = oracles.hyperbolic(1.0).state(1.0)
     assert abs(st.a - 2 * np.sinh(1) / np.sinh(2)) <= 1e-12
     assert abs(st.a - 0.64805) <= 1e-5
     assert abs(st.phi + 0.38079) <= 1e-5
@@ -26,10 +26,10 @@ def test_hyperbolic_point_values():
 def test_small_r_stability():
     # series evaluation below 1e-3 agrees with the raw closed form just
     # above the switch and has the right limits at 0
-    st = oracles.eval(oracles.bps_mass(1.0), 0.0)
+    st = oracles.bps_mass(1.0).state(0.0)
     assert st.a == 1.0 and st.phi == 0.0
-    lo = oracles.eval(oracles.bps_mass(1.0), 9.99e-4)
-    hi = oracles.eval(oracles.bps_mass(1.0), 1.001e-3)
+    lo = oracles.bps_mass(1.0).state(9.99e-4)
+    hi = oracles.bps_mass(1.0).state(1.001e-3)
     # the fields themselves vary by ~|f'| * 2e-6 across the gap
     assert abs(lo.a - hi.a) <= 1e-6
     assert abs(lo.phi - hi.phi) <= 1e-6
@@ -45,7 +45,7 @@ def test_bps_general_family_residual():
     form = oracles.bps(2.0, 0.5)
     r = oracles.residual(form, "minus", metric.EUCLIDEAN, RS)
     assert r <= 1e-12
-    a0 = oracles.eval(form, 1e-6).a
+    a0 = form.state(1e-6).a
     assert abs(a0 - 1.0) > 0.5
 
 
@@ -58,11 +58,11 @@ def test_hyperbolic_residual():
 
 def test_dirac_exact():
     form = oracles.dirac_euclidean(1.0)
-    st = oracles.eval(form, 2.0)
+    st = form.state(2.0)
     assert st.a == 0.0 and st.phi == 1.25
     assert oracles.residual(form, "minus", metric.EUCLIDEAN, RS) == 0.0
     with pytest.raises(DomainError):
-        oracles.eval(form, 0.0)
+        form.state(0.0)
 
 
 def test_flat_residual_zero():
@@ -98,6 +98,16 @@ def test_su3_u_values():
     assert abs(oracles.su3_u(1.0, 1e8)) <= 1e-7
 
 
+@pytest.mark.parametrize("s", [np.nan, np.inf, -1.0, [0.0, np.nan],
+                               [0.5, np.inf]],
+                         ids=["nan", "inf", "negative", "array-nan", "array-inf"])
+def test_s_domain_oracles_reject_non_finite_s(s):
+    with pytest.raises(DomainError, match="s must be finite and >= 0"):
+        oracles.su3_u(1.0, s)
+    with pytest.raises(DomainError, match="s must be finite and >= 0"):
+        oracles.bs_instanton_profile(1, s)
+
+
 def test_su3_instanton_residuals():
     rhos = np.array([metric.rho_of_s(s) for s in np.geomspace(0.01, 50, 80)])
     for c in (0.0, 1.0, 2.0, 5.0):
@@ -130,7 +140,7 @@ def test_solver_matches_oracles():
                       (metric.HYPERBOLIC, oracles.hyperbolic(0.5))):
         prof = solve_monopole(met, 0.5)
         rs = np.linspace(0.0, 10.0, 101)
-        a_ref = np.array([oracles.eval(form, r).a for r in rs])
+        a_ref = np.array([form.state(r).a for r in rs])
         assert np.max(np.abs(prof.eval_a(rs) - a_ref)) <= 1e-6
 
 

@@ -111,7 +111,7 @@ def test_profile_eval_piecewise_continuity():
 
 
 def test_bubbling_euclidean_exact():
-    rep = bubbling_report([2.0, 4.0], metric.EUCLIDEAN, R=1.0)
+    rep = bubbling_report([2.0, 4.0], metric.EUCLIDEAN)
     assert max(rep.sup_bps) <= 1e-7
     assert all(rep.translated_ok)
 
@@ -322,7 +322,7 @@ def test_mass_properties(met, m):
     assert abs(mass_of_beta(prof.beta, met) - m) <= 1e-8
     assert beta_of_mass(m * (1.0 + 1e-3), met) < prof.beta
     assert abs(energy.intermediate_energy(prof, met).value - m / 2.0) <= 1e-5
-    assert ode.envelope_check(prof.result, met).passed
+    assert ode.envelope_check(prof.result).passed
 
 
 # -- one bare-stepper integration per shot ---------------------------------
