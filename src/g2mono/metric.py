@@ -34,7 +34,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import hyp2f1
 
 from .fps import FormalSeries
@@ -91,40 +90,24 @@ def rho_of_s(s):
 
 
 def s_of_rho(rho):
-    """Inverse of rho_of_s, by Newton's method on the whole array.
-
-    Each element stops at its own step; one that has not converged after
-    60 steps is solved by bisection instead.  Past _RHO_FAR the asymptote
-    of rho_of_s is inverted in closed form; s is inf where it overflows.
-    """
-    rho_arr = np.asarray(rho, dtype=float)
-    if not np.all((rho_arr >= 0) & (rho_arr < np.inf)):
+    """Inverse of rho_of_s: three Halley steps on the whole array, which
+    reach hyp2f1's rounding from the series head rho (1 + rho^2/12) below
+    rho = 1.5 and from the inverted asymptote of rho_of_s above.  Past
+    _RHO_FAR that asymptote is the answer; s is inf where it overflows."""
+    rho = np.asarray(rho, dtype=float)
+    if not np.all((rho >= 0) & (rho < np.inf)):
         raise DomainError("rho must be finite and >= 0")
-    out = np.zeros(rho_arr.size)                    # rho = 0 -> s = 0
-    flat = rho_arr.ravel()
-    far = flat >= _RHO_FAR
+    near = np.minimum(rho, _RHO_FAR)
+    half = 0.5 * (near + _RHO_OFFSET)
+    s = np.where(near < 1.5, near * (1.0 + near * near / 12.0), half * half)
+    for _ in range(3):
+        # Halley on rho(s) - rho: rho' = q^(-1/4), rho'' = -s q^(-5/4) / 2
+        q = 1.0 + s * s
+        g = s * hyp2f1(0.25, 0.5, 1.5, -s * s) - near
+        s = s - g / (1.0 / np.sqrt(np.sqrt(q)) + g * s / (4.0 * q))
     with np.errstate(over="ignore"):
-        out[far] = (0.5 * (flat[far] + _RHO_OFFSET)) ** 2
-    idx = np.flatnonzero((flat > 0) & ~far)
-    p = flat[idx]
-    # initial guess: rho ~ s for small s, rho ~ 2 sqrt(s) - 1.198 for large
-    s = np.where(p < 1.0, p, ((p + 1.198) / 2.0) ** 2)
-    for _ in range(60):
-        if not idx.size:
-            break
-        # Newton on rho(s) - rho;  d rho/ds = (1+s^2)^(-1/4)
-        s_new = s - (s * hyp2f1(0.25, 0.5, 1.5, -s * s) - p) * (1.0 + s * s) ** 0.25
-        s_new = np.where(s_new <= 0.0, 0.5 * s, s_new)
-        done = np.abs(s_new - s) <= 1e-15 * np.maximum(1.0, s)
-        out[idx[done]] = s_new[done]
-        idx, p, s = idx[~done], p[~done], s_new[~done]
-    for i, pi, si in zip(idx, p, s):    # Newton should never get here
-        hi = max(4.0 * si, 1.0)
-        while rho_of_s(hi) < pi:
-            hi *= 4.0
-        out[i] = brentq(lambda t: rho_of_s(t) - pi, 0.0, hi, xtol=1e-15,
-                        rtol=8.9e-16)
-    return float(out[0]) if rho_arr.ndim == 0 else out.reshape(rho_arr.shape)
+        out = np.where(rho < _RHO_FAR, s, np.square(0.5 * (rho + _RHO_OFFSET)))
+    return float(out) if out.ndim == 0 else out
 
 
 def bs_h2_of_s(s):

@@ -275,17 +275,17 @@ def check_tol(tol: float) -> float:
 
 
 def integrate(system: str, initial, metric: MetricProfile, r_max: float,
-              tol: float = 1e-10, sigma: int = -1, r_min: float = None,
-              variation=None, tail_stop: bool = False,
+              tol: float = 1e-10, sigma: int = -1, variation=None,
+              tail_stop: bool = False,
               dense: bool = True) -> IntegrationResult:
     """Adaptive embedded Runge-Kutta (DOP853) trace of one of the
     reduced systems, in the metric's chart x(r), from `initial` to r_max
     (a non-empty range).  A step below 10 ulp of x raises StiffnessError
     with `state` the (x, y) it could not step from.
 
-    `initial` is a ProfileState (minus/plus) or SU3State.  For the plus
-    system pass r_min < initial.r to integrate backwards toward the
-    singular origin.
+    `initial` is a ProfileState (minus/plus) or SU3State.  A backward
+    run, such as the plus system's toward the singular origin, passes
+    its end as r_max < initial.r.
 
     Every stop is a per-step test on the state, not a located event, so
     a stopped trace ends at the first accepted step past its threshold.
@@ -319,8 +319,7 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     chart = metric.chart
     x_of_r, r_of_x, dr_dx, h2_of_x = (chart.x_of_r, chart.r_of_x,
                                       chart.dr_dx, chart.h2_of_x)
-    r_to = r_min if system == "plus" and r_min is not None else r_max
-    x_span = (float(x_of_r(initial.r)), float(x_of_r(r_to)))
+    x_span = (float(x_of_r(initial.r)), float(x_of_r(r_max)))
     if not abs(x_span[1] - x_span[0]) > 0.0:
         raise DomainError("the integration range is empty")
     # no r on the span exceeds that at its larger end (r_max, or the

@@ -146,8 +146,7 @@ def test_criterion_08_dirac_asymptotics():
 
 def test_criterion_09_plus_type_blowup():
     res = ode.integrate("plus", ode.ProfileState(1.0, 0.0, 0.0),
-                        metric.BS_S4, r_max=1.0, tol=1e-12, sigma=-1,
-                        r_min=1e-3)
+                        metric.BS_S4, r_max=1e-3, tol=1e-12, sigma=-1)
     val = res.r_end * res.y[1, -1]
     ok = abs(val - 0.5) <= 0.01 * 0.5
     _report(9, "plus-type blow-up rate",

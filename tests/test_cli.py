@@ -4,10 +4,12 @@ import csv
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import g2mono
 from g2mono import energy, metric, ode, shooting
 from g2mono.cli import main
 
@@ -168,6 +170,23 @@ def test_energy_roundtrip(tmp_path, capsys):
         assert rep["E_I"] == energy.intermediate_energy(prof, met).value
 
 
+def test_energy_without_sidecar(tmp_path, capsys):
+    # no sidecar: --metric is required, and the mass is read off the tail
+    out = str(tmp_path / "p.csv")
+    _, stdout, _ = run(capsys, "solve", "--metric", "bs_s4", "--mass", "1.7",
+                       "--out", out)
+    solved = json.loads(stdout)["mass"]
+    os.remove(out[:-4] + ".json")
+    with pytest.raises(SystemExit) as exc:
+        main(["energy", "--profile", out])
+    assert exc.value.code == 2
+    assert "--metric required" in capsys.readouterr().err
+    code, stdout, _ = run(capsys, "energy", "--profile", out,
+                          "--metric", "bs_s4")
+    assert code == 0
+    assert abs(json.loads(stdout)["mass"] - solved) <= 1e-9
+
+
 @pytest.mark.parametrize("text,message", [
     ("r,a,phi,v\n0,1,0,0\n", "at least 2 samples, not 1"),
     ("r,a,phi,v\n0,1,0,0\n1,nan,-0.1,0\n2,0.1,-0.2,0\n", "a and phi must be finite"),
@@ -326,3 +345,11 @@ def test_deterministic_outputs(tmp_path, capsys):
     run(capsys, "solve", "--metric", "hyperbolic", "--mass", "1", "--out", a)
     run(capsys, "solve", "--metric", "hyperbolic", "--mass", "1", "--out", b)
     assert open(a).read() == open(b).read()
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")         # Python >= 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == g2mono.__version__

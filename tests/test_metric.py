@@ -30,8 +30,9 @@ def test_s_of_rho_roundtrip():
 
 
 def s_of_rho_loop(rho):
-    """One point at a time: the same Newton steps and stop rule as
-    s_of_rho, in scalar arithmetic."""
+    """One point at a time: an independent reference for s_of_rho,
+    Newton's method with its own start and stop rule, in scalar
+    arithmetic."""
     if rho == 0.0:
         return 0.0
     s = rho if rho < 1.0 else ((rho + 1.198) / 2.0) ** 2
@@ -84,6 +85,43 @@ def test_s_of_rho_rejects_negative_entries():
     for bad in (-1e-300, -2.0, [1.0, -0.5, 3.0], np.array([0.0, 0.0, -1.0])):
         with pytest.raises(DomainError):
             s_of_rho(bad)
+
+
+# radii at which Newton's method with the stop rule |ds| <= 1e-15 max(1, s)
+# never stops: its step 2-cycles at hyp2f1's rounding (1.73 lies on the
+# profile grid of solve_monopole(BS_S4, 4.0))
+_NEWTON_CYCLES = [1.7299719298181815, 1.302211934933402, 1.5314568172031044,
+                  1.3337061351654997, 1.5171096550417547, 1.282737577543451]
+
+
+def test_s_of_rho_takes_three_steps_per_radius(monkeypatch):
+    evaluated = [0]
+    hyp2f1 = metric.hyp2f1
+
+    def counted(a, b, c, z):
+        evaluated[0] += np.size(z)
+        return hyp2f1(a, b, c, z)
+
+    monkeypatch.setattr(metric, "hyp2f1", counted)
+    rho = np.concatenate([_NEWTON_CYCLES, [0.0, 5e-324],
+                          np.geomspace(1e-8, 0.5 * metric._RHO_FAR, 200)])
+    s = s_of_rho(rho)
+    assert evaluated[0] == 3 * rho.size
+    for p, one in zip(rho, s):
+        evaluated[0] = 0
+        assert s_of_rho(float(p)) == one
+        assert evaluated[0] == 3
+
+
+def test_s_of_rho_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    rho = np.concatenate([_NEWTON_CYCLES, np.geomspace(1e-6, 1e6, 61)])
+    with mp.workdps(40):
+        for p, s in zip(rho, s_of_rho(rho)):
+            ref = mp.findroot(
+                lambda t: t * mp.hyp2f1(0.25, 0.5, 1.5, -t * t) - mp.mpf(p),
+                mp.mpf(s))
+            assert abs(mp.mpf(s) / ref - 1) <= 4e-15, p
 
 
 def test_bs_green_quadrature_oracle():

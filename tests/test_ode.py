@@ -139,7 +139,7 @@ def test_plus_backward_blowup_rate():
     # sigma=-1 abelian flow from rho=1 back to the origin:
     # rho * phi -> 1/2 like the Green's function
     res = integrate("plus", ProfileState(1.0, 0.0, 0.0), metric.EUCLIDEAN,
-                    r_max=1.0, tol=1e-12, sigma=-1, r_min=1e-3)
+                    r_max=1e-3, tol=1e-12, sigma=-1)
     a_end, phi_end = res.y[0, -1], res.y[1, -1]
     r_end = res.r_end
     assert abs(r_end - 1e-3) <= 1e-12
@@ -311,7 +311,7 @@ _PLAIN_RUNS = {
     "minus-bs_s4": lambda: ("minus", _shot_initial(-0.4, metric.BS_S4),
                             metric.BS_S4, 15.0, {}),
     "plus-backward": lambda: ("plus", ProfileState(1.0, 0.0, 0.0),
-                              metric.BS_S4, 1.0, {"sigma": -1, "r_min": 1e-3}),
+                              metric.BS_S4, 1e-3, {"sigma": -1}),
     "su3": lambda: ("su3", _su3_initial(), metric.BS_S4, metric.rho_of_s(6.0),
                     {}),
 }
@@ -335,8 +335,7 @@ def test_plain_run_takes_the_solve_ivp_steps(case):
     # down to about tol, so one ulp in a stage moves later step sizes.
     system, init, met, r_max, kw = _PLAIN_RUNS[case]()
     tol = 1e-11
-    r_end = kw.get("r_min", r_max)
-    sol = _solve_ivp(system, _y0(system, init), met, init.r, r_end, tol,
+    sol = _solve_ivp(system, _y0(system, init), met, init.r, r_max, tol,
                      kw.get("sigma", -1), dense=True)
     n_steps = len(sol.t) - 1
     bare = integrate(system, init, met, r_max, tol=tol, dense=False, **kw)
@@ -349,7 +348,7 @@ def test_plain_run_takes_the_solve_ivp_steps(case):
     # solve_ivp's count includes its interpolants' three evaluations a step
     assert bare.stats["nfev"] == sol.nfev - 3 * n_steps
     assert dense.stats["nfev"] == sol.nfev
-    rs = np.linspace(init.r, r_end, 301)
+    rs = np.linspace(init.r, r_max, 301)
     ref = sol.sol(met.chart.x_of_r(rs))
     assert np.all(np.abs(dense.eval(rs) - ref) <= tol * (1.0 + np.abs(ref)))
 
@@ -451,8 +450,8 @@ def test_plus_and_su3_blowup_are_per_step_tests():
                     5.0)
     assert res.classification == "blowup" and res.stats["n_steps"] == 1
     # backward, the bound uses the largest radius of the span
-    res = integrate("plus", ProfileState(1.0, 0.0, 2e6), metric.BS_S4, 1.0,
-                    sigma=-1, r_min=1e-3)
+    res = integrate("plus", ProfileState(1.0, 0.0, 2e6), metric.BS_S4, 1e-3,
+                    sigma=-1)
     assert res.classification == "blowup" and res.stats["n_steps"] == 1
     st = SU3State(metric.rho_of_s(0.5), 0.0, 0.0, 0.0, 2e6, 0.0)
     res = integrate("su3", st, metric.BS_S4, metric.rho_of_s(6.0))

@@ -88,6 +88,13 @@ def test_flat_profile():
     assert np.all(prof.a == 1.0) and np.all(prof.phi == 0.0)
 
 
+def test_flat_profile_fields():
+    # beta = 0 has no trace to evaluate: every radius, past R_end too
+    prof = profile_of_beta(0.0, metric.BS_S4)
+    a, phi = prof.fields([0.0, 0.5, 3.0, 1e4])
+    assert a.tolist() == [1.0] * 4 and phi.tolist() == [0.0] * 4
+
+
 def test_tail_correction_consistency():
     # extracting at twice the radius moves the mass by less than the
     # advertised bound 2 a^2(R) G(R)
@@ -194,6 +201,25 @@ def test_warm_start_from_a_neighbouring_root(monkeypatch, met):
         beta = beta_of_mass(1.02 * m, met, beta0=beta0)
         assert count[0] <= 3, (met.id, m, count[0])
         assert abs(mass_of_beta(beta, met, 1e-9) - 1.02 * m) <= 1e-9
+
+
+def test_start_above_the_root_expands_the_bracket_down(monkeypatch):
+    # m(-1e4) is far above 1 and the Newton step is too long, so the
+    # bracket grows downward by _X_STEP until m < 1, then Newton closes
+    count = _count_shots(monkeypatch)
+    slopes = []
+    mass_slope = shooting._mass_slope
+
+    def recorded(beta, *args):
+        slopes.append(beta)
+        return mass_slope(beta, *args)
+
+    monkeypatch.setattr(shooting, "_mass_slope", recorded)
+    beta = beta_of_mass(1.0, metric.EUCLIDEAN, beta0=-1e4)
+    assert abs(3.0 * beta + 1.0) <= 1e-10
+    steps = np.diff(np.log([-b for b in slopes[:5]]))
+    assert np.allclose(steps, -shooting._X_STEP, rtol=0, atol=1e-12)
+    assert count[0] <= 7
 
 
 def test_failed_check_takes_another_slope_shot(monkeypatch):
