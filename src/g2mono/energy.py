@@ -45,14 +45,16 @@ class EnergyReport:
                     and self.max_partial_residual <= self.quad_tol)
 
 
-def energy_density(r, a, phi, metric: MetricProfile):
-    """(a^2-1)^2/(2h^2) + 4 a^2 phi^2, with the removable zero at r=0."""
+def energy_density(r, a, phi, metric: MetricProfile, h2=None):
+    """(a^2-1)^2/(2h^2) + 4 a^2 phi^2, with the removable zero at r=0.
+    h^2 is `metric.h2(r)`, or read from `h2`, its values on r."""
     r = np.asarray(r, dtype=float)
     a = np.asarray(a, dtype=float)
     phi = np.asarray(phi, dtype=float)
     out = np.empty_like(r)
     pos = r > 0
-    h2 = np.asarray(metric.h2(r[pos]), dtype=float)
+    h2 = (np.asarray(metric.h2(r[pos]), dtype=float) if h2 is None
+          else np.asarray(h2, dtype=float)[pos])
     out[pos] = (a[pos] ** 2 - 1.0) ** 2 / (2.0 * h2) + 4.0 * a[pos] ** 2 * phi[pos] ** 2
     out[~pos] = 0.0
     return out
@@ -95,7 +97,9 @@ def intermediate_energy(profile, metric: MetricProfile) -> EnergyReport:
         int_{R_end}^inf e dr = G(R_end) + O(a^2(R_end)),
 
     reported together with the partial-vs-boundary identity arrays on
-    the same samples.
+    the same samples.  h^2 on the samples is the profile's own `h2` when
+    it has one (a solved profile keeps it from its single mapping of the
+    grid to the chart), else `metric.h2(r)`: the two are equal to the bit.
     """
     res = getattr(profile, "result", None)
     if res is not None and res.classification == "blowup":
@@ -107,7 +111,8 @@ def intermediate_energy(profile, metric: MetricProfile) -> EnergyReport:
                             boundary_limit=0.0, identity_residual=0.0,
                             quad_tol=0.0, r=r_f, partial=z, boundary=z)
 
-    dens = energy_density(r_f, a_f, p_f, metric)
+    dens = energy_density(r_f, a_f, p_f, metric,
+                          h2=getattr(profile, "h2", None))
     cum, est = _cumulative(dens, r_f)
 
     R = float(r_f[-1])

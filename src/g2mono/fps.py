@@ -138,16 +138,28 @@ class FormalSeries:
         p = _as_fraction(p)
         if self[0] != 1:
             raise ValueError("pow requires constant term 1")
+        # f = a^p with a0=1:  k f_k = sum_{j=1..k} (j p - (k - j)) a_j f_{k-j}.
+        # With a_j = A_j/D and p = P/Q, f_k = N_k / ((QD)^k k!) for the
+        # integers N_0 = 1 and
+        #   N_k = sum_j (jP - (k-j)Q) A_j N_{k-j} (QD)^(j-1) (k-1)!/(k-j)!,
+        # so only the output coefficients are normalised
         n = self.order
-        out = [Fraction(1)] + [Fraction(0)] * n
-        # f = a^p with a0=1:  k f_k = sum_{j=1..k} (j p - (k - j)) a_j f_{k-j}
+        A, D = common_denominator(self.coeffs)
+        P, Q = p.numerator, p.denominator
+        qd = Q * D
+        N = [1]
         for k in range(1, n + 1):
-            acc = Fraction(0)
+            acc = 0
+            scale = 1                       # (QD)^(j-1) (k-1)!/(k-j)!
             for j in range(1, k + 1):
-                aj = self[j]
-                if aj:
-                    acc += (j * p - (k - j)) * aj * out[k - j]
-            out[k] = acc / k
+                if A[j]:
+                    acc += (j * P - (k - j) * Q) * A[j] * N[k - j] * scale
+                scale *= qd * (k - j)
+            N.append(acc)
+        out, den = [], 1                    # den = (QD)^k k!
+        for k, Nk in enumerate(N):
+            out.append(Fraction(Nk, den))
+            den *= qd * (k + 1)
         return FormalSeries(out)
 
     def reversion(self) -> "FormalSeries":

@@ -251,13 +251,18 @@ class IntegrationResult:
     _dense: Optional[tuple] = field(repr=False)  # (x grid, rows F per step)
     tail: Optional[tuple] = None         # (R, a(R), G(R)) where a tail stop fired
 
-    def eval(self, r):
-        """State rows at radii r from the step interpolants."""
+    def eval_x(self, x):
+        """State rows at chart points x from the step interpolants."""
         if self._dense is None:
             raise ValueError(
                 f"this {self.system}-system result was built without dense output")
-        x = self.metric.chart.x_of_r(np.atleast_1d(np.asarray(r, dtype=float)))
-        return _interpolate(*self._dense, self.y, x)
+        return _interpolate(*self._dense, self.y,
+                            np.atleast_1d(np.asarray(x, dtype=float)))
+
+    def eval(self, r):
+        """State rows at radii r from the step interpolants."""
+        return self.eval_x(self.metric.chart.x_of_r(
+            np.atleast_1d(np.asarray(r, dtype=float))))
 
     # minus-system conveniences -------------------------------------
 

@@ -79,6 +79,7 @@ class MonopoleProfile:
     a_end: float = 0.0
     G_end: float = 0.0
     flat: bool = False
+    h2: Optional[np.ndarray] = field(default=None, repr=False)  # h^2 on r
 
     @property
     def tail(self):
@@ -252,7 +253,13 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9,
 def profile_of_beta(beta: float, metric: MetricProfile,
                     tol: float = 1e-10) -> MonopoleProfile:
     """The profile of a given shooting parameter on the energy quadrature
-    grid: 128 series-head points on [0, delta), 4097 dense ones to R_end."""
+    grid: 128 series-head points on [0, delta), 4097 dense ones to R_end.
+
+    The dense radii are mapped to the chart once; the interpolant is
+    evaluated there, and h^2 on the whole grid is kept for
+    `intermediate_energy`: 0 at r = 0, `metric.h2` on the series head and
+    the chart's `h2_of_x` on the dense part, equal to `metric.h2(r)`
+    there to the bit, since both are the same elementwise maps."""
     _require_finite("beta", beta)
     if beta > 0:
         raise NoSolutionError("no solutions exist for beta > 0")
@@ -268,15 +275,18 @@ def profile_of_beta(beta: float, metric: MetricProfile,
                                                   dense=True)
     r_head = np.linspace(0.0, delta, 129)[:-1]
     r_mid = np.linspace(delta, R, 4097)
-    v_mid, w_mid = res.eval(r_mid)
+    chart = metric.chart
+    x_mid = chart.x_of_r(r_mid)
+    v_mid, w_mid = res.eval_x(x_mid)
     r_all = np.concatenate([r_head, r_mid])
     v_all = np.concatenate([ser.v_at(r_head), v_mid])
     w_all = np.concatenate([ser.vdot_at(r_head), w_mid])
+    h2_all = np.concatenate([[0.0], metric.h2(r_head[1:]), chart.h2_of_x(x_mid)])
     return MonopoleProfile(
         metric_id=metric.id, beta=float(beta), mass=mass, tol=tol,
         delta=delta, series=ser, result=res, r=r_all,
         a=np.exp(0.5 * v_all), phi=0.25 * w_all, v=v_all,
-        R_end=R, a_end=a_R, G_end=G_R,
+        R_end=R, a_end=a_R, G_end=G_R, h2=h2_all,
     )
 
 

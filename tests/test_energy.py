@@ -1,5 +1,7 @@
 """Intermediate energy: quadrature, exact boundary identity."""
 
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +12,7 @@ from g2mono.energy import (UndefinedEnergyError, boundary_term,
                            energy_density, intermediate_energy)
 from g2mono.ode import ProfileState, integrate
 from g2mono.series import choose_delta, initial_data, v_series
-from g2mono.shooting import profile_of_beta, solve_monopole
+from g2mono.shooting import MonopoleProfile, profile_of_beta, solve_monopole
 
 
 def test_flat_zero_energy():
@@ -129,18 +131,86 @@ def test_malformed_samples_rejected(r, a, phi, match):
         intermediate_energy(prof, metric.EUCLIDEAN)
 
 
-def test_energy_reads_the_solved_samples(monkeypatch):
-    prof = solve_monopole(metric.BS_S4, 1.7)
-    ref = intermediate_energy(prof, metric.BS_S4)
+def _flat_custom(tmp_path):
+    """The custom backend h = r: a 13-term series and a 40-row table."""
+    rows = "".join(f"{r!r},{r!r}\n" for r in np.geomspace(0.5, 200.0, 40).tolist())
+    (tmp_path / "table.csv").write_text("r,h\n" + rows)
+    cfg = tmp_path / "metric.txt"
+    cfg.write_text("type=custom\ncoeffs=1" + ",0" * 12
+                   + f"\ntable={tmp_path / 'table.csv'}\n")
+    return metric.load_custom(str(cfg))
 
+
+def _backend(name, tmp_path):
+    return _flat_custom(tmp_path) if name == "custom" else metric.get_metric(name)
+
+
+_BACKENDS = ["euclidean", "hyperbolic", "bs_s4", "bs_cp2", "custom"]
+
+
+def test_energy_reads_the_solved_samples(monkeypatch, tmp_path):
     def no_fields(self, r):
         raise AssertionError("intermediate_energy evaluated the profile")
 
-    monkeypatch.setattr(type(prof), "fields", no_fields)
-    copy = SimpleNamespace(r=prof.r.copy(), a=prof.a.copy(),
-                           phi=prof.phi.copy(), mass=prof.mass)
-    for p in (prof, copy):
-        rep = intermediate_energy(p, metric.BS_S4)
-        assert rep.value == ref.value and rep.quad_tol == ref.quad_tol
-        assert np.array_equal(rep.r, prof.r)
-        assert np.array_equal(rep.partial, ref.partial)
+    monkeypatch.setattr(MonopoleProfile, "fields", no_fields)
+    for name in _BACKENDS:
+        met = _backend(name, tmp_path)
+        prof = solve_monopole(met, 1.7)
+        ref = intermediate_energy(prof, met)
+        # without `h2`, the copy takes h^2 from metric.h2(r)
+        copy = SimpleNamespace(r=prof.r.copy(), a=prof.a.copy(),
+                               phi=prof.phi.copy(), mass=prof.mass)
+        for p in (prof, copy):
+            rep = intermediate_energy(p, met)
+            assert rep.value == ref.value and rep.quad_tol == ref.quad_tol, name
+            assert np.array_equal(rep.r, prof.r)
+            assert np.array_equal(rep.partial, ref.partial), name
+
+
+@pytest.mark.parametrize("name", _BACKENDS)
+def test_profile_h2_is_metric_h2(tmp_path, name):
+    met = _backend(name, tmp_path)
+    prof = solve_monopole(met, 1.7)
+    assert prof.h2.shape == prof.r.shape and prof.h2[0] == 0.0
+    assert np.array_equal(prof.h2[1:], met.h2(prof.r[1:]))
+
+
+def test_bs_solve_and_energy_invert_the_grid_once(monkeypatch):
+    # the 4097 dense radii are mapped to s once, for the interpolant and
+    # h^2 alike; only the 127 positive series-head radii go through
+    # metric.h2.  Scalar calls (shot ends, G at R_end) are counted apart
+    points, scalars = [0], [0]
+    s_of_rho = metric.s_of_rho
+
+    def counted(rho):
+        if np.ndim(rho):
+            points[0] += np.size(rho)
+        else:
+            scalars[0] += 1
+        return s_of_rho(rho)
+
+    monkeypatch.setattr(metric, "s_of_rho", counted)
+    prof = solve_monopole(metric.BS_S4, 1.7)
+    rep = intermediate_energy(prof, metric.BS_S4)
+    assert rep.passed
+    assert points[0] <= 4097 + 127
+    assert scalars[0] > 0
+
+
+_PARENT = json.loads(
+    (Path(__file__).parent / "data" / "solve_energy_parent.json").read_text())
+
+
+@pytest.mark.parametrize("metric_id", ["euclidean", "hyperbolic", "bs_s4", "bs_cp2"])
+def test_solve_and_energy_match_the_recorded_values(metric_id):
+    # beta, mass, R_end and E_I as recorded in the file (see its note),
+    # within 1e-14 max(1, |x|) to allow for other libm builds
+    met = metric.get_metric(metric_id)
+    records = [r for r in _PARENT["records"] if r[0] == metric_id]
+    assert len(records) == 6
+    for _, m, *expected in records:
+        prof = solve_monopole(met, m)
+        got = (prof.beta, prof.mass, prof.R_end,
+               intermediate_energy(prof, met).value)
+        for g, x in zip(got, expected):
+            assert abs(g - x) <= 1e-14 * max(1.0, abs(x)), (m, got, expected)

@@ -83,6 +83,48 @@ def test_exp_known():
         assert f[k] == F(1, fact)
 
 
+def pow_oracle(f, p):
+    """f^p for f_0 = 1 by the Fraction recurrence
+    k f_k = sum_{j=1..k} (j p - (k - j)) a_j f_{k-j}, one Fraction
+    operation per term."""
+    p = F(p)
+    n = f.order
+    out = [F(1)] + [F(0)] * n
+    for k in range(1, n + 1):
+        acc = F(0)
+        for j in range(1, k + 1):
+            if f[j]:
+                acc += (j * p - (k - j)) * f[j] * out[k - j]
+        out[k] = acc / k
+    return FormalSeries(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 14), st.lists(sparse_rationals, max_size=14),
+       st.sampled_from([F(-1, 4), F(1, 2), F(-3), F(0), F(7, 3)]))
+def test_pow_matches_fraction_recurrence(n, tail, p):
+    f = FormalSeries([1] + tail, n)
+    got = f.pow(p)
+    assert got.order == n
+    assert got.coeffs == pow_oracle(f, p).coeffs
+    assert all(type(c) is F for c in got.coeffs)
+
+
+def test_bs_series_unchanged_by_integer_pow(monkeypatch):
+    reversions = [0]
+    reversion = FormalSeries.reversion
+
+    def counted(self):
+        reversions[0] += 1
+        return reversion(self)
+
+    monkeypatch.setattr(FormalSeries, "reversion", counted)
+    fast = [metric._bs_series_coeffs(n) for n in range(21)]
+    assert reversions[0] == 21
+    monkeypatch.setattr(FormalSeries, "pow", pow_oracle)
+    assert [metric._bs_series_coeffs(n) for n in range(21)] == fast
+
+
 def test_pow_sqrt():
     # (1+x)^(1/2) * (1+x)^(1/2) == 1 + x
     f = FormalSeries([1, 1], 8)
