@@ -1,15 +1,12 @@
 """Right-hand sides and adaptive integration for the reduced systems.
 
-Three systems appear:
-
-* "minus"  -- the monopole system  a' = 2 phi a,  phi' = (a^2-1)/(2h^2).
-  Integrated in the log variables (v, w) = (2 log a, 4 phi), which keeps
-  a = e^(v/2) > 0 by construction and matches the singular-point
-  expansion of the `series` module.
-* "plus"   -- the non-extendable systems  phi' = sigma (1+a^2)/(2h^2),
-  a' = sigma 2 a phi  (sigma = -1 and +1).
-* "su3"    -- the five-field system (b1, b2, b3, phi1, phi2) on the
-  Bryant-Salamon background.
+Each system is written once, in the table `_SYSTEMS`: "minus" (the
+monopoles), "plus" (the non-extendable flows, sigma = +-1) and "su3"
+(five fields on a Bryant-Salamon background).  An entry holds the
+right-hand side in the chart, the map from a state to the integrated
+variables, the map from their derivative back to d(fields)/dr, and the
+per-step stop test.  `integrate` steps these right-hand sides, and
+`rhs` (so `oracles.residual` and `g2mono verify`) evaluates them.
 
 Derivatives are always with respect to the geodesic radius r (called
 rho on the BS backgrounds).  Internally every integration runs in the
@@ -31,14 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
-from .metric import (MetricProfile, DomainError, S_CHART, bs_f, bs_h2_of_s,
-                     s_of_rho)
+# s_of_rho is not called here, but perfbench/tracer.py wraps ode.s_of_rho
+from .metric import MetricProfile, DomainError, S_CHART, bs_f, s_of_rho
 
 V_BLOWUP = 50.0
 PHI_R_BLOWUP = 1.0e6
@@ -80,48 +77,89 @@ def _expm1_clipped(v):
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides (in r / rho)
+# the reduced systems
 # ---------------------------------------------------------------------------
 
-def rhs_minus(state: ProfileState, metric: MetricProfile):
-    h2 = metric.h2(state.r)
-    return (2.0 * state.phi * state.a, (state.a ** 2 - 1.0) / (2.0 * h2))
+def _minus(x, y, J, h2, sigma):
+    """a' = 2 phi a, phi' = (a^2-1)/(2h^2) in (v, w) = (2 log|a|, 4 phi)."""
+    return [J * y[1], J * 2.0 * _expm1_clipped(y[0]) / h2]
 
 
-def rhs_plus(state: ProfileState, metric: MetricProfile, sigma: int):
-    if sigma not in (-1, 1):
-        raise ValueError("sigma must be +1 or -1")
-    h2 = metric.h2(state.r)
-    return (sigma * 2.0 * state.a * state.phi,
-            sigma * (1.0 + state.a ** 2) / (2.0 * h2))
+def _minus_variation(x, y, J, h2, sigma):
+    """`_minus` and the variational rows dv' = dw, dw' = 2 e^v dv / h^2."""
+    e = _expm1_clipped(y[0])
+    return [J * y[1], J * 2.0 * e / h2,
+            J * y[3], J * 2.0 * (e + 1.0) * y[2] / h2]
 
 
-def _require_bs(metric: MetricProfile):
-    if metric.chart is not S_CHART:
-        raise DomainError(
-            f"the su3 system needs a Bryant-Salamon background, not {metric.id!r}")
+def _plus(x, y, J, h2, sigma):
+    """a' = sigma 2 a phi, phi' = sigma (1+a^2)/(2h^2) in (a, phi)."""
+    return [J * sigma * 2.0 * y[0] * y[1],
+            J * sigma * (1.0 + y[0] * y[0]) / (2.0 * h2)]
 
 
-def _rhs_su3_of_s(s, b1, b2, b3, p1, p2):
-    """The su3 right-hand side (derivatives in rho) at fiber coordinate s."""
-    h2 = bs_h2_of_s(s)
-    fs = bs_f(s) / s
-    return (
+def _su3(x, y, J, h2, sigma):
+    """The five fields (b1, b2, b3, phi1, phi2), with x = s."""
+    b1, b2, b3, p1, p2 = y[0], y[1], y[2], y[3].real, y[4].real
+    fs = bs_f(x) / x
+    return [J * d for d in (
         fs * b2 * b3 - b1 * (2.0 * p1 + p2),
         fs * b1 * b3 + b2 * (p1 - p2),
         fs * b1 * b2 + b3 * (p1 + 2.0 * p2),
         (b2 * b2 - b1 * b1 - 1.0).real / (2.0 * h2),
-        (b3 * b3 - b2 * b2 + 1.0).real / (2.0 * h2),
-    )
+        (b3 * b3 - b2 * b2 + 1.0).real / (2.0 * h2))]
 
 
-def rhs_su3(state: SU3State, metric: MetricProfile):
-    """Five-field system on a BS background (derivatives in rho)."""
-    _require_bs(metric)
-    if state.r <= 0:
-        raise DomainError("rhs requires r > 0")
-    return _rhs_su3_of_s(s_of_rho(state.r), state.b1, state.b2, state.b3,
-                         state.phi1, state.phi2)
+def _minus_stop(x, y, phi_r_blowup):
+    if y[0] > V_BLOWUP or phi_r_blowup(abs(y[1]) * 0.25, x):
+        return "blow-up"
+    return "a fell to A_FLOOR" if y[0] <= _V_FLOOR else None
+
+
+class _System(NamedTuple):
+    f: Callable            # (x, y, J = dr/dx, h^2, sigma) -> dy/dx
+    to_y: Callable         # state -> y
+    to_fields: Callable    # (state, dy/dr) -> d(fields)/dr
+    stop: Callable         # (x, y, phi_r_blowup(phi, x)) -> reason or None
+
+
+_SYSTEMS = {
+    # a = 0 maps to v = -inf, where phi' = -1/(2h^2): the Dirac monopole
+    "minus": _System(
+        _minus, lambda st: [2.0 * math.log(abs(st.a)) if st.a else -math.inf,
+                            4.0 * float(st.phi)],
+        lambda st, d: (0.5 * st.a * d[0], 0.25 * d[1]), _minus_stop),
+    "plus": _System(
+        _plus, lambda st: [float(st.a), float(st.phi)], lambda st, d: tuple(d),
+        lambda x, y, phi_r_blowup:
+            "blow-up" if phi_r_blowup(abs(y[1]), x) else None),
+    "su3": _System(
+        _su3, lambda st: [complex(v) for v in (st.b1, st.b2, st.b3,
+                                               st.phi1, st.phi2)],
+        lambda st, d: tuple(d),
+        lambda x, y, _: "blow-up" if max(map(abs, y)) > PHI_R_BLOWUP else None),
+}
+
+
+def _system(system: str, metric: MetricProfile, sigma: int) -> _System:
+    spec = _SYSTEMS.get(system)
+    if spec is None:
+        raise ValueError(f"unknown system {system!r}")
+    if sigma not in (-1, 1):
+        raise ValueError("sigma must be +1 or -1")
+    if system == "su3" and metric.chart is not S_CHART:
+        raise DomainError(
+            f"the su3 system needs a Bryant-Salamon background, not {metric.id!r}")
+    return spec
+
+
+def rhs(system: str, state, metric: MetricProfile, sigma: int = -1):
+    """d(fields)/dr of a system at a ProfileState (minus, plus) or an
+    SU3State (su3): the right-hand side that `integrate` steps, at
+    x = x(r) and dr/dx = 1."""
+    spec = _system(system, metric, sigma)
+    h2, x = metric.h2(state.r), metric.chart.x_of_r(state.r)   # h2 checks r
+    return spec.to_fields(state, spec.f(x, spec.to_y(state), 1.0, h2, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +356,12 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     check_tol(tol)
     if initial.r <= 0:
         raise DomainError("initial radius must be > 0")
-    if (variation is not None or tail_stop) and system != "minus":
+    spec = _system(system, metric, sigma)
+    minus = system == "minus"
+    if (variation is not None or tail_stop) and not minus:
         raise ValueError("variation and tail_stop apply to the minus system")
+    if minus and initial.a <= 0:
+        raise DomainError("minus system requires a > 0 (use a=0 via green.dirac)")
 
     chart = metric.chart
     x_of_r, r_of_x, dr_dx, h2_of_x = (chart.x_of_r, chart.r_of_x,
@@ -336,60 +378,16 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
         return phi > phi_far and phi * r_of_x(x) > PHI_R_BLOWUP
 
     rtol, atol = 0.9 * tol, 0.1 * tol
-    flat = False
-    if system == "minus":
-        if initial.a <= 0:
-            raise DomainError("minus system requires a > 0 (use a=0 via green.dirac)")
-        y0 = [2.0 * math.log(initial.a), 4.0 * float(initial.phi)]
-        flat = y0 == [0.0, 0.0]
-
-        def fun(x, y):
-            J = dr_dx(x)
-            return [J * y[1], J * 2.0 * _expm1_clipped(y[0]) / h2_of_x(x)]
-
-        if variation is not None:
-            y0 += [float(d) for d in variation]
-
-            def fun(x, y):
-                J = dr_dx(x)
-                h2 = h2_of_x(x)
-                e = _expm1_clipped(y[0])
-                return [J * y[1], J * 2.0 * e / h2,
-                        J * y[3], J * 2.0 * (e + 1.0) * y[2] / h2]
-
-        def stop_at(x, y):
-            if y[0] > V_BLOWUP or phi_r_blowup(abs(y[1]) * 0.25, x):
-                return "blow-up"
-            return "a fell to A_FLOOR" if y[0] <= _V_FLOOR else None
-    elif system == "plus":
-        if sigma not in (-1, 1):
-            raise ValueError("sigma must be +1 or -1")
-        y0 = [float(initial.a), float(initial.phi)]
-
-        def fun(x, y):
-            J = dr_dx(x)
-            return [J * sigma * 2.0 * y[0] * y[1],
-                    J * sigma * (1.0 + y[0] * y[0]) / (2.0 * h2_of_x(x))]
-
-        def stop_at(x, y):
-            return "blow-up" if phi_r_blowup(abs(y[1]), x) else None
-    elif system == "su3":
-        _require_bs(metric)          # so x is s
-        y0 = [complex(v) for v in (initial.b1, initial.b2, initial.b3,
-                                   initial.phi1, initial.phi2)]
-
-        def fun(x, y):
-            J = dr_dx(x)
-            return [J * di for di in
-                    _rhs_su3_of_s(x, y[0], y[1], y[2], y[3].real, y[4].real)]
-
-        def stop_at(x, y):
-            return "blow-up" if max(map(abs, y)) > PHI_R_BLOWUP else None
-    else:
-        raise ValueError(f"unknown system {system!r}")
-
+    y0, f = spec.to_y(initial), spec.f
     # the variational rows are left out of error control
-    n_err = 2 if system == "minus" else len(y0)
+    n_err, flat = len(y0), minus and y0 == [0.0, 0.0]
+    if variation is not None:
+        y0 += [float(d) for d in variation]
+        f = _minus_variation
+
+    def fun(x, y):
+        return f(x, y, dr_dx(x), h2_of_x(x), sigma)
+
     xs, ys, Fs = [x_span[0]], [y0], []
     v_test = V_TAIL
     stop = tail = None
@@ -398,7 +396,7 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
         xs.append(x)
         ys.append(y)
         Fs.append(F)
-        stop = stop_at(x, y)
+        stop = spec.stop(x, y, phi_r_blowup)
         if tail_stop and stop is None and y[0] <= v_test:
             r = r_of_x(x)
             G = metric.green_tail(r)

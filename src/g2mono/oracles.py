@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .metric import MetricProfile, DomainError, bs_f, bs_f2, s_of_rho
-from .ode import ProfileState, SU3State, rhs_minus, rhs_plus, rhs_su3
+from .ode import ProfileState, SU3State, rhs
 
 _SMALL_R = 1e-3
 
@@ -251,13 +251,10 @@ def bs_instanton_profile(sign: int, s):
 # ---------------------------------------------------------------------------
 
 def residual(obj, system: str, metric: MetricProfile, radii) -> float:
-    """sup over radii of |d(state)/dr - rhs(state)| for a ClosedForm or
-    a sampled profile (central differences on its own evaluator in the
-    latter case).  A NaN term makes the result NaN."""
-    rhs = {"minus": rhs_minus, "su3": rhs_su3,
-           "plus": lambda st, met: rhs_plus(st, met, -1)}.get(system)
-    if rhs is None:
-        raise ValueError(f"unknown system {system!r}")
+    """sup over radii of |d(state)/dr - ode.rhs(system, state)| (plus:
+    sigma = -1) for a ClosedForm or a sampled profile (central
+    differences on its own evaluator in the latter case).  A NaN term
+    makes the result NaN."""
     if isinstance(obj, ClosedForm):
         state, derivative = obj.state, obj.derivative
     else:
@@ -271,6 +268,7 @@ def residual(obj, system: str, metric: MetricProfile, radii) -> float:
     terms = []
     for r in np.atleast_1d(radii):
         r = float(r)
-        terms += [abs(x - y) for x, y in zip(derivative(r), rhs(state(r), metric))]
+        terms += [abs(x - y) for x, y in
+                  zip(derivative(r), rhs(system, state(r), metric))]
     # np.max, unlike max(), does not drop a NaN that follows a number
     return float(np.max(terms, initial=0.0))

@@ -78,7 +78,6 @@ class MonopoleProfile:
     R_end: float = 0.0
     a_end: float = 0.0
     G_end: float = 0.0
-    flat: bool = False
     h2: Optional[np.ndarray] = field(default=None, repr=False)  # h^2 on r
 
     @property
@@ -91,7 +90,7 @@ class MonopoleProfile:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if not np.all(r >= 0):              # NaN would fall in no piece
             raise DomainError("profile radii must be >= 0 and not NaN")
-        if self.flat:
+        if self.result is None:
             return np.ones_like(r), np.zeros_like(r)
         a = np.empty_like(r)
         phi = np.empty_like(r)
@@ -269,8 +268,7 @@ def profile_of_beta(beta: float, metric: MetricProfile,
         return MonopoleProfile(
             metric_id=metric.id, beta=0.0, mass=0.0, tol=tol, delta=0.1,
             series=ser, result=None, r=r, a=np.ones_like(r),
-            phi=np.zeros_like(r), v=np.zeros_like(r), flat=True,
-        )
+            phi=np.zeros_like(r), v=np.zeros_like(r))
     mass, ser, delta, res, (R, a_R, G_R) = _shoot(float(beta), metric, tol,
                                                   dense=True)
     r_head = np.linspace(0.0, delta, 129)[:-1]

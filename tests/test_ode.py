@@ -13,8 +13,7 @@ from scipy.integrate import solve_ivp
 from g2mono import metric, ode, oracles, shooting
 from g2mono.metric import DomainError
 from g2mono.ode import (ProfileState, SU3State, StiffnessError,
-                        envelope_check, integrate, rhs_minus, rhs_plus,
-                        rhs_su3)
+                        envelope_check, integrate, rhs)
 from g2mono.series import initial_data, v_series, choose_delta
 
 
@@ -25,44 +24,45 @@ def _bps_initial(delta, m=1.0):
 
 
 def test_rhs_minus_flat_fixed_point():
-    assert rhs_minus(ProfileState(1.0, 1.0, 0.0), metric.EUCLIDEAN) == (0.0, 0.0)
+    assert rhs("minus", ProfileState(1.0, 1.0, 0.0),
+               metric.EUCLIDEAN) == (0.0, 0.0)
 
 
 def test_rhs_minus_matches_bps_derivative():
     st = oracles.bps_mass(1.0).state(1.0)
     d = oracles.bps_mass(1.0).derivative(1.0)
-    rhs = rhs_minus(st, metric.EUCLIDEAN)
-    assert abs(d[0] - rhs[0]) <= 1e-13
-    assert abs(d[1] - rhs[1]) <= 1e-13
+    got = rhs("minus", st, metric.EUCLIDEAN)
+    assert abs(d[0] - got[0]) <= 1e-13
+    assert abs(d[1] - got[1]) <= 1e-13
 
 
 def test_rhs_minus_matches_hyperbolic_derivative():
     st = oracles.hyperbolic(1.0).state(1.0)
     d = oracles.hyperbolic(1.0).derivative(1.0)
-    rhs = rhs_minus(st, metric.HYPERBOLIC)
-    assert max(abs(d[0] - rhs[0]), abs(d[1] - rhs[1])) <= 1e-12
+    got = rhs("minus", st, metric.HYPERBOLIC)
+    assert max(abs(d[0] - got[0]), abs(d[1] - got[1])) <= 1e-12
 
 
 def test_rhs_plus_signs_and_decoupled():
     st = ProfileState(1.0, 0.0, 0.3)
     for sigma in (-1, 1):
-        da, dphi = rhs_plus(st, metric.EUCLIDEAN, sigma)
+        da, dphi = rhs("plus", st, metric.EUCLIDEAN, sigma)
         assert da == 0.0
         assert dphi == sigma * 0.5 / metric.EUCLIDEAN.h2(1.0)
 
 
 def test_rhs_domain_errors():
     with pytest.raises(DomainError):
-        rhs_minus(ProfileState(0.0, 1.0, 0.0), metric.EUCLIDEAN)
+        rhs("minus", ProfileState(0.0, 1.0, 0.0), metric.EUCLIDEAN)
     # the radius is checked by metric.h2, on every backend
     for met in (metric.HYPERBOLIC, metric.BS_S4):
         for r in (0.0, -1.0, float("nan")):
             with pytest.raises(DomainError):
-                rhs_minus(ProfileState(r, 1.0, 0.0), met)
+                rhs("minus", ProfileState(r, 1.0, 0.0), met)
             with pytest.raises(DomainError):
-                rhs_plus(ProfileState(r, 1.0, 0.0), met, 1)
+                rhs("plus", ProfileState(r, 1.0, 0.0), met, 1)
     with pytest.raises(ValueError):
-        rhs_plus(ProfileState(1.0, 1.0, 0.0), metric.EUCLIDEAN, 2)
+        rhs("plus", ProfileState(1.0, 1.0, 0.0), metric.EUCLIDEAN, 2)
 
 
 def test_rhs_su3_reduces_to_minus():
@@ -72,8 +72,8 @@ def test_rhs_su3_reduces_to_minus():
     rho = metric.rho_of_s(s)
     a, phi = 0.7, -0.2
     st = SU3State(rho, 0.0, a, 0.0, phi, -phi)
-    d = rhs_su3(st, metric.BS_S4)
-    da, dphi = rhs_minus(ProfileState(rho, a, phi), metric.BS_S4)
+    d = rhs("su3", st, metric.BS_S4)
+    da, dphi = rhs("minus", ProfileState(rho, a, phi), metric.BS_S4)
     assert abs(complex(d[1]).real - da) <= 1e-12
     assert abs(d[3] - dphi) <= 1e-12
     assert abs(d[4] + dphi) <= 1e-12
@@ -83,7 +83,7 @@ def test_rhs_su3_reduces_to_minus():
 def test_rhs_su3_abelian_limit():
     rho = metric.rho_of_s(2.0)
     st = SU3State(rho, 0.0, 0.0, 0.0, 0.0, 0.0)
-    d = rhs_su3(st, metric.BS_S4)
+    d = rhs("su3", st, metric.BS_S4)
     h2 = metric.BS_S4.h2(rho)
     assert abs(d[3] + 1.0 / (2.0 * h2)) <= 1e-14
     assert abs(d[4] - 1.0 / (2.0 * h2)) <= 1e-14
@@ -93,7 +93,7 @@ def test_su3_rejected_off_bs_backgrounds():
     st = oracles.su3_instanton(2.0, 1).state(metric.rho_of_s(0.5))
     for met in (metric.EUCLIDEAN, metric.HYPERBOLIC):
         with pytest.raises(DomainError):
-            rhs_su3(st, met)
+            rhs("su3", st, met)
         with pytest.raises(DomainError):
             integrate("su3", st, met, 5.0)
 
@@ -271,29 +271,16 @@ def _shot_initial(beta, met):
 
 def _chart_rhs(system, met, sigma=-1):
     """The system's right-hand side in the chart x, as `integrate` steps it."""
-    c = met.chart
-    if system == "minus":
-        def fun(x, y):
-            J = c.dr_dx(x)
-            return [J * y[1], J * 2.0 * ode._expm1_clipped(y[0]) / c.h2_of_x(x)]
-    elif system == "plus":
-        def fun(x, y):
-            J = c.dr_dx(x)
-            return [J * sigma * 2.0 * y[0] * y[1],
-                    J * sigma * (1.0 + y[0] ** 2) / (2.0 * c.h2_of_x(x))]
-    else:
-        def fun(x, y):
-            J = c.dr_dx(x)
-            return [J * d for d in
-                    ode._rhs_su3_of_s(x, y[0], y[1], y[2], y[3].real, y[4].real)]
-    return fun
+    f, c = ode._SYSTEMS[system].f, met.chart
+    return lambda x, y: f(x, y, c.dr_dx(x), c.h2_of_x(x), sigma)
 
 
-def _solve_ivp(system, y0, met, r0, r1, tol, sigma=-1, dense=False):
-    """scipy's solve_ivp DOP853 over [r0, r1], in the chart x."""
+def _solve_ivp(system, init, met, r1, tol, sigma=-1, dense=False):
+    """scipy's solve_ivp DOP853 from init.r to r1, in the chart x."""
     c = met.chart
     sol = solve_ivp(_chart_rhs(system, met, sigma),
-                    (float(c.x_of_r(r0)), float(c.x_of_r(r1))), y0,
+                    (float(c.x_of_r(init.r)), float(c.x_of_r(r1))),
+                    ode._SYSTEMS[system].to_y(init),
                     method="DOP853", rtol=0.9 * tol, atol=0.1 * tol,
                     dense_output=dense)
     assert sol.status == 0
@@ -317,15 +304,6 @@ _PLAIN_RUNS = {
 }
 
 
-def _y0(system, init):
-    if system == "minus":
-        return [2.0 * math.log(init.a), 4.0 * init.phi]
-    if system == "plus":
-        return [init.a, init.phi]
-    return np.array([init.b1, init.b2, init.b3, init.phi1, init.phi2],
-                    dtype=complex)
-
-
 @pytest.mark.parametrize("case", sorted(_PLAIN_RUNS))
 def test_plain_run_takes_the_solve_ivp_steps(case):
     # a run that reaches its end takes as many steps and evaluations as
@@ -335,8 +313,8 @@ def test_plain_run_takes_the_solve_ivp_steps(case):
     # down to about tol, so one ulp in a stage moves later step sizes.
     system, init, met, r_max, kw = _PLAIN_RUNS[case]()
     tol = 1e-11
-    sol = _solve_ivp(system, _y0(system, init), met, init.r, r_max, tol,
-                     kw.get("sigma", -1), dense=True)
+    sol = _solve_ivp(system, init, met, r_max, tol, kw.get("sigma", -1),
+                     dense=True)
     n_steps = len(sol.t) - 1
     bare = integrate(system, init, met, r_max, tol=tol, dense=False, **kw)
     dense = integrate(system, init, met, r_max, tol=tol, **kw)
@@ -363,7 +341,7 @@ def test_tail_stop_takes_the_solve_ivp_steps(met):
     R, a_R, G_R = shot.tail
     assert R == shot.r_end and a_R == math.exp(0.5 * shot.y[0, -1])
     assert G_R == met.green_tail(R) and 2.0 * a_R ** 2 * G_R <= tol / 10.0
-    sol = _solve_ivp("minus", _y0("minus", init), met, init.r, 2.0 * R, tol)
+    sol = _solve_ivp("minus", init, met, 2.0 * R, tol)
     r = met.chart.r_of_x(sol.t)
     n = len(shot.r)
     assert shot.stats["n_steps"] == n - 1

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from g2mono import metric, oracles
+from g2mono import metric, ode, oracles
 from g2mono.metric import S_CHART, DomainError, bs_f2
+from g2mono.ode import ProfileState
 from g2mono.shooting import solve_monopole
 
 RS = np.geomspace(0.01, 10.0, 200)
@@ -68,6 +69,36 @@ def test_dirac_exact():
 def test_flat_residual_zero():
     for met in (metric.EUCLIDEAN, metric.HYPERBOLIC, metric.BS_S4):
         assert oracles.residual(oracles.flat(), "minus", met, RS) == 0.0
+
+
+def test_residual_checks_the_integrated_rhs(monkeypatch):
+    # the residual and a shot evaluate the one minus right-hand side
+    spec, calls = ode._SYSTEMS["minus"], []
+
+    def counted(*args):
+        calls.append(args[0])
+        return spec.f(*args)
+
+    monkeypatch.setitem(ode._SYSTEMS, "minus", spec._replace(f=counted))
+    assert oracles.residual(oracles.bps_mass(1.0), "minus", metric.EUCLIDEAN,
+                            RS) <= 1e-12
+    assert calls == RS.tolist()
+    calls.clear()
+    res = ode.integrate("minus", oracles.bps_mass(1.0).state(0.05),
+                        metric.EUCLIDEAN, 10.0)
+    assert res.classification == "bounded"
+    assert len(calls) == res.stats["nfev"]
+
+
+def test_minus_system_is_odd_in_a():
+    # a -> -a maps solutions to solutions: a' changes sign, phi' does not
+    assert oracles.residual(oracles.bs_instanton(-1), "minus", metric.BS_S4,
+                            RS) == 0.0
+    for met in (metric.EUCLIDEAN, metric.HYPERBOLIC, metric.BS_S4):
+        for r, a, phi in ((0.3, 0.9, -0.1), (1.7, 2.5, 0.4), (6.0, 1e-9, -3.0)):
+            da, dphi = ode.rhs("minus", ProfileState(r, a, phi), met)
+            got = ode.rhs("minus", ProfileState(r, -a, phi), met)
+            assert list(map(float.hex, got)) == [(-da).hex(), dphi.hex()]
 
 
 def test_residual_does_not_hide_nan():

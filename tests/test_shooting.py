@@ -84,7 +84,7 @@ def test_zero_set_only_at_origin():
 
 def test_flat_profile():
     prof = profile_of_beta(0.0, metric.EUCLIDEAN)
-    assert prof.flat and prof.mass == 0.0
+    assert prof.result is None and prof.mass == 0.0
     assert np.all(prof.a == 1.0) and np.all(prof.phi == 0.0)
 
 
