@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__, energy, green, metric, ode, oracles, series, shooting
 
 _FMT = "%.17g"
+_SVG_WIDTH, _SVG_HEIGHT = 640, 420                    # size of `--plot` figures
 
 
 def _metric_arg(name: str):
@@ -104,9 +105,9 @@ class SampledProfile:
     mass: float
 
 
-def _svg_plot(path: str, curves, title: str, width=640, height=420):
+def _svg_plot(path: str, curves, title: str):
     """Minimal SVG line plot: list of (xs, ys, label)."""
-    pad = 50
+    pad, width, height = 50, _SVG_WIDTH, _SVG_HEIGHT
     all_x = np.concatenate([np.asarray(c[0], float) for c in curves])
     all_y = np.concatenate([np.asarray(c[1], float) for c in curves])
     x0, x1 = float(all_x.min()), float(all_x.max())
@@ -202,6 +203,7 @@ def cmd_sweep(args, parser) -> int:
                    {"metric": args.metric, "mass_min": args.mass_min,
                     "mass_max": args.mass_max, "steps": args.steps,
                     "tol": args.tol},
+                   # "threads" stays: perfbench/workloads.sweep_threads reads it
                    {"metric": met.id, "threads": 1,
                     "rows": [{"mass": m, "beta": beta, **_run_record(prof, m)}
                              for m, beta, _, _, prof in rows]})

@@ -88,50 +88,34 @@ def _checked_metric(metric_coeffs, order) -> FormalSeries:
     return phi
 
 
-def _recurrence(beta: Fraction, psi: FormalSeries, order: int) -> list:
-    """v_0 .. v_order at one exact beta, psi = 1/phi.
-
-    E = e^v is kept term by term: with v_n := 0, n E_n = sum_{j=2}^{n-1}
-    j v_j E_{n-j}; once v_n is solved, E_n gains v_n (the j = n term).
-    """
-    zero = Fraction(0)
-    v = [zero, zero, beta] + [zero] * (order - 2)
-    E = [Fraction(1), zero, beta] + [zero] * (order - 2)
-    p = psi.truncate(order).coeffs
-    for n in range(3, order + 1):
-        E[n] = sum((j * v[j] * E[n - j] for j in range(2, n) if v[j]), zero) / n
-        rhs = sum((p[j] * E[n - j] for j in range(n) if p[j] and E[n - j]),
-                  zero)                                   # [r^n] psi (E - 1)
-        v[n] = 2 * rhs / ((n - 2) * (n + 1))
-        E[n] += v[n]
-    return v
-
-
 @functools.lru_cache(maxsize=16)
 def _beta_polynomials(phi: tuple, order: int) -> tuple:
     """v_n as exact polynomials in beta, each (integer coefficients
     c_0 .. c_d, common denominator).
 
-    Every monomial of [r^n] psi (e^v - 1) is psi_j * prod v_{k_i} with
-    k_i >= 2 and j + sum k_i = n, and v_2 = beta, so v_n has degree at
-    most n // 2.  The recurrence at the nodes beta = 0, 1, .., order // 2
-    therefore fixes each v_n; Newton divided differences recover it.
+    The recurrence runs once, over polynomials in beta (FormalSeries of
+    degree order // 2) from v_2 = beta.  Every monomial of
+    [r^n] psi (e^v - 1) is psi_j * prod v_{k_i} with k_i >= 2 and
+    j + sum k_i = n, so v_n has degree at most n // 2 and no product is
+    truncated.  E = e^v is kept term by term: with v_n := 0,
+    n E_n = sum_{j=2}^{n-1} j v_j E_{n-j}; once v_n is solved, E_n gains
+    v_n (the j = n term).
     """
-    psi = FormalSeries(phi).inverse()
+    p = FormalSeries(phi).inverse().truncate(order).coeffs
     deg = order // 2
-    values = [_recurrence(Fraction(b), psi, order) for b in range(deg + 1)]
+    zero = FormalSeries([0], deg)
+    v = [zero, zero, FormalSeries([0, 1], deg)] + [zero] * (order - 2)
+    E = [FormalSeries([1], deg), zero, v[2]] + [zero] * (order - 2)
+    for n in range(3, order + 1):
+        E[n] = sum((v[j] * E[n - j] * j for j in range(2, n) if any(v[j])),
+                   zero) * Fraction(1, n)
+        rhs = sum((E[n - j] * p[j] for j in range(n) if p[j]),
+                  zero)                                   # [r^n] psi (E - 1)
+        v[n] = rhs * Fraction(2, (n - 2) * (n + 1))
+        E[n] += v[n]
     polys = []
-    for n in range(order + 1):
-        dd = [vals[n] for vals in values]          # divided differences
-        for k in range(1, deg + 1):                # nodes i and i - k are k apart
-            for i in range(deg, k - 1, -1):
-                dd[i] = (dd[i] - dd[i - 1]) / k
-        poly = [dd[deg]]                           # Newton form -> monomials
-        for k in range(deg - 1, -1, -1):
-            poly = [Fraction(0)] + poly            # poly * (beta - k) + dd[k]
-            for i in range(deg - k):
-                poly[i] -= k * poly[i + 1]
-            poly[0] += dd[k]
+    for vn in v:
+        poly = list(vn)
         while len(poly) > 1 and poly[-1] == 0:
             poly.pop()
         polys.append(common_denominator(poly))
@@ -176,13 +160,10 @@ def initial_data(series: SeriesSolution,
     """
     tb = series.truncation_bound(delta)
     if tb > TRUNCATION_BOUND:
-        n = series.order
-        top = abs(float(series.coeffs[n])) or abs(float(series.coeffs[n - 1]))
-        admissible = (TRUNCATION_BOUND / top) ** (1.0 / n) if top else delta
         raise SeriesTruncationError(
-            f"delta={delta} too large for order {n} "
+            f"delta={delta} too large for order {series.order} "
             f"(monitor {tb:.2e} > {TRUNCATION_BOUND:.2e})",
-            admissible_delta=min(admissible, delta),
+            admissible_delta=min(choose_delta(series), delta),
         )
     a = math.exp(0.5 * series.v_at(delta))
     phi = 0.25 * series.vdot_at(delta)

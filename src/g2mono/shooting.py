@@ -82,6 +82,8 @@ class MonopoleProfile:
 
     @property
     def tail(self):
+        """(R, a(R), 2 a(R)^2 G(R)): the last entry is the mass-error
+        bound of the tail.  `IntegrationResult.tail` is (R, a(R), G(R))."""
         return (self.R_end, self.a_end, 2.0 * self.a_end ** 2 * self.G_end)
 
     def fields(self, r):

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from g2mono import metric, series
 from g2mono.fps import FormalSeries
-from g2mono.series import (SeriesTruncationError, choose_delta, initial_data,
-                           v_series)
+from g2mono.series import (TRUNCATION_BOUND, SeriesTruncationError,
+                           choose_delta, initial_data, v_series)
 from series_oracle import recurrence_oracle, v_series_oracle
 
 F = Fraction
@@ -65,10 +65,22 @@ def test_choose_delta_and_initial_data():
 
 
 def test_truncation_error_carries_admissible_delta():
-    sol = v_series(F(-40), metric.EUCLIDEAN.series_coeffs(6), 6)
-    with pytest.raises(SeriesTruncationError) as exc:
-        initial_data(sol, 0.5)
-    assert 0 < exc.value.admissible_delta < 0.5
+    # odd orders too: on an even metric the odd top coefficient vanishes
+    raised = 0
+    for met in (metric.EUCLIDEAN, metric.HYPERBOLIC, metric.BS_S4):
+        for order in range(4, 15):
+            coeffs = met.series_coeffs(order)
+            for beta in (F(-40), F(-5), F(-1, 3), F(-100), F(2)):
+                sol = v_series(beta, coeffs, order)
+                try:
+                    initial_data(sol, 1.0)
+                except SeriesTruncationError as exc:
+                    raised += 1
+                    d = exc.admissible_delta
+                    assert 0 < d < 1.0, (met.id, order, beta)
+                    assert sol.truncation_bound(d) <= TRUNCATION_BOUND, \
+                        (met.id, order, beta, d)
+    assert raised == 3 * 11 * 5             # delta = 1.0 is too large in every case
 
 
 def test_flat_series():
@@ -97,7 +109,7 @@ def test_v_series_matches_per_beta_recurrence(order, phi_tail, beta):
     phi = [F(1)] + phi_tail
     sol = v_series(beta, phi, order)
     psi = FormalSeries(phi, order).inverse()
-    assert list(sol.coeffs) == series._recurrence(F(beta), psi, order)
+    assert list(sol.coeffs) == recurrence_oracle(F(beta), psi, order)
     assert sol.beta == F(beta) and sol.order == order
     assert sol.metric_coeffs == tuple(FormalSeries(phi, order).coeffs)
 
@@ -116,17 +128,17 @@ def test_v_series_rejects_bad_input():
         v_series(F(-1), [2, 0, 0], 2)
 
 
-def test_incremental_exp_recurrence_matches_exp_oracle(monkeypatch):
+def test_v_series_pinned_by_recurrence_at_seven_betas():
+    # each v_n is a polynomial in beta of degree <= 12 // 2: seven
+    # distinct betas fix all of them exactly
+    betas = BETAS + (F(0), F(7, 2), F(-25, 2))
+    assert len(set(betas)) == 7
     for met in BACKENDS:
-        phi = tuple(FormalSeries(met.series_coeffs(12), 12).coeffs)
-        psi = FormalSeries(phi).inverse()
-        for beta in BETAS + (F(0), F(7, 2)):
-            assert series._recurrence(beta, psi, 12) == \
+        coeffs = met.series_coeffs(12)
+        psi = FormalSeries(coeffs, 12).inverse()
+        for beta in betas:
+            assert list(v_series(beta, coeffs, 12).coeffs) == \
                 recurrence_oracle(beta, psi, 12), (met.id, beta)
-        built = series._beta_polynomials.__wrapped__(phi, 12)
-        monkeypatch.setattr(series, "_recurrence", recurrence_oracle)
-        assert built == series._beta_polynomials.__wrapped__(phi, 12), met.id
-        monkeypatch.undo()
 
 
 def test_beta_derivative_matches_bps_family():
