@@ -366,7 +366,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, parser)
-    except (OSError, ValueError, ode.StiffnessError) as exc:
+    except (OSError, ValueError, ArithmeticError, ode.StiffnessError) as exc:
         print(f"g2mono: error: {exc}", file=sys.stderr)
         return 1
 

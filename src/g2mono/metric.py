@@ -298,7 +298,7 @@ def get_metric(name: str) -> MetricProfile:
 
 def load_custom(path: str) -> MetricProfile:
     """Load `type=custom` metric: series coefficients plus an optional
-    sampled far-field table (CSV with header r,h)."""
+    sampled far-field table (CSV with header r,h, from r <= 0.5)."""
     keys: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
@@ -334,6 +334,8 @@ def load_custom(path: str) -> MetricProfile:
             raise UnsupportedBackend("custom table r and h must be finite and > 0")
         if np.any(np.diff(table_r) <= 0):
             raise UnsupportedBackend("custom table radii must be increasing")
+        if table_r[0] > 0.5:
+            raise UnsupportedBackend("custom table must start at r <= 0.5")
 
     n_series = len(coeffs) - 1
     horner = [float(c) for c in reversed(coeffs)]
@@ -346,7 +348,7 @@ def load_custom(path: str) -> MetricProfile:
         lp = np.polyfit(np.log(table_r[sel]), np.log(table_h[sel]), 1)
         tail_p, tail_c = lp[0], float(np.exp(lp[1]))
         log_r, log_h = np.log(table_r), np.log(table_h)
-        r_series = min(0.5, float(table_r[0]))   # series inside, table beyond
+        r_series = float(table_r[0])   # series inside, table beyond
     nonparabolic = tail_p is not None and 2.0 * tail_p > 1.0
 
     def h2(r):

@@ -33,12 +33,6 @@ TRUNCATION_BOUND = 1e-14     # largest truncation monitor at the hand-off
 MAX_DELTA = 0.1              # largest hand-off radius
 
 
-class SeriesTruncationError(ValueError):
-    def __init__(self, msg, admissible_delta):
-        super().__init__(msg)
-        self.admissible_delta = admissible_delta
-
-
 @dataclass(frozen=True)
 class SeriesSolution:
     beta: Fraction
@@ -142,29 +136,12 @@ def v_series(beta, metric_coeffs, order: int) -> SeriesSolution:
                           order=order)
 
 
-def choose_delta(series: SeriesSolution) -> float:
-    """Largest hand-off radius, from MAX_DELTA down by factors 3/4, with
-    truncation monitor at most TRUNCATION_BOUND."""
+def initial_data(series: SeriesSolution) -> tuple[float, float, float]:
+    """(delta, a, phi) at the hand-off radius: the largest delta from
+    MAX_DELTA down by factors 3/4 whose truncation monitor is at most
+    TRUNCATION_BOUND, a = exp(v(delta)/2) and phi = v'(delta)/4."""
     delta = MAX_DELTA
-    while delta > 1e-6 and series.truncation_bound(delta) > TRUNCATION_BOUND:
+    while series.truncation_bound(delta) > TRUNCATION_BOUND:
         delta *= 0.75
-    return delta
-
-
-def initial_data(series: SeriesSolution,
-                 delta: float) -> tuple[float, float, float]:
-    """Evaluate (a, phi, truncation bound) at the hand-off radius, whose
-    truncation monitor must be at most TRUNCATION_BOUND.
-
-    a = exp(v(delta)/2),  phi = v'(delta)/4.
-    """
-    tb = series.truncation_bound(delta)
-    if tb > TRUNCATION_BOUND:
-        raise SeriesTruncationError(
-            f"delta={delta} too large for order {series.order} "
-            f"(monitor {tb:.2e} > {TRUNCATION_BOUND:.2e})",
-            admissible_delta=min(choose_delta(series), delta),
-        )
     a = math.exp(0.5 * series.v_at(delta))
-    phi = 0.25 * series.vdot_at(delta)
-    return a, phi, tb
+    return delta, a, 0.25 * series.vdot_at(delta)

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import ode
 from .metric import DomainError, MetricProfile
-from .series import SeriesSolution, v_series, choose_delta, initial_data
+from .series import SeriesSolution, v_series, initial_data
 
 _R_FAR = 1e5                         # no shot integrates past this radius
 _SERIES_ORDER = 12
@@ -147,8 +147,7 @@ def _shoot(beta: float, metric: MetricProfile, tol: float,
     and 3 of `result.y` carry d(v, w)/dbeta; with `dense`, `result`
     can be evaluated between its steps."""
     ser = _series_for(beta, metric)
-    delta = choose_delta(ser)
-    a0, phi0, _ = initial_data(ser, delta)
+    delta, a0, phi0 = initial_data(ser)
     variation = ser.beta_derivative_at(delta) if slope else None
     res = ode.integrate("minus", ode.ProfileState(delta, a0, phi0), metric,
                         _R_FAR, tol=tol, variation=variation, tail_stop=True,
@@ -268,9 +267,9 @@ def profile_of_beta(beta: float, metric: MetricProfile,
         ser = _series_for(0, metric)
         r = np.linspace(0.0, 10.0, 101)
         return MonopoleProfile(
-            metric_id=metric.id, beta=0.0, mass=0.0, tol=tol, delta=0.1,
-            series=ser, result=None, r=r, a=np.ones_like(r),
-            phi=np.zeros_like(r), v=np.zeros_like(r))
+            metric_id=metric.id, beta=0.0, mass=0.0, tol=tol,
+            delta=initial_data(ser)[0], series=ser, result=None, r=r,
+            a=np.ones_like(r), phi=np.zeros_like(r), v=np.zeros_like(r))
     mass, ser, delta, res, (R, a_R, G_R) = _shoot(float(beta), metric, tol,
                                                   dense=True)
     r_head = np.linspace(0.0, delta, 129)[:-1]
@@ -333,6 +332,8 @@ def bubbling_report(masses, metric: MetricProfile) -> BubblingReport:
     exact bound G a^2 is far beneath the attainable numerical accuracy.
     """
     lams = sorted(float(m) for m in masses)
+    if len(lams) < 2:
+        raise ValueError("bubbling_report compares at least two masses")
     sups, trans_ok = [], []
     worst = 0.0
     for lam in lams:

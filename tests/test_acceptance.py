@@ -70,8 +70,7 @@ def test_criterion_04_no_solution_barrier():
         for beta in (0.01, 1.0):
             sol = series.v_series(F(beta).limit_denominator(100),
                                   met.series_coeffs(12), 12)
-            d = series.choose_delta(sol)
-            a, phi, _ = series.initial_data(sol, d)
+            d, a, phi = series.initial_data(sol)
             # small positive beta grows v only linearly with a tiny
             # slope on the fast-opening backends; give the v = 50
             # event room to fire

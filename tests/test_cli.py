@@ -340,6 +340,17 @@ def test_series_command(capsys):
     assert rep["coeffs_exact"][4] == "1/90"
 
 
+@pytest.mark.parametrize("command", ["solve", "series"])
+def test_overflow_exit1(tmp_path, capsys, command):
+    # the series coefficients at beta = -1e200 overflow a float
+    argv = [command, "--metric", "euclidean", "--beta=-1e200"]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("g2mono: error:") and "Traceback" not in err
+
+
 def test_deterministic_outputs(tmp_path, capsys):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     run(capsys, "solve", "--metric", "hyperbolic", "--mass", "1", "--out", a)

@@ -11,7 +11,7 @@ from g2mono import metric, oracles
 from g2mono.energy import (UndefinedEnergyError, boundary_term,
                            energy_density, intermediate_energy)
 from g2mono.ode import ProfileState, integrate
-from g2mono.series import choose_delta, initial_data, v_series
+from g2mono.series import initial_data, v_series
 from g2mono.shooting import MonopoleProfile, profile_of_beta, solve_monopole
 
 
@@ -66,8 +66,7 @@ def test_linearity_in_mass():
 
 def test_blowup_energy_undefined():
     sol = v_series(1.0, metric.EUCLIDEAN.series_coeffs(12), 12)
-    d = choose_delta(sol)
-    a, phi, _ = initial_data(sol, d)
+    d, a, phi = initial_data(sol)
     res = integrate("minus", ProfileState(d, a, phi), metric.EUCLIDEAN,
                     100.0, tol=1e-10)
 

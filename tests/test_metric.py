@@ -399,6 +399,22 @@ def test_custom_backend_rejects_bad_header(tmp_path):
         load_custom(str(cfg))
 
 
+def test_custom_table_must_start_inside_the_series_region(tmp_path):
+    # the series covers r <= 0.5; a table from r = 1 would leave h
+    # clamped to its first row on (0.5, 1): h2(0.6) = 1 for h = r
+    def flat(r0):
+        rs = np.geomspace(r0, 100.0, 120)
+        table = tmp_path / f"table{r0}.csv"
+        table.write_text("r,h\n" + "".join(f"{r:.17g},{r:.17g}\n" for r in rs))
+        cfg = tmp_path / f"metric{r0}.txt"
+        cfg.write_text(f"type=custom\ncoeffs=1{',0' * 12}\ntable={table}\n")
+        return str(cfg)
+
+    with pytest.raises(UnsupportedBackend, match="start"):
+        load_custom(flat(1.0))
+    assert abs(load_custom(flat(0.5)).h2(0.6) - 0.36) <= 1e-12
+
+
 @pytest.mark.parametrize("coeffs, header, rows", [
     (None, "r,h", [(0.5, 0.5), (1, 1), (2, 2), (4, 4)]),
     ("1,0,1/3", "r,h", [(0.5, 0.5), (1, 1), (2, -2), (4, 4)]),
@@ -443,7 +459,8 @@ def _table_metric(tmp_path, rs):
 
 
 def test_custom_tail_fit_uses_two_rows_when_the_last_decade_has_one(tmp_path):
-    cfg = _table_metric(tmp_path, [1.0, 10.0, 100.0, 1001.0])
+    # the first row is 0.5: a table must start inside the series region
+    cfg = _table_metric(tmp_path, [0.5, 1.0, 10.0, 100.0, 1001.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")           # no RankWarning from the fit
         met = load_custom(cfg)

@@ -14,7 +14,7 @@ from g2mono import metric, ode, oracles, shooting
 from g2mono.metric import DomainError
 from g2mono.ode import (ProfileState, SU3State, StiffnessError,
                         envelope_check, integrate, rhs)
-from g2mono.series import initial_data, v_series, choose_delta
+from g2mono.series import initial_data, v_series
 
 
 def _bps_initial(delta, m=1.0):
@@ -111,8 +111,8 @@ def test_integrate_bps_accuracy():
 def test_integrate_blowup_positive_beta():
     for met in (metric.EUCLIDEAN, metric.BS_S4):
         sol = v_series(0.5, met.series_coeffs(12), 12)
-        a, phi, _ = initial_data(sol, choose_delta(sol))
-        res = integrate("minus", ProfileState(choose_delta(sol), a, phi),
+        d, a, phi = initial_data(sol)
+        res = integrate("minus", ProfileState(d, a, phi),
                         met, 200.0, tol=1e-10)
         assert res.classification == "blowup", met.id
 
@@ -193,8 +193,7 @@ def test_envelope_bps():
 
 def test_envelope_bs():
     sol = v_series(-1, metric.BS_S4.series_coeffs(12), 12)
-    d = choose_delta(sol)
-    a, phi, _ = initial_data(sol, d)
+    d, a, phi = initial_data(sol)
     res = integrate("minus", ProfileState(d, a, phi), metric.BS_S4, 15.0,
                     tol=1e-10)
     rep = envelope_check(res)
@@ -203,8 +202,7 @@ def test_envelope_bs():
 
 def test_maximum_principle_and_monotonicity():
     sol = v_series(-1, metric.HYPERBOLIC.series_coeffs(12), 12)
-    d = choose_delta(sol)
-    a0, phi0, _ = initial_data(sol, d)
+    d, a0, phi0 = initial_data(sol)
     res = integrate("minus", ProfileState(d, a0, phi0), metric.HYPERBOLIC,
                     12.0, tol=1e-10)
     rs = np.linspace(d, res.r_end, 300)
@@ -238,8 +236,7 @@ def test_variation_rows_match_bps_family():
     # derivative is (dv/dm)(dm/dbeta) with dm/dbeta = -3/(2m)
     m = 1.3
     sol = v_series(-m * m / 3.0, metric.EUCLIDEAN.series_coeffs(12), 12)
-    d = choose_delta(sol)
-    a0, phi0, _ = initial_data(sol, d)
+    d, a0, phi0 = initial_data(sol)
     res = integrate("minus", ProfileState(d, a0, phi0), metric.EUCLIDEAN,
                     12.0, tol=1e-11, variation=sol.beta_derivative_at(d))
     rs = np.linspace(0.5, 12.0, 60)
@@ -264,8 +261,7 @@ def test_variation_only_on_the_minus_system():
 
 def _shot_initial(beta, met):
     sol = v_series(beta, met.series_coeffs(12), 12)
-    d = choose_delta(sol)
-    a, phi, _ = initial_data(sol, d)
+    d, a, phi = initial_data(sol)
     return ProfileState(d, a, phi)
 
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from g2mono import metric, series
 from g2mono.fps import FormalSeries
-from g2mono.series import (TRUNCATION_BOUND, SeriesTruncationError,
-                           choose_delta, initial_data, v_series)
+from g2mono.series import (MAX_DELTA, TRUNCATION_BOUND, initial_data,
+                           v_series)
 from series_oracle import recurrence_oracle, v_series_oracle
 
 F = Fraction
@@ -56,31 +56,29 @@ def test_v_at_matches_bps():
         assert abs(sol.v_at(r) - ref) <= 1e-13
 
 
-def test_choose_delta_and_initial_data():
+def test_initial_data():
     sol = v_series(F(-1, 3), metric.EUCLIDEAN.series_coeffs(12), 12)
-    d = choose_delta(sol)
+    d, a, phi = initial_data(sol)
     assert 0 < d <= 0.1
-    a, phi, bound = initial_data(sol, d)
-    assert 0 < a < 1 and phi < 0 and bound <= 1e-14
+    assert 0 < a < 1 and phi < 0 and sol.truncation_bound(d) <= 1e-14
 
 
-def test_truncation_error_carries_admissible_delta():
-    # odd orders too: on an even metric the odd top coefficient vanishes
-    raised = 0
-    for met in (metric.EUCLIDEAN, metric.HYPERBOLIC, metric.BS_S4):
-        for order in range(4, 15):
-            coeffs = met.series_coeffs(order)
-            for beta in (F(-40), F(-5), F(-1, 3), F(-100), F(2)):
-                sol = v_series(beta, coeffs, order)
-                try:
-                    initial_data(sol, 1.0)
-                except SeriesTruncationError as exc:
-                    raised += 1
-                    d = exc.admissible_delta
-                    assert 0 < d < 1.0, (met.id, order, beta)
-                    assert sol.truncation_bound(d) <= TRUNCATION_BOUND, \
-                        (met.id, order, beta, d)
-    assert raised == 3 * 11 * 5             # delta = 1.0 is too large in every case
+def test_hand_off_radius_meets_the_bound():
+    # odd orders too: on an even metric the odd top coefficient vanishes;
+    # beta = -1e12 needs a radius below 1e-6
+    cases = [(met, order, beta)
+             for met in (metric.EUCLIDEAN, metric.HYPERBOLIC, metric.BS_S4)
+             for order in range(4, 15)
+             for beta in (F(-40), F(-5), F(-1, 3), F(-100), F(2))]
+    cases.append((metric.EUCLIDEAN, 12, F(-10 ** 12)))
+    assert len(cases) == 3 * 11 * 5 + 1
+    for met, order, beta in cases:
+        sol = v_series(beta, met.series_coeffs(order), order)
+        d, _, _ = initial_data(sol)
+        key = (met.id, order, beta, d)
+        assert 0 < d <= MAX_DELTA, key
+        assert sol.truncation_bound(d) <= TRUNCATION_BOUND, key
+        assert d == MAX_DELTA or sol.truncation_bound(d / 0.75) > TRUNCATION_BOUND, key
 
 
 def test_flat_series():

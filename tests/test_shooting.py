@@ -123,6 +123,12 @@ def test_bubbling_euclidean_exact():
     assert all(rep.translated_ok)
 
 
+@pytest.mark.parametrize("masses", [[], [3.0]])
+def test_bubbling_needs_two_masses(masses):
+    with pytest.raises(ValueError, match="two masses"):
+        bubbling_report(masses, metric.EUCLIDEAN)
+
+
 # -- Newton with forward sensitivities ------------------------------------
 
 def _flat_table_metric(tmp_path):
