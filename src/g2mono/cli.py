@@ -185,33 +185,36 @@ def cmd_solve(args, parser) -> int:
 def cmd_sweep(args, parser) -> int:
     if args.mass_max < args.mass_min:
         parser.error("need mass-min <= mass-max")
+    if args.steps == 1 and args.mass_min != args.mass_max:
+        parser.error("--steps 1 needs mass-min == mass-max")
     met = _metric_arg(args.metric)
     masses = np.linspace(args.mass_min, args.mass_max, args.steps)
-    rows = []
-    for m in masses:
+    # a solved profile holds ~0.17 MB: keep only the ones --plot draws
+    plotted = range(0, args.steps, max(1, args.steps // 4)) if args.plot else ()
+    rows, records, prof_curves = [], [], []
+    for i, m in enumerate(masses):
         # continuation: the previous root, scaled as in flat space (beta ~ m^2)
         beta0 = rows[-1][1] * (m / rows[-1][0]) ** 2 if rows else None
         prof = shooting.solve_monopole(met, m, tol=args.tol, beta0=beta0)
         rep = energy.intermediate_energy(prof, met)
-        rows.append((m, prof.beta, rep.value, prof.R_end, prof))
+        rows.append((m, prof.beta, rep.value, prof.R_end))
+        records.append({"mass": m, "beta": prof.beta, **_run_record(prof, m)})
+        if i in plotted:
+            prof_curves.append((prof.r, prof.a, f"a, m={m:.3g}"))
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["mass", "beta", "E_I", "R_end"])
-        for m, beta, e, R, _ in rows:
-            w.writerow([_FMT % m, _FMT % beta, _FMT % e, _FMT % R])
+        for row in rows:
+            w.writerow([_FMT % x for x in row])
     _write_sidecar(args.out, "sweep",
                    {"metric": args.metric, "mass_min": args.mass_min,
                     "mass_max": args.mass_max, "steps": args.steps,
                     "tol": args.tol},
                    # "threads" stays: perfbench/workloads.sweep_threads reads it
-                   {"metric": met.id, "threads": 1,
-                    "rows": [{"mass": m, "beta": beta, **_run_record(prof, m)}
-                             for m, beta, _, _, prof in rows]})
+                   {"metric": met.id, "threads": 1, "rows": records})
     if args.plot:
         curves = [([m for m, *_ in rows], [b for _, b, *_ in rows], "beta(m)")]
         _svg_plot(args.plot, curves, f"mass -> beta on {met.id}")
-        prof_curves = [(rows[i][4].r, rows[i][4].a, f"a, m={rows[i][0]:.3g}")
-                       for i in range(0, len(rows), max(1, len(rows) // 4))]
         _svg_plot(os.path.splitext(args.plot)[0] + "_profiles.svg",
                   prof_curves, f"profiles on {met.id}")
     print(json.dumps({"out": args.out, "rows": len(rows)}))
@@ -270,7 +273,8 @@ def cmd_energy(args, parser) -> int:
         with open(side) as fh:
             rec = json.load(fh)
         mass = mass if mass is not None else rec.get("mass")
-        met_name = met_name or rec.get("metric")
+        # the solve's own --metric: a name or a file (the id is "custom")
+        met_name = met_name or rec.get("parameters", {}).get("metric")
     if met_name is None:
         parser.error("--metric required when no sidecar is present")
     met = _metric_arg(met_name)

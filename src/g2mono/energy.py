@@ -100,7 +100,10 @@ def intermediate_energy(profile, metric: MetricProfile) -> EnergyReport:
     the same samples.  h^2 on the samples is the profile's own `h2` when
     it has one (a solved profile keeps it from its single mapping of the
     grid to the chart), else `metric.h2(r)`: the two are equal to the bit.
+    A profile with a `metric_id` (a solved one) must be on `metric`.
     """
+    if getattr(profile, "metric_id", metric.id) != metric.id:
+        raise ValueError(f"profile solved on {profile.metric_id!r}, not {metric.id!r}")
     res = getattr(profile, "result", None)
     if res is not None and res.classification == "blowup":
         raise UndefinedEnergyError("blow-up trajectory: energy undefined")

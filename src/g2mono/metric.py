@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -298,7 +299,8 @@ def get_metric(name: str) -> MetricProfile:
 
 def load_custom(path: str) -> MetricProfile:
     """Load `type=custom` metric: series coefficients plus an optional
-    sampled far-field table (CSV with header r,h, from r <= 0.5)."""
+    sampled far-field table (CSV with header r,h, from r <= 0.5); a
+    relative `table=` path is read from the metric file's directory."""
     keys: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
@@ -318,7 +320,7 @@ def load_custom(path: str) -> MetricProfile:
     table_r = table_h = None
     if "table" in keys:
         rs, hs = [], []
-        with open(keys["table"]) as fh:
+        with open(os.path.join(os.path.dirname(path), keys["table"])) as fh:
             reader = csv.DictReader(fh)
             if not {"r", "h"} <= set(reader.fieldnames or ()):
                 raise UnsupportedBackend("custom table needs the header r,h")

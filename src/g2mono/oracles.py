@@ -28,8 +28,6 @@ import numpy as np
 from .metric import MetricProfile, DomainError, bs_f, bs_f2, s_of_rho
 from .ode import ProfileState, SU3State, rhs
 
-_SMALL_R = 1e-3
-
 # series of x/sinh(x) and of coth(x) - 1/x, six terms each
 _A_SER = (1.0, -1.0 / 6.0, 7.0 / 360.0, -31.0 / 15120.0, 127.0 / 604800.0,
           -73.0 / 3421440.0)
@@ -37,46 +35,41 @@ _COTH_SER = (1.0 / 3.0, -1.0 / 45.0, 2.0 / 945.0, -1.0 / 4725.0,
              2.0 / 93555.0, -1382.0 / 638512875.0)
 
 
-def _series_or_closed(x, coeffs, odd, closed):
-    """sum_k coeffs[k] x^(2k), times x when `odd`, for |x| < 0.2 and
-    closed(x) elsewhere."""
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    small = np.abs(x) < 0.2
-    out = np.empty_like(x)
-    xs = x[small]
-    x2 = xs ** 2
-    acc = np.zeros_like(xs)
+def _series_or_closed(x: float, coeffs, odd, closed) -> float:
+    """sum_k coeffs[k] x^(2k), times x when `odd`, for |x| < 0.2, else
+    closed(x): numpy's sinh, cosh, tanh give inf where math's raise."""
+    if not abs(x) < 0.2:
+        return float(closed(x))
+    x2 = x * x
+    acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x2 + c
-    out[small] = xs * acc if odd else acc
-    out[~small] = closed(x[~small])
-    return float(out[0]) if scalar else out
+    return x * acc if odd else acc
 
 
-def _x_over_sinh(x):
+def _x_over_sinh(x: float) -> float:
     """x / sinh(x), stable near 0."""
     return _series_or_closed(x, _A_SER, False, lambda t: t / np.sinh(t))
 
 
-def _x_over_sinh_prime(x):
+def _x_over_sinh_prime(x: float) -> float:
     """d/dx of x / sinh(x), stable near 0."""
     return _series_or_closed(
         x, [2 * k * c for k, c in enumerate(_A_SER)][1:], True,
-        lambda t: 1.0 / np.sinh(t) - t * np.cosh(t) / np.sinh(t) ** 2)
+        lambda t: 1.0 / np.sinh(t) - t * np.cosh(t) / (np.sinh(t) * np.sinh(t)))
 
 
-def _coth_minus_inv(x):
+def _coth_minus_inv(x: float) -> float:
     """coth(x) - 1/x, stable near 0."""
     return _series_or_closed(x, _COTH_SER, True,
                              lambda t: 1.0 / np.tanh(t) - 1.0 / t)
 
 
-def _coth_minus_inv_prime(x):
+def _coth_minus_inv_prime(x: float) -> float:
     """d/dx of coth(x) - 1/x, i.e. 1/x^2 - csch^2(x), stable near 0."""
     return _series_or_closed(
         x, [(2 * k + 1) * c for k, c in enumerate(_COTH_SER)], False,
-        lambda t: 1.0 / t ** 2 - 1.0 / np.sinh(t) ** 2)
+        lambda t: 1.0 / (t * t) - 1.0 / (np.sinh(t) * np.sinh(t)))
 
 
 @dataclass(frozen=True)
@@ -99,15 +92,15 @@ def bps(C: float, D: float) -> ClosedForm:
     def state(r):
         if r <= 0 and not (D == 0 and r == 0):
             raise DomainError("bps requires r > 0")
-        if D == 0 and r < _SMALL_R:
-            x = C * r
-            return ProfileState(r, _x_over_sinh(x), -0.5 * C * _coth_minus_inv(x))
+        if D == 0:                      # a = xos(Cr), phi = -(C/2) cmi(Cr)
+            return ProfileState(r, _x_over_sinh(C * r),
+                                -0.5 * C * _coth_minus_inv(C * r))
         X = C * r + D
         return ProfileState(r, float(C * r / np.sinh(X)),
                             float(0.5 * (1.0 / r - C / np.tanh(X))))
 
     def derivative(r):
-        if D == 0:                      # a = xos(Cr), phi = -(C/2) cmi(Cr)
+        if D == 0:
             return (C * _x_over_sinh_prime(C * r),
                     -0.5 * C * C * _coth_minus_inv_prime(C * r))
         X = C * r + D
@@ -126,29 +119,22 @@ def bps_mass(m: float) -> ClosedForm:
 
 
 def hyperbolic(m: float) -> ClosedForm:
+    """a and phi are the quotient of the a's and the difference of the
+    phi's of bps(m+1, 0) and bps(1, 0)."""
     if m <= 0:
         raise DomainError("hyperbolic family requires m > 0")
-    m = float(m)
-    mu = m + 1.0
+    top, bottom = bps(m + 1.0, 0.0), bps(1.0, 0.0)
 
     def state(r):
-        if r < 0:
-            raise DomainError("hyperbolic requires r >= 0")
-        a = _x_over_sinh(mu * r) / _x_over_sinh(float(r))
-        phi = -0.5 * (mu * _coth_minus_inv(mu * r) - _coth_minus_inv(float(r)))
-        return ProfileState(r, a, phi)
+        t, b = top.state(r), bottom.state(r)
+        return ProfileState(r, t.a / b.a, t.phi - b.phi)
 
     def derivative(r):
-        # a = xos(mu r)/xos(r), phi = (cmi(r) - mu cmi(mu r))/2
-        num, den = float(_x_over_sinh(mu * r)), float(_x_over_sinh(float(r)))
-        dnum = mu * float(_x_over_sinh_prime(mu * r))
-        dden = float(_x_over_sinh_prime(float(r)))
-        da = (dnum * den - num * dden) / den ** 2
-        dphi = 0.5 * (float(_coth_minus_inv_prime(float(r)))
-                      - mu * mu * float(_coth_minus_inv_prime(mu * r)))
-        return (da, dphi)
+        t, b = top.state(r).a, bottom.state(r).a
+        (dt, dphi_t), (db, dphi_b) = top.derivative(r), bottom.derivative(r)
+        return ((dt * b - t * db) / (b * b), dphi_t - dphi_b)
 
-    return ClosedForm("hyperbolic", (m,), state, derivative)
+    return ClosedForm("hyperbolic", (float(m),), state, derivative)
 
 
 def dirac_euclidean(m: float) -> ClosedForm:

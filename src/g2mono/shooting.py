@@ -292,7 +292,9 @@ def profile_of_beta(beta: float, metric: MetricProfile,
 def solve_monopole(metric: MetricProfile, mass: float, tol: float = 1e-10,
                    beta0: Optional[float] = None) -> MonopoleProfile:
     """The profile of the given mass; `beta0` is the Newton starting
-    point passed on to `beta_of_mass`."""
+    point passed on to `beta_of_mass`.  beta is rooted at tol
+    max(tol, 1e-9), so below 1e-9 the mass meets the request only to
+    about 1e-9, though `tol` still sets the profile's shot."""
     metric = _one_series_build(metric)
     beta = beta_of_mass(mass, metric, tol=max(tol, 1e-9), beta0=beta0)
     return profile_of_beta(beta, metric, tol=tol)
@@ -332,8 +334,8 @@ def bubbling_report(masses, metric: MetricProfile) -> BubblingReport:
     exact bound G a^2 is far beneath the attainable numerical accuracy.
     """
     lams = sorted(float(m) for m in masses)
-    if len(lams) < 2:
-        raise ValueError("bubbling_report compares at least two masses")
+    if len(set(lams)) != len(lams) or len(lams) < 2:
+        raise ValueError("bubbling_report compares at least two masses, all distinct")
     sups, trans_ok = [], []
     worst = 0.0
     for lam in lams:

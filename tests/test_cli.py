@@ -187,6 +187,31 @@ def test_energy_without_sidecar(tmp_path, capsys):
     assert abs(json.loads(stdout)["mass"] - solved) <= 1e-9
 
 
+def test_energy_on_a_custom_metric_profile(tmp_path, capsys, monkeypatch):
+    # the sidecar's metric id is "custom"; energy reloads the file that
+    # the solve was given, whose table path is relative to that file
+    rows = "".join(f"{r!r},{r!r}\n" for r in np.geomspace(0.5, 200.0, 40).tolist())
+    (tmp_path / "table.csv").write_text("r,h\n" + rows)
+    cfg = tmp_path / "flat.txt"
+    cfg.write_text("type=custom\ncoeffs=1" + ",0" * 12 + "\ntable=table.csv\n")
+    monkeypatch.chdir(tmp_path.parent)
+    out = str(tmp_path / "p.csv")
+    code, _, _ = run(capsys, "solve", "--metric", str(cfg), "--mass", "1",
+                     "--out", out)
+    assert code == 0
+    assert json.loads((tmp_path / "p.json").read_text())["metric"] == "custom"
+    code, stdout, err = run(capsys, "energy", "--profile", out)
+    assert code == 0, err
+    rep = json.loads(stdout)
+    assert rep["metric"] == "custom" and abs(rep["E_I"] - 0.5) <= 1e-6
+    prof = shooting.solve_monopole(metric.load_custom(str(cfg)), 1.0)
+    assert rep["E_I"] == energy.intermediate_energy(
+        prof, metric.load_custom(str(cfg))).value
+    code, stdout, _ = run(capsys, "energy", "--profile", out,
+                          "--metric", "euclidean")        # still overrides
+    assert code == 0 and json.loads(stdout)["metric"] == "euclidean"
+
+
 @pytest.mark.parametrize("text,message", [
     ("r,a,phi,v\n0,1,0,0\n", "at least 2 samples, not 1"),
     ("r,a,phi,v\n0,1,0,0\n1,nan,-0.1,0\n2,0.1,-0.2,0\n", "a and phi must be finite"),
@@ -269,6 +294,21 @@ def test_sweep_empty_range_exit2(tmp_path, capsys):
               "--mass-max", "1", "--steps", "3",
               "--out", str(tmp_path / "s.csv")])
     assert exc.value.code == 2
+
+
+def test_sweep_one_step_needs_one_mass(tmp_path, capsys):
+    # one step cannot cover mass-min < mass-max: mass-max would be dropped
+    out = str(tmp_path / "s.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--metric", "euclidean", "--mass-min", "1",
+              "--mass-max", "2", "--steps", "1", "--out", out])
+    assert exc.value.code == 2
+    assert "--steps 1 needs mass-min == mass-max" in capsys.readouterr().err
+    code, _, _ = run(capsys, "sweep", "--metric", "euclidean", "--mass-min",
+                     "2", "--mass-max", "2", "--steps", "1", "--out", out)
+    assert code == 0
+    with open(out) as fh:
+        assert [row["mass"] for row in csv.DictReader(fh)] == ["2"]
 
 
 def test_verify_su3(capsys):

@@ -213,3 +213,13 @@ def test_solve_and_energy_match_the_recorded_values(metric_id):
                intermediate_energy(prof, met).value)
         for g, x in zip(got, expected):
             assert abs(g - x) <= 1e-14 * max(1.0, abs(x)), (m, got, expected)
+
+
+def test_energy_rejects_a_profile_from_another_metric():
+    # a euclidean profile on bs_s4 would give E_I = 0.4805 for m = 1
+    prof = solve_monopole(metric.EUCLIDEAN, 1.0)
+    with pytest.raises(ValueError, match="profile solved on 'euclidean', not 'bs_s4'"):
+        intermediate_energy(prof, metric.BS_S4)
+    csv_like = SimpleNamespace(r=prof.r, a=prof.a, phi=prof.phi, mass=prof.mass)
+    assert intermediate_energy(csv_like, metric.EUCLIDEAN).value == \
+        intermediate_energy(prof, metric.EUCLIDEAN).value

@@ -203,3 +203,16 @@ def test_inverse_roundtrip(a):
 def test_exp_requires_zero_constant():
     with pytest.raises(ValueError):
         series_exp(FormalSeries([1, 1], 3))
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    (lambda: FormalSeries([0, 1, 2]).inverse(), ZeroDivisionError,
+     "zero constant term"),
+    (lambda: FormalSeries([0, 1, 2]).shift(-2), ValueError,
+     "shift would drop nonzero low-order terms"),
+    (lambda: FormalSeries([2, 1]).pow(Fraction(1, 2)), ValueError,
+     "pow requires constant term 1"),
+], ids=["inverse", "shift", "pow"])
+def test_fps_input_checks(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()

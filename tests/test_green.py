@@ -86,3 +86,13 @@ def test_parabolic_rejected(tmp_path):
         green.dirac(met, 1, 1.0)
     # charge 0 needs no Green's function
     assert green.dirac(met, 0, 1.0).phi(2.0) == -1.0
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: green.dirac(metric.EUCLIDEAN, 1.5, 1.0), "charge must be an integer"),
+    (lambda: green.harmonicity_check(green.dirac(metric.EUCLIDEAN, 1, 0.0),
+                                     [1.0, 0.0]), "radii must be > 0"),
+], ids=["dirac-charge", "harmonicity-radius"])
+def test_green_input_checks(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()

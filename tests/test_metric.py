@@ -529,3 +529,36 @@ def test_green_command_at_a_huge_radius(capsys):
                  "--r", "1e78"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["G"] == 0.0 and out["phi_D"] == 0.0
+
+
+def test_custom_table_path_is_relative_to_the_metric_file(tmp_path, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    rows = "".join(f"{r!r},{r!r}\n" for r in np.geomspace(0.5, 100.0, 40).tolist())
+    (tmp_path / "sub" / "t.csv").write_text("r,h\n" + rows)
+    cfg = tmp_path / "sub" / "m.txt"
+    cfg.write_text("type=custom\ncoeffs=1,0,0\ntable=t.csv\n")
+    absolute = tmp_path / "abs.txt"
+    absolute.write_text(f"type=custom\ncoeffs=1,0,0\ntable={tmp_path / 'sub' / 't.csv'}\n")
+    monkeypatch.chdir(tmp_path)
+    for path in ("sub/m.txt", str(cfg), "abs.txt"):
+        assert abs(load_custom(path).h2(50.0) - 2500.0) <= 1e-9
+    monkeypatch.chdir(tmp_path / "sub")
+    assert abs(load_custom("m.txt").h2(50.0) - 2500.0) <= 1e-9
+
+
+def _custom_file(tmp_path, text):
+    (tmp_path / "t.csv").write_text("r,h\n0.5,0.5\n1,1\n1,1\n2,2\n")
+    (tmp_path / "m.txt").write_text(text)
+    return str(tmp_path / "m.txt")
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    (lambda tmp: load_custom(_custom_file(tmp, "coeffs=1,0,1/3\n")),
+     UnsupportedBackend, "must declare type=custom"),
+    (lambda tmp: load_custom(_custom_file(tmp, "type=custom\ncoeffs=1,0\ntable=t.csv\n")),
+     UnsupportedBackend, "radii must be increasing"),
+    (lambda tmp: EUCLIDEAN.series_coeffs(-1), ValueError, "order must be >= 0"),
+], ids=["custom-no-type", "custom-repeated-radius", "negative-order"])
+def test_metric_input_checks(tmp_path, call, exc, match):
+    with pytest.raises(exc, match=match):
+        call(tmp_path)

@@ -596,3 +596,29 @@ def test_steep_metric_blows_up_without_overflow():
 def test_empty_range_rejected():
     with pytest.raises(DomainError, match="empty"):
         integrate("minus", _bps_initial(0.05), metric.EUCLIDEAN, 0.05)
+
+
+_E = metric.EUCLIDEAN
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    (lambda: ode.integrate("minus", ProfileState(0.0, 1.0, 0.0), _E, 1.0),
+     DomainError, "initial radius must be > 0"),
+    (lambda: ode.integrate("minus", ProfileState(0.1, 0.0, 0.5), _E, 1.0),
+     DomainError, "minus system requires a > 0"),
+    (lambda: ode.integrate("nope", ProfileState(0.1, 1.0, 0.0), _E, 1.0),
+     ValueError, "unknown system 'nope'"),
+    (lambda: ode.envelope_check(
+        ode.integrate("plus", ProfileState(1.0, 0.5, 0.1), _E, 2.0)),
+     ValueError, "applies to the minus system"),
+    (lambda: ode.envelope_check(                             # phi > 0: v grows
+        ode.integrate("minus", ProfileState(0.1, 1.0, 5.0), _E, 100.0)),
+     ValueError, "requires a non-blowup solution"),
+    (lambda: ode.envelope_check(                             # a > 1: v(d) > 0
+        ode.integrate("minus", ProfileState(0.1, 1.1, -2.0), _E, 100.0)),
+     ValueError, r"requires v\(d\) <= 0"),
+], ids=["r-zero", "a-zero", "unknown-system", "envelope-plus",
+        "envelope-blowup", "envelope-v-positive"])
+def test_ode_input_checks(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()

@@ -25,8 +25,8 @@ def test_hyperbolic_point_values():
 
 
 def test_small_r_stability():
-    # series evaluation below 1e-3 agrees with the raw closed form just
-    # above the switch and has the right limits at 0
+    # bps(C, 0) is one formula at every r: it has the right limits at 0
+    # and no seam across r = 1e-3
     st = oracles.bps_mass(1.0).state(0.0)
     assert st.a == 1.0 and st.phi == 0.0
     lo = oracles.bps_mass(1.0).state(9.99e-4)
@@ -34,6 +34,29 @@ def test_small_r_stability():
     # the fields themselves vary by ~|f'| * 2e-6 across the gap
     assert abs(lo.a - hi.a) <= 1e-6
     assert abs(lo.phi - hi.phi) <= 1e-6
+
+
+def test_bps_matches_mpmath():
+    # 40-digit reference at the argument x = C r the helpers see (a at
+    # x ~ 300 also carries x times the rounding of C r).  a and phi hold
+    # 1e-14 across the |x| = 0.2 switch; the derivative series stop one
+    # term earlier, so just below it they keep ~6e-12 (a') and ~2.5e-14
+    # (phi') of truncation.
+    mp = pytest.importorskip("mpmath")
+    bounds = (1e-14, 1e-14, 1e-11, 5e-14)            # a, phi, a', phi'
+    for C in (1.0, 7.3):
+        form = oracles.bps(C, 0.0)
+        for r in map(float, np.geomspace(1e-6, 40.0, 300)):
+            st = form.state(r)
+            got = (st.a, st.phi, *form.derivative(r))
+            with mp.workdps(40):
+                x, c = mp.mpf(C * r), mp.mpf(C)
+                sh = mp.sinh(x)
+                exact = (x / sh, -c / 2 * (mp.coth(x) - 1 / x),
+                         c * (1 / sh - x * mp.cosh(x) / sh ** 2),
+                         -c * c / 2 * (1 / x ** 2 - 1 / sh ** 2))
+                for g, e, bound in zip(got, exact, bounds):
+                    assert abs((g - e) / e) <= bound, (C, r, g, e)
 
 
 def test_bps_residual():
@@ -212,3 +235,5 @@ def test_parameter_validation():
         oracles.bps_mass(0.0)
     with pytest.raises(DomainError):
         oracles.hyperbolic(-2.0)
+    with pytest.raises(DomainError, match="sign must be"):
+        oracles.bs_instanton(sign=0)

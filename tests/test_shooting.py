@@ -123,10 +123,21 @@ def test_bubbling_euclidean_exact():
     assert all(rep.translated_ok)
 
 
-@pytest.mark.parametrize("masses", [[], [3.0]])
+@pytest.mark.parametrize("masses", [[], [3.0], [2.0, 2.0], [1.0, 3.0, 1.0]])
 def test_bubbling_needs_two_masses(masses):
+    # a repeated mass repeats its sup, which would read as "not decreasing"
     with pytest.raises(ValueError, match="two masses"):
         bubbling_report(masses, metric.EUCLIDEAN)
+
+
+@pytest.mark.parametrize("sup_decreasing, translated_ok, passed", [
+    (True, [True, True], True), (False, [True, True], False),
+    (True, [True, False], False),
+])
+def test_bubbling_report_passed(sup_decreasing, translated_ok, passed):
+    rep = shooting.BubblingReport("euclidean", [1.0, 2.0], [0.1, 0.05],
+                                  sup_decreasing, translated_ok, 0.0)
+    assert rep.passed is passed
 
 
 # -- Newton with forward sensitivities ------------------------------------
