@@ -28,10 +28,20 @@ _FMT = "%.17g"
 _SVG_WIDTH, _SVG_HEIGHT = 640, 420                    # size of `--plot` figures
 
 
+def _is_metric_file(name: str) -> bool:
+    return name.endswith(".txt") or name.endswith(".cfg") or os.path.sep in name
+
+
 def _metric_arg(name: str):
-    if name.endswith(".txt") or name.endswith(".cfg") or os.path.sep in name:
+    if _is_metric_file(name):
         return metric.load_custom(name)
     return metric.get_metric(name)
+
+
+def _metric_param(name: str) -> str:
+    """--metric as a sidecar records it: a metric file by its absolute
+    path, so that `energy --profile` finds it from any directory."""
+    return os.path.abspath(name) if _is_metric_file(name) else name
 
 
 def _arg(convert, ok=lambda value: True, what=""):
@@ -171,7 +181,7 @@ def cmd_solve(args, parser) -> int:
         prof = shooting.profile_of_beta(args.beta, met, tol=args.tol)
     _write_profile_csv(args.out, prof)
     _write_sidecar(args.out, "solve",
-                   {"metric": args.metric, "mass": args.mass,
+                   {"metric": _metric_param(args.metric), "mass": args.mass,
                     "beta": args.beta, "tol": args.tol},
                    {"metric": met.id, "beta": prof.beta, "mass": prof.mass,
                     "tol": prof.tol,
@@ -207,7 +217,7 @@ def cmd_sweep(args, parser) -> int:
         for row in rows:
             w.writerow([_FMT % x for x in row])
     _write_sidecar(args.out, "sweep",
-                   {"metric": args.metric, "mass_min": args.mass_min,
+                   {"metric": _metric_param(args.metric), "mass_min": args.mass_min,
                     "mass_max": args.mass_max, "steps": args.steps,
                     "tol": args.tol},
                    # "threads" stays: perfbench/workloads.sweep_threads reads it

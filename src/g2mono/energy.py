@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from .metric import MetricProfile
 
@@ -67,11 +66,49 @@ def boundary_term(profile, R: float) -> float:
     return float(phi * (a * a - 1.0))
 
 
+# The two cumulative rules below are scipy.integrate's, on 1-D float arrays
+# with initial=0: the same operations in the same order, so the same floats.
+
+def cumulative_trapezoid(y, x):
+    """int_{x[0]}^{x[i]} y by the trapezoid rule, for each i."""
+    res = np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
+    return np.concatenate(([0.0], res))
+
+
+def _simpson_pieces(y, dx):
+    """Simpson's rule for unequal intervals over [x[i], x[i+1]], fitted to
+    the samples i, i+1, i+2 (eqn (8) of scipy's reference [2])."""
+    x21, x32 = dx[:-1], dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2]
+                      + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      + -x21x21_x31x32 * y[2:])
+
+
+def cumulative_simpson(y, x):
+    """int_{x[0]}^{x[i]} y by Simpson's rule on unequal intervals (each
+    interval from the samples ahead of it where there are two, else from
+    those behind), the trapezoid rule below 3 samples."""
+    if len(y) < 3:
+        cum = cumulative_trapezoid(y, x)
+    else:
+        dx = np.diff(x)
+        ahead = _simpson_pieces(y, dx)
+        behind = _simpson_pieces(y[::-1], dx[::-1])[::-1]
+        pieces = np.empty(len(y) - 1)
+        pieces[:-1:2] = ahead[::2]
+        pieces[1::2] = behind[::2]
+        pieces[-1] = behind[-1]
+        cum = np.concatenate(([0.0], np.cumsum(pieces)))
+    return cum + 0.0        # as scipy adds initial = 0: -0.0 becomes 0.0
+
+
 def _cumulative(density, r):
     """Cumulative integral with an error estimate from the
     Simpson-vs-trapezoid discrepancy."""
-    simp = cumulative_simpson(density, x=r, initial=0.0)
-    trap = cumulative_trapezoid(density, r, initial=0.0)
+    simp = cumulative_simpson(density, r)
+    trap = cumulative_trapezoid(density, r)
     est = float(np.max(np.abs(simp - trap)))
     return simp, est
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .metric import MetricProfile, DomainError, NonparabolicRequired
 
@@ -90,6 +89,7 @@ def asymptotic_fit(d: DiracMonopole) -> AsymptoticFit:
     """
     if d.charge == 0:
         raise DomainError("asymptotic fit needs charge != 0")
+    from scipy.optimize import curve_fit     # the package's only scipy use
     rs = np.geomspace(*_FIT_RADII)
     y = np.log(np.abs(np.asarray(d.phi(rs), dtype=float) + d.mass))
 

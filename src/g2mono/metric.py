@@ -19,9 +19,12 @@ BS_S4 under another id, sharing its functions.  Each background exposes
   invert rho(s).
 
 The BS reparametrization rho(s) = int_0^s (1+t^2)^(-1/4) dt and the tail
-integral both reduce to Gauss hypergeometric functions, so no runtime
-quadrature is needed on the hot paths; an independent quadrature oracle
-lives in the tests.
+integral both reduce to Gauss hypergeometric functions, summed here as
+power series in a variable of at most 1/2 (plain floats for a float,
+numpy for an array); a custom table's tail integral has a closed form on
+each log-log linear segment.  So no runtime quadrature is needed, and the
+module needs numpy only; independent quadrature oracles live in the
+tests.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import hyp2f1
+from numpy.polynomial.legendre import leggauss
 
 from .fps import FormalSeries
 
@@ -68,47 +70,193 @@ def bs_f(s):
 
 
 # Past s = _S_FAR, rho(s) = 2 sqrt(s) - _RHO_OFFSET to double precision
-# (the next term, s^(-3/2)/6, is below 1e-40 of rho), and the closed
-# form below would overflow s^2 from s ~ 1.3e154 on.
+# (the next term, s^(-3/2)/6, is below 1e-40 of rho), and the series
+# below would overflow s^2 from s ~ 1.3e154 on.
 _S_FAR = 1e20
 _RHO_OFFSET = 1.1981402347355922     # 2 sqrt(pi) Gamma(3/4) / Gamma(1/4)
 _RHO_FAR = 2.0 * math.sqrt(_S_FAR) - _RHO_OFFSET
+_G_ZERO = 0.65551438857302995        # sqrt(pi) Gamma(5/4) / (2 Gamma(3/4))
+
+# rho(s) and G(s) are Gauss hypergeometric functions F(a, b; c; z).  With
+# q = 1 + s^2, w = s^2/q and u = 1/q:
+#   s <= _S_SERIES:  rho = s F(1/2, 1/4; 3/2; -s^2), the defining series
+#                    (s^2 <= 0.04, so about ten terms),
+#   s <= 1:          rho = s q^(-1/4) F(1/4, 1; 3/2; w),
+#                    G = F(1, 3/4; 1/2; w) / (2 s q^(3/4)) - _G_ZERO,
+#   s > 1:           rho = 2 s q^(-1/4) F(1/4, 1; 3/4; u) - _RHO_OFFSET,
+#                    G = u^(5/4) F(5/4, 3/2; 9/4; u) / 5.
+# w and u are at most 1/2 where they are used (see _hyp for the number of
+# terms).  A float and an array run the same operations, so they agree to
+# the bit; fractional powers are built from sqrt, which is correctly
+# rounded in math and numpy alike.
+_S_SERIES = 0.2
+_HYP_TERMS = 60
+_SMALL = 64                 # rho_of_s takes shorter arrays one float at a time
+_EPS = 2.0 ** -53
+
+
+def _hyp2f1_coeffs(a: Fraction, b: Fraction, c: Fraction) -> list[float]:
+    """The first _HYP_TERMS Taylor coefficients of F(a, b; c; z), highest
+    first, each rounded once from its exact value."""
+    term, out = Fraction(1), []
+    for n in range(_HYP_TERMS):
+        out.append(float(term))
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1))
+    return out[::-1]
+
+
+_F_RHO_W = _hyp2f1_coeffs(Fraction(1, 4), Fraction(1), Fraction(3, 2))
+_F_RHO_U = _hyp2f1_coeffs(Fraction(1, 4), Fraction(1), Fraction(3, 4))
+_F_G_W = _hyp2f1_coeffs(Fraction(1), Fraction(3, 4), Fraction(1, 2))
+_F_G_U = _hyp2f1_coeffs(Fraction(5, 4), Fraction(3, 2), Fraction(9, 4))
+
+
+def _horner(coeffs, z):
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * z + c
+    return acc
+
+
+def _hyp(coeffs, z):
+    """F(z) from its Taylor coefficients, highest first: the lowest 16 of
+    them where z <= 1/16, all _HYP_TERMS up to z = 1/2.  Either leaves
+    out less than 1e-17 of F."""
+    if isinstance(z, float):
+        return _horner(coeffs[-16:] if z <= 1.0 / 16.0 else coeffs, z)
+    return _split(z, 1.0 / 16.0, lambda t: _horner(coeffs[-16:], t),
+                  lambda t: _horner(coeffs, t))
+
+
+def _sqrt(x):
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
+def _rho_series(s):
+    # the terms summed first to last, each from the one before, until one
+    # is at most _EPS of the sum: the order in which the hypergeometric
+    # function of scipy.special sums them, so that s_of_rho keeps the
+    # floats of the hand-off radii that the recorded BS solves started from
+    z = -s * s
+    total = term = 1.0
+    k = 0.0
+    if isinstance(s, float):
+        while True:
+            term = term * ((0.5 + k) * (0.25 + k) * z / ((1.5 + k) * (k + 1.0)))
+            total += term
+            k += 1.0
+            if not abs(term / total) > _EPS:
+                return s * total
+    running = np.ones_like(s, dtype=bool)
+    while running.any():
+        term = term * ((0.5 + k) * (0.25 + k) * z / ((1.5 + k) * (k + 1.0)))
+        total = np.where(running, total + term, total)
+        running &= np.abs(term / total) > _EPS
+        k += 1.0
+    return s * total
+
+
+def _rho_w(s):
+    q = 1.0 + s * s
+    return s / _sqrt(_sqrt(q)) * _hyp(_F_RHO_W, s * s / q)
+
+
+def _rho_u(s):
+    q = 1.0 + s * s
+    return 2.0 * s / _sqrt(_sqrt(q)) * _hyp(_F_RHO_U, 1.0 / q) - _RHO_OFFSET
+
+
+def _green_w(s):
+    q = 1.0 + s * s
+    return _hyp(_F_G_W, s * s / q) * _sqrt(_sqrt(q)) / (2.0 * s * q) - _G_ZERO
+
+
+def _green_u(s):
+    u = 1.0 / (1.0 + s * s)
+    return 0.2 * u * _sqrt(_sqrt(u)) * _hyp(_F_G_U, u)
+
+
+def _split(s, bound, below, above):
+    """below(s) where s <= bound, above(s) elsewhere; s is a float or an
+    array."""
+    if isinstance(s, float):
+        return below(s) if s <= bound else above(s)
+    out = np.empty_like(s)
+    lo = s <= bound
+    with np.errstate(over="ignore", divide="ignore"):
+        for part, fn in ((lo, below), (~lo, above)):
+            if part.any():
+                out[part] = fn(s[part])
+    return out
+
+
+def _rho_near(s):
+    return _split(s, _S_SERIES, _rho_series, _rho_w)
+
+
+def _rho(s):
+    """rho(s) by the series, for s below ~1e154 (each of s_of_rho's
+    Halley steps calls it once)."""
+    return _split(s, 1.0, _rho_near, _rho_u)
+
+
+def _float_or_array(x):
+    """x as a Python float when it is 0-d, else as a float array."""
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            return x
+    return float(x)
 
 
 def rho_of_s(s):
-    """Geodesic radius rho(s) = int_0^s (1+t^2)^(-1/4) dt.
-
-    Closed form: rho = s * 2F1(1/4, 1/2; 3/2; -s^2), or its asymptote
-    past _S_FAR.
-    """
-    s = np.asarray(s, dtype=float)
+    """Geodesic radius rho(s) = int_0^s (1+t^2)^(-1/4) dt: the series
+    above, or its asymptote past _S_FAR."""
+    s = _float_or_array(s)
+    if isinstance(s, float):
+        if not s >= 0:
+            raise DomainError("s must be >= 0")
+        return 2.0 * math.sqrt(s) - _RHO_OFFSET if s >= _S_FAR else _rho(s)
     if not np.all(s >= 0):
         raise DomainError("s must be >= 0")
     near = np.minimum(s, _S_FAR)
-    out = np.where(s < _S_FAR, near * hyp2f1(0.25, 0.5, 1.5, -near * near),
-                   2.0 * np.sqrt(s) - _RHO_OFFSET)
-    return float(out) if out.ndim == 0 else out
+    if s.size < _SMALL:     # a shot's steps: faster one float at a time
+        near = np.array([_rho(x) for x in near.ravel().tolist()]).reshape(s.shape)
+    else:
+        near = _rho(near)
+    return np.where(s < _S_FAR, near, 2.0 * np.sqrt(s) - _RHO_OFFSET)
+
+
+def _halley(s, rho):
+    """Three Halley steps on rho(s) - rho from s: rho' = q^(-1/4),
+    rho'' = -s q^(-5/4) / 2."""
+    for _ in range(3):
+        q = 1.0 + s * s
+        g = _rho(s) - rho
+        s = s - g / (1.0 / _sqrt(_sqrt(q)) + g * s / (4.0 * q))
+    return s
 
 
 def s_of_rho(rho):
-    """Inverse of rho_of_s: three Halley steps on the whole array, which
-    reach hyp2f1's rounding from the series head rho (1 + rho^2/12) below
-    rho = 1.5 and from the inverted asymptote of rho_of_s above.  Past
-    _RHO_FAR that asymptote is the answer; s is inf where it overflows."""
-    rho = np.asarray(rho, dtype=float)
+    """Inverse of rho_of_s: three Halley steps, which reach the rounding
+    of rho(s) from the series head rho (1 + rho^2/12) below rho = 1.5
+    and from the inverted asymptote of rho_of_s above.  Past _RHO_FAR
+    that asymptote is the answer; s is inf where it overflows."""
+    rho = _float_or_array(rho)
+    if isinstance(rho, float):
+        if not 0.0 <= rho < math.inf:
+            raise DomainError("rho must be finite and >= 0")
+        half = 0.5 * (rho + _RHO_OFFSET)
+        if rho >= _RHO_FAR:
+            return half * half
+        return _halley(rho * (1.0 + rho * rho / 12.0) if rho < 1.5 else half * half, rho)
     if not np.all((rho >= 0) & (rho < np.inf)):
         raise DomainError("rho must be finite and >= 0")
     near = np.minimum(rho, _RHO_FAR)
     half = 0.5 * (near + _RHO_OFFSET)
-    s = np.where(near < 1.5, near * (1.0 + near * near / 12.0), half * half)
-    for _ in range(3):
-        # Halley on rho(s) - rho: rho' = q^(-1/4), rho'' = -s q^(-5/4) / 2
-        q = 1.0 + s * s
-        g = s * hyp2f1(0.25, 0.5, 1.5, -s * s) - near
-        s = s - g / (1.0 / np.sqrt(np.sqrt(q)) + g * s / (4.0 * q))
+    s = _halley(np.where(near < 1.5, near * (1.0 + near * near / 12.0), half * half), near)
     with np.errstate(over="ignore"):
-        out = np.where(rho < _RHO_FAR, s, np.square(0.5 * (rho + _RHO_OFFSET)))
-    return float(out) if out.ndim == 0 else out
+        return np.where(rho < _RHO_FAR, s, np.square(0.5 * (rho + _RHO_OFFSET)))
 
 
 def bs_h2_of_s(s):
@@ -121,33 +269,13 @@ def bs_h2_of_s(s):
     return float(out) if out.ndim == 0 else out
 
 
-# Below s = _S_NEAR the hypergeometric form loses G's 1/(2s) pole to
-# rounding in 1 - u (and is inf below s ~ 1e-8); the expansion
-#   G = 1/(2s) - _G_ZERO + 3s/8 - 7s^3/64 + 77s^5/1280 - 165s^7/4096
-#       + 1463s^9/49152
-# is used there instead (its next term, -0.023 s^11, is below 8e-16 of G).
-_S_NEAR = 0.07
-_G_ZERO = 0.65551438857302995        # sqrt(pi) Gamma(5/4) / (2 Gamma(3/4))
-
-
 def bs_green_of_s(s):
-    """G as a function of s: int_s^inf f(t) dt / (2 h^2(t)).
-
-    Substituting u = 1/(1+t^2) turns this into an incomplete beta
-    integral; in hypergeometric form
-        G = (1/5) u^(5/4) 2F1(5/4, 3/2; 9/4; u),  u = 1/(1+s^2),
-    or its expansion at s = 0 below _S_NEAR.
-    """
-    s = np.asarray(s, dtype=float)
-    with np.errstate(over="ignore"):                # u = 0 past s ~ 1.3e154
-        u = 1.0 / (1.0 + s * s)
-    t = np.minimum(s, _S_NEAR)
-    t2 = t * t
-    with np.errstate(divide="ignore"):              # G(0) = inf
-        near = (0.5 / t - _G_ZERO + t * (0.375 - t2 * (7 / 64 - t2 * (
-            77 / 1280 - t2 * (165 / 4096 - t2 * (1463 / 49152))))))
-    out = np.where(s < _S_NEAR, near, 0.2 * u ** 1.25 * hyp2f1(1.25, 1.5, 2.25, u))
-    return float(out) if out.ndim == 0 else out
+    """G as a function of s: int_s^inf f(t) dt / (2 h^2(t)), by the
+    series above; G(0) = inf."""
+    s = _float_or_array(s)
+    if isinstance(s, float) and s == 0.0:
+        return math.inf
+    return _split(s, 1.0, _green_w, _green_u)
 
 
 def _bs_series_coeffs(order: int) -> list[Fraction]:
@@ -238,6 +366,10 @@ class MetricProfile:
             raise NonparabolicRequired(
                 f"metric {self.id!r} has a divergent Green's-function tail"
             )
+        if isinstance(r, float):            # a shot's tail test
+            if not r > 0:
+                raise DomainError("green_tail requires r > 0")
+            return float(self._green(r))
         r_arr = np.asarray(r, dtype=float)
         if not np.all(r_arr > 0):
             raise DomainError("green_tail requires r > 0")
@@ -296,6 +428,12 @@ def get_metric(name: str) -> MetricProfile:
 # ---------------------------------------------------------------------------
 # custom backend from a key=value file
 # ---------------------------------------------------------------------------
+
+# Gauss-Legendre rule on [0, 1] for the smooth part of a custom G below its
+# table: nodes, and weights summing to 1
+_GL_NODES, _GL_WEIGHTS = leggauss(20)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+
 
 def load_custom(path: str) -> MetricProfile:
     """Load `type=custom` metric: series coefficients plus an optional
@@ -359,19 +497,13 @@ def load_custom(path: str) -> MetricProfile:
         # up in its one region, an array in all three at once
         if isinstance(r, float):
             if table_r is None or r <= r_series:
-                acc = 0.0
-                for c in horner:
-                    acc = acc * r + c
-                return r * r * acc
+                return r * r * _horner(horner, r)
             if r <= table_r[-1]:
                 h = np.exp(np.interp(np.log(r), log_r, log_h))
             else:               # the ufunc: scalar ** can round otherwise
                 h = tail_c * np.power(r, tail_p)
             return float(h * h)
-        acc = np.zeros_like(r)
-        for c in horner:
-            acc = acc * r + c
-        out = r * r * acc
+        out = r * r * _horner(horner, r)
         if table_r is not None:
             h = np.where(r <= table_r[-1], np.exp(np.interp(np.log(r), log_r, log_h)),
                          tail_c * r ** tail_p)
@@ -381,13 +513,45 @@ def load_custom(path: str) -> MetricProfile:
     def tail_from(x):
         return x ** (1.0 - 2.0 * tail_p) / (2.0 * tail_c ** 2 * (2.0 * tail_p - 1.0))
 
-    def green_at(x):
-        """G at one radius: quadrature up to the end of the table, the
-        power-law tail beyond it."""
-        if x >= table_r[-1]:
-            return tail_from(x)
-        return (quad(lambda t: 1.0 / (2.0 * h2(t)), x, table_r[-1],
-                     limit=200)[0] + tail_from(table_r[-1]))
+    def segment(x, i):
+        """int_x^{r_{i+1}} dt / (2 h^2) inside table segment i.  There
+        h(t) = h(x) (t/x)^p with p the segment's log-log slope, so the
+        integral is x L E((1 - 2p) L) / (2 h(x)^2), where L = ln(r_{i+1}/x)
+        and E(z) = expm1(z)/z, E(0) = 1."""
+        log_x = np.log(x)
+        span = log_r[i + 1] - log_x
+        z = (1.0 - 2.0 * slope[i]) * span
+        nonzero = np.where(z == 0.0, 1.0, z)
+        expm1_ratio = np.where(z == 0.0, 1.0, np.expm1(nonzero) / nonzero)
+        h2_x = np.exp(2.0 * (log_h[i] + slope[i] * (log_x - log_r[i])))
+        return x * span * expm1_ratio / (2.0 * h2_x)
+
+    def green(x):
+        """G = int_x^inf dt / (2 h^2): the power-law tail past the table,
+        closed forms on its log-log linear segments, and below the table
+        1/(2x) - 1/(2 r_series) plus a Gauss-Legendre rule on the smooth
+        rest (1/P - 1)/(2t^2) = -Q/(2P), where h^2 = t^2 P and P = 1 + t^2 Q."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty_like(xs)
+        far = xs >= table_r[-1]
+        out[far] = tail_from(xs[far])
+        near = xs < r_series
+        mid = ~far & ~near
+        i = np.searchsorted(table_r, xs[mid], side="right") - 1
+        out[mid] = segment(xs[mid], i) + suffix[i + 1]
+        x_in = xs[near, None]
+        t = x_in + (r_series - x_in) * _GL_NODES
+        smooth = -_horner(horner_q, t) / (2.0 * _horner(horner, t))
+        out[near] = (0.5 / xs[near] - 0.5 / r_series + suffix[0]
+                     + (r_series - xs[near]) * (smooth @ _GL_WEIGHTS))
+        return out if np.ndim(x) else float(out[0])
+
+    if nonparabolic:
+        horner_q = horner[:-2]                     # Q(t) = (P(t) - 1) / t^2
+        slope = np.diff(log_h) / np.diff(log_r)
+        pieces = segment(table_r[:-1], np.arange(len(table_r) - 1))
+        # suffix[i] = G(r_i)
+        suffix = np.append(np.cumsum(pieces[::-1])[::-1], 0.0) + tail_from(table_r[-1])
 
     def series(order):
         if order > n_series:
@@ -399,6 +563,6 @@ def load_custom(path: str) -> MetricProfile:
     return MetricProfile(
         id="custom",
         _h2=h2,
-        _green=np.vectorize(green_at, otypes=[float]) if nonparabolic else None,
+        _green=green if nonparabolic else None,
         _series=series,
     )

@@ -16,7 +16,8 @@ right-hand side has to invert rho(s).  Results are reported in r.
 
 Every system, and the linear comparison equation of `envelope_check`,
 runs through one DOP853 loop on Python floats (complex for su3) with
-scipy's tableau and controller, so its steps are those of
+scipy's tableau (written out in `_dop853_tableau`, so that scipy is not
+imported) and scipy's controller, so its steps are those of
 `solve_ivp(method="DOP853")` up to rounding.  Each stop (blow-up, a at
 A_FLOOR, and in shooting mode the tail bound 2 a^2 G <= tol/10) is a
 test on the state at an accepted step.  Interpolants are built only when
@@ -31,9 +32,9 @@ from operator import mul
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.integrate._ivp import dop853_coefficients as _dop
 
+from . import _dop853_tableau as _tab
+from .energy import cumulative_trapezoid
 # s_of_rho is not called here, but perfbench/tracer.py wraps ode.s_of_rho
 from .metric import MetricProfile, DomainError, S_CHART, bs_f, s_of_rho
 
@@ -166,14 +167,12 @@ def rhs(system: str, state, metric: MetricProfile, sigma: int = -1):
 # DOP853 on Python floats
 # ---------------------------------------------------------------------------
 
-# scipy's tableau, from the module its DOP853 reads: (row of A, node) per
-# stage after the first.  Stage 12, with row B and node 1, is f(x + h,
-# y_new); stages 13-15 are the interpolant's.
-_N = _dop.N_STAGES
-_STAGES = [(_dop.A[s, :s].tolist(), float(_dop.C[s]))
-           for s in range(1, _dop.N_STAGES_EXTENDED)]
+# (row of A, node) per stage after the first.  Stage 12, with row B and
+# node 1, is f(x + h, y_new); stages 13-15 are the interpolant's.
+_N = _tab.N_STAGES
+_STAGES = list(zip(_tab.A, _tab.C))
 _STEP, _DENSE = _STAGES[:_N], _STAGES[_N:]
-_E3, _E5, _D = _dop.E3.tolist(), _dop.E5.tolist(), _dop.D.tolist()
+_E3, _E5, _D = _tab.E3, _tab.E5, _tab.D
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's controller
 _ERROR_EXPONENT = -1.0 / 8.0         # -1 / (error estimator order + 1)
 
@@ -471,8 +470,8 @@ def envelope_check(result: IntegrationResult) -> EnvelopeReport:
     tangent = v0 + w0 * (rs - d)
 
     inv_h2 = 1.0 / np.asarray(metric.h2(rs), dtype=float)
-    J = cumulative_trapezoid(inv_h2, rs, initial=0.0)
-    II = cumulative_trapezoid(J, rs, initial=0.0)
+    J = cumulative_trapezoid(inv_h2, rs)
+    II = cumulative_trapezoid(J, rs)
     lower_quad = tangent - 2.0 * II
 
     def lin(x, y):

@@ -28,17 +28,24 @@ import numpy as np
 from .metric import MetricProfile, DomainError, bs_f, bs_f2, s_of_rho
 from .ode import ProfileState, SU3State, rhs
 
-# series of x/sinh(x) and of coth(x) - 1/x, six terms each
+# series of x/sinh(x) and of coth(x) - 1/x.  The values sum their first
+# six terms below |x| = 0.2, the derivatives all of theirs below |x| = 0.4:
+# their closed forms lose up to 2.6e-14 to cancellation just above 0.2
 _A_SER = (1.0, -1.0 / 6.0, 7.0 / 360.0, -31.0 / 15120.0, 127.0 / 604800.0,
-          -73.0 / 3421440.0)
+          -73.0 / 3421440.0, 1414477 / 653837184000, -8191 / 37362124800,
+          16931177 / 762187345920000, -5749691557 / 2554547108585472000,
+          91546277357 / 401428831349145600000)
 _COTH_SER = (1.0 / 3.0, -1.0 / 45.0, 2.0 / 945.0, -1.0 / 4725.0,
-             2.0 / 93555.0, -1382.0 / 638512875.0)
+             2.0 / 93555.0, -1382.0 / 638512875.0, 4 / 18243225,
+             -3617 / 162820783125, 87734 / 38979295480125,
+             -349222 / 1531329465290625)
+_VALUE_TERMS, _PRIME_SWITCH = 6, 0.4
 
 
-def _series_or_closed(x: float, coeffs, odd, closed) -> float:
-    """sum_k coeffs[k] x^(2k), times x when `odd`, for |x| < 0.2, else
+def _series_or_closed(x: float, coeffs, odd, closed, switch=0.2) -> float:
+    """sum_k coeffs[k] x^(2k), times x when `odd`, for |x| < switch, else
     closed(x): numpy's sinh, cosh, tanh give inf where math's raise."""
-    if not abs(x) < 0.2:
+    if not abs(x) < switch:
         return float(closed(x))
     x2 = x * x
     acc = 0.0
@@ -49,19 +56,20 @@ def _series_or_closed(x: float, coeffs, odd, closed) -> float:
 
 def _x_over_sinh(x: float) -> float:
     """x / sinh(x), stable near 0."""
-    return _series_or_closed(x, _A_SER, False, lambda t: t / np.sinh(t))
+    return _series_or_closed(x, _A_SER[:_VALUE_TERMS], False, lambda t: t / np.sinh(t))
 
 
 def _x_over_sinh_prime(x: float) -> float:
     """d/dx of x / sinh(x), stable near 0."""
     return _series_or_closed(
         x, [2 * k * c for k, c in enumerate(_A_SER)][1:], True,
-        lambda t: 1.0 / np.sinh(t) - t * np.cosh(t) / (np.sinh(t) * np.sinh(t)))
+        lambda t: 1.0 / np.sinh(t) - t * np.cosh(t) / (np.sinh(t) * np.sinh(t)),
+        _PRIME_SWITCH)
 
 
 def _coth_minus_inv(x: float) -> float:
     """coth(x) - 1/x, stable near 0."""
-    return _series_or_closed(x, _COTH_SER, True,
+    return _series_or_closed(x, _COTH_SER[:_VALUE_TERMS], True,
                              lambda t: 1.0 / np.tanh(t) - 1.0 / t)
 
 
@@ -69,7 +77,7 @@ def _coth_minus_inv_prime(x: float) -> float:
     """d/dx of coth(x) - 1/x, i.e. 1/x^2 - csch^2(x), stable near 0."""
     return _series_or_closed(
         x, [(2 * k + 1) * c for k, c in enumerate(_COTH_SER)], False,
-        lambda t: 1.0 / (t * t) - 1.0 / (np.sinh(t) * np.sinh(t)))
+        lambda t: 1.0 / (t * t) - 1.0 / (np.sinh(t) * np.sinh(t)), _PRIME_SWITCH)
 
 
 @dataclass(frozen=True)

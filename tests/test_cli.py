@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +214,35 @@ def test_energy_on_a_custom_metric_profile(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(stdout)["metric"] == "euclidean"
 
 
+def test_energy_reads_a_relative_metric_file_from_another_directory(
+        tmp_path, capsys, monkeypatch):
+    # solve and sweep record a metric file by its absolute path, a
+    # built-in metric by its name
+    (tmp_path / "cm").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    rows = "".join(f"{r!r},{r!r}\n" for r in np.geomspace(0.5, 200.0, 40).tolist())
+    (tmp_path / "cm" / "table.csv").write_text("r,h\n" + rows)
+    (tmp_path / "cm" / "m.txt").write_text(
+        "type=custom\ncoeffs=1" + ",0" * 12 + "\ntable=table.csv\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "solve", "--metric", "cm/m.txt", "--mass", "1",
+               "--out", "p.csv")[0] == 0
+    assert run(capsys, "sweep", "--metric", "cm/m.txt", "--mass-min", "1",
+               "--mass-max", "1", "--steps", "1", "--out", "s.csv")[0] == 0
+    assert run(capsys, "solve", "--metric", "euclidean", "--mass", "1",
+               "--out", "e.csv")[0] == 0
+    for side in ("p.json", "s.json"):
+        recorded = json.loads((tmp_path / side).read_text())["parameters"]["metric"]
+        assert os.path.isabs(recorded)
+        assert os.path.samefile(recorded, tmp_path / "cm" / "m.txt")
+    assert json.loads((tmp_path / "e.json").read_text())["parameters"]["metric"] == "euclidean"
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    code, stdout, err = run(capsys, "energy", "--profile", str(tmp_path / "p.csv"))
+    assert code == 0, err
+    rep = json.loads(stdout)
+    assert rep["metric"] == "custom" and abs(rep["E_I"] - 0.5) <= 1e-6
+
+
 @pytest.mark.parametrize("text,message", [
     ("r,a,phi,v\n0,1,0,0\n", "at least 2 samples, not 1"),
     ("r,a,phi,v\n0,1,0,0\n1,nan,-0.1,0\n2,0.1,-0.2,0\n", "a and phi must be finite"),
@@ -404,3 +435,36 @@ def test_version_matches_pyproject():
     with open(pyproject, "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["version"] == g2mono.__version__
+
+
+_NO_SCIPY_SCRIPT = """
+import os, sys
+import numpy as np
+from g2mono import cli, energy, metric, shooting
+for name in ("euclidean", "hyperbolic", "bs_s4", "bs_cp2"):
+    met = metric.get_metric(name)
+    energy.intermediate_energy(shooting.solve_monopole(met, 1.0), met)
+out = sys.argv[1]
+rs = np.geomspace(0.5, 100.0, 40)
+with open(os.path.join(out, "t.csv"), "w") as fh:
+    fh.write("r,h\\n" + "".join(f"{r!r},{r!r}\\n" for r in rs.tolist()))
+with open(os.path.join(out, "m.txt"), "w") as fh:
+    fh.write("type=custom\\ncoeffs=1" + ",0" * 12 + "\\ntable=t.csv\\n")
+custom = metric.load_custom(os.path.join(out, "m.txt"))
+shooting.mass_of_beta(-0.5, custom)
+custom.green_tail(np.array([0.1, 3.0, 300.0]))
+assert cli.main(["solve", "--metric", "bs_s4", "--mass", "1",
+                 "--out", os.path.join(out, "p.csv")]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_import_and_solves_do_not_load_scipy(tmp_path):
+    # scipy is needed only by `green --charge` fits and by the tests
+    src = str(Path(g2mono.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -9,10 +9,26 @@ import pytest
 
 from g2mono import metric, oracles
 from g2mono.energy import (UndefinedEnergyError, boundary_term,
+                           cumulative_simpson, cumulative_trapezoid,
                            energy_density, intermediate_energy)
 from g2mono.ode import ProfileState, integrate
 from g2mono.series import initial_data, v_series
 from g2mono.shooting import MonopoleProfile, profile_of_beta, solve_monopole
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 4225])
+def test_cumulative_rules_are_scipys(n):
+    # the same floats as scipy.integrate's on uneven grids, to the bit
+    from scipy.integrate import cumulative_simpson as simpson_ref
+    from scipy.integrate import cumulative_trapezoid as trapezoid_ref
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 0.3
+        y = rng.normal(size=n) * np.exp(rng.normal(size=n))
+        assert cumulative_simpson(y, x).tobytes() == simpson_ref(
+            y, x=x, initial=0.0).tobytes()
+        assert cumulative_trapezoid(y, x).tobytes() == trapezoid_ref(
+            y, x, initial=0.0).tobytes()
 
 
 def test_flat_zero_energy():

@@ -23,6 +23,26 @@ def test_rho_of_s_quadrature_oracle():
         assert abs(rho_of_s(s) - ref) <= 1e-12 * (1 + ref)
 
 
+def test_rho_of_s_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    ss = np.geomspace(1e-8, 1e20, 561)
+    with mp.workdps(30):
+        ref = np.array([float(mp.mpf(s) * mp.hyp2f1(0.25, 0.5, 1.5, -mp.mpf(s) ** 2))
+                        for s in ss])
+    assert np.max(np.abs(rho_of_s(ss) / ref - 1.0)) <= 1e-15
+
+
+def test_rho_series_sums_as_scipy_does():
+    # below _S_SERIES rho(s) is summed in the order of scipy's 2F1, so
+    # s_of_rho keeps the hand-off radii that tests/data's BS solves
+    # started from (a shot's step sizes move by 1e-9 for one ulp there)
+    from scipy.special import hyp2f1
+    ss = np.concatenate([[0.0, 5e-324, metric._S_SERIES],
+                         np.geomspace(1e-300, metric._S_SERIES, 3001)])
+    assert np.array_equal(rho_of_s(ss), ss * hyp2f1(0.25, 0.5, 1.5, -ss * ss))
+    assert [rho_of_s(float(s)) for s in ss] == rho_of_s(ss).tolist()
+
+
 def test_s_of_rho_roundtrip():
     ss = np.geomspace(1e-3, 1e3, 40)
     back = s_of_rho(rho_of_s(ss))
@@ -64,14 +84,15 @@ def s_of_rho_loop(rho):
 
 
 # radii at which plain Newton with the stop rule |ds| <= 1e-15 max(1, s)
-# never stops: its step 2-cycles at hyp2f1's rounding (1.73 lies on the
-# profile grid of solve_monopole(BS_S4, 4.0))
+# never stopped on the rounding of the former rho(s), scipy's 2F1: its
+# step 2-cycled (1.73 lies on the profile grid of solve_monopole(BS_S4,
+# 4.0)); kept as hard cases for the series rho(s)
 _NEWTON_CYCLES = [1.7299719298181815, 1.302211934933402, 1.5314568172031044,
                   1.3337061351654997, 1.5171096550417547, 1.282737577543451]
 
 
 def test_s_of_rho_matches_scalar_loop():
-    # hyp2f1 rounds rho(s) to about an ulp, so rho(s) - rho changes sign
+    # the series rounds rho(s) to about an ulp, so rho(s) - rho changes sign
     # over a band of a few ulp in s, and each side ends somewhere in it:
     # s_of_rho after three Halley steps, the reference at a sign change, a
     # bracket of adjacent floats or a Newton step below 1e-15 max(1, s).
@@ -118,13 +139,13 @@ def test_s_of_rho_rejects_negative_entries():
 
 def test_s_of_rho_takes_three_steps_per_radius(monkeypatch):
     evaluated = [0]
-    hyp2f1 = metric.hyp2f1
+    rho_series = metric._rho
 
-    def counted(a, b, c, z):
-        evaluated[0] += np.size(z)
-        return hyp2f1(a, b, c, z)
+    def counted(s):
+        evaluated[0] += np.size(s)
+        return rho_series(s)
 
-    monkeypatch.setattr(metric, "hyp2f1", counted)
+    monkeypatch.setattr(metric, "_rho", counted)
     rho = np.concatenate([_NEWTON_CYCLES, [0.0, 5e-324],
                           np.geomspace(1e-8, 0.5 * metric._RHO_FAR, 200)])
     s = s_of_rho(rho)
@@ -171,9 +192,9 @@ def test_bs_green_small_s(s, ref):
 @pytest.mark.parametrize("ss,bound", [
     (np.logspace(-12, 2), 5e-14),
     (np.linspace(0.02, 0.0299, 12), 1e-15),
-    # just below the switch to 2F1, where the expansion's last term counts
+    # a window inside the series in w = s^2/(1+s^2), and one across its
+    # switch to the series in u = 1/(1+s^2) at s = 1
     (np.linspace(0.06, 0.0699, 12), 1e-15),
-    # across the switch: 2F1 just above it is the least accurate
     (np.geomspace(0.03, 3, 400), 5e-14),
 ], ids=["logspace", "below-switch", "below-switch-0.07", "across-switch"])
 def test_bs_green_relative_error_against_mpmath(ss, bound):
@@ -293,7 +314,11 @@ def test_h2_float_path_domain(met):
 
 def test_bs_float_path_bit_identical():
     xs = np.concatenate([[0.0, 0.5, 1.0, 3.0], np.geomspace(1e-8, 1e8, 2001)])
-    for fn in (bs_f, bs_h2_of_s):
+    # rho_of_s takes arrays shorter than _SMALL one float at a time
+    assert np.array_equal(np.concatenate([rho_of_s(c) for c in np.array_split(xs, 60)]),
+                          rho_of_s(xs))
+    assert np.array_equal(rho_of_s(xs[:40].reshape(4, 10)), rho_of_s(xs)[:40].reshape(4, 10))
+    for fn in (bs_f, bs_h2_of_s, rho_of_s):
         scalar = np.array([fn(float(x)) for x in xs])
         assert type(fn(float(xs[5]))) is float
         # a 0-d array takes the array path, as scalar calls used to
@@ -376,6 +401,58 @@ def test_custom_backend_green(tmp_path):
     # pure power law h = r beyond the series region: G = 1/(2r)
     for r in (2.0, 10.0, 150.0):
         assert abs(met.green_tail(r) - 0.5 / r) <= 1e-6 / r
+
+
+def test_custom_green_against_mpmath(tmp_path):
+    # G = int_r^inf dt / (2 h^2) with h^2 as the backend defines it: the
+    # series below the table, log-log linear segments on it, and past it
+    # the power law, read off the backend's own h2 far out
+    mp = pytest.importorskip("mpmath")
+    rs = np.geomspace(0.4, 60.0, 41)
+    hs = rs * (1.0 + rs * rs) ** 0.1
+    coeffs = "1,0,1/5,0,-2/25"
+    (tmp_path / "t.csv").write_text(
+        "r,h\n" + "".join(f"{r!r},{h!r}\n" for r, h in zip(rs.tolist(), hs.tolist())))
+    (tmp_path / "m.txt").write_text(f"type=custom\ncoeffs={coeffs}\ntable=t.csv\n")
+    met = load_custom(str(tmp_path / "m.txt"))
+    with mp.workdps(30):
+        poly = [mp.mpf(Fraction(c).numerator) / Fraction(c).denominator
+                for c in coeffs.split(",")]
+        log_r = [mp.log(r) for r in rs.tolist()]
+        log_h = [mp.log(h) for h in hs.tolist()]
+
+        def segment(i, lo):
+            p = (log_h[i + 1] - log_h[i]) / (log_r[i + 1] - log_r[i])
+            return mp.quad(lambda t: 1 / (2 * mp.exp(2 * (log_h[i] + p * (mp.log(t) - log_r[i])))),
+                           [lo, rs[i + 1]])
+
+        x1, x2 = 1e3, 1e4
+        p = mp.log(mp.mpf(met.h2(x2)) / met.h2(x1)) / (2 * mp.log(mp.mpf(x2) / x1))
+        c2 = mp.mpf(met.h2(x1)) / mp.mpf(x1) ** (2 * p)
+
+        def tail(x):
+            return mp.mpf(x) ** (1 - 2 * p) / (2 * c2 * (2 * p - 1))
+
+        at_row = [tail(rs[-1])]                 # G at each table row
+        for i in reversed(range(len(rs) - 1)):
+            at_row.append(at_row[-1] + segment(i, rs[i]))
+        at_row.reverse()
+
+        def green(x):
+            if x >= rs[-1]:
+                return tail(x)
+            if x < rs[0]:
+                return at_row[0] + mp.quad(
+                    lambda t: 1 / (2 * t * t * mp.polyval(poly[::-1], t)), [x, rs[0]])
+            i = int(np.searchsorted(rs, x, side="right")) - 1
+            return segment(i, x) + at_row[i + 1]
+
+        xs = np.concatenate([[1e-8, 1e-3, 0.1, 0.39], rs[::8],
+                             [0.77, 3.3, 59.0, 61.0, 1e3, 1e6]])
+        ref = np.array([float(green(float(x))) for x in xs])
+    got = met.green_tail(xs)
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
+    assert got.tolist() == [met.green_tail(float(x)) for x in xs]
 
 
 def test_custom_backend_parabolic(tmp_path):

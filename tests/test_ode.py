@@ -530,6 +530,17 @@ def test_tail_stop_only_on_the_minus_system():
 
 # -- the float stepper against scipy's DOP853 ---------------------------------
 
+def test_tableau_literals_are_scipys():
+    # every coefficient bit for bit, zeros and their signs included (repr)
+    from scipy.integrate._ivp import dop853_coefficients as dop
+    assert ode._N == dop.N_STAGES
+    stages = [(dop.A[s, :s].tolist(), float(dop.C[s]))
+              for s in range(1, dop.N_STAGES_EXTENDED)]
+    assert repr(ode._STEP + ode._DENSE) == repr(stages)
+    assert repr([ode._E3, ode._E5, ode._D]) == repr(
+        [dop.E3.tolist(), dop.E5.tolist(), dop.D.tolist()])
+
+
 def test_controller_constants_are_scipys():
     from scipy.integrate._ivp import rk
     assert (ode._SAFETY, ode._MIN_FACTOR, ode._MAX_FACTOR) == (

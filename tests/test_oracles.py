@@ -38,12 +38,11 @@ def test_small_r_stability():
 
 def test_bps_matches_mpmath():
     # 40-digit reference at the argument x = C r the helpers see (a at
-    # x ~ 300 also carries x times the rounding of C r).  a and phi hold
-    # 1e-14 across the |x| = 0.2 switch; the derivative series stop one
-    # term earlier, so just below it they keep ~6e-12 (a') and ~2.5e-14
-    # (phi') of truncation.
+    # x ~ 300 also carries x times the rounding of C r).  All four hold
+    # 1e-14 across the |x| = 0.2 switch: the derivative series carry one
+    # term more than the value series for that.
     mp = pytest.importorskip("mpmath")
-    bounds = (1e-14, 1e-14, 1e-11, 5e-14)            # a, phi, a', phi'
+    bounds = (1e-14, 1e-14, 1e-14, 1e-14)            # a, phi, a', phi'
     for C in (1.0, 7.3):
         form = oracles.bps(C, 0.0)
         for r in map(float, np.geomspace(1e-6, 40.0, 300)):
