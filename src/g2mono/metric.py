@@ -37,7 +37,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .fps import FormalSeries
 
@@ -429,10 +428,27 @@ def get_metric(name: str) -> MetricProfile:
 # custom backend from a key=value file
 # ---------------------------------------------------------------------------
 
-# Gauss-Legendre rule on [0, 1] for the smooth part of a custom G below its
-# table: nodes, and weights summing to 1
-_GL_NODES, _GL_WEIGHTS = leggauss(20)
-_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+# 20-node Gauss-Legendre rule on [0, 1] for the smooth part of a custom G
+# below its table: nodes, and weights summing to 1.  These are numpy's
+# 0.5 * (leggauss(20)[0] + 1) and 0.5 * leggauss(20)[1], written out so
+# that importing g2mono does not import numpy.polynomial (tests/test_metric.py
+# compares them bit for bit).
+_GL_NODES = np.array([
+    0.003435700407452502, 0.018014036361043095, 0.04388278587433703,
+    0.08044151408889061, 0.1268340467699246, 0.1819731596367425,
+    0.24456649902458644, 0.3131469556422902, 0.38610707442917747,
+    0.46173673943325133, 0.5382632605667487, 0.6138929255708225,
+    0.6868530443577098, 0.7554335009754136, 0.8180268403632576,
+    0.8731659532300754, 0.9195584859111094, 0.956117214125663,
+    0.981985963638957, 0.9965642995925474])
+_GL_WEIGHTS = np.array([
+    0.008807003569575447, 0.020300714900193223, 0.031336024167054395,
+    0.04163837078835236, 0.05096505990862035, 0.0590972659807593,
+    0.06584431922458844, 0.0710480546591912, 0.07458649323630212,
+    0.07637669356536314, 0.07637669356536314, 0.07458649323630212,
+    0.0710480546591912, 0.06584431922458844, 0.0590972659807593,
+    0.05096505990862035, 0.04163837078835236, 0.031336024167054395,
+    0.020300714900193223, 0.008807003569575447])
 
 
 def load_custom(path: str) -> MetricProfile:

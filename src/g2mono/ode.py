@@ -15,20 +15,23 @@ most backgrounds, the fiber coordinate s on the BS ones, so that no
 right-hand side has to invert rho(s).  Results are reported in r.
 
 Every system, and the linear comparison equation of `envelope_check`,
-runs through one DOP853 loop on Python floats (complex for su3) with
-scipy's tableau (written out in `_dop853_tableau`, so that scipy is not
-imported) and scipy's controller, so its steps are those of
-`solve_ivp(method="DOP853")` up to rounding.  Each stop (blow-up, a at
-A_FLOOR, and in shooting mode the tail bound 2 a^2 G <= tol/10) is a
-test on the state at an accepted step.  Interpolants are built only when
-the caller asks for dense output.
+runs through one DOP853 controller on Python floats (complex for su3)
+with scipy's tableau (written out in `_dop853_tableau`, so that scipy is
+not imported) and scipy's controller, so its steps are those of
+`solve_ivp(method="DOP853")` up to rounding.  A step is straight-line
+code, generated from the tableau on first use for each state length:
+its stage sums are written out in the order `sum` adds them, next to
+the error norm, and a second function builds the interpolant rows.
+Each stop (blow-up, a at A_FLOOR, and in shooting mode the tail bound
+2 a^2 G <= tol/10) is a test on the state at an accepted step.
+Interpolants are built only when the caller asks for dense output.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -176,37 +179,87 @@ _E3, _E5, _D = _tab.E3, _tab.E5, _tab.D
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's controller
 _ERROR_EXPONENT = -1.0 / 8.0         # -1 / (error estimator order + 1)
 
-
-def _add_stages(fun, x, h, y, K, stages):
-    """Append `stages` to K, where K[i] lists component i of the stages
-    so far; returns the last stage's argument and value."""
-    for a, c in stages:
-        arg = [yi + h * sum(map(mul, a, Ki)) for yi, Ki in zip(y, K)]
-        k = fun(x + c * h, arg)
-        for Ki, ki in zip(K, k):
-            Ki.append(ki)
-    return arg, k
+# (state length, error-controlled length, dense) -> (step, rows): the
+# straight-line code of one step, generated from the tableau on first use
+# (for 2 to 5 components a loop over them costs more than the arithmetic).
+# Two threads may both build an entry; either copy serves.
+_STEPPERS = {}
 
 
-def _error_norm(K, h, y, y_new, rtol, atol, n_err):
-    """scipy's DOP853 error norm over the first n_err components."""
-    e5 = e3 = 0.0
-    for Ki, yi, yn in zip(K[:n_err], y, y_new):
-        scale = atol + max(abs(yi), abs(yn)) * rtol
-        q5 = abs(sum(map(mul, _E5, Ki))) / scale
-        q3 = abs(sum(map(mul, _E3, Ki))) / scale
-        e5 += q5 * q5
-        e3 += q3 * q3
-    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n_err) if e5 or e3 else 0.0
+def _names(prefix, n):
+    return "".join(f"{prefix}{i}, " for i in range(n))
 
 
-def _dop853(fun, x, y, x_end, rtol, atol, n_err, dense):
-    """Step DOP853 from (x, y) toward x_end, yielding (x, y, nfev, F) at
-    each accepted step, with the error controlled on the first n_err
-    components.  F is None, or with `dense` the step's 7 interpolant
-    rows, at three more evaluations."""
+def _dot(coeffs, i):
+    """sum(map(mul, coeffs, [k0_i, k1_i, ...])) as source: `sum`'s
+    left-to-right order, from the int 0 as `sum` starts (so a leading
+    -0.0 turns into 0.0 as there)."""
+    return "(0" + "".join(f" + {c!r} * k{j}_{i}" for j, c in enumerate(coeffs)) + ")"
+
+
+def _stage_lines(stages, first, n):
+    """Source evaluating `stages` as stages first, first + 1, ...:
+    k{s}_{i} is component i of stage s, `arg` and `ks` are the last
+    stage's argument and value."""
+    lines = []
+    for s, (a, c) in enumerate(stages, first):
+        arg = ", ".join(f"y{i} + h * {_dot(a, i)}" for i in range(n))
+        lines += [f"xs = x + {c!r} * h", f"arg = [{arg}]",
+                  "ks = f(xs, arg, dr_dx(xs), h2_of_x(xs), sigma)",
+                  f"{_names(f'k{s}_', n)}= ks"]
+    return lines
+
+
+def _stepper_source(n, n_err, dense):
+    """`step(f, dr_dx, h2_of_x, sigma, x, h, y, f(x, y), rtol, atol)` ->
+    (y_new, f_new, error norm, the stage values or None), scipy's step
+    and error norm over the first n_err components; with `dense` also
+    `rows(f, dr_dx, h2_of_x, sigma, x, h, y, y_new, stages)` -> the 7
+    interpolant rows, at three more evaluations."""
+    stages = ", ".join(f"k{s}_{i}" for s in range(_N + 1) for i in range(n))
+    step = ["def step(f, dr_dx, h2_of_x, sigma, x, h, y, k0, rtol, atol):",
+            f"{_names('y', n)}= y", f"{_names('k0_', n)}= k0",
+            *_stage_lines(_STEP, 1, n)]
+    for i in range(n_err):
+        step += [f"sc = atol + max(abs(y{i}), abs(arg[{i}])) * rtol",
+                 f"q5_{i} = abs({_dot(_E5, i)}) / sc",
+                 f"q3_{i} = abs({_dot(_E3, i)}) / sc"]
+    step += ["e5 = 0.0" + "".join(f" + q5_{i} * q5_{i}" for i in range(n_err)),
+             "e3 = 0.0" + "".join(f" + q3_{i} * q3_{i}" for i in range(n_err)),
+             f"err = abs(h) * e5 / _sqrt((e5 + 0.01 * e3) * {n_err}) if e5 or e3 else 0.0",
+             f"return arg, ks, err, {f'({stages})' if dense else 'None'}"]
+    src = "\n    ".join(step) + "\n"
+    if dense:
+        # component i of each of the 7 rows
+        F = [[f"d{i}", f"h * k0_{i} - d{i}", f"2.0 * d{i} - h * (k{_N}_{i} + k0_{i})",
+              *(f"h * {_dot(Dj, i)}" for Dj in _D)] for i in range(n)]
+        rows = ["def rows(f, dr_dx, h2_of_x, sigma, x, h, y, y_new, stages):",
+                f"{_names('y', n)}= y", f"{_names('d', n)}= [b - a for a, b in zip(y, y_new)]",
+                f"{stages}, = stages", *_stage_lines(_DENSE, _N + 1, n),
+                f"return [{', '.join('[' + ', '.join(row) + ']' for row in zip(*F))}]"]
+        src += "\n" + "\n    ".join(rows) + "\n"
+    return src
+
+
+def _stepper(n, n_err, dense):
+    key = (n, n_err, dense)
+    if key not in _STEPPERS:
+        scope = {"_sqrt": math.sqrt}
+        exec(compile(_stepper_source(n, n_err, dense), f"<DOP853 step {key}>",
+                     "exec"), scope)
+        _STEPPERS[key] = scope["step"], scope.get("rows")
+    return _STEPPERS[key]
+
+
+def _dop853(f, dr_dx, h2_of_x, sigma, x, y, x_end, rtol, atol, n_err, dense):
+    """Step DOP853 on dy/dx = f(x, y, dr_dx(x), h2_of_x(x), sigma) from
+    (x, y) toward x_end, yielding (x, y, nfev, F) at each accepted step,
+    with the error controlled on the first n_err components.  F is None,
+    or with `dense` the step's 7 interpolant rows, at three more
+    evaluations."""
+    step, rows = _stepper(len(y), n_err, dense)
     direction = 1.0 if x_end > x else -1.0
-    f = fun(x, y)
+    fx = f(x, y, dr_dx(x), h2_of_x(x), sigma)
     # the first step: scipy's select_initial_step (Hairer et al. II.4)
     scale = [atol + abs(yi) * rtol for yi in y[:n_err]]
 
@@ -215,11 +268,12 @@ def _dop853(fun, x, y, x_end, rtol, atol, n_err, dense):
                              for vi, si in zip(v, scale))) / n_err ** 0.5
 
     interval = abs(x_end - x)
-    d0, d1 = rms(y), rms(f)
+    d0, d1 = rms(y), rms(fx)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-    f1 = fun(x + h0 * direction, [yi + h0 * direction * fi
-                                  for yi, fi in zip(y, f)])
-    d2 = rms([b - a for a, b in zip(f, f1)]) / h0 if h0 else math.inf
+    x1 = x + h0 * direction
+    f1 = f(x1, [yi + h0 * direction * fi for yi, fi in zip(y, fx)],
+           dr_dx(x1), h2_of_x(x1), sigma)
+    d2 = rms([b - a for a, b in zip(fx, f1)]) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -237,10 +291,9 @@ def _dop853(fun, x, y, x_end, rtol, atol, n_err, dense):
                 x_new = x_end
             h = x_new - x
             h_abs = abs(h)
-            K = [[fi] for fi in f]
-            y_new, f_new = _add_stages(fun, x, h, y, K, _STEP)
+            y_new, f_new, err, stages = step(f, dr_dx, h2_of_x, sigma, x, h, y,
+                                             fx, rtol, atol)
             nfev += _N
-            err = _error_norm(K, h, y, y_new, rtol, atol, n_err)
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
@@ -249,13 +302,9 @@ def _dop853(fun, x, y, x_end, rtol, atol, n_err, dense):
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
         if dense:
-            _add_stages(fun, x, h, y, K, _DENSE)
+            F = rows(f, dr_dx, h2_of_x, sigma, x, h, y, y_new, stages)
             nfev += len(_DENSE)
-            dy = [b - a for a, b in zip(y, y_new)]
-            F = [dy, [h * f0 - d for f0, d in zip(f, dy)],
-                 [2.0 * d - h * (fn + f0) for d, f0, fn in zip(dy, f, f_new)]]
-            F += [[h * sum(map(mul, Dj, Ki)) for Ki in K] for Dj in _D]
-        x, y, f = x_new, y_new, f_new
+        x, y, fx = x_new, y_new, f_new
         yield x, y, nfev, F
 
 
@@ -282,18 +331,25 @@ class IntegrationResult:
     metric: MetricProfile
     classification: str                  # bounded | blowup | flat
     stats: dict
-    r: np.ndarray                        # adaptive grid (geodesic radius)
     y: np.ndarray                        # rows: system state on the grid
     r_end: float
-    _dense: Optional[tuple] = field(repr=False)  # (x grid, rows F per step)
+    _x: np.ndarray = field(repr=False)   # the grid in the chart
+    _F: Optional[np.ndarray] = field(repr=False)  # interpolant rows per step
     tail: Optional[tuple] = None         # (R, a(R), G(R)) where a tail stop fired
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        """The adaptive grid as geodesic radii, mapped on first read (a
+        shot reads only its last state and its tail)."""
+        # a copy: the identity chart returns its argument
+        return self.metric.chart.r_of_x(self._x.copy())
 
     def eval_x(self, x):
         """State rows at chart points x from the step interpolants."""
-        if self._dense is None:
+        if self._F is None:
             raise ValueError(
                 f"this {self.system}-system result was built without dense output")
-        return _interpolate(*self._dense, self.y,
+        return _interpolate(self._x, self._F, self.y,
                             np.atleast_1d(np.asarray(x, dtype=float)))
 
     def eval(self, r):
@@ -384,14 +440,11 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
         y0 += [float(d) for d in variation]
         f = _minus_variation
 
-    def fun(x, y):
-        return f(x, y, dr_dx(x), h2_of_x(x), sigma)
-
     xs, ys, Fs = [x_span[0]], [y0], []
     v_test = V_TAIL
     stop = tail = None
-    for x, y, nfev, F in _dop853(fun, x_span[0], y0, x_span[1], rtol, atol,
-                                 n_err, dense):
+    for x, y, nfev, F in _dop853(f, dr_dx, h2_of_x, sigma, x_span[0], y0,
+                                 x_span[1], rtol, atol, n_err, dense):
         xs.append(x)
         ys.append(y)
         Fs.append(F)
@@ -406,17 +459,15 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
                 v_test = math.log(tol / (20.0 * G))
         if stop is not None:
             break
-    rs = r_of_x(np.array(xs))
     return IntegrationResult(
         system=system, metric=metric,
         classification="flat" if flat else (
             "blowup" if stop == "blow-up" else "bounded"),
-        stats={"nfev": nfev, "n_steps": len(rs) - 1,
+        stats={"nfev": nfev, "n_steps": len(xs) - 1,
                "status": 0 if stop is None else 1,
                "message": stop or "end of the range reached"},
-        r=rs, y=np.array(ys).T, r_end=float(rs[-1]),
-        _dense=(np.array(xs), np.array(Fs)) if dense else None,
-        tail=tail,
+        y=np.array(ys).T, r_end=float(r_of_x(xs[-1])), _x=np.array(xs),
+        _F=np.array(Fs) if dense else None, tail=tail,
     )
 
 
@@ -474,13 +525,12 @@ def envelope_check(result: IntegrationResult) -> EnvelopeReport:
     II = cumulative_trapezoid(J, rs)
     lower_quad = tangent - 2.0 * II
 
-    def lin(x, y):
-        Jx = chart.dr_dx(x)
-        return [Jx * y[1], Jx * 2.0 * y[0] / chart.h2_of_x(x)]
+    def lin(x, y, J, h2, sigma):
+        return [J * y[1], J * 2.0 * y[0] / h2]
 
     xs, ys, Fs = [float(chart.x_of_r(d))], [[v0, w0]], []
-    for x, y, _, F in _dop853(lin, xs[0], ys[0], float(chart.x_of_r(r_end)),
-                              1e-10, 1e-12, 2, True):
+    for x, y, _, F in _dop853(lin, chart.dr_dx, chart.h2_of_x, -1, xs[0], ys[0],
+                              float(chart.x_of_r(r_end)), 1e-10, 1e-12, 2, True):
         xs.append(x)
         ys.append(y)
         Fs.append(F)

@@ -440,7 +440,11 @@ def test_version_matches_pyproject():
 _NO_SCIPY_SCRIPT = """
 import os, sys
 import numpy as np
-from g2mono import cli, energy, metric, shooting
+from g2mono import cli, energy, metric, ode, shooting
+assert "numpy.polynomial" not in sys.modules
+assert not ode._STEPPERS, sorted(ode._STEPPERS)       # generated on first use
+shooting.mass_of_beta(-0.5, metric.EUCLIDEAN)
+assert sorted(ode._STEPPERS) == [(2, 2, False)], sorted(ode._STEPPERS)
 for name in ("euclidean", "hyperbolic", "bs_s4", "bs_cp2"):
     met = metric.get_metric(name)
     energy.intermediate_energy(shooting.solve_monopole(met, 1.0), met)
@@ -455,12 +459,14 @@ shooting.mass_of_beta(-0.5, custom)
 custom.green_tail(np.array([0.1, 3.0, 300.0]))
 assert cli.main(["solve", "--metric", "bs_s4", "--mass", "1",
                  "--out", os.path.join(out, "p.csv")]) == 0
+assert "numpy.polynomial" not in sys.modules
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
 
 
 def test_import_and_solves_do_not_load_scipy(tmp_path):
-    # scipy is needed only by `green --charge` fits and by the tests
+    # scipy is needed only by `green --charge` fits and by the tests;
+    # numpy.polynomial by none, and the import generates no DOP853 step
     src = str(Path(g2mono.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

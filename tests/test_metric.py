@@ -403,6 +403,14 @@ def test_custom_backend_green(tmp_path):
         assert abs(met.green_tail(r) - 0.5 / r) <= 1e-6 / r
 
 
+def test_gauss_legendre_literals_are_numpys():
+    # the rule below a custom table, mapped to [0, 1], bit for bit
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = leggauss(20)
+    assert metric._GL_NODES.tobytes() == (0.5 * (nodes + 1.0)).tobytes()
+    assert metric._GL_WEIGHTS.tobytes() == (0.5 * weights).tobytes()
+
+
 def test_custom_green_against_mpmath(tmp_path):
     # G = int_r^inf dt / (2 h^2) with h^2 as the backend defines it: the
     # series below the table, log-log linear segments on it, and past it

@@ -5,11 +5,13 @@ import ast
 import dataclasses
 import math
 import pathlib
+import struct
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import dop853_oracle
 from g2mono import metric, ode, oracles, shooting
 from g2mono.metric import DomainError
 from g2mono.ode import (ProfileState, SU3State, StiffnessError,
@@ -522,6 +524,21 @@ def test_tail_stop_far_bound_leaves_no_tail():
     assert res.classification == "bounded"
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-14])
+@pytest.mark.parametrize("met", [metric.EUCLIDEAN, metric.BS_S4], ids=lambda m: m.id)
+def test_step_grid_is_mapped_to_r_when_read(met, tol):
+    # a shot maps only its last step to r_end; the grid is mapped on the
+    # first read of r, and ends at r_end to the bit, on fewer and on more
+    # than 64 points (rho_of_s's float and numpy paths on bs_s4)
+    res = integrate("minus", _shot_initial(-0.4, met), met, 1e5, tol=tol,
+                    tail_stop=True, dense=False)
+    assert "r" not in vars(res)
+    r = res.r
+    assert (r.size >= 64) == (tol < 1e-12) and res.r is r
+    assert r[-1].tobytes() == np.float64(res.r_end).tobytes() == np.float64(res.tail[0]).tobytes()
+    assert r.tobytes() == met.chart.r_of_x(res._x).tobytes()
+
+
 def test_tail_stop_only_on_the_minus_system():
     with pytest.raises(ValueError):
         integrate("plus", ProfileState(1.0, 0.0, 0.0), metric.EUCLIDEAN, 2.0,
@@ -555,6 +572,7 @@ def test_one_step_matches_scipys_rk_step():
     from scipy.integrate._ivp.rk import DOP853, rk_step
     met, tol = metric.BS_S4, 1e-10
     fun = _chart_rhs("minus", met)
+    step = _generated_step(ode._SYSTEMS["minus"].f, met, -1, 2, 2, False)
     states = []
     for beta in (-0.02, -0.4, -3.0, -30.0):
         res = integrate("minus", _shot_initial(beta, met), met, 1e5, tol=tol,
@@ -567,8 +585,7 @@ def test_one_step_matches_scipys_rk_step():
         x, y, h = states[k]
         h = float(h * rng.uniform(0.5, 1.5))
         f = fun(x, y)
-        K = [[fi] for fi in f]
-        y_new, f_new = ode._add_stages(fun, x, h, y, K, ode._STEP)
+        y_new, f_new, err, _ = step(x, h, y, f, 0.9 * tol, 0.1 * tol)
         assert all(type(v) is float for v in y_new + f_new)
         K_ref = np.empty((DOP853.n_stages + 1, 2))
         y_ref, _ = rk_step(lambda t, z: np.asarray(fun(t, z)), x, np.array(y),
@@ -576,8 +593,113 @@ def test_one_step_matches_scipys_rk_step():
         assert np.all(np.abs(np.array(y_new) - y_ref) <= 4e-15 * np.abs(y_ref))
         scale = 0.1 * tol + np.maximum(np.abs(y), np.abs(y_ref)) * 0.9 * tol
         err_ref = DOP853._estimate_error_norm(DOP853, K_ref, h, scale)
-        err = ode._error_norm(K, h, y, y_new, 0.9 * tol, 0.1 * tol, 2)
         assert abs(err / err_ref - 1.0) <= 1e-2
+
+
+# -- the generated steps against the generic stage loop -----------------------
+
+def _generated_step(f, met, sigma, n, n_err, dense):
+    """ode's generated step for the right-hand side f, as
+    (x, h, y, f(x, y), rtol, atol) -> (y_new, f_new, err, F), with F the
+    interpolant rows if `dense`, else None."""
+    c = met.chart
+    step, rows = ode._stepper(n, n_err, dense)
+
+    def run(x, h, y, fx, rtol, atol):
+        y_new, f_new, err, stages = step(f, c.dr_dx, c.h2_of_x, sigma, x, h, y,
+                                         fx, rtol, atol)
+        F = rows(f, c.dr_dx, c.h2_of_x, sigma, x, h, y, y_new, stages) if dense else None
+        return y_new, f_new, err, F
+    return run
+
+
+def _bits(v):
+    """v (nested lists and tuples of floats, complex numbers and None) as
+    (type, bytes) pairs, so that NaNs and signed zeros compare too."""
+    if isinstance(v, (list, tuple)):
+        return [b for vi in v for b in _bits(vi)]
+    z = complex(0.0 if v is None else v)
+    return [(type(v).__name__, struct.pack("<dd", z.real, z.imag))]
+
+
+def _outcome(step, *args):
+    try:
+        return _bits(step(*args))
+    except ArithmeticError as exc:          # e.g. abs of a huge complex
+        return type(exc).__name__
+
+
+def _finite(bits):
+    return isinstance(bits, list) and all(
+        math.isfinite(v) for _, b in bits for v in struct.unpack("<dd", b))
+
+
+def _oracle_states(system, n, rng, count):
+    """(x, h, y): ordinary states, then states whose stages overflow."""
+    out = []
+    for k in range(count):
+        x = float(rng.uniform(0.2, 5.0))
+        h = float(x * rng.uniform(0.02, 0.6) * rng.choice([-1.0, 1.0]))
+        if system == "su3":
+            y = [complex(*rng.normal(size=2)) for _ in range(n)]
+        else:
+            y = rng.normal(scale=3.0, size=n).tolist()
+        if system != "plus":
+            y[0] = float(rng.uniform(-40.0, 3.0))
+        if k >= count // 2:                 # |y| to 1e308, |h| to 1e9
+            y = [yi * b for yi, b in zip(y, (10.0 ** rng.uniform(295.0, 308.0, n)).tolist())]
+            h *= float(10.0 ** rng.uniform(3.0, 9.0))
+            if k % 5 == 0:
+                y[int(rng.integers(n))] *= math.nan
+            x = max(x, 1.5 * abs(h))        # x + c h > 0 for the identity chart
+        out.append((x, h, y))
+    return out
+
+
+_ORACLE_CASES = {
+    # right-hand side, metric, sigma, state length, error-controlled length
+    "minus-euclidean": ("minus", metric.EUCLIDEAN, -1, 2, 2),
+    "minus-bs_s4": ("minus", metric.BS_S4, -1, 2, 2),
+    "plus-euclidean": ("plus", metric.EUCLIDEAN, 1, 2, 2),
+    "plus-bs_s4": ("plus", metric.BS_S4, -1, 2, 2),
+    "variation-hyperbolic": ("variation", metric.HYPERBOLIC, -1, 4, 2),
+    "su3-bs_s4": ("su3", metric.BS_S4, -1, 5, 5),
+}
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_generated_step_is_the_stage_loop_to_the_bit(case, dense):
+    # y_new, f_new, the error norm and the interpolant rows of each
+    # generated step, against the generic loop it unrolls, bit for bit;
+    # where a stage overflows, equal bits or both reject the step with
+    # the same next step size
+    system, met, sigma, n, n_err = _ORACLE_CASES[case]
+    f = ode._minus_variation if system == "variation" else ode._SYSTEMS[system].f
+    c = met.chart
+
+    def fun(x, y):
+        return f(x, y, c.dr_dx(x), c.h2_of_x(x), sigma)
+
+    def reference(x, h, y, fx, rtol, atol):
+        return dop853_oracle.step(fun, x, h, y, fx, rtol, atol, n_err, dense)
+
+    def next_h_abs(step, x, h, y, fx):
+        err = step(x, h, y, fx, 1e-10, 1e-11)[2]
+        assert not err < 1.0
+        return abs(h) * max(ode._MIN_FACTOR, ode._SAFETY * err ** ode._ERROR_EXPONENT)
+
+    generated = _generated_step(f, met, sigma, n, n_err, dense)
+    overflowed = 0
+    for x, h, y in _oracle_states(system, n, np.random.default_rng(17), 80):
+        fx = fun(x, y)
+        want = _outcome(reference, x, h, y, fx, 1e-10, 1e-11)
+        got = _outcome(generated, x, h, y, fx, 1e-10, 1e-11)
+        overflowed += not _finite(want)
+        if got != want:
+            assert not _finite(want), (x, h, y)
+            assert next_h_abs(generated, x, h, y, fx) == next_h_abs(reference, x, h, y, fx)
+    assert overflowed >= 15
 
 
 # -- failure paths on Python floats -------------------------------------------
