@@ -1,7 +1,9 @@
 """Command-line surface: solve / sweep / verify / green / energy / series.
 
-File conventions: profile CSV with fixed header ``r,a,phi,v`` at 17
-significant digits; every data file gets a JSON sidecar run record
+File conventions: profile CSV with fixed header ``r,a,phi,v,h2,w`` at
+17 significant digits, the samples of the profile's energy quadrature
+rule with h^2 and the weights, so that ``energy`` repeats the solve's
+sum exactly; every data file gets a JSON sidecar run record
 (``schema: 1``) so that runs are reproducible and self-describing.
 Figures are plain-path SVG, no plotting dependency.
 
@@ -87,24 +89,37 @@ def _write_sidecar(out: str, command: str, parameters: dict, payload: dict):
         fh.write("\n")
 
 
+_CSV_COLUMNS = ("r", "a", "phi", "v", "h2", "w")
+
+
 def _write_profile_csv(path: str, prof):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["r", "a", "phi", "v"])
-        for r, a, phi, v in zip(prof.r, prof.a, prof.phi, prof.v):
-            w.writerow([_FMT % r, _FMT % a, _FMT % phi, _FMT % v])
+        w.writerow(_CSV_COLUMNS)
+        for row in zip(*(getattr(prof, k) for k in _CSV_COLUMNS)):
+            w.writerow([_FMT % x for x in row])
 
 
 def _read_profile_csv(path: str):
-    """(r, a, phi) from a profile CSV, checked as an energy quadrature grid."""
+    """(r, a, phi, h2, w) from a profile CSV, checked as a quadrature rule."""
+    names = ("r", "a", "phi", "h2", "w")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, restval="")
-        missing = [k for k in ("r", "a", "phi")
-                   if k not in (reader.fieldnames or ())]
+        missing = [k for k in names if k not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path} lacks the column(s) {', '.join(missing)}")
-        rows = [(row["r"], row["a"], row["phi"]) for row in reader]
-    return energy.profile_samples(*np.array(rows, dtype=float).reshape(-1, 3).T)
+        rows = [[row[k] for k in names] for row in reader]
+    return energy.profile_samples(*np.array(rows, dtype=float).reshape(-1, 5).T)
+
+
+def _check_h2(path: str, r, h2, met):
+    """The CSV's h2 column must be the metric's h^2 on its radii, to 1e-12
+    relative (0 at r = 0): a profile solved on another metric fails."""
+    pos = r > 0
+    ref = met.h2(r[pos])
+    if not (np.all(h2[~pos] == 0.0)
+            and np.all(np.abs(h2[pos] - ref) <= 1e-12 * np.abs(ref))):
+        raise ValueError(f"{path}: column h2 is not the h^2 of metric {met.id!r}")
 
 
 @dataclass
@@ -112,6 +127,8 @@ class SampledProfile:
     r: np.ndarray
     a: np.ndarray
     phi: np.ndarray
+    h2: np.ndarray
+    w: np.ndarray
     mass: float
 
 
@@ -199,7 +216,8 @@ def cmd_sweep(args, parser) -> int:
         parser.error("--steps 1 needs mass-min == mass-max")
     met = _metric_arg(args.metric)
     masses = np.linspace(args.mass_min, args.mass_max, args.steps)
-    # a solved profile holds ~0.17 MB: keep only the ones --plot draws
+    # a solved bs_s4 profile holds ~0.06-0.07 MB (tracemalloc, m = 0.5-4):
+    # keep only the ones --plot draws
     plotted = range(0, args.steps, max(1, args.steps // 4)) if args.plot else ()
     rows, records, prof_curves = [], [], []
     for i, m in enumerate(masses):
@@ -275,7 +293,7 @@ def cmd_green(args, parser) -> int:
 
 
 def cmd_energy(args, parser) -> int:
-    r, a, phi = _read_profile_csv(args.profile)
+    r, a, phi, h2, w = _read_profile_csv(args.profile)
     side = _sidecar_path(args.profile)
     mass = args.mass
     met_name = args.metric
@@ -288,9 +306,10 @@ def cmd_energy(args, parser) -> int:
     if met_name is None:
         parser.error("--metric required when no sidecar is present")
     met = _metric_arg(met_name)
+    _check_h2(args.profile, r, h2, met)
     if mass is None:
         mass = 2.0 * (met.green_tail(float(r[-1])) - float(phi[-1]))
-    prof = SampledProfile(r=r, a=a, phi=phi, mass=float(mass))
+    prof = SampledProfile(r=r, a=a, phi=phi, h2=h2, w=w, mass=float(mass))
     rep = energy.intermediate_energy(prof, met)
     print(json.dumps({"metric": met.id, "mass": rep.mass, "E_I": rep.value,
                       "identity_residual": rep.identity_residual,

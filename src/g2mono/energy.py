@@ -31,7 +31,7 @@ class EnergyReport:
     boundary_limit: float            # phi(R_end)(a^2(R_end) - 1)
     identity_residual: float         # |value - mass/2|
     quad_tol: float                  # a-posteriori quadrature error estimate
-    r: np.ndarray = field(repr=False)
+    r: np.ndarray = field(repr=False)            # the knots of the rule
     partial: np.ndarray = field(repr=False)      # int_0^r density
     boundary: np.ndarray = field(repr=False)     # phi(r)(a^2(r)-1)
     max_partial_residual: float = 0.0
@@ -104,39 +104,45 @@ def cumulative_simpson(y, x):
     return cum + 0.0        # as scipy adds initial = 0: -0.0 becomes 0.0
 
 
-def _cumulative(density, r):
-    """Cumulative integral with an error estimate from the
-    Simpson-vs-trapezoid discrepancy."""
-    simp = cumulative_simpson(density, r)
-    trap = cumulative_trapezoid(density, r)
-    est = float(np.max(np.abs(simp - trap)))
-    return simp, est
-
-
-def profile_samples(r, a, phi):
-    """(r, a, phi) as float arrays, checked as a quadrature grid: 2 or
-    more samples, all finite, r >= 0 and strictly increasing."""
-    r, a, phi = (np.asarray(x, dtype=float) for x in (r, a, phi))
+def profile_samples(r, a, phi, h2, w):
+    """(r, a, phi, h2, w) as float arrays, checked as a quadrature rule:
+    2 or more samples, all finite, r >= 0 and strictly increasing, the
+    weights w >= 0 with a knot (weight 0) at each end.  h2 and w are
+    required: a missing one (None) raises ValueError naming it."""
+    missing = [name for name, col in (("h2", h2), ("w", w)) if col is None]
+    if missing:
+        raise ValueError(f"the profile lacks {' and '.join(missing)}: the "
+                         "energy needs h^2 and the quadrature weights on its samples")
+    r, a, phi, h2, w = (np.asarray(x, dtype=float) for x in (r, a, phi, h2, w))
     if r.size < 2:
         raise ValueError(f"a profile needs at least 2 samples, not {r.size}")
+    if not all(x.shape == r.shape for x in (a, phi, h2, w)):
+        raise ValueError("profile r, a, phi, h2 and w must have one length")
     if not (np.isfinite(r).all() and r[0] >= 0 and (np.diff(r) > 0).all()):
         raise ValueError("profile radii must be finite, >= 0 and strictly increasing")
     if not (np.isfinite(a).all() and np.isfinite(phi).all()):
         raise ValueError("profile a and phi must be finite")
-    return r, a, phi
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise ValueError("profile weights w must be finite and >= 0")
+    if w[0] != 0 or w[-1] != 0:
+        raise ValueError("profile weights w must be 0 on the first and last samples")
+    return r, a, phi, h2, w
 
 
 def intermediate_energy(profile, metric: MetricProfile) -> EnergyReport:
-    """Composite quadrature of the energy density on the profile's own
-    samples (a solved profile stores its series head and dense output on
-    [0, R_end]) plus the analytic tail
+    """The energy of a profile by its own quadrature rule, plus the
+    analytic tail:
 
+        E_I = sum_k w_k e(r_k) + int_{R_end}^inf e dr,
         int_{R_end}^inf e dr = G(R_end) + O(a^2(R_end)),
 
-    reported together with the partial-vs-boundary identity arrays on
-    the same samples.  h^2 on the samples is the profile's own `h2` when
-    it has one (a solved profile keeps it from its single mapping of the
-    grid to the chart), else `metric.h2(r)`: the two are equal to the bit.
+    with h^2 on the samples read from the profile's `h2`.  The profile
+    needs `r`, `a`, `phi`, `h2`, `w` and `mass` (a solved
+    `MonopoleProfile` or a profile CSV's columns); without `h2` or `w`
+    it raises ValueError.  The partial sums and the boundary term
+    phi (a^2 - 1) are reported at the knots (the samples of weight 0),
+    and `quad_tol` is the largest difference there between the partial
+    sums and cumulative Simpson over all samples, at least 1e-9.
     A profile with a `metric_id` (a solved one) must be on `metric`.
     """
     if getattr(profile, "metric_id", metric.id) != metric.id:
@@ -144,32 +150,31 @@ def intermediate_energy(profile, metric: MetricProfile) -> EnergyReport:
     res = getattr(profile, "result", None)
     if res is not None and res.classification == "blowup":
         raise UndefinedEnergyError("blow-up trajectory: energy undefined")
-    r_f, a_f, p_f = profile_samples(profile.r, profile.a, profile.phi)
+    r, a, phi, h2, w = profile_samples(
+        profile.r, profile.a, profile.phi, getattr(profile, "h2", None),
+        getattr(profile, "w", None))
+    knots = w == 0
     if profile.mass == 0.0:                 # the flat profile
-        z = np.zeros_like(r_f)
+        z = np.zeros(np.count_nonzero(knots))
         return EnergyReport(metric_id=metric.id, mass=0.0, value=0.0,
                             boundary_limit=0.0, identity_residual=0.0,
-                            quad_tol=0.0, r=r_f, partial=z, boundary=z)
+                            quad_tol=0.0, r=r[knots], partial=z, boundary=z)
 
-    dens = energy_density(r_f, a_f, p_f, metric,
-                          h2=getattr(profile, "h2", None))
-    cum, est = _cumulative(dens, r_f)
+    dens = energy_density(r, a, phi, metric, h2=h2)
+    partial = np.cumsum(w * dens)[knots]
+    est = float(np.max(np.abs(cumulative_simpson(dens, r)[knots] - partial)))
 
-    R = float(r_f[-1])
-    a_R = float(a_f[-1])
+    R = float(r[-1])
+    a_R = float(a[-1])
     # beyond R: a ~ 0, density ~ 1/(2h^2) + 4 a^2 phi^2
     tail = float(metric.green_tail(R)) + 0.5 * profile.mass * a_R ** 2
-    value = float(cum[-1]) + tail
+    value = float(partial[-1]) + tail
 
-    # identity arrays on the quadrature grid itself (no interpolation)
-    boundary = p_f * (a_f ** 2 - 1.0)
-    quad_tol = max(est, 1e-9)
-    max_res = float(np.max(np.abs(cum - boundary)))
-
+    boundary = phi[knots] * (a[knots] ** 2 - 1.0)
     return EnergyReport(
         metric_id=metric.id, mass=float(profile.mass), value=value,
         boundary_limit=float(boundary[-1]),
         identity_residual=abs(value - 0.5 * profile.mass),
-        quad_tol=quad_tol, r=r_f, partial=cum, boundary=boundary,
-        max_partial_residual=max_res,
+        quad_tol=max(est, 1e-9), r=r[knots], partial=partial, boundary=boundary,
+        max_partial_residual=float(np.max(np.abs(partial - boundary))),
     )

@@ -333,7 +333,7 @@ class IntegrationResult:
     stats: dict
     y: np.ndarray                        # rows: system state on the grid
     r_end: float
-    _x: np.ndarray = field(repr=False)   # the grid in the chart
+    x: np.ndarray = field(repr=False)    # the grid in the chart
     _F: Optional[np.ndarray] = field(repr=False)  # interpolant rows per step
     tail: Optional[tuple] = None         # (R, a(R), G(R)) where a tail stop fired
 
@@ -342,14 +342,14 @@ class IntegrationResult:
         """The adaptive grid as geodesic radii, mapped on first read (a
         shot reads only its last state and its tail)."""
         # a copy: the identity chart returns its argument
-        return self.metric.chart.r_of_x(self._x.copy())
+        return self.metric.chart.r_of_x(self.x.copy())
 
     def eval_x(self, x):
         """State rows at chart points x from the step interpolants."""
         if self._F is None:
             raise ValueError(
                 f"this {self.system}-system result was built without dense output")
-        return _interpolate(self._x, self._F, self.y,
+        return _interpolate(self.x, self._F, self.y,
                             np.atleast_1d(np.asarray(x, dtype=float)))
 
     def eval(self, r):
@@ -466,7 +466,7 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
         stats={"nfev": nfev, "n_steps": len(xs) - 1,
                "status": 0 if stop is None else 1,
                "message": stop or "end of the range reached"},
-        y=np.array(ys).T, r_end=float(r_of_x(xs[-1])), _x=np.array(xs),
+        y=np.array(ys).T, r_end=float(r_of_x(xs[-1])), x=np.array(xs),
         _F=np.array(Fs) if dense else None, tail=tail,
     )
 

@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from . import ode
-from .metric import DomainError, MetricProfile
+from .metric import _GL_NODES, _GL_WEIGHTS, DomainError, MetricProfile
 from .series import SeriesSolution, v_series, initial_data
 
 _R_FAR = 1e5                         # no shot integrates past this radius
@@ -71,7 +71,7 @@ class MonopoleProfile:
     delta: float
     series: SeriesSolution = field(repr=False)
     result: Optional[ode.IntegrationResult] = field(repr=False)
-    r: np.ndarray = field(repr=False)        # energy quadrature grid, 0 to R_end
+    r: np.ndarray = field(repr=False)        # quadrature samples, 0 to R_end
     a: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
@@ -79,6 +79,7 @@ class MonopoleProfile:
     a_end: float = 0.0
     G_end: float = 0.0
     h2: Optional[np.ndarray] = field(default=None, repr=False)  # h^2 on r
+    w: Optional[np.ndarray] = field(default=None, repr=False)   # weights; 0: knot
 
     @property
     def tail(self):
@@ -250,16 +251,28 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9,
     raise OutOfRangeError("root polish failed to reach tolerance")
 
 
+def _steps(nodes, ends):
+    """ends[0], then for each step its row of `nodes` and its end ends[i+1]."""
+    per_step = np.column_stack([nodes.reshape(len(ends) - 1, -1), ends[1:]])
+    return np.concatenate([ends[:1], per_step.ravel()])
+
+
 def profile_of_beta(beta: float, metric: MetricProfile,
                     tol: float = 1e-10) -> MonopoleProfile:
-    """The profile of a given shooting parameter on the energy quadrature
-    grid: 128 series-head points on [0, delta), 4097 dense ones to R_end.
+    """The profile of a given shooting parameter, sampled at the nodes of
+    its own energy quadrature rule.  In order: a knot at r = 0; the
+    20-node Gauss-Legendre rule on the series head [0, delta); a knot at
+    delta; then, for each accepted step [x_i, x_{i+1}] of the dense shot
+    in the metric's chart, the same rule in x and a knot at x_{i+1}.
 
-    The dense radii are mapped to the chart once; the interpolant is
-    evaluated there, and h^2 on the whole grid is kept for
-    `intermediate_energy`: 0 at r = 0, `metric.h2` on the series head and
-    the chart's `h2_of_x` on the dense part, equal to `metric.h2(r)`
-    there to the bit, since both are the same elementwise maps."""
+    A knot has weight 0 and holds the exact state: the series at 0, the
+    shot's step-end states from delta on.  A node holds the series or
+    the step interpolant, with the weight of the rule in r: delta w_k on
+    the head, dx w_k dr/dx(x) on a step.  Nothing is mapped r -> x: the
+    radii from delta on are one `r_of_x` call (the last is R_end to the
+    bit, as `r_of_x` maps floats and arrays alike), and h^2 is 0 at
+    r = 0, `metric.h2` on the head nodes and the chart's `h2_of_x` from
+    delta on."""
     _require_finite("beta", beta)
     if beta > 0:
         raise NoSolutionError("no solutions exist for beta > 0")
@@ -269,23 +282,27 @@ def profile_of_beta(beta: float, metric: MetricProfile,
         return MonopoleProfile(
             metric_id=metric.id, beta=0.0, mass=0.0, tol=tol,
             delta=initial_data(ser)[0], series=ser, result=None, r=r,
-            a=np.ones_like(r), phi=np.zeros_like(r), v=np.zeros_like(r))
+            a=np.ones_like(r), phi=np.zeros_like(r), v=np.zeros_like(r),
+            h2=np.concatenate([[0.0], metric.h2(r[1:])]), w=np.zeros_like(r))
     mass, ser, delta, res, (R, a_R, G_R) = _shoot(float(beta), metric, tol,
                                                   dense=True)
-    r_head = np.linspace(0.0, delta, 129)[:-1]
-    r_mid = np.linspace(delta, R, 4097)
-    chart = metric.chart
-    x_mid = chart.x_of_r(r_mid)
-    v_mid, w_mid = res.eval_x(x_mid)
-    r_all = np.concatenate([r_head, r_mid])
-    v_all = np.concatenate([ser.v_at(r_head), v_mid])
-    w_all = np.concatenate([ser.vdot_at(r_head), w_mid])
-    h2_all = np.concatenate([[0.0], metric.h2(r_head[1:]), chart.h2_of_x(x_mid)])
+    chart, x, y = metric.chart, res.x, res.y
+    dx = np.diff(x)[:, None]
+    x_nodes = x[:-1, None] + dx * _GL_NODES            # one row per step
+    v_nodes, w_nodes = res.eval_x(x_nodes.ravel())[:2]
+    x_steps = _steps(x_nodes, x)
+    r_head = np.concatenate([[0.0], delta * _GL_NODES])
+    h2_all = np.concatenate([[0.0], metric.h2(r_head[1:]), chart.h2_of_x(x_steps)])
+    v_all = np.concatenate([ser.v_at(r_head), _steps(v_nodes, y[0])])
+    w_all = np.concatenate([ser.vdot_at(r_head), _steps(w_nodes, y[1])])
+    weight = np.concatenate([[0.0], delta * _GL_WEIGHTS, _steps(
+        dx * _GL_WEIGHTS * chart.dr_dx(x_nodes), np.zeros(len(x)))])
     return MonopoleProfile(
         metric_id=metric.id, beta=float(beta), mass=mass, tol=tol,
-        delta=delta, series=ser, result=res, r=r_all,
+        delta=delta, series=ser, result=res,
+        r=np.concatenate([r_head, chart.r_of_x(x_steps)]),
         a=np.exp(0.5 * v_all), phi=0.25 * w_all, v=v_all,
-        R_end=R, a_end=a_R, G_end=G_R, h2=h2_all,
+        R_end=R, a_end=a_R, G_end=G_R, h2=h2_all, w=weight,
     )
 
 

@@ -29,7 +29,7 @@ def test_solve_writes_csv_and_sidecar(tmp_path, capsys):
     assert code == 0
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
-    assert list(rows[0].keys()) == ["r", "a", "phi", "v"]
+    assert list(rows[0].keys()) == ["r", "a", "phi", "v", "h2", "w"]
     assert len(rows) > 100
     with open(str(tmp_path / "bps.json")) as fh:
         side = json.load(fh)
@@ -244,12 +244,24 @@ def test_energy_reads_a_relative_metric_file_from_another_directory(
 
 
 @pytest.mark.parametrize("text,message", [
-    ("r,a,phi,v\n0,1,0,0\n", "at least 2 samples, not 1"),
-    ("r,a,phi,v\n0,1,0,0\n1,nan,-0.1,0\n2,0.1,-0.2,0\n", "a and phi must be finite"),
-    ("r,a,phi,v\n", "at least 2 samples, not 0"),
-    ("r,a,v\n0,1,0\n1,0.5,0\n", "lacks the column\\(s\\) phi"),
-    ("r,a,phi\n0,1,0\n1,0.5\n", "could not convert"),
-], ids=["one-row", "nan-a", "header-only", "no-phi", "short-row"])
+    ("r,a,phi,v,h2,w\n0,1,0,0,0,0\n", "at least 2 samples, not 1"),
+    ("r,a,phi,h2,w\n0,1,0,0,0\n1,nan,-0.1,1,0.5\n2,0.1,-0.2,4,0\n",
+     "a and phi must be finite"),
+    ("r,a,phi,v,h2,w\n", "at least 2 samples, not 0"),
+    ("r,a,v,h2,w\n0,1,0,0,0\n1,0.5,0,1,0\n", "lacks the column\\(s\\) phi$"),
+    ("r,a,phi,v,h2\n0,1,0,0,0\n1,0.5,-0.1,0,1\n", "lacks the column\\(s\\) w$"),
+    ("r,a,phi,v,w\n0,1,0,0,0\n1,0.5,-0.1,0,0\n", "lacks the column\\(s\\) h2$"),
+    ("r,a,phi,h2,w\n0,1,0,0,0\n1,0.5\n", "could not convert"),
+    ("r,a,phi,h2,w\n0,1,0,0,0\n1,0.5,-0.1,1,nan\n2,0.1,-0.2,4,0\n",
+     "weights w must be finite and >= 0"),
+    ("r,a,phi,h2,w\n0,1,0,0,0\n1,0.5,-0.1,1,-0.5\n2,0.1,-0.2,4,0\n",
+     "weights w must be finite and >= 0"),
+    ("r,a,phi,h2,w\n0,1,0,0,0\n1,0.5,-0.1,1,0.5\n2,0.1,-0.2,4,0.5\n",
+     "weights w must be 0 on the first and last samples"),
+    ("r,a,phi,h2,w\n0,1,0,0,0\n1,0.5,-0.1,1.0000000001,0.5\n2,0.1,-0.2,4,0\n",
+     "column h2 is not the h\\^2 of metric 'euclidean'"),
+], ids=["one-row", "nan-a", "header-only", "no-phi", "no-w", "no-h2", "short-row",
+        "nan-w", "negative-w", "end-w", "wrong-h2"])
 @pytest.mark.parametrize("mass", [["--mass", "1"], []], ids=["mass", "no-mass"])
 def test_energy_rejects_malformed_csv(tmp_path, capsys, text, message, mass):
     path = tmp_path / "bad.csv"
@@ -258,6 +270,19 @@ def test_energy_rejects_malformed_csv(tmp_path, capsys, text, message, mass):
                             "--metric", "euclidean", *mass)
     assert code == 1 and stdout == ""
     assert re.search(message, err), err
+
+
+def test_energy_rejects_an_h2_column_of_another_metric(tmp_path, capsys):
+    # the h2 column is checked against the metric the CSV is read with:
+    # a bs_s4 profile read as euclidean would integrate the wrong energy
+    out = str(tmp_path / "p.csv")
+    assert run(capsys, "solve", "--metric", "bs_s4", "--mass", "1.7",
+               "--out", out)[0] == 0
+    code, stdout, err = run(capsys, "energy", "--profile", out,
+                            "--metric", "euclidean")
+    assert code == 1 and stdout == ""
+    assert "column h2 is not the h^2 of metric 'euclidean'" in err
+    assert run(capsys, "energy", "--profile", out, "--metric", "bs_cp2")[0] == 0
 
 
 def test_sweep_table_and_plot(tmp_path, capsys):

@@ -103,45 +103,94 @@ def test_instanton_branch_zero_energy():
     assert np.max(np.abs(dens)) == 0.0
 
 
-def _subsampled(prof, step):
-    """The profile's series head plus every `step`-th dense-output sample."""
-    keep = np.r_[0:128, 128 + np.arange(0, 4097, step)]
-    return SimpleNamespace(r=prof.r[keep], a=prof.a[keep],
-                           phi=prof.phi[keep], mass=prof.mass)
+def _coarse(prof, met, n):
+    """The solved profile with the rule on each step replaced by the
+    n-node Gauss-Legendre rule, from the same interpolant and knots (the
+    series head is kept)."""
+    from numpy.polynomial.legendre import leggauss
+    t, wk = leggauss(n)
+    t, wk = 0.5 * (t + 1.0), 0.5 * wk
+    res, chart = prof.result, met.chart
+    dx = np.diff(res.x)[:, None]
+    x_nodes = res.x[:-1, None] + dx * t
+    v, w4 = res.eval_x(x_nodes.ravel())[:2]
+
+    def then_knots(nodes, knots):
+        return np.column_stack([nodes.reshape(len(knots), -1), knots]).ravel()
+
+    head = 2 + 20                    # the knots at 0 and delta, the head nodes
+    x = then_knots(x_nodes, res.x[1:])
+    return SimpleNamespace(
+        r=np.concatenate([prof.r[:head], chart.r_of_x(x)]),
+        a=np.concatenate([prof.a[:head], then_knots(np.exp(0.5 * v),
+                                                    np.exp(0.5 * res.y[0, 1:]))]),
+        phi=np.concatenate([prof.phi[:head], then_knots(0.25 * w4, 0.25 * res.y[1, 1:])]),
+        h2=np.concatenate([prof.h2[:head], chart.h2_of_x(x)]),
+        w=np.concatenate([prof.w[:head], then_knots(dx * wk * chart.dr_dx(x_nodes),
+                                                    np.zeros(len(dx)))]),
+        mass=prof.mass)
 
 
 def test_passed_is_criterion_11():
-    # coarse grids used to pass through a 10 * quad_tol escape
-    prof = solve_monopole(metric.EUCLIDEAN, 1.0)
-    fine = intermediate_energy(prof, metric.EUCLIDEAN)
-    assert fine.passed is True
-    coarse = intermediate_energy(_subsampled(prof, 256), metric.EUCLIDEAN)
-    assert coarse.identity_residual > 1e-5
-    assert coarse.passed is False
-    two = intermediate_energy(_subsampled(prof, 4096), metric.EUCLIDEAN)
-    assert two.passed is False
-    prof = solve_monopole(metric.BS_S4, 1.0)
-    assert intermediate_energy(prof, metric.BS_S4).passed is True
-    assert intermediate_energy(_subsampled(prof, 256), metric.BS_S4).passed is False
+    # the helper rebuilds the solved rule at 20 nodes, to the bit; the
+    # midpoint rule on the same steps misses m/2 by ~1e-3 and fails, and
+    # so does the 2-node rule at m = 6 (~1e-5)
+    for met in (metric.EUCLIDEAN, metric.BS_S4):
+        prof = solve_monopole(met, 1.0)
+        fine = intermediate_energy(prof, met)
+        assert fine.passed is True
+        assert intermediate_energy(_coarse(prof, met, 20), met).value == fine.value
+        coarse = intermediate_energy(_coarse(prof, met, 1), met)
+        assert coarse.identity_residual > 1e-5
+        assert coarse.passed is False
+        prof = solve_monopole(met, 6.0)
+        assert intermediate_energy(prof, met).passed is True
+        assert intermediate_energy(_coarse(prof, met, 2), met).passed is False
+
+
+@pytest.mark.parametrize("met", [metric.EUCLIDEAN, metric.HYPERBOLIC,
+                                 metric.BS_S4, metric.BS_CP2], ids=lambda m: m.id)
+def test_energy_rule_meets_the_identity(met):
+    # every solve's rule reaches E_I = m/2 far inside criterion 11's 1e-5
+    for m in np.geomspace(0.25, 16.0, 7):
+        rep = intermediate_energy(solve_monopole(met, m), met)
+        assert rep.identity_residual <= 1e-9, (m, rep.identity_residual)
+        assert rep.quad_tol <= 1e-7, (m, rep.quad_tol)
+        assert rep.passed, m
 
 
 _NAN, _INF = float("nan"), float("inf")
+_RULE = dict(h2=[0.0, 1.0, 4.0], w=[0.0, 0.5, 0.0])
 
 
-@pytest.mark.parametrize("r,a,phi,match", [
-    ([], [], [], "at least 2 samples, not 0"),
-    ([0.0], [1.0], [0.0], "at least 2 samples, not 1"),
-    ([0.0, 1.0, 1.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], "strictly increasing"),
-    ([0.0, 2.0, 1.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], "strictly increasing"),
-    ([-1.0, 0.0, 1.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], ">= 0"),
-    ([0.0, _NAN, 1.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], "finite"),
-    ([0.0, 1.0, _INF], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], "finite"),
-    ([0.0, 1.0, 2.0], [1.0, _NAN, 0.2], [0.0, -0.1, -0.2], "a and phi"),
-    ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -_INF, -0.2], "a and phi"),
+@pytest.mark.parametrize("r,a,phi,rule,match", [
+    ([], [], [], dict(h2=[], w=[]), "at least 2 samples, not 0"),
+    ([0.0], [1.0], [0.0], dict(h2=[0.0], w=[0.0]), "at least 2 samples, not 1"),
+    ([0.0, 1.0, 1.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], _RULE, "strictly increasing"),
+    ([0.0, 2.0, 1.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], _RULE, "strictly increasing"),
+    ([-1.0, 0.0, 1.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], _RULE, ">= 0"),
+    ([0.0, _NAN, 1.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], _RULE, "finite"),
+    ([0.0, 1.0, _INF], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], _RULE, "finite"),
+    ([0.0, 1.0, 2.0], [1.0, _NAN, 0.2], [0.0, -0.1, -0.2], _RULE, "a and phi"),
+    ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -_INF, -0.2], _RULE, "a and phi"),
+    ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], dict(w=_RULE["w"]),
+     "lacks h2:"),
+    ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], dict(h2=_RULE["h2"]),
+     "lacks w:"),
+    ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], {}, "lacks h2 and w"),
+    ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2],
+     dict(h2=_RULE["h2"], w=[0.0, _NAN, 0.0]), "weights w must be finite"),
+    ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2],
+     dict(h2=_RULE["h2"], w=[0.0, -0.5, 0.0]), "weights w must be finite and >= 0"),
+    ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2],
+     dict(h2=_RULE["h2"], w=[0.0, 0.5, 0.5]), "0 on the first and last"),
+    ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2],
+     dict(h2=_RULE["h2"], w=[0.0, 0.5]), "one length"),
 ], ids=["empty", "one-sample", "repeated-r", "decreasing-r", "negative-r",
-        "nan-r", "inf-r", "nan-a", "inf-phi"])
-def test_malformed_samples_rejected(r, a, phi, match):
-    prof = SimpleNamespace(r=r, a=a, phi=phi, mass=1.0)
+        "nan-r", "inf-r", "nan-a", "inf-phi", "no-h2", "no-w", "no-h2-no-w",
+        "nan-w", "negative-w", "end-w", "short-w"])
+def test_malformed_samples_rejected(r, a, phi, rule, match):
+    prof = SimpleNamespace(r=r, a=a, phi=phi, mass=1.0, **rule)
     with pytest.raises(ValueError, match=match):
         intermediate_energy(prof, metric.EUCLIDEAN)
 
@@ -172,34 +221,48 @@ def test_energy_reads_the_solved_samples(monkeypatch, tmp_path):
         met = _backend(name, tmp_path)
         prof = solve_monopole(met, 1.7)
         ref = intermediate_energy(prof, met)
-        # without `h2`, the copy takes h^2 from metric.h2(r)
-        copy = SimpleNamespace(r=prof.r.copy(), a=prof.a.copy(),
-                               phi=prof.phi.copy(), mass=prof.mass)
-        for p in (prof, copy):
-            rep = intermediate_energy(p, met)
-            assert rep.value == ref.value and rep.quad_tol == ref.quad_tol, name
-            assert np.array_equal(rep.r, prof.r)
-            assert np.array_equal(rep.partial, ref.partial), name
+        knots = prof.w == 0
+        assert np.array_equal(ref.r, prof.r[knots])
+        assert ref.r[0] == 0.0 and ref.r[-1] == prof.R_end
+        assert abs(ref.r[1] / prof.delta - 1.0) <= 1e-15
+        tail = float(met.green_tail(prof.R_end)) + 0.5 * prof.mass * prof.a[-1] ** 2
+        assert ref.value == ref.partial[-1] + tail
+        columns = dict(r=prof.r, a=prof.a, phi=prof.phi, h2=prof.h2, w=prof.w)
+        copy = SimpleNamespace(mass=prof.mass, **{k: c.copy() for k, c in columns.items()})
+        rep = intermediate_energy(copy, met)
+        assert rep.value == ref.value and rep.quad_tol == ref.quad_tol, name
+        assert np.array_equal(rep.partial, ref.partial), name
+        for col in ("h2", "w"):              # no fallback to another rule
+            del columns[col]
+            with pytest.raises(ValueError, match=f"lacks {col}:"):
+                intermediate_energy(SimpleNamespace(mass=prof.mass, **columns), met)
+            columns[col] = getattr(prof, col)
 
 
 @pytest.mark.parametrize("name", _BACKENDS)
 def test_profile_h2_is_metric_h2(tmp_path, name):
+    # to the bit on an identity chart, where h2_of_x is metric.h2; to the
+    # 1e-12 that `g2mono energy` checks a CSV's h2 column against on BS
     met = _backend(name, tmp_path)
     prof = solve_monopole(met, 1.7)
     assert prof.h2.shape == prof.r.shape and prof.h2[0] == 0.0
-    assert np.array_equal(prof.h2[1:], met.h2(prof.r[1:]))
+    ref = met.h2(prof.r[1:])
+    if met.chart.r_of_x is metric.BS_S4.chart.r_of_x:
+        assert np.max(np.abs(prof.h2[1:] / ref - 1.0)) <= 1e-12
+    else:
+        assert np.array_equal(prof.h2[1:], ref)
 
 
 def test_bs_solve_and_energy_invert_the_grid_once(monkeypatch):
-    # the 4097 dense radii are mapped to s once, for the interpolant and
-    # h^2 alike; only the 127 positive series-head radii go through
-    # metric.h2.  Scalar calls (shot ends, G at R_end) are counted apart
-    points, scalars = [0], [0]
+    # nothing on the profile path is mapped r -> s: only the 20 series-head
+    # radii go through metric.h2 as one array.  Scalar calls (shot
+    # starts, G at R_end) are counted apart
+    sizes, scalars = [], [0]
     s_of_rho = metric.s_of_rho
 
     def counted(rho):
         if np.ndim(rho):
-            points[0] += np.size(rho)
+            sizes.append(np.size(rho))
         else:
             scalars[0] += 1
         return s_of_rho(rho)
@@ -208,7 +271,7 @@ def test_bs_solve_and_energy_invert_the_grid_once(monkeypatch):
     prof = solve_monopole(metric.BS_S4, 1.7)
     rep = intermediate_energy(prof, metric.BS_S4)
     assert rep.passed
-    assert points[0] <= 4097 + 127
+    assert sizes and max(sizes) <= 20
     assert scalars[0] > 0
 
 
@@ -219,15 +282,18 @@ _PARENT = json.loads(
 @pytest.mark.parametrize("metric_id", ["euclidean", "hyperbolic", "bs_s4", "bs_cp2"])
 def test_solve_and_energy_match_the_recorded_values(metric_id):
     # beta, mass, R_end and E_I as recorded in the file (see its note),
-    # within 1e-14 max(1, |x|) to allow for other libm builds
+    # within 1e-14 max(1, |x|) to allow for other libm builds; the step
+    # rule's |E_I - mass/2| is at most the replaced grid rule's
     met = metric.get_metric(metric_id)
     records = [r for r in _PARENT["records"] if r[0] == metric_id]
     assert len(records) == 6
-    for _, m, *expected in records:
+    for _, m, *expected, grid, res, res_grid in records:
+        assert res == abs(expected[-1] - 0.5 * expected[1]) <= res_grid
+        assert res_grid == abs(grid - 0.5 * expected[1])
         prof = solve_monopole(met, m)
         got = (prof.beta, prof.mass, prof.R_end,
                intermediate_energy(prof, met).value)
-        for g, x in zip(got, expected):
+        for g, x in zip(got, expected, strict=True):
             assert abs(g - x) <= 1e-14 * max(1.0, abs(x)), (m, got, expected)
 
 
@@ -236,6 +302,7 @@ def test_energy_rejects_a_profile_from_another_metric():
     prof = solve_monopole(metric.EUCLIDEAN, 1.0)
     with pytest.raises(ValueError, match="profile solved on 'euclidean', not 'bs_s4'"):
         intermediate_energy(prof, metric.BS_S4)
-    csv_like = SimpleNamespace(r=prof.r, a=prof.a, phi=prof.phi, mass=prof.mass)
+    csv_like = SimpleNamespace(r=prof.r, a=prof.a, phi=prof.phi, h2=prof.h2,
+                               w=prof.w, mass=prof.mass)
     assert intermediate_energy(csv_like, metric.EUCLIDEAN).value == \
         intermediate_energy(prof, metric.EUCLIDEAN).value

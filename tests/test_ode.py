@@ -536,7 +536,7 @@ def test_step_grid_is_mapped_to_r_when_read(met, tol):
     r = res.r
     assert (r.size >= 64) == (tol < 1e-12) and res.r is r
     assert r[-1].tobytes() == np.float64(res.r_end).tobytes() == np.float64(res.tail[0]).tobytes()
-    assert r.tobytes() == met.chart.r_of_x(res._x).tobytes()
+    assert r.tobytes() == met.chart.r_of_x(res.x).tobytes()
 
 
 def test_tail_stop_only_on_the_minus_system():

@@ -495,12 +495,41 @@ def test_profile_rejects_nan_and_negative_radii(met):
 
 @pytest.mark.parametrize("met", BACKENDS, ids=lambda m: m.id)
 def test_profile_samples_are_the_energy_grid(met):
-    # the grid intermediate_energy used to build on its own: 128 series-head
-    # samples on [0, delta), then 4097 dense-output samples up to R_end
+    # a knot at 0, 20 Gauss-Legendre nodes on [0, delta), a knot at delta,
+    # then per accepted step 20 nodes in the chart and a knot at its end
     prof = solve_monopole(met, 1.7)
-    grid = np.concatenate([np.linspace(0.0, prof.delta, 129)[:-1],
-                           np.linspace(prof.delta, prof.R_end, 4097)])
-    assert prof.r.size == 4225 and prof.r[-1] == prof.R_end
-    assert np.array_equal(prof.r, grid)
-    a, phi = prof.fields(grid)
-    assert np.array_equal(prof.a, a) and np.array_equal(prof.phi, phi)
+    res, chart, n = prof.result, met.chart, len(metric._GL_NODES)
+    steps = res.x.size - 1
+    assert prof.r.size == 2 + n + (n + 1) * steps
+    knots = np.flatnonzero(prof.w == 0)
+    assert np.array_equal(knots, np.r_[0, n + 1 + (n + 1) * np.arange(steps + 1)])
+    assert prof.r[0] == 0.0 and abs(prof.r[n + 1] / prof.delta - 1.0) <= 1e-15
+    assert prof.r[-1] == prof.R_end and np.all(np.diff(prof.r) > 0)
+    # the knots hold the step-end states, bit for bit
+    assert prof.v[0] == prof.phi[0] == 0.0 and prof.a[0] == 1.0
+    assert np.array_equal(prof.v[knots[1:]], res.y[0])
+    assert np.array_equal(prof.phi[knots[1:]], 0.25 * res.y[1])
+    assert np.array_equal(prof.a[knots[1:]], np.exp(0.5 * res.y[0]))
+    # the nodes hold the series on the head and the step interpolant after
+    r_head = prof.delta * metric._GL_NODES
+    assert np.array_equal(prof.r[1:n + 1], r_head)
+    assert np.array_equal(prof.v[1:n + 1], prof.series.v_at(r_head))
+    assert np.array_equal(prof.phi[1:n + 1], 0.25 * prof.series.vdot_at(r_head))
+    dx = np.diff(res.x)[:, None]
+    x_nodes = res.x[:-1, None] + dx * metric._GL_NODES
+    nodes = (knots[1:-1, None] + 1 + np.arange(n)).ravel()
+    v, w = res.eval_x(x_nodes.ravel())[:2]
+    assert np.array_equal(prof.v[nodes], v)
+    assert np.array_equal(prof.phi[nodes], 0.25 * w)
+    # the weights of each step (and of the head) add up to its length in r
+    sums = np.add.reduceat(prof.w, knots[:-1])
+    lengths = np.diff(prof.r[knots])
+    assert np.max(np.abs(sums / lengths - 1.0)) <= 1e-14
+    # from delta on, r and h^2 are the chart's maps of the chart points;
+    # h^2 is metric.h2 on the head nodes
+    x_rest = np.concatenate([res.x[:1], np.column_stack(
+        [x_nodes, res.x[1:]]).ravel()])
+    assert np.array_equal(prof.r[n + 1:], chart.r_of_x(x_rest.copy()))
+    assert np.array_equal(prof.h2[n + 1:], chart.h2_of_x(x_rest))
+    assert prof.h2[0] == 0.0
+    assert np.array_equal(prof.h2[1:n + 1], met.h2(r_head))
