@@ -308,7 +308,13 @@ def cmd_energy(args, parser) -> int:
     met = _metric_arg(met_name)
     _check_h2(args.profile, r, h2, met)
     if mass is None:
-        mass = 2.0 * (met.green_tail(float(r[-1])) - float(phi[-1]))
+        G = met.green_tail(float(r[-1]))
+        bound = 2.0 * float(a[-1]) ** 2 * G        # the read-off mass's error
+        if bound > 1e-6:
+            raise ValueError(f"{args.profile}: the tail bound 2 a(R)^2 G(R) = {bound:.3g} "
+                             "exceeds 1e-6, so the mass cannot be read off the tail; "
+                             "give --mass")
+        mass = 2.0 * (G - float(phi[-1]))
     prof = SampledProfile(r=r, a=a, phi=phi, h2=h2, w=w, mass=float(mass))
     rep = energy.intermediate_energy(prof, met)
     print(json.dumps({"metric": met.id, "mass": rep.mass, "E_I": rep.value,

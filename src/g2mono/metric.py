@@ -20,16 +20,18 @@ BS_S4 under another id, sharing its functions.  Each background exposes
 
 The BS reparametrization rho(s) = int_0^s (1+t^2)^(-1/4) dt and the tail
 integral both reduce to Gauss hypergeometric functions, summed here as
-power series in a variable of at most 1/2 (plain floats for a float,
-numpy for an array); a custom table's tail integral has a closed form on
-each log-log linear segment.  So no runtime quadrature is needed, and the
-module needs numpy only; independent quadrature oracles live in the
-tests.
+power series in a variable of at most 1/2.  A float and an array take
+one path: one domain check, then `_split` gives a float its formula and
+an array each formula on its part, so the two agree to the bit.  A
+custom table's tail integral has a closed form on each log-log linear
+segment.  So no runtime quadrature is needed, and the module needs numpy
+only; independent quadrature oracles live in the tests.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -84,30 +86,44 @@ _G_ZERO = 0.65551438857302995        # sqrt(pi) Gamma(5/4) / (2 Gamma(3/4))
 #                    G = F(1, 3/4; 1/2; w) / (2 s q^(3/4)) - _G_ZERO,
 #   s > 1:           rho = 2 s q^(-1/4) F(1/4, 1; 3/4; u) - _RHO_OFFSET,
 #                    G = u^(5/4) F(5/4, 3/2; 9/4; u) / 5.
-# w and u are at most 1/2 where they are used (see _hyp for the number of
-# terms).  A float and an array run the same operations, so they agree to
-# the bit; fractional powers are built from sqrt, which is correctly
-# rounded in math and numpy alike.
+# w and u are at most 1/2 where they are used (see _hyp2f1 for the number of
+# terms).  Each formula takes a float or an array and runs the same
+# operations on either, so the two agree to the bit; fractional powers are
+# built from sqrt, which is correctly rounded in math and numpy alike.
 _S_SERIES = 0.2
 _HYP_TERMS = 60
-_SMALL = 64                 # rho_of_s takes shorter arrays one float at a time
 _EPS = 2.0 ** -53
+# s_of_rho starts from the series head below rho = 1.5 (at 1.5 itself the
+# two starts end on different floats, and the asymptote's is the recorded one)
+_RHO_HEAD = math.nextafter(1.5, 0.0)
 
 
-def _hyp2f1_coeffs(a: Fraction, b: Fraction, c: Fraction) -> list[float]:
-    """The first _HYP_TERMS Taylor coefficients of F(a, b; c; z), highest
-    first, each rounded once from its exact value."""
-    term, out = Fraction(1), []
-    for n in range(_HYP_TERMS):
-        out.append(float(term))
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1))
-    return out[::-1]
+def _float_or_array(x, ok, message):
+    """x as a Python float when it is 0-d, else as a float array, checked
+    once: DomainError(message) unless ok(x) holds (at every element of an
+    array).  A float, a numpy scalar, a 0-d array and an array element
+    are then the same input to the maps below."""
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+        x = x if x.ndim else float(x)
+    if not (ok(x) if isinstance(x, float) else ok(x).all()):
+        raise DomainError(message)
+    return x
 
 
-_F_RHO_W = _hyp2f1_coeffs(Fraction(1, 4), Fraction(1), Fraction(3, 2))
-_F_RHO_U = _hyp2f1_coeffs(Fraction(1, 4), Fraction(1), Fraction(3, 4))
-_F_G_W = _hyp2f1_coeffs(Fraction(1), Fraction(3, 4), Fraction(1, 2))
-_F_G_U = _hyp2f1_coeffs(Fraction(5, 4), Fraction(3, 2), Fraction(9, 4))
+def _split(x, bound, below, above):
+    """below(x) where x <= bound, above(x) elsewhere: the one place where
+    a float and an array part ways.  A float takes one of the formulas;
+    an array is split by a mask, and each formula runs on its part."""
+    if isinstance(x, float):
+        return below(x) if x <= bound else above(x)
+    out = np.empty_like(x)
+    lo = x <= bound
+    with np.errstate(over="ignore", divide="ignore"):
+        for part, fn in ((lo, below), (~lo, above)):
+            if part.any():
+                out[part] = fn(x[part])
+    return out
 
 
 def _horner(coeffs, z):
@@ -117,14 +133,23 @@ def _horner(coeffs, z):
     return acc
 
 
-def _hyp(coeffs, z):
-    """F(z) from its Taylor coefficients, highest first: the lowest 16 of
-    them where z <= 1/16, all _HYP_TERMS up to z = 1/2.  Either leaves
-    out less than 1e-17 of F."""
-    if isinstance(z, float):
-        return _horner(coeffs[-16:] if z <= 1.0 / 16.0 else coeffs, z)
-    return _split(z, 1.0 / 16.0, lambda t: _horner(coeffs[-16:], t),
-                  lambda t: _horner(coeffs, t))
+def _hyp2f1(a: Fraction, b: Fraction, c: Fraction):
+    """z -> F(a, b; c; z) from the first _HYP_TERMS Taylor coefficients,
+    each rounded once from its exact value: the lowest 16 of them where
+    z <= 1/16, all up to z = 1/2.  Either leaves out less than 1e-17 of F."""
+    term, coeffs = Fraction(1), []
+    for n in range(_HYP_TERMS):
+        coeffs.insert(0, float(term))
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1))
+    short = functools.partial(_horner, coeffs[-16:])
+    full = functools.partial(_horner, coeffs)
+    return lambda z: _split(z, 1.0 / 16.0, short, full)
+
+
+_F_RHO_W = _hyp2f1(Fraction(1, 4), Fraction(1), Fraction(3, 2))
+_F_RHO_U = _hyp2f1(Fraction(1, 4), Fraction(1), Fraction(3, 4))
+_F_G_W = _hyp2f1(Fraction(1), Fraction(3, 4), Fraction(1, 2))
+_F_G_U = _hyp2f1(Fraction(5, 4), Fraction(3, 2), Fraction(9, 4))
 
 
 def _sqrt(x):
@@ -157,36 +182,27 @@ def _rho_series(s):
 
 def _rho_w(s):
     q = 1.0 + s * s
-    return s / _sqrt(_sqrt(q)) * _hyp(_F_RHO_W, s * s / q)
+    return s / _sqrt(_sqrt(q)) * _F_RHO_W(s * s / q)
 
 
 def _rho_u(s):
     q = 1.0 + s * s
-    return 2.0 * s / _sqrt(_sqrt(q)) * _hyp(_F_RHO_U, 1.0 / q) - _RHO_OFFSET
+    return 2.0 * s / _sqrt(_sqrt(q)) * _F_RHO_U(1.0 / q) - _RHO_OFFSET
 
 
 def _green_w(s):
     q = 1.0 + s * s
-    return _hyp(_F_G_W, s * s / q) * _sqrt(_sqrt(q)) / (2.0 * s * q) - _G_ZERO
+    return _F_G_W(s * s / q) * _sqrt(_sqrt(q)) / (2.0 * s * q) - _G_ZERO
 
 
 def _green_u(s):
     u = 1.0 / (1.0 + s * s)
-    return 0.2 * u * _sqrt(_sqrt(u)) * _hyp(_F_G_U, u)
+    return 0.2 * u * _sqrt(_sqrt(u)) * _F_G_U(u)
 
 
-def _split(s, bound, below, above):
-    """below(s) where s <= bound, above(s) elsewhere; s is a float or an
-    array."""
-    if isinstance(s, float):
-        return below(s) if s <= bound else above(s)
-    out = np.empty_like(s)
-    lo = s <= bound
-    with np.errstate(over="ignore", divide="ignore"):
-        for part, fn in ((lo, below), (~lo, above)):
-            if part.any():
-                out[part] = fn(s[part])
-    return out
+def _green_near(s):
+    # G(0) = inf, where a float's division in _green_w would raise
+    return _split(s, 0.0, lambda t: t + math.inf, _green_w)
 
 
 def _rho_near(s):
@@ -199,36 +215,24 @@ def _rho(s):
     return _split(s, 1.0, _rho_near, _rho_u)
 
 
-def _float_or_array(x):
-    """x as a Python float when it is 0-d, else as a float array."""
-    if not isinstance(x, float):
-        x = np.asarray(x, dtype=float)
-        if x.ndim:
-            return x
-    return float(x)
-
-
 def rho_of_s(s):
     """Geodesic radius rho(s) = int_0^s (1+t^2)^(-1/4) dt: the series
     above, or its asymptote past _S_FAR."""
-    s = _float_or_array(s)
-    if isinstance(s, float):
-        if not s >= 0:
-            raise DomainError("s must be >= 0")
-        return 2.0 * math.sqrt(s) - _RHO_OFFSET if s >= _S_FAR else _rho(s)
-    if not np.all(s >= 0):
-        raise DomainError("s must be >= 0")
-    near = np.minimum(s, _S_FAR)
-    if s.size < _SMALL:     # a shot's steps: faster one float at a time
-        near = np.array([_rho(x) for x in near.ravel().tolist()]).reshape(s.shape)
-    else:
-        near = _rho(near)
-    return np.where(s < _S_FAR, near, 2.0 * np.sqrt(s) - _RHO_OFFSET)
+    s = _float_or_array(s, lambda t: t >= 0, "s must be >= 0")
+    return _split(s, _S_FAR, _rho, lambda t: 2.0 * _sqrt(t) - _RHO_OFFSET)
 
 
-def _halley(s, rho):
-    """Three Halley steps on rho(s) - rho from s: rho' = q^(-1/4),
-    rho'' = -s q^(-5/4) / 2."""
+def _s_far(rho):
+    """The asymptote of rho_of_s inverted; inf where it overflows."""
+    half = 0.5 * (rho + _RHO_OFFSET)
+    return half * half
+
+
+def _halley(rho):
+    """Three Halley steps on rho(s) - rho, from the series head
+    rho (1 + rho^2/12) below rho = 1.5 and from the inverted asymptote
+    above: rho' = q^(-1/4), rho'' = -s q^(-5/4) / 2."""
+    s = _split(rho, _RHO_HEAD, lambda p: p * (1.0 + p * p / 12.0), _s_far)
     for _ in range(3):
         q = 1.0 + s * s
         g = _rho(s) - rho
@@ -238,24 +242,11 @@ def _halley(s, rho):
 
 def s_of_rho(rho):
     """Inverse of rho_of_s: three Halley steps, which reach the rounding
-    of rho(s) from the series head rho (1 + rho^2/12) below rho = 1.5
-    and from the inverted asymptote of rho_of_s above.  Past _RHO_FAR
-    that asymptote is the answer; s is inf where it overflows."""
-    rho = _float_or_array(rho)
-    if isinstance(rho, float):
-        if not 0.0 <= rho < math.inf:
-            raise DomainError("rho must be finite and >= 0")
-        half = 0.5 * (rho + _RHO_OFFSET)
-        if rho >= _RHO_FAR:
-            return half * half
-        return _halley(rho * (1.0 + rho * rho / 12.0) if rho < 1.5 else half * half, rho)
-    if not np.all((rho >= 0) & (rho < np.inf)):
-        raise DomainError("rho must be finite and >= 0")
-    near = np.minimum(rho, _RHO_FAR)
-    half = 0.5 * (near + _RHO_OFFSET)
-    s = _halley(np.where(near < 1.5, near * (1.0 + near * near / 12.0), half * half), near)
-    with np.errstate(over="ignore"):
-        return np.where(rho < _RHO_FAR, s, np.square(0.5 * (rho + _RHO_OFFSET)))
+    of rho(s).  Past _RHO_FAR the inverted asymptote is the answer; s is
+    inf where it overflows."""
+    rho = _float_or_array(rho, lambda p: (p >= 0) & (p < math.inf),
+                          "rho must be finite and >= 0")
+    return _split(rho, _RHO_FAR, _halley, _s_far)
 
 
 def bs_h2_of_s(s):
@@ -271,10 +262,8 @@ def bs_h2_of_s(s):
 def bs_green_of_s(s):
     """G as a function of s: int_s^inf f(t) dt / (2 h^2(t)), by the
     series above; G(0) = inf."""
-    s = _float_or_array(s)
-    if isinstance(s, float) and s == 0.0:
-        return math.inf
-    return _split(s, 1.0, _green_w, _green_u)
+    s = _float_or_array(s, lambda t: t >= 0, "s must be >= 0")
+    return _split(s, 1.0, _green_near, _green_u)
 
 
 def _bs_series_coeffs(order: int) -> list[Fraction]:
@@ -349,11 +338,8 @@ class MetricProfile:
             if not r > 0:
                 raise DomainError("h2(r) requires r > 0")
             return float(self._h2(r))
-        r_arr = np.asarray(r, dtype=float)
-        if not np.all(r_arr > 0):
-            raise DomainError("h2(r) requires r > 0")
-        out = self._h2(r_arr)
-        return float(out) if np.ndim(out) == 0 else out
+        r = _float_or_array(r, lambda x: x > 0, "h2(r) requires r > 0")
+        return float(self._h2(r)) if isinstance(r, float) else self._h2(r)
 
     def series_coeffs(self, order: int) -> list[Fraction]:
         if order < 0:
@@ -365,15 +351,8 @@ class MetricProfile:
             raise NonparabolicRequired(
                 f"metric {self.id!r} has a divergent Green's-function tail"
             )
-        if isinstance(r, float):            # a shot's tail test
-            if not r > 0:
-                raise DomainError("green_tail requires r > 0")
-            return float(self._green(r))
-        r_arr = np.asarray(r, dtype=float)
-        if not np.all(r_arr > 0):
-            raise DomainError("green_tail requires r > 0")
-        out = self._green(r_arr)
-        return float(out) if np.ndim(out) == 0 else out
+        r = _float_or_array(r, lambda x: x > 0, "green_tail requires r > 0")
+        return float(self._green(r)) if isinstance(r, float) else self._green(r)
 
 
 EUCLIDEAN = MetricProfile(

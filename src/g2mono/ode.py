@@ -179,7 +179,7 @@ _E3, _E5, _D = _tab.E3, _tab.E5, _tab.D
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's controller
 _ERROR_EXPONENT = -1.0 / 8.0         # -1 / (error estimator order + 1)
 
-# (state length, error-controlled length, dense) -> (step, rows): the
+# (state length, error-controlled length) -> (step, rows): the
 # straight-line code of one step, generated from the tableau on first use
 # (for 2 to 5 components a loop over them costs more than the arithmetic).
 # Two threads may both build an entry; either copy serves.
@@ -210,10 +210,10 @@ def _stage_lines(stages, first, n):
     return lines
 
 
-def _stepper_source(n, n_err, dense):
+def _stepper_source(n, n_err):
     """`step(f, dr_dx, h2_of_x, sigma, x, h, y, f(x, y), rtol, atol)` ->
-    (y_new, f_new, error norm, the stage values or None), scipy's step
-    and error norm over the first n_err components; with `dense` also
+    (y_new, f_new, error norm, the stage values), scipy's step and error
+    norm over the first n_err components, and
     `rows(f, dr_dx, h2_of_x, sigma, x, h, y, y_new, stages)` -> the 7
     interpolant rows, at three more evaluations."""
     stages = ", ".join(f"k{s}_{i}" for s in range(_N + 1) for i in range(n))
@@ -227,27 +227,23 @@ def _stepper_source(n, n_err, dense):
     step += ["e5 = 0.0" + "".join(f" + q5_{i} * q5_{i}" for i in range(n_err)),
              "e3 = 0.0" + "".join(f" + q3_{i} * q3_{i}" for i in range(n_err)),
              f"err = abs(h) * e5 / _sqrt((e5 + 0.01 * e3) * {n_err}) if e5 or e3 else 0.0",
-             f"return arg, ks, err, {f'({stages})' if dense else 'None'}"]
-    src = "\n    ".join(step) + "\n"
-    if dense:
-        # component i of each of the 7 rows
-        F = [[f"d{i}", f"h * k0_{i} - d{i}", f"2.0 * d{i} - h * (k{_N}_{i} + k0_{i})",
-              *(f"h * {_dot(Dj, i)}" for Dj in _D)] for i in range(n)]
-        rows = ["def rows(f, dr_dx, h2_of_x, sigma, x, h, y, y_new, stages):",
-                f"{_names('y', n)}= y", f"{_names('d', n)}= [b - a for a, b in zip(y, y_new)]",
-                f"{stages}, = stages", *_stage_lines(_DENSE, _N + 1, n),
-                f"return [{', '.join('[' + ', '.join(row) + ']' for row in zip(*F))}]"]
-        src += "\n" + "\n    ".join(rows) + "\n"
-    return src
+             f"return arg, ks, err, ({stages})"]
+    # component i of each of the 7 rows
+    F = [[f"d{i}", f"h * k0_{i} - d{i}", f"2.0 * d{i} - h * (k{_N}_{i} + k0_{i})",
+          *(f"h * {_dot(Dj, i)}" for Dj in _D)] for i in range(n)]
+    rows = ["def rows(f, dr_dx, h2_of_x, sigma, x, h, y, y_new, stages):",
+            f"{_names('y', n)}= y", f"{_names('d', n)}= [b - a for a, b in zip(y, y_new)]",
+            f"{stages}, = stages", *_stage_lines(_DENSE, _N + 1, n),
+            f"return [{', '.join('[' + ', '.join(row) + ']' for row in zip(*F))}]"]
+    return "".join("\n    ".join(fn) + "\n" for fn in (step, rows))
 
 
-def _stepper(n, n_err, dense):
-    key = (n, n_err, dense)
+def _stepper(n, n_err):
+    key = (n, n_err)
     if key not in _STEPPERS:
         scope = {"_sqrt": math.sqrt}
-        exec(compile(_stepper_source(n, n_err, dense), f"<DOP853 step {key}>",
-                     "exec"), scope)
-        _STEPPERS[key] = scope["step"], scope.get("rows")
+        exec(compile(_stepper_source(n, n_err), f"<DOP853 step {key}>", "exec"), scope)
+        _STEPPERS[key] = scope["step"], scope["rows"]
     return _STEPPERS[key]
 
 
@@ -257,7 +253,7 @@ def _dop853(f, dr_dx, h2_of_x, sigma, x, y, x_end, rtol, atol, n_err, dense):
     with the error controlled on the first n_err components.  F is None,
     or with `dense` the step's 7 interpolant rows, at three more
     evaluations."""
-    step, rows = _stepper(len(y), n_err, dense)
+    step, rows = _stepper(len(y), n_err)
     direction = 1.0 if x_end > x else -1.0
     fx = f(x, y, dr_dx(x), h2_of_x(x), sigma)
     # the first step: scipy's select_initial_step (Hairer et al. II.4)

@@ -189,6 +189,20 @@ def test_energy_without_sidecar(tmp_path, capsys):
     assert abs(json.loads(stdout)["mass"] - solved) <= 1e-9
 
 
+def test_energy_without_sidecar_refuses_a_tail_that_has_not_decayed(tmp_path, capsys):
+    # the flat profile (beta = 0) ends with a = 1, where 2 (G(R) - phi(R))
+    # is not its mass: the tail bound 2 a(R)^2 G(R) is 7.3e-5 there
+    out = str(tmp_path / "flat.csv")
+    assert run(capsys, "solve", "--metric", "bs_s4", "--beta", "0", "--out", out)[0] == 0
+    os.remove(out[:-4] + ".json")
+    code, stdout, err = run(capsys, "energy", "--profile", out, "--metric", "bs_s4")
+    assert code == 1 and stdout == ""
+    assert "2 a(R)^2 G(R) = 7.27e-05 exceeds 1e-6" in err and "give --mass" in err
+    code, stdout, _ = run(capsys, "energy", "--profile", out, "--metric", "bs_s4",
+                          "--mass", "0")
+    assert code == 0 and json.loads(stdout)["E_I"] == 0.0
+
+
 def test_energy_on_a_custom_metric_profile(tmp_path, capsys, monkeypatch):
     # the sidecar's metric id is "custom"; energy reloads the file that
     # the solve was given, whose table path is relative to that file
@@ -469,7 +483,7 @@ from g2mono import cli, energy, metric, ode, shooting
 assert "numpy.polynomial" not in sys.modules
 assert not ode._STEPPERS, sorted(ode._STEPPERS)       # generated on first use
 shooting.mass_of_beta(-0.5, metric.EUCLIDEAN)
-assert sorted(ode._STEPPERS) == [(2, 2, False)], sorted(ode._STEPPERS)
+assert sorted(ode._STEPPERS) == [(2, 2)], sorted(ode._STEPPERS)
 for name in ("euclidean", "hyperbolic", "bs_s4", "bs_cp2"):
     met = metric.get_metric(name)
     energy.intermediate_energy(shooting.solve_monopole(met, 1.0), met)

@@ -1,6 +1,7 @@
 """Metric backgrounds against independent quadrature oracles."""
 
 import json
+import math
 import textwrap
 import warnings
 from fractions import Fraction
@@ -293,6 +294,7 @@ NAN_GUARDED = {
     "green_tail": HYPERBOLIC.green_tail,
     "rho_of_s": rho_of_s,
     "s_of_rho": s_of_rho,
+    "bs_green_of_s": bs_green_of_s,
 }
 
 
@@ -304,6 +306,15 @@ def test_nan_radius_rejected(name, x):
         NAN_GUARDED[name](x)
 
 
+@pytest.mark.parametrize("x", [-1.0, -5e-324, np.float64(-2.0), np.array(-3.0), [1.0, -0.5]],
+                         ids=["float", "tiny", "numpy-scalar", "0-d", "array"])
+@pytest.mark.parametrize("fn", [rho_of_s, s_of_rho, bs_green_of_s], ids=lambda f: f.__name__)
+def test_bs_maps_reject_negative_input(fn, x):
+    # G(-1) used to come out as -1.458, and G(NaN) as NaN
+    with pytest.raises(DomainError, match=">= 0"):
+        fn(x)
+
+
 @pytest.mark.parametrize("met", [EUCLIDEAN, HYPERBOLIC, BS_S4, BS_CP2],
                          ids=lambda m: m.id)
 def test_h2_float_path_domain(met):
@@ -312,9 +323,55 @@ def test_h2_float_path_domain(met):
             met.h2(bad)
 
 
+# each switch of the BS maps (rho_of_s at 0.2, 1 and _S_FAR, s_of_rho at 1.5
+# and _RHO_FAR, G at 1) with its neighbouring floats, and the values there
+# recorded from the code that gave floats and arrays separate paths
+_EDGES = sorted({p for b in (0.0, 0.2, 1.0, 1.5, metric._S_FAR, metric._RHO_FAR)
+                 for p in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))
+                 if p >= 0})
+_EDGE_VALUES = {
+    "rho_of_s": [
+        0.0, 5e-324, 0.19934312431793252, 0.19934312431793255, 0.19934312431793258,
+        0.9374897507469362, 0.9374897507469363, 0.9374897507469364, 1.333092794855296,
+        1.3330927948552964, 1.3330927948552964, 282841.5143259121, 282841.5143259121,
+        282841.51432591217, 19999999998.801857, 19999999998.80186, 19999999998.80186],
+    "s_of_rho": [
+        0.0, 5e-324, 0.2006633693230276, 0.20066336932302764, 0.20066336932302767,
+        1.075036756035487, 1.0750367560354868, 1.0750367560354872, 1.7299802644622404,
+        1.7299802644622415, 1.7299802644622417, 9.999999999999997e+19, 1e+20,
+        1.0000000000000003e+20, 2.4999999999999992e+39, 2.5e+39, 2.5000000000000007e+39],
+    "bs_green_of_s": [
+        math.inf, math.inf, 1.9186293605786777, 1.9186293605786773, 1.9186293605786768,
+        0.14681322297356514, 0.14681322297356492, 0.1468132229735649, 0.06190981055532568,
+        0.06190981055532568, 0.06190981055532564, 3.5355339064622465e-27,
+        3.535533906462245e-27, 3.535533906462244e-27, 2.000000000000001e-51, 2e-51,
+        1.9999999999999994e-51],
+    # BS_S4.h2 and green_tail, from r = 5e-324 on
+    "h2": [
+        0.0, 0.041068454360134926, 0.04106845436013493, 0.04106845436013495,
+        1.6968411706989557, 1.6968411706989548, 1.6968411706989563, 5.980297658465792,
+        5.980297658465804, 5.9802976584658065, 9.99999999999999e+59, 1e+60,
+        1.000000000000001e+60, 1.5624999999999984e+118, 1.5625e+118, 1.5625000000000013e+118],
+    "green_tail": [
+        math.inf, 1.910604994382295, 1.9106049943822945, 1.910604994382294,
+        0.12662096780500087, 0.12662096780500093, 0.12662096780500082, 0.04489755890416298,
+        0.044897558904162915, 0.0448975589041629, 2.0000000000000018e-51, 2e-51,
+        1.9999999999999982e-51, 6.400000000000005e-100, 6.399999999999999e-100,
+        6.399999999999995e-100],
+}
+
+
 def test_bs_float_path_bit_identical():
+    maps = {"rho_of_s": rho_of_s, "s_of_rho": s_of_rho, "bs_green_of_s": bs_green_of_s,
+            "h2": BS_S4.h2, "green_tail": BS_S4.green_tail}
+    for name, fn in maps.items():
+        xs = np.array(_EDGES[len(_EDGES) - len(_EDGE_VALUES[name]):])
+        want = _EDGE_VALUES[name]
+        assert [fn(float(x)) for x in xs] == want, name
+        assert [fn(np.asarray(x)) for x in xs] == want, name
+        assert fn(xs).tolist() == want, name
+        assert fn(xs[::-1]).tolist() == want[::-1], name
     xs = np.concatenate([[0.0, 0.5, 1.0, 3.0], np.geomspace(1e-8, 1e8, 2001)])
-    # rho_of_s takes arrays shorter than _SMALL one float at a time
     assert np.array_equal(np.concatenate([rho_of_s(c) for c in np.array_split(xs, 60)]),
                           rho_of_s(xs))
     assert np.array_equal(rho_of_s(xs[:40].reshape(4, 10)), rho_of_s(xs)[:40].reshape(4, 10))

@@ -603,7 +603,7 @@ def _generated_step(f, met, sigma, n, n_err, dense):
     (x, h, y, f(x, y), rtol, atol) -> (y_new, f_new, err, F), with F the
     interpolant rows if `dense`, else None."""
     c = met.chart
-    step, rows = ode._stepper(n, n_err, dense)
+    step, rows = ode._stepper(n, n_err)
 
     def run(x, h, y, fx, rtol, atol):
         y_new, f_new, err, stages = step(f, c.dr_dx, c.h2_of_x, sigma, x, h, y,
