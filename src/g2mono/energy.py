@@ -144,6 +144,8 @@ def intermediate_energy(profile, metric: MetricProfile) -> EnergyReport:
     and `quad_tol` is the largest difference there between the partial
     sums and cumulative Simpson over all samples, at least 1e-9.
     A profile with a `metric_id` (a solved one) must be on `metric`.
+    The flat profile (mass 0, a = 1 and phi = 0 on every sample) has
+    E_I = 0 exactly; any other profile is integrated, whatever its mass.
     """
     if getattr(profile, "metric_id", metric.id) != metric.id:
         raise ValueError(f"profile solved on {profile.metric_id!r}, not {metric.id!r}")
@@ -154,7 +156,7 @@ def intermediate_energy(profile, metric: MetricProfile) -> EnergyReport:
         profile.r, profile.a, profile.phi, getattr(profile, "h2", None),
         getattr(profile, "w", None))
     knots = w == 0
-    if profile.mass == 0.0:                 # the flat profile
+    if profile.mass == 0.0 and (a == 1.0).all() and (phi == 0.0).all():   # flat
         z = np.zeros(np.count_nonzero(knots))
         return EnergyReport(metric_id=metric.id, mass=0.0, value=0.0,
                             boundary_limit=0.0, identity_residual=0.0,

@@ -80,26 +80,31 @@ _FIT_RADII = (20.0, 100.0, 60)       # geomspace(r_lo, r_hi, n) of the fit
 
 
 def asymptotic_fit(d: DiracMonopole) -> AsymptoticFit:
-    """Fit |phi_D + mass| = amp * (r + offset)^p at the _FIT_RADII.
+    """|phi_D + mass| = |charge| G = amp * (r + offset)^p, read off at the
+    _FIT_RADII from G' = -1/(2 h^2).
 
-    The tail is a power of a shifted radius (on the BS backgrounds the
-    geodesic radius differs from the cone coordinate by a constant), so
-    the model is fitted by nonlinear least squares in log form, with a
-    small 1/x^2 curvature term absorbing the next correction.
+    For G = A (r + c)^p that identity makes q(r) = -2 h^2 G equal to
+    (r + c)/p, a line in r: p and c come from one linear least-squares
+    fit of q, and amp = |charge| A from the mean of log G - p log(r + c).
+    The fit reads G itself, so it does not depend on the mass.  A window
+    where q is not a line of negative slope (an exponential tail, as on
+    hyperbolic, has q constant) raises DomainError.
     """
     if d.charge == 0:
         raise DomainError("asymptotic fit needs charge != 0")
-    from scipy.optimize import curve_fit     # the package's only scipy use
     rs = np.geomspace(*_FIT_RADII)
-    y = np.log(np.abs(np.asarray(d.phi(rs), dtype=float) + d.mass))
-
-    def model(r, loga, p, off, q):
-        x = r + off
-        return loga + p * np.log(x) + q / x ** 2
-
-    popt, _ = curve_fit(model, rs, y, p0=[y[0] + 5.0 * np.log(rs[0]),
-                                          -5.0, 0.0, 0.0])
-    loga, p, off, _q = (float(t) for t in popt)
-    resid = np.abs(np.exp(model(rs, *popt) - y) - 1.0)
-    return AsymptoticFit(exponent=p, amplitude=float(np.exp(loga)),
-                         offset=off, max_rel_residual=float(resid.max()))
+    G = d.metric.green_tail(rs)
+    slope, icept = np.polyfit(rs, -2.0 * d.metric.h2(rs) * G, 1)
+    with np.errstate(all="ignore"):
+        p, off = 1.0 / slope, icept / slope
+        log_x = np.log(rs + off)
+        log_a = np.mean(np.log(G) - p * log_x)
+        resid = np.max(np.abs(np.exp(log_a + p * log_x) / G - 1.0))
+        amp = abs(d.charge) * np.exp(log_a)
+    if not (slope < 0 and np.isfinite([p, amp, off, resid]).all()):
+        raise DomainError(
+            f"the Green's function of {d.metric.id!r} is not a power law on r in "
+            f"[{_FIT_RADII[0]:g}, {_FIT_RADII[1]:g}]: the fit gives exponent "
+            f"{p:.3g}, amplitude {amp:.3g}")
+    return AsymptoticFit(exponent=float(p), amplitude=float(amp), offset=float(off),
+                         max_rel_residual=float(resid))

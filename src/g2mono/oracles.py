@@ -244,25 +244,13 @@ def bs_instanton_profile(sign: int, s):
 # residuals
 # ---------------------------------------------------------------------------
 
-def residual(obj, system: str, metric: MetricProfile, radii) -> float:
+def residual(form: ClosedForm, system: str, metric: MetricProfile, radii) -> float:
     """sup over radii of |d(state)/dr - ode.rhs(system, state)| (plus:
-    sigma = -1) for a ClosedForm or a sampled profile (central
-    differences on its own evaluator in the latter case).  A NaN term
-    makes the result NaN."""
-    if isinstance(obj, ClosedForm):
-        state, derivative = obj.state, obj.derivative
-    else:
-        def state(r):
-            return ProfileState(r, obj.eval_a(r), obj.eval_phi(r))
-
-        def derivative(r):
-            h = 1e-5 * (1.0 + r)
-            return ((obj.eval_a(r + h) - obj.eval_a(r - h)) / (2 * h),
-                    (obj.eval_phi(r + h) - obj.eval_phi(r - h)) / (2 * h))
+    sigma = -1) for a ClosedForm.  A NaN term makes the result NaN."""
     terms = []
     for r in np.atleast_1d(radii):
         r = float(r)
         terms += [abs(x - y) for x, y in
-                  zip(derivative(r), rhs(system, state(r), metric))]
+                  zip(form.derivative(r), rhs(system, form.state(r), metric))]
     # np.max, unlike max(), does not drop a NaN that follows a number
     return float(np.max(terms, initial=0.0))

@@ -299,6 +299,23 @@ def test_energy_rejects_an_h2_column_of_another_metric(tmp_path, capsys):
     assert run(capsys, "energy", "--profile", out, "--metric", "bs_cp2")[0] == 0
 
 
+def test_energy_at_mass_0_integrates_a_profile_that_is_not_flat(tmp_path, capsys):
+    # --mass 0 states a wrong mass for the m = 1.7 profile: E_I stays 0.85
+    # and the identity |E_I - mass/2| fails; the flat profile is still 0
+    out, flat = str(tmp_path / "p.csv"), str(tmp_path / "flat.csv")
+    assert run(capsys, "solve", "--metric", "euclidean", "--mass", "1.7",
+               "--out", out)[0] == 0
+    assert run(capsys, "solve", "--metric", "euclidean", "--beta", "0",
+               "--out", flat)[0] == 0
+    code, stdout, _ = run(capsys, "energy", "--profile", out, "--mass", "0")
+    rep = json.loads(stdout)
+    assert code == 0 and rep["mass"] == 0.0
+    assert abs(rep["E_I"] - 0.85) <= 1e-6 and rep["identity_residual"] == rep["E_I"]
+    code, stdout, _ = run(capsys, "energy", "--profile", flat, "--mass", "0")
+    rep = json.loads(stdout)
+    assert code == 0 and rep["E_I"] == 0.0 and rep["identity_residual"] == 0.0
+
+
 def test_sweep_table_and_plot(tmp_path, capsys):
     out = str(tmp_path / "sweep.csv")
     svg = str(tmp_path / "sweep.svg")
@@ -437,8 +454,18 @@ def test_green_command(capsys):
                           "--charge", "1", "--mass", "1", "--r", "50")
     assert code == 0
     rep = json.loads(stdout)
-    assert abs(rep["fit"]["exponent"] + 5.0) <= 0.05
+    assert sorted(rep["fit"]) == ["amplitude", "exponent", "max_rel_residual", "offset"]
+    assert abs(rep["fit"]["exponent"] + 5.0) <= 1e-6
     assert abs(rep["phi_D"] + 1.0 + rep["G"]) <= 1e-12
+
+
+@pytest.mark.parametrize("mass", ["0", "1"])
+def test_green_on_an_exponential_tail_exit1(capsys, mass):
+    # hyperbolic's G decays like exp(-2r): there is no power law to fit
+    code, stdout, err = run(capsys, "green", "--metric", "hyperbolic",
+                            "--charge", "1", "--mass", mass)
+    assert code == 1 and stdout == ""
+    assert err.startswith("g2mono: error:") and "not a power law" in err
 
 
 def test_series_command(capsys):
@@ -498,14 +525,16 @@ shooting.mass_of_beta(-0.5, custom)
 custom.green_tail(np.array([0.1, 3.0, 300.0]))
 assert cli.main(["solve", "--metric", "bs_s4", "--mass", "1",
                  "--out", os.path.join(out, "p.csv")]) == 0
+assert cli.main(["green", "--metric", "bs_s4", "--charge", "1"]) == 0
 assert "numpy.polynomial" not in sys.modules
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
 
 
 def test_import_and_solves_do_not_load_scipy(tmp_path):
-    # scipy is needed only by `green --charge` fits and by the tests;
-    # numpy.polynomial by none, and the import generates no DOP853 step
+    # scipy is needed only by the tests, numpy.polynomial by none (the
+    # `green` fit's np.polyfit does not load it), and the import
+    # generates no DOP853 step
     src = str(Path(g2mono.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -1,6 +1,7 @@
 """Intermediate energy: quadrature, exact boundary identity."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,6 +36,14 @@ def test_flat_zero_energy():
     prof = profile_of_beta(0.0, metric.EUCLIDEAN)
     rep = intermediate_energy(prof, metric.EUCLIDEAN)
     assert rep.value == 0.0 and rep.identity_residual == 0.0
+
+
+def test_mass_0_alone_does_not_make_a_profile_flat():
+    # a solved m = 1.7 profile given mass 0 is integrated, and fails
+    prof = solve_monopole(metric.EUCLIDEAN, 1.7)
+    rep = intermediate_energy(replace(prof, mass=0.0), metric.EUCLIDEAN)
+    assert abs(rep.value - 0.85) <= 1e-6
+    assert rep.identity_residual == rep.value and not rep.passed
 
 
 def test_euclidean_identity():

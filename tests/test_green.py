@@ -1,5 +1,7 @@
 """Dirac monopoles: harmonicity, singular/asymptotic behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -51,11 +53,37 @@ def test_dirac_is_a_to_zero_limit():
 
 
 def test_asymptotic_fit_bs():
+    # G = (32/5)(rho + c)^-5 + O(rho^-9), c = 2 sqrt(pi) Gamma(3/4)/Gamma(1/4)
+    c = 2.0 * math.sqrt(math.pi) * math.gamma(0.75) / math.gamma(0.25)
     for met in (metric.BS_S4, metric.BS_CP2):
         for charge in (1, 2):
             fit = green.asymptotic_fit(green.dirac(met, charge, 1.0))
-            assert abs(fit.exponent + 5.0) <= 0.05
-            assert abs(fit.amplitude / charge - 32.0 / 5.0) <= 0.02 * 6.4
+            assert abs(fit.exponent + 5.0) <= 1e-6
+            assert abs(fit.offset - c) <= 1e-6
+            assert abs(fit.amplitude / charge - 32.0 / 5.0) <= 1e-6 * 6.4
+            assert fit.max_rel_residual <= 1e-9
+
+
+def test_asymptotic_fit_euclidean_is_exact():
+    for charge in (1, -3):
+        fit = green.asymptotic_fit(green.dirac(metric.EUCLIDEAN, charge, 0.5))
+        assert abs(fit.exponent + 1.0) <= 1e-12
+        assert abs(fit.amplitude - abs(charge) / 2.0) <= 1e-12
+        assert abs(fit.offset) <= 1e-12 and fit.max_rel_residual <= 1e-12
+
+
+def test_asymptotic_fit_does_not_depend_on_the_mass():
+    for met in (metric.EUCLIDEAN, metric.BS_S4):
+        fits = {repr(green.asymptotic_fit(green.dirac(met, 2, m)))
+                for m in (0.0, 1.0, 100.0)}
+        assert len(fits) == 1, fits
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_asymptotic_fit_rejects_an_exponential_tail(mass):
+    # on hyperbolic 2 h^2 G = 1/2 at the fit radii: no power law to read off
+    with pytest.raises(DomainError, match="not a power law"):
+        green.asymptotic_fit(green.dirac(metric.HYPERBOLIC, 1, mass))
 
 
 def test_loglog_slope_raw():

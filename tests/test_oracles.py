@@ -131,17 +131,12 @@ def test_residual_does_not_hide_nan():
                           (oracles.hyperbolic(np.inf), metric.HYPERBOLIC)):
             assert not np.isfinite(oracles.residual(form, "minus", met, RS))
 
-    class Sampled:                   # NaN at one radius past the first
-        def eval_a(self, r):
-            return np.nan if r > 2.5 else 1.0
-
-        def eval_phi(self, r):
-            return 0.0
-
-    assert oracles.residual(Sampled(), "minus", metric.EUCLIDEAN,
-                            [1.0, 2.0]) == 0.0
-    assert np.isnan(oracles.residual(Sampled(), "minus", metric.EUCLIDEAN,
-                                     [1.0, 3.0]))
+    # the flat state, NaN past r = 2.5: one NaN term after a finite one
+    nan_late = oracles.ClosedForm(
+        "nan_late", (), lambda r: ProfileState(r, np.nan if r > 2.5 else 1.0, 0.0),
+        lambda r: (0.0, 0.0))
+    assert oracles.residual(nan_late, "minus", metric.EUCLIDEAN, [1.0, 2.0]) == 0.0
+    assert np.isnan(oracles.residual(nan_late, "minus", metric.EUCLIDEAN, [1.0, 3.0]))
 
 
 def test_su3_u_values():
