@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -120,16 +120,6 @@ def _check_h2(path: str, r, h2, met):
     if not (np.all(h2[~pos] == 0.0)
             and np.all(np.abs(h2[pos] - ref) <= 1e-12 * np.abs(ref))):
         raise ValueError(f"{path}: column h2 is not the h^2 of metric {met.id!r}")
-
-
-@dataclass
-class SampledProfile:
-    r: np.ndarray
-    a: np.ndarray
-    phi: np.ndarray
-    h2: np.ndarray
-    w: np.ndarray
-    mass: float
 
 
 def _svg_plot(path: str, curves, title: str):
@@ -315,8 +305,8 @@ def cmd_energy(args, parser) -> int:
                              "exceeds 1e-6, so the mass cannot be read off the tail; "
                              "give --mass")
         mass = 2.0 * (G - float(phi[-1]))
-    prof = SampledProfile(r=r, a=a, phi=phi, h2=h2, w=w, mass=float(mass))
-    rep = energy.intermediate_energy(prof, met)
+    rep = energy.intermediate_energy(
+        types.SimpleNamespace(r=r, a=a, phi=phi, h2=h2, w=w, mass=float(mass)), met)
     print(json.dumps({"metric": met.id, "mass": rep.mass, "E_I": rep.value,
                       "identity_residual": rep.identity_residual,
                       "boundary_limit": rep.boundary_limit,

@@ -44,17 +44,14 @@ class EnergyReport:
                     and self.max_partial_residual <= self.quad_tol)
 
 
-def energy_density(r, a, phi, metric: MetricProfile, h2=None):
-    """(a^2-1)^2/(2h^2) + 4 a^2 phi^2, with the removable zero at r=0.
-    h^2 is `metric.h2(r)`, or read from `h2`, its values on r."""
-    r = np.asarray(r, dtype=float)
-    a = np.asarray(a, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+def energy_density(r, a, phi, h2):
+    """(a^2-1)^2/(2h^2) + 4 a^2 phi^2 on samples r with h^2 = `h2` there,
+    with the removable zero at r=0."""
+    r, a, phi, h2 = (np.asarray(x, dtype=float) for x in (r, a, phi, h2))
     out = np.empty_like(r)
     pos = r > 0
-    h2 = (np.asarray(metric.h2(r[pos]), dtype=float) if h2 is None
-          else np.asarray(h2, dtype=float)[pos])
-    out[pos] = (a[pos] ** 2 - 1.0) ** 2 / (2.0 * h2) + 4.0 * a[pos] ** 2 * phi[pos] ** 2
+    out[pos] = ((a[pos] ** 2 - 1.0) ** 2 / (2.0 * h2[pos])
+                + 4.0 * a[pos] ** 2 * phi[pos] ** 2)
     out[~pos] = 0.0
     return out
 
@@ -162,7 +159,7 @@ def intermediate_energy(profile, metric: MetricProfile) -> EnergyReport:
                             boundary_limit=0.0, identity_residual=0.0,
                             quad_tol=0.0, r=r[knots], partial=z, boundary=z)
 
-    dens = energy_density(r, a, phi, metric, h2=h2)
+    dens = energy_density(r, a, phi, h2)
     partial = np.cumsum(w * dens)[knots]
     est = float(np.max(np.abs(cumulative_simpson(dens, r)[knots] - partial)))
 

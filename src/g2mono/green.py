@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import MetricProfile, DomainError, NonparabolicRequired
+from .metric import MetricProfile, DomainError, NonparabolicRequired, _float_or_array
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,9 @@ class DiracMonopole:
     mass: float
 
     def phi(self, r):
+        r = _float_or_array(r, lambda x: x > 0, "phi_D requires r > 0")
         if self.charge == 0:
-            r = np.asarray(r, dtype=float)
-            out = np.full_like(r, -self.mass)
-            return float(out) if out.ndim == 0 else out
+            return -self.mass if isinstance(r, float) else np.full_like(r, -self.mass)
         return -self.mass - self.charge * self.metric.green_tail(r)
 
 
@@ -46,6 +45,7 @@ def dirac(metric: MetricProfile, charge: int, mass: float) -> DiracMonopole:
 
 def harmonicity_check(d: DiracMonopole, radii) -> float:
     """sup |d/dr (2 h^2 phi_D')| by nested central differences."""
+    radii = _float_or_array(radii, lambda x: x > 0, "radii must be > 0")
     if d.charge == 0:
         return 0.0
 
@@ -60,9 +60,7 @@ def harmonicity_check(d: DiracMonopole, radii) -> float:
         return 2.0 * d.metric.h2(x) * dphi
 
     worst = 0.0
-    for r in np.atleast_1d(np.asarray(radii, dtype=float)):
-        if r <= 0:
-            raise DomainError("radii must be > 0")
+    for r in np.atleast_1d(radii):
         H = 0.05 * r
         worst = max(worst, abs((flux(r + H) - flux(r - H)) / (2.0 * H)))
     return worst

@@ -271,7 +271,7 @@ def _bs_series_coeffs(order: int) -> list[Fraction]:
 
     rho(s) is expanded and reverted, then composed into s^2 sqrt(1+s^2).
     """
-    n = order + 4
+    n = order + 1           # the lowest order that fills phi_0 .. phi_order
     # integrand (1+t^2)^(-1/4) as series in t
     one_plus_t2 = FormalSeries([1, 0, 1], n)
     integrand = one_plus_t2.pow(Fraction(-1, 4))
@@ -330,8 +330,7 @@ class MetricProfile:
                      dr_dx=lambda x: 1.0, h2_of_x=self.h2)
 
     def h(self, r):
-        out = np.sqrt(self.h2(r))
-        return float(out) if out.ndim == 0 else out
+        return _sqrt(self.h2(r))
 
     def h2(self, r):
         if isinstance(r, float):            # the right-hand side's hot path

@@ -39,7 +39,7 @@ import numpy as np
 from . import _dop853_tableau as _tab
 from .energy import cumulative_trapezoid
 # s_of_rho is not called here, but perfbench/tracer.py wraps ode.s_of_rho
-from .metric import MetricProfile, DomainError, S_CHART, bs_f, s_of_rho
+from .metric import MetricProfile, DomainError, S_CHART, _float_or_array, bs_f, s_of_rho
 
 V_BLOWUP = 50.0
 PHI_R_BLOWUP = 1.0e6
@@ -182,7 +182,6 @@ _ERROR_EXPONENT = -1.0 / 8.0         # -1 / (error estimator order + 1)
 # (state length, error-controlled length) -> (step, rows): the
 # straight-line code of one step, generated from the tableau on first use
 # (for 2 to 5 components a loop over them costs more than the arithmetic).
-# Two threads may both build an entry; either copy serves.
 _STEPPERS = {}
 
 
@@ -304,6 +303,11 @@ def _dop853(f, dr_dx, h2_of_x, sigma, x, y, x_end, rtol, atol, n_err, dense):
         yield x, y, nfev, F
 
 
+def _between(a, b):
+    lo, hi = min(a, b), max(a, b)
+    return lambda t: (lo <= t) & (t <= hi)
+
+
 def _interpolate(xs, F, y, x):
     """State rows at chart points x, from the states y (rows) on the grid
     xs and the interpolant rows F of each step.  A point at a step end
@@ -340,18 +344,26 @@ class IntegrationResult:
         # a copy: the identity chart returns its argument
         return self.metric.chart.r_of_x(self.x.copy())
 
-    def eval_x(self, x):
-        """State rows at chart points x from the step interpolants."""
+    def _rows(self, x):
         if self._F is None:
             raise ValueError(
                 f"this {self.system}-system result was built without dense output")
-        return _interpolate(self.x, self._F, self.y,
-                            np.atleast_1d(np.asarray(x, dtype=float)))
+        rows = _interpolate(self.x, self._F, self.y, np.ravel(x))
+        return rows.reshape(len(rows), *np.shape(x))
+
+    def eval_x(self, x):
+        """State rows at chart points x on the grid, from the step
+        interpolants: each row a float for a float x, else an array of
+        x's shape.  DomainError off the grid."""
+        return self._rows(_float_or_array(x, _between(self.x[0], self.x[-1]),
+                                          "x lies outside the integrated range"))
 
     def eval(self, r):
-        """State rows at radii r from the step interpolants."""
-        return self.eval_x(self.metric.chart.x_of_r(
-            np.atleast_1d(np.asarray(r, dtype=float))))
+        """`eval_x` at x(r), for r from r(x[0]) to r_end.  r is checked,
+        not x(r): x(r_end) may round past the grid's last point."""
+        r = _float_or_array(r, _between(self.metric.chart.r_of_x(self.x[0]), self.r_end),
+                            "r lies outside the integrated range")
+        return self._rows(self.metric.chart.x_of_r(r))
 
     # minus-system conveniences -------------------------------------
 
@@ -396,7 +408,7 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     G would pass.  If the far bound comes first, `tail` is None.
 
     `dense` builds the interpolant behind `eval`/`eval_a_phi`; without
-    it those raise ValueError.
+    it those raise ValueError, and off the integrated range DomainError.
 
     `variation=(dv0, dw0)` (minus system only) appends the forward
     variational rows  dv' = dw,  dw' = 2 e^v dv / h^2  to the state, so

@@ -25,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .metric import MetricProfile, DomainError, bs_f, bs_f2, s_of_rho
+from .metric import (MetricProfile, DomainError, _float_or_array, _sqrt, bs_f,
+                     bs_f2, s_of_rho)
 from .ode import ProfileState, SU3State, rhs
 
 # series of x/sinh(x) and of coth(x) - 1/x.  The values sum their first
@@ -205,21 +206,14 @@ def su3_instanton(c: float, branch: int = 1) -> ClosedForm:
 # u_c and the BS instanton profile
 # ---------------------------------------------------------------------------
 
-def _fiber_coordinate(s):
-    s = np.asarray(s, dtype=float)
-    if not np.all((s >= 0) & (s < np.inf)):
-        raise DomainError("s must be finite and >= 0")
-    return s
-
-
 def su3_u(c: float, s):
     """u_c(s) = 1 - 2 c s^2 / (s^2 (1+c) + 2 (sqrt(1+s^2) + 1))."""
-    s = _fiber_coordinate(s)
-    den = s * s * (1.0 + c) + 2.0 * (np.sqrt(1.0 + s * s) + 1.0)
+    s = _float_or_array(s, lambda t: (t >= 0) & (t < math.inf),
+                        "s must be finite and >= 0")
+    den = s * s * (1.0 + c) + 2.0 * (_sqrt(1.0 + s * s) + 1.0)
     if np.any(den <= 0):
         raise DomainError("u_c denominator must be positive")
-    out = 1.0 - 2.0 * c * s * s / den
-    return float(out) if out.ndim == 0 else out
+    return 1.0 - 2.0 * c * s * s / den
 
 
 def _su3_u_prime(c: float, s: float) -> float:
@@ -236,7 +230,8 @@ def bs_instanton_profile(sign: int, s):
     connection coefficient a_conn = f^2(s)."""
     if sign not in (-1, 1):
         raise DomainError("sign must be +1 or -1")
-    s = _fiber_coordinate(s)
+    s = _float_or_array(s, lambda t: (t >= 0) & (t < math.inf),
+                        "s must be finite and >= 0")
     return {"b": sign * np.ones_like(s), "a_conn": bs_f2(s)}
 
 

@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from . import ode
-from .metric import _GL_NODES, _GL_WEIGHTS, DomainError, MetricProfile
+from .metric import _GL_NODES, _GL_WEIGHTS, MetricProfile, _float_or_array
 from .series import SeriesSolution, v_series, initial_data
 
 _R_FAR = 1e5                         # no shot integrates past this radius
@@ -88,11 +88,12 @@ class MonopoleProfile:
         return (self.R_end, self.a_end, 2.0 * self.a_end ** 2 * self.G_end)
 
     def fields(self, r):
-        """(a, phi) on an array of radii, piecewise: series head below
-        delta, dense integrator output up to R_end, analytic tail past it."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        if not np.all(r >= 0):              # NaN would fall in no piece
-            raise DomainError("profile radii must be >= 0 and not NaN")
+        """(a, phi) at radii r, each a float for a float r, else an array:
+        series head below delta, dense integrator output up to R_end,
+        analytic tail past it."""
+        r = _float_or_array(r, lambda x: x >= 0, "profile radii must be >= 0 and not NaN")
+        if isinstance(r, float):
+            return tuple(float(x[0]) for x in self.fields(np.array([r])))
         if self.result is None:
             return np.ones_like(r), np.zeros_like(r)
         a = np.empty_like(r)
@@ -117,12 +118,10 @@ class MonopoleProfile:
         return a, phi
 
     def eval_a(self, r):
-        a, _ = self.fields(r)
-        return a if np.ndim(r) else float(a[0])
+        return self.fields(r)[0]
 
     def eval_phi(self, r):
-        _, phi = self.fields(r)
-        return phi if np.ndim(r) else float(phi[0])
+        return self.fields(r)[1]
 
 
 def _series_for(beta, metric: MetricProfile) -> SeriesSolution:
@@ -189,7 +188,9 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9,
     Newton step is taken only if the slope is negative, the step stays
     inside the bracket, is at most _X_STEP long and at most half the
     step before last; otherwise the bracket is bisected, or expanded by
-    _X_STEP while one side is open.
+    _X_STEP while one side is open.  A shot that has not decayed by _R_FAR
+    counts as m < mass; a Newton step to or below such a shot means that
+    the mass is too small to decay by _R_FAR: OutOfRangeError.
 
     The new iterate is checked by one plain shot once its residual is
     predicted to be at most tol/10: by the linear change |dm dbeta|, or,
@@ -210,6 +211,7 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9,
         x = math.log(-beta0)
     metric = _one_series_build(metric)
     lo, hi = -math.inf, math.inf            # x with m < mass, m > mass
+    lo_exhausted = False                    # lo's shot did not decay by _R_FAR
     dx_prev = dx_last = math.inf            # the last two steps in x
     e_prev = 0.0                            # residual a Newton step came from; 0: none
     for _ in range(_MAX_SHOTS):
@@ -218,15 +220,21 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9,
         if x > _X_MAX:
             raise OutOfRangeError("no bracket found with beta >= -1e6")
         beta = -math.exp(x)
-        m, dm = _mass_slope(beta, metric, tol)
+        try:
+            m, dm = _mass_slope(beta, metric, tol)
+        except OutOfRangeError:             # not decayed by _R_FAR: m < mass
+            m = dm = 0.0
         e = abs(m - mass)
         if m < mass:
-            lo = x
+            lo, lo_exhausted = x, m == 0.0
         else:
             hi = x
         step = math.nan
         if dm < 0 and m > 0:
             step = (math.log(mass) - math.log(m)) * m / (dm * beta)
+            if lo_exhausted and x + step <= lo:
+                raise OutOfRangeError(f"integration range exhausted: mass {mass:g} "
+                                      f"does not decay by r = {_R_FAR:g}")
         if lo < x + step < hi and abs(step) <= min(_X_STEP, 0.5 * dx_prev):
             x_new = x + step
             beta_new = -math.exp(x_new)

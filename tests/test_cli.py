@@ -73,7 +73,7 @@ def test_solve_beta_accepts_fraction(tmp_path, capsys):
                               "--out", out)
         assert code == 0
         assert json.loads(stdout)["beta"] == -1.0 / 3.0
-        outs.append(open(out).read())
+        outs.append(Path(out).read_text())
     assert outs[0] == outs[1]
 
 
@@ -332,7 +332,7 @@ def test_sweep_table_and_plot(tmp_path, capsys):
         assert abs(b + m * m / 3.0) <= 1e-6     # BPS relation
     assert all(b2 < b1 for b1, b2 in zip(betas, betas[1:]))
     assert os.path.exists(svg)
-    assert open(svg).read().startswith("<svg")
+    assert Path(svg).read_text().startswith("<svg")
     with open(str(tmp_path / "sweep.json")) as fh:
         side = json.load(fh)
     assert side["threads"] == 1
@@ -492,7 +492,7 @@ def test_deterministic_outputs(tmp_path, capsys):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     run(capsys, "solve", "--metric", "hyperbolic", "--mass", "1", "--out", a)
     run(capsys, "solve", "--metric", "hyperbolic", "--mass", "1", "--out", b)
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_version_matches_pyproject():

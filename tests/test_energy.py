@@ -74,10 +74,10 @@ def test_boundary_term_converges_to_half_mass():
 
 def test_density_nonnegative_and_zero_at_origin():
     prof = solve_monopole(metric.BS_S4, 1.0)
-    dens = energy_density(prof.r, prof.a, prof.phi, metric.BS_S4)
+    dens = energy_density(prof.r, prof.a, prof.phi, prof.h2)
     assert np.all(dens >= 0.0)
     assert energy_density(np.array([0.0]), np.array([1.0]),
-                          np.array([0.0]), metric.BS_S4)[0] == 0.0
+                          np.array([0.0]), np.array([0.0]))[0] == 0.0
 
 
 def test_linearity_in_mass():
@@ -108,7 +108,7 @@ def test_instanton_branch_zero_energy():
     # a = 1, phi = 0 has vanishing reduced energy density everywhere
     rs = np.geomspace(0.01, 30.0, 100)
     dens = energy_density(rs, np.ones_like(rs), np.zeros_like(rs),
-                          metric.BS_S4)
+                          metric.BS_S4.h2(rs))
     assert np.max(np.abs(dens)) == 0.0
 
 

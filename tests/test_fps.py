@@ -125,6 +125,12 @@ def test_bs_series_unchanged_by_integer_pow(monkeypatch):
     assert [metric._bs_series_coeffs(n) for n in range(21)] == fast
 
 
+def test_bs_series_is_built_as_deep_as_it_returns():
+    # order n + 1 fills phi_0 .. phi_n; a deeper build changes none of them
+    for n in range(25):
+        assert metric._bs_series_coeffs(n) == metric._bs_series_coeffs(n + 8)[:n + 1]
+
+
 def test_pow_sqrt():
     # (1+x)^(1/2) * (1+x)^(1/2) == 1 + x
     f = FormalSeries([1, 1], 8)

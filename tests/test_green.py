@@ -120,7 +120,13 @@ def test_parabolic_rejected(tmp_path):
     (lambda: green.dirac(metric.EUCLIDEAN, 1.5, 1.0), "charge must be an integer"),
     (lambda: green.harmonicity_check(green.dirac(metric.EUCLIDEAN, 1, 0.0),
                                      [1.0, 0.0]), "radii must be > 0"),
-], ids=["dirac-charge", "harmonicity-radius"])
+    # at charge 0 too, where the check is 0 at every radius
+    (lambda: green.harmonicity_check(green.dirac(metric.EUCLIDEAN, 0, 1.0),
+                                     [1.0, 0.0]), "radii must be > 0"),
+    (lambda: green.harmonicity_check(green.dirac(metric.BS_S4, 0, 1.0),
+                                     math.nan), "radii must be > 0"),
+], ids=["dirac-charge", "harmonicity-radius", "harmonicity-charge-0-radius",
+        "harmonicity-charge-0-nan"])
 def test_green_input_checks(call, match):
     with pytest.raises(DomainError, match=match):
         call()

@@ -155,7 +155,8 @@ def test_plus_sign_symmetry():
                       5.0, tol=1e-11, sigma=-1)
     res_p = integrate("plus", ProfileState(r0, a0, -p0), metric.EUCLIDEAN,
                       5.0, tol=1e-11, sigma=1)
-    rs = np.linspace(1.0, 5.0, 50)
+    assert res_m.r_end == res_p.r_end           # both blow up before 5
+    rs = np.linspace(1.0, res_m.r_end, 50)
     am, pm = res_m.eval(rs)
     ap, pp = res_p.eval(rs)
     assert np.max(np.abs(am - ap)) <= 1e-8
@@ -386,7 +387,7 @@ def test_envelope_linear_matches_solve_ivp(met, m):
         J = c.dr_dx(x)
         return [J * y[1], J * 2.0 * y[0] / c.h2_of_x(x)]
 
-    v0, w0 = prof.result.eval(rep.r[0])[:2, 0]
+    v0, w0 = prof.result.eval(rep.r[0])[:2]
     x_span = (float(c.x_of_r(rep.r[0])), float(c.x_of_r(rep.r[-1])))
     sol = solve_ivp(lin, x_span, [v0, w0], method="DOP853",
                     dense_output=True, rtol=1e-10, atol=1e-12)
@@ -499,6 +500,27 @@ def test_non_dense_plain_integration_refuses_eval():
     assert res.classification == "bounded" and res.r_end == 2.0
     with pytest.raises(ValueError, match="built without dense output"):
         res.eval(1.5)
+
+
+@pytest.mark.parametrize("met", [metric.EUCLIDEAN, metric.HYPERBOLIC, metric.BS_S4,
+                                 metric.BS_CP2], ids=lambda m: m.id)
+def test_eval_does_not_extrapolate(met):
+    res = shooting.solve_monopole(met, 1.0).result
+    r0, R = float(res.r[0]), res.r_end
+    # both ends evaluate, as fields and envelope_check ask, however x(R)
+    # rounds against the grid's last point
+    assert np.allclose(res.eval([r0, R]), res.y[:, [0, -1]], rtol=1e-12, atol=0.0)
+    a, phi = res.eval_a_phi(R)
+    assert np.allclose([a, 4.0 * phi], [res.tail[1], res.y[1, -1]], rtol=1e-12, atol=0.0)
+    lo, hi = float(res.x[0]), float(res.x[-1])
+    assert np.array_equal(res.eval_x([lo, hi]), res.y[:, [0, -1]])
+    # the last step's polynomial past r_end gave a = 1e152 at 10 R on euclidean
+    for call, bad in ((res.eval, 10.0 * R), (res.eval_a_phi, 10.0 * R),
+                      (res.eval, math.nextafter(r0, 0.0)), (res.eval_a_phi, math.nan),
+                      (res.eval, [R, 2.0 * R]), (res.eval_x, math.nextafter(hi, 1e300)),
+                      (res.eval_x, [lo, 0.5 * lo]), (res.eval_x, math.nan)):
+        with pytest.raises(DomainError, match="outside the integrated range"):
+            call(bad)
 
 
 def test_tail_stop_blowup_is_a_per_step_test():

@@ -345,6 +345,31 @@ def test_beta_of_mass_out_of_range(monkeypatch):
         beta_of_mass(1.0, metric.EUCLIDEAN)
 
 
+# the exact mass maps of the flat backgrounds
+_EXACT_MASS = {"euclidean": lambda b: math.sqrt(-3.0 * b),
+               "hyperbolic": lambda b: -1.0 + math.sqrt(1.0 - 3.0 * b)}
+
+
+@pytest.mark.parametrize("met", BACKENDS, ids=lambda m: m.id)
+@pytest.mark.parametrize("m", [1e-3, 1e-2])
+def test_small_masses_solve(met, m):
+    # from beta = -m^2/3 the first shot does not decay by _R_FAR on all
+    # but euclidean; such a shot counts as the m < mass side of the bracket
+    prof = solve_monopole(met, m)
+    assert abs(prof.mass - m) <= 1e-9
+    if met.id in _EXACT_MASS:
+        assert abs(_EXACT_MASS[met.id](prof.beta) - m) <= 1e-9
+
+
+@pytest.mark.parametrize("met", BACKENDS, ids=lambda m: m.id)
+@pytest.mark.parametrize("m", [3e-5, 1e-4])
+def test_a_mass_that_does_not_decay_by_r_far_names_the_range(monkeypatch, met, m):
+    count = _count_shots(monkeypatch)
+    with pytest.raises(OutOfRangeError, match="range exhausted: mass"):
+        beta_of_mass(m, met)
+    assert count[0] <= 10
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_input_rejected_before_any_shot(monkeypatch, value):
     count = _count_shots(monkeypatch)
