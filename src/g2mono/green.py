@@ -12,11 +12,13 @@ charge != 0.  phi_D is harmonic in the reduced sense: the radial flux
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import MetricProfile, DomainError, NonparabolicRequired, _float_or_array
+from .metric import (MetricProfile, DomainError, NonparabolicRequired, _float_or_array,
+                     _require)
 
 
 @dataclass(frozen=True)
@@ -26,17 +28,16 @@ class DiracMonopole:
     mass: float
 
     def phi(self, r):
-        r = _float_or_array(r, lambda x: x > 0, "phi_D requires r > 0")
+        r = _float_or_array(r, lambda x: (x > 0) & (x < math.inf),
+                            "phi_D requires 0 < r < inf")
         if self.charge == 0:
             return -self.mass if isinstance(r, float) else np.full_like(r, -self.mass)
         return -self.mass - self.charge * self.metric.green_tail(r)
 
 
 def dirac(metric: MetricProfile, charge: int, mass: float) -> DiracMonopole:
-    if mass < 0:
-        raise DomainError("mass must be >= 0")
-    if charge != int(charge):
-        raise DomainError("charge must be an integer")
+    _require("mass", mass, lambda m: 0 <= m < math.inf, "finite and >= 0")
+    _require("charge", charge, lambda q: math.isfinite(q) and q == int(q), "an integer")
     if charge != 0 and not metric.nonparabolic:
         raise NonparabolicRequired(
             f"metric {metric.id!r} is parabolic: no charged Dirac monopole")

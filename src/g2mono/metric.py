@@ -12,11 +12,11 @@ BS_S4 under another id, sharing its functions.  Each background exposes
 * the Green's-function tail G(r) = int_r^inf dt / (2 h^2(t))  (fixed
   sign convention: G >= 0, G(inf) = 0),
 * the integration chart: the radial coordinate x(r) the ODEs are
-  integrated in, with its inverse r(x), the Jacobian dr/dx and h^2 as a
-  function of x.  Every background but the two BS profiles uses the
-  identity chart x = r; the BS profiles use the fiber coordinate s, in
-  which h^2 = s^2 sqrt(1+s^2) is explicit, so no right-hand side has to
-  invert rho(s).
+  integrated in, with its inverse r(x), the Jacobian dr/dx, and h^2 and
+  G as functions of x.  Every background but the two BS profiles uses
+  the identity chart x = r; the BS profiles use the fiber coordinate s,
+  in which h^2 = s^2 sqrt(1+s^2) and G are explicit, so no right-hand
+  side or tail test has to invert rho(s).
 
 The BS reparametrization rho(s) = int_0^s (1+t^2)^(-1/4) dt and the tail
 integral both reduce to Gauss hypergeometric functions, summed here as
@@ -81,7 +81,7 @@ _G_ZERO = 0.65551438857302995        # sqrt(pi) Gamma(5/4) / (2 Gamma(3/4))
 # rho(s) and G(s) are Gauss hypergeometric functions F(a, b; c; z).  With
 # q = 1 + s^2, w = s^2/q and u = 1/q:
 #   s <= _S_SERIES:  rho = s F(1/2, 1/4; 3/2; -s^2), the defining series
-#                    (s^2 <= 0.04, so about ten terms),
+#                    (s^2 <= 0.04: _RHO_TERMS terms),
 #   s <= 1:          rho = s q^(-1/4) F(1/4, 1; 3/2; w),
 #                    G = F(1, 3/4; 1/2; w) / (2 s q^(3/4)) - _G_ZERO,
 #   s > 1:           rho = 2 s q^(-1/4) F(1/4, 1; 3/4; u) - _RHO_OFFSET,
@@ -91,8 +91,8 @@ _G_ZERO = 0.65551438857302995        # sqrt(pi) Gamma(5/4) / (2 Gamma(3/4))
 # operations on either, so the two agree to the bit; fractional powers are
 # built from sqrt, which is correctly rounded in math and numpy alike.
 _S_SERIES = 0.2
+_RHO_TERMS = 12
 _HYP_TERMS = 60
-_EPS = 2.0 ** -53
 # s_of_rho starts from the series head below rho = 1.5 (at 1.5 itself the
 # two starts end on different floats, and the asymptote's is the recorded one)
 _RHO_HEAD = math.nextafter(1.5, 0.0)
@@ -109,6 +109,13 @@ def _float_or_array(x, ok, message):
     if not (ok(x) if isinstance(x, float) else ok(x).all()):
         raise DomainError(message)
     return x
+
+
+def _require(name: str, value, ok, what: str):
+    """value, or DomainError(f"{name} must be {what}, not {value!r}") unless ok(value)."""
+    if not ok(value):
+        raise DomainError(f"{name} must be {what}, not {value!r}")
+    return value
 
 
 def _split(x, bound, below, above):
@@ -157,26 +164,14 @@ def _sqrt(x):
 
 
 def _rho_series(s):
-    # the terms summed first to last, each from the one before, until one
-    # is at most _EPS of the sum: the order in which the hypergeometric
-    # function of scipy.special sums them, so that s_of_rho keeps the
-    # floats of the hand-off radii that the recorded BS solves started from
+    # _RHO_TERMS terms (the rest are below half an ulp of the sum), each
+    # from the one before and summed as scipy.special's hyp2f1 sums them, so
+    # that s_of_rho keeps the hand-off radii the recorded BS solves used
     z = -s * s
     total = term = 1.0
-    k = 0.0
-    if isinstance(s, float):
-        while True:
-            term = term * ((0.5 + k) * (0.25 + k) * z / ((1.5 + k) * (k + 1.0)))
-            total += term
-            k += 1.0
-            if not abs(term / total) > _EPS:
-                return s * total
-    running = np.ones_like(s, dtype=bool)
-    while running.any():
+    for k in range(_RHO_TERMS - 1):
         term = term * ((0.5 + k) * (0.25 + k) * z / ((1.5 + k) * (k + 1.0)))
-        total = np.where(running, total + term, total)
-        running &= np.abs(term / total) > _EPS
-        k += 1.0
+        total = total + term
     return s * total
 
 
@@ -289,19 +284,21 @@ def _bs_series_coeffs(order: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class Chart:
-    """Integration coordinate x(r).  Each map takes a float or an array
-    and returns the same kind, except that the identity chart's dr_dx
-    returns 1.0, which broadcasts."""
+    """Integration coordinate x(r), and h^2 and the Green's-function tail
+    G read in it.  Each map takes a float or an array and returns the
+    same kind, except that the identity chart's dr_dx returns 1.0, which
+    broadcasts."""
 
     x_of_r: Callable
     r_of_x: Callable
     dr_dx: Callable
     h2_of_x: Callable
+    green_of_x: Callable
 
 
 # BS fiber coordinate s; s_of_rho is looked up when called
 S_CHART = Chart(x_of_r=lambda rho: s_of_rho(rho), r_of_x=rho_of_s,
-                dr_dx=bs_f, h2_of_x=bs_h2_of_s)
+                dr_dx=bs_f, h2_of_x=bs_h2_of_s, green_of_x=bs_green_of_s)
 
 
 def _identity(x):
@@ -326,18 +323,22 @@ class MetricProfile:
     def chart(self) -> Chart:
         if self._chart is not None:
             return self._chart
-        return Chart(x_of_r=_identity, r_of_x=_identity,
-                     dr_dx=lambda x: 1.0, h2_of_x=self.h2)
+        return Chart(x_of_r=_identity, r_of_x=_identity, dr_dx=lambda x: 1.0,
+                     h2_of_x=self.h2, green_of_x=self.green_tail)
 
     def h(self, r):
         return _sqrt(self.h2(r))
 
+    def _radii(self, r):
+        """r as a float or an array, checked: h^2 and G take 0 < r < inf
+        on every background, else DomainError."""
+        return _float_or_array(r, lambda x: (x > 0) & (x < math.inf),
+                               "the geodesic radius r or rho must be finite and > 0")
+
     def h2(self, r):
-        if isinstance(r, float):            # the right-hand side's hot path
-            if not r > 0:
-                raise DomainError("h2(r) requires r > 0")
+        if isinstance(r, float) and 0 < r < math.inf:   # an identity chart's hot path
             return float(self._h2(r))
-        r = _float_or_array(r, lambda x: x > 0, "h2(r) requires r > 0")
+        r = self._radii(r)
         return float(self._h2(r)) if isinstance(r, float) else self._h2(r)
 
     def series_coeffs(self, order: int) -> list[Fraction]:
@@ -350,7 +351,7 @@ class MetricProfile:
             raise NonparabolicRequired(
                 f"metric {self.id!r} has a divergent Green's-function tail"
             )
-        r = _float_or_array(r, lambda x: x > 0, "green_tail requires r > 0")
+        r = self._radii(r)
         return float(self._green(r)) if isinstance(r, float) else self._green(r)
 
 
@@ -378,15 +379,8 @@ HYPERBOLIC = MetricProfile(
 )
 
 
-def _bs_h2(rho):
-    return bs_h2_of_s(s_of_rho(rho))
-
-
-def _bs_green(rho):
-    return bs_green_of_s(s_of_rho(rho))
-
-
-BS_S4 = MetricProfile(id="bs_s4", _h2=_bs_h2, _green=_bs_green,
+BS_S4 = MetricProfile(id="bs_s4", _h2=lambda rho: bs_h2_of_s(s_of_rho(rho)),
+                      _green=lambda rho: bs_green_of_s(s_of_rho(rho)),
                       _series=_bs_series_coeffs, _chart=S_CHART)
 BS_CP2 = replace(BS_S4, id="bs_cp2")
 
@@ -517,8 +511,8 @@ def load_custom(path: str) -> MetricProfile:
         z = (1.0 - 2.0 * slope[i]) * span
         nonzero = np.where(z == 0.0, 1.0, z)
         expm1_ratio = np.where(z == 0.0, 1.0, np.expm1(nonzero) / nonzero)
-        h2_x = np.exp(2.0 * (log_h[i] + slope[i] * (log_x - log_r[i])))
-        return x * span * expm1_ratio / (2.0 * h2_x)
+        # h(x)^2 from the table's law, as h2 reads it
+        return x * span * expm1_ratio / (2.0 * np.exp(2.0 * np.interp(log_x, log_r, log_h)))
 
     def green(x):
         """G = int_x^inf dt / (2 h^2): the power-law tail past the table,

@@ -11,8 +11,9 @@ per-step stop test.  `integrate` steps these right-hand sides, and
 Derivatives are always with respect to the geodesic radius r (called
 rho on the BS backgrounds).  Internally every integration runs in the
 coordinate x of the metric's chart (`MetricProfile.chart`): x = r on
-most backgrounds, the fiber coordinate s on the BS ones, so that no
-right-hand side has to invert rho(s).  Results are reported in r.
+most backgrounds, the fiber coordinate s on the BS ones.  A system reads
+its background only through the chart, at x: h^2, dr/dx and the tail's
+G.  Results are reported in r.
 
 Every system, and the linear comparison equation of `envelope_check`,
 runs through one DOP853 controller on Python floats (complex for su3)
@@ -21,7 +22,8 @@ not imported) and scipy's controller, so its steps are those of
 `solve_ivp(method="DOP853")` up to rounding.  A step is straight-line
 code, generated from the tableau on first use for each state length:
 its stage sums are written out in the order `sum` adds them, next to
-the error norm, and a second function builds the interpolant rows.
+the error norm, and a second function, generated on the first dense
+step, builds the interpolant rows.
 Each stop (blow-up, a at A_FLOOR, and in shooting mode the tail bound
 2 a^2 G <= tol/10) is a test on the state at an accepted step.
 Interpolants are built only when the caller asks for dense output.
@@ -29,6 +31,7 @@ Interpolants are built only when the caller asks for dense output.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,7 +42,8 @@ import numpy as np
 from . import _dop853_tableau as _tab
 from .energy import cumulative_trapezoid
 # s_of_rho is not called here, but perfbench/tracer.py wraps ode.s_of_rho
-from .metric import MetricProfile, DomainError, S_CHART, _float_or_array, bs_f, s_of_rho
+from .metric import (MetricProfile, DomainError, S_CHART, _float_or_array, _require, bs_f,
+                     s_of_rho)
 
 V_BLOWUP = 50.0
 PHI_R_BLOWUP = 1.0e6
@@ -160,10 +164,11 @@ def _system(system: str, metric: MetricProfile, sigma: int) -> _System:
 def rhs(system: str, state, metric: MetricProfile, sigma: int = -1):
     """d(fields)/dr of a system at a ProfileState (minus, plus) or an
     SU3State (su3): the right-hand side that `integrate` steps, at
-    x = x(r) and dr/dx = 1."""
+    x = x(r) and dr/dx = 1.  DomainError unless 0 < r < inf."""
     spec = _system(system, metric, sigma)
-    h2, x = metric.h2(state.r), metric.chart.x_of_r(state.r)   # h2 checks r
-    return spec.to_fields(state, spec.f(x, spec.to_y(state), 1.0, h2, sigma))
+    chart = metric.chart
+    x = chart.x_of_r(metric._radii(state.r))
+    return spec.to_fields(state, spec.f(x, spec.to_y(state), 1.0, chart.h2_of_x(x), sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +184,10 @@ _E3, _E5, _D = _tab.E3, _tab.E5, _tab.D
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's controller
 _ERROR_EXPONENT = -1.0 / 8.0         # -1 / (error estimator order + 1)
 
-# (state length, error-controlled length) -> (step, rows): the
-# straight-line code of one step, generated from the tableau on first use
-# (for 2 to 5 components a loop over them costs more than the arithmetic).
-_STEPPERS = {}
+# (state length, error-controlled length) -> step, (state length,) -> rows:
+# straight-line code generated from the tableau on first use (for 2 to 5
+# components a loop over them costs more than the arithmetic).
+_STEPPERS, _ROWS = {}, {}
 
 
 def _names(prefix, n):
@@ -209,13 +214,14 @@ def _stage_lines(stages, first, n):
     return lines
 
 
-def _stepper_source(n, n_err):
+def _stage_names(n):
+    return ", ".join(f"k{s}_{i}" for s in range(_N + 1) for i in range(n))
+
+
+def _step_source(n, n_err):
     """`step(f, dr_dx, h2_of_x, sigma, x, h, y, f(x, y), rtol, atol)` ->
-    (y_new, f_new, error norm, the stage values), scipy's step and error
-    norm over the first n_err components, and
-    `rows(f, dr_dx, h2_of_x, sigma, x, h, y, y_new, stages)` -> the 7
-    interpolant rows, at three more evaluations."""
-    stages = ", ".join(f"k{s}_{i}" for s in range(_N + 1) for i in range(n))
+    (y_new, f_new, error norm, the stage values): scipy's step and error
+    norm over the first n_err components."""
     step = ["def step(f, dr_dx, h2_of_x, sigma, x, h, y, k0, rtol, atol):",
             f"{_names('y', n)}= y", f"{_names('k0_', n)}= k0",
             *_stage_lines(_STEP, 1, n)]
@@ -226,24 +232,31 @@ def _stepper_source(n, n_err):
     step += ["e5 = 0.0" + "".join(f" + q5_{i} * q5_{i}" for i in range(n_err)),
              "e3 = 0.0" + "".join(f" + q3_{i} * q3_{i}" for i in range(n_err)),
              f"err = abs(h) * e5 / _sqrt((e5 + 0.01 * e3) * {n_err}) if e5 or e3 else 0.0",
-             f"return arg, ks, err, ({stages})"]
+             f"return arg, ks, err, ({_stage_names(n)})"]
+    return "\n    ".join(step) + "\n"
+
+
+def _rows_source(n):
+    """`rows(f, dr_dx, h2_of_x, sigma, x, h, y, y_new, stages)` -> the 7
+    interpolant rows of a step, at three more evaluations."""
     # component i of each of the 7 rows
     F = [[f"d{i}", f"h * k0_{i} - d{i}", f"2.0 * d{i} - h * (k{_N}_{i} + k0_{i})",
           *(f"h * {_dot(Dj, i)}" for Dj in _D)] for i in range(n)]
     rows = ["def rows(f, dr_dx, h2_of_x, sigma, x, h, y, y_new, stages):",
             f"{_names('y', n)}= y", f"{_names('d', n)}= [b - a for a, b in zip(y, y_new)]",
-            f"{stages}, = stages", *_stage_lines(_DENSE, _N + 1, n),
+            f"{_stage_names(n)}, = stages", *_stage_lines(_DENSE, _N + 1, n),
             f"return [{', '.join('[' + ', '.join(row) + ']' for row in zip(*F))}]"]
-    return "".join("\n    ".join(fn) + "\n" for fn in (step, rows))
+    return "\n    ".join(rows) + "\n"
 
 
-def _stepper(n, n_err):
-    key = (n, n_err)
-    if key not in _STEPPERS:
+def _generated(cache, name, source, *key):
+    """The function `name` that source(*key) defines, compiled on first
+    use: "step" from _step_source, "rows" from _rows_source."""
+    if key not in cache:
         scope = {"_sqrt": math.sqrt}
-        exec(compile(_stepper_source(n, n_err), f"<DOP853 step {key}>", "exec"), scope)
-        _STEPPERS[key] = scope["step"], scope["rows"]
-    return _STEPPERS[key]
+        exec(compile(source(*key), f"<DOP853 {name} {key}>", "exec"), scope)
+        cache[key] = scope[name]
+    return cache[key]
 
 
 def _dop853(f, dr_dx, h2_of_x, sigma, x, y, x_end, rtol, atol, n_err, dense):
@@ -252,7 +265,8 @@ def _dop853(f, dr_dx, h2_of_x, sigma, x, y, x_end, rtol, atol, n_err, dense):
     with the error controlled on the first n_err components.  F is None,
     or with `dense` the step's 7 interpolant rows, at three more
     evaluations."""
-    step, rows = _stepper(len(y), n_err)
+    step = _generated(_STEPPERS, "step", _step_source, len(y), n_err)
+    rows = _generated(_ROWS, "rows", _rows_source, len(y)) if dense else None
     direction = 1.0 if x_end > x else -1.0
     fx = f(x, y, dr_dx(x), h2_of_x(x), sigma)
     # the first step: scipy's select_initial_step (Hairer et al. II.4)
@@ -417,6 +431,9 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     takes the same steps as without them.
     """
     check_tol(tol)
+    for name, value in vars(initial).items():
+        _require(f"initial {name}", value, cmath.isfinite, "finite")
+    _require("r_max", r_max, math.isfinite, "finite")
     if initial.r <= 0:
         raise DomainError("initial radius must be > 0")
     spec = _system(system, metric, sigma)
@@ -427,18 +444,16 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
         raise DomainError("minus system requires a > 0 (use a=0 via green.dirac)")
 
     chart = metric.chart
-    x_of_r, r_of_x, dr_dx, h2_of_x = (chart.x_of_r, chart.r_of_x,
-                                      chart.dr_dx, chart.h2_of_x)
-    x_span = (float(x_of_r(initial.r)), float(x_of_r(r_max)))
+    x_span = (float(chart.x_of_r(initial.r)), float(chart.x_of_r(r_max)))
     if not abs(x_span[1] - x_span[0]) > 0.0:
         raise DomainError("the integration range is empty")
     # no r on the span exceeds that at its larger end (r_max, or the
     # start of a backward run), so |phi| r can pass PHI_R_BLOWUP only
     # where |phi| > phi_far
-    phi_far = PHI_R_BLOWUP / r_of_x(max(x_span))
+    phi_far = PHI_R_BLOWUP / chart.r_of_x(max(x_span))
 
     def phi_r_blowup(phi, x):
-        return phi > phi_far and phi * r_of_x(x) > PHI_R_BLOWUP
+        return phi > phi_far and phi * chart.r_of_x(x) > PHI_R_BLOWUP
 
     rtol, atol = 0.9 * tol, 0.1 * tol
     y0, f = spec.to_y(initial), spec.f
@@ -451,22 +466,22 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     xs, ys, Fs = [x_span[0]], [y0], []
     v_test = V_TAIL
     stop = tail = None
-    for x, y, nfev, F in _dop853(f, dr_dx, h2_of_x, sigma, x_span[0], y0,
-                                 x_span[1], rtol, atol, n_err, dense):
+    for x, y, nfev, F in _dop853(f, chart.dr_dx, chart.h2_of_x, sigma, x_span[0],
+                                 y0, x_span[1], rtol, atol, n_err, dense):
         xs.append(x)
         ys.append(y)
         Fs.append(F)
         stop = spec.stop(x, y, phi_r_blowup)
         if tail_stop and stop is None and y[0] <= v_test:
-            r = r_of_x(x)
-            G = metric.green_tail(r)
+            G = chart.green_of_x(x)
             if 2.0 * math.exp(y[0]) * G <= tol / 10.0:
-                tail = (float(r), math.exp(0.5 * y[0]), G)
+                tail = (math.exp(0.5 * y[0]), G)
                 stop = "tail bound reached"
             else:
                 v_test = math.log(tol / (20.0 * G))
         if stop is not None:
             break
+    r_end = float(chart.r_of_x(xs[-1]))
     return IntegrationResult(
         system=system, metric=metric,
         classification="flat" if flat else (
@@ -474,8 +489,8 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
         stats={"nfev": nfev, "n_steps": len(xs) - 1,
                "status": 0 if stop is None else 1,
                "message": stop or "end of the range reached"},
-        y=np.array(ys).T, r_end=float(r_of_x(xs[-1])), x=np.array(xs),
-        _F=np.array(Fs) if dense else None, tail=tail,
+        y=np.array(ys).T, r_end=r_end, x=np.array(xs),
+        _F=np.array(Fs) if dense else None, tail=None if tail is None else (r_end, *tail),
     )
 
 
@@ -517,7 +532,7 @@ def envelope_check(result: IntegrationResult) -> EnvelopeReport:
     if result.classification == "blowup":
         raise ValueError("envelope_check requires a non-blowup solution")
 
-    metric, chart = result.metric, result.metric.chart
+    chart = result.metric.chart
     d = float(result.r[0])
     r_end = float(result.r_end)
     rs = np.linspace(d, r_end, _ENVELOPE_GRID)
@@ -528,7 +543,8 @@ def envelope_check(result: IntegrationResult) -> EnvelopeReport:
 
     tangent = v0 + w0 * (rs - d)
 
-    inv_h2 = 1.0 / np.asarray(metric.h2(rs), dtype=float)
+    x_rs = chart.x_of_r(rs)
+    inv_h2 = 1.0 / chart.h2_of_x(x_rs)
     J = cumulative_trapezoid(inv_h2, rs)
     II = cumulative_trapezoid(J, rs)
     lower_quad = tangent - 2.0 * II
@@ -542,8 +558,7 @@ def envelope_check(result: IntegrationResult) -> EnvelopeReport:
         xs.append(x)
         ys.append(y)
         Fs.append(F)
-    lower_lin = _interpolate(np.array(xs), np.array(Fs), np.array(ys).T,
-                             chart.x_of_r(rs))[0]
+    lower_lin = _interpolate(np.array(xs), np.array(Fs), np.array(ys).T, x_rs)[0]
 
     tol = _ENVELOPE_SLACK * (1.0 + np.abs(v))
     ok = (v >= np.maximum(lower_quad, lower_lin) - tol) & (v <= tangent + tol)

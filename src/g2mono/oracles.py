@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .metric import (MetricProfile, DomainError, _float_or_array, _sqrt, bs_f,
-                     bs_f2, s_of_rho)
+from .metric import (MetricProfile, DomainError, _float_or_array, _require, _sqrt,
+                     bs_f, bs_f2, s_of_rho)
 from .ode import ProfileState, SU3State, rhs
 
 # series of x/sinh(x) and of coth(x) - 1/x.  The values sum their first
@@ -94,9 +94,8 @@ class ClosedForm:
 
 
 def bps(C: float, D: float) -> ClosedForm:
-    if C <= 0 or D < 0:
-        raise DomainError("bps family requires C > 0, D >= 0")
-    C, D = float(C), float(D)
+    C = float(_require("C", C, lambda c: 0 < c < math.inf, "finite and > 0"))
+    D = float(_require("D", D, lambda d: 0 <= d < math.inf, "finite and >= 0"))
 
     def state(r):
         if r <= 0 and not (D == 0 and r == 0):
@@ -122,16 +121,13 @@ def bps(C: float, D: float) -> ClosedForm:
 
 
 def bps_mass(m: float) -> ClosedForm:
-    if m <= 0:
-        raise DomainError("bps_mass requires m > 0")
-    return bps(m, 0.0)
+    return bps(_require("m", m, lambda v: 0 < v < math.inf, "finite and > 0"), 0.0)
 
 
 def hyperbolic(m: float) -> ClosedForm:
     """a and phi are the quotient of the a's and the difference of the
     phi's of bps(m+1, 0) and bps(1, 0)."""
-    if m <= 0:
-        raise DomainError("hyperbolic family requires m > 0")
+    m = float(_require("m", m, lambda v: 0 < v < math.inf, "finite and > 0"))
     top, bottom = bps(m + 1.0, 0.0), bps(1.0, 0.0)
 
     def state(r):
@@ -143,11 +139,11 @@ def hyperbolic(m: float) -> ClosedForm:
         (dt, dphi_t), (db, dphi_b) = top.derivative(r), bottom.derivative(r)
         return ((dt * b - t * db) / (b * b), dphi_t - dphi_b)
 
-    return ClosedForm("hyperbolic", (float(m),), state, derivative)
+    return ClosedForm("hyperbolic", (m,), state, derivative)
 
 
 def dirac_euclidean(m: float) -> ClosedForm:
-    m = float(m)
+    m = float(_require("m", m, math.isfinite, "finite"))
 
     def state(r):
         if r <= 0:
@@ -177,9 +173,8 @@ def bs_instanton(sign: int = 1) -> ClosedForm:
 def su3_instanton(c: float, branch: int = 1) -> ClosedForm:
     if branch not in (-1, 1):
         raise DomainError("branch must be +1 or -1")
-    if c < 0 and c != -1:
-        raise DomainError("family requires c >= 0 (or the flat case c = -1)")
-    c = float(c)
+    c = float(_require("c", c, lambda v: 0 <= v < math.inf or v == -1,
+                       "finite and >= 0, or -1 (the flat case)"))
 
     def fields(r):                      # s, u_c(s), b1 = sqrt(u_c^2 - 1)
         s = s_of_rho(r)

@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from . import ode
-from .metric import _GL_NODES, _GL_WEIGHTS, MetricProfile, _float_or_array
+from .metric import _GL_NODES, _GL_WEIGHTS, MetricProfile, _float_or_array, _require
 from .series import SeriesSolution, v_series, initial_data
 
 _R_FAR = 1e5                         # no shot integrates past this radius
@@ -91,7 +91,8 @@ class MonopoleProfile:
         """(a, phi) at radii r, each a float for a float r, else an array:
         series head below delta, dense integrator output up to R_end,
         analytic tail past it."""
-        r = _float_or_array(r, lambda x: x >= 0, "profile radii must be >= 0 and not NaN")
+        r = _float_or_array(r, lambda x: (x >= 0) & (x < math.inf),
+                            "profile radii must be finite, >= 0 and not NaN")
         if isinstance(r, float):
             return tuple(float(x[0]) for x in self.fields(np.array([r])))
         if self.result is None:
@@ -135,11 +136,6 @@ def _one_series_build(metric: MetricProfile) -> MetricProfile:
     return replace(metric, _series=functools.lru_cache(metric._series))
 
 
-def _require_finite(name: str, value) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, not {value!r}")
-
-
 def _shoot(beta: float, metric: MetricProfile, tol: float,
            slope: bool = False, dense: bool = False):
     """Integrate one beta < 0 trajectory far enough for mass extraction.
@@ -170,7 +166,7 @@ def _mass_slope(beta: float, metric: MetricProfile, tol: float):
 
 
 def mass_of_beta(beta: float, metric: MetricProfile, tol: float = 1e-10) -> float:
-    _require_finite("beta", beta)
+    _require("beta", beta, math.isfinite, "finite")
     if beta > 0:
         raise NoSolutionError("no solutions exist for beta > 0")
     if beta == 0:
@@ -199,15 +195,11 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9,
     clears that history.  A failed check costs one shot and the
     iteration goes on from the checked iterate.
     """
-    _require_finite("mass", mass)
-    if mass <= 0:
-        raise ValueError("mass must be > 0")
+    _require("mass", mass, lambda m: 0 < m < math.inf, "finite and > 0")
     if beta0 is None:
         x = 2.0 * math.log(mass) - math.log(3.0)
     else:
-        _require_finite("beta0", beta0)
-        if not beta0 < 0:
-            raise ValueError(f"beta0 must be < 0, not {beta0!r}")
+        _require("beta0", beta0, lambda b: -math.inf < b < 0, "finite and < 0")
         x = math.log(-beta0)
     metric = _one_series_build(metric)
     lo, hi = -math.inf, math.inf            # x with m < mass, m > mass
@@ -281,7 +273,7 @@ def profile_of_beta(beta: float, metric: MetricProfile,
     bit, as `r_of_x` maps floats and arrays alike), and h^2 is 0 at
     r = 0, `metric.h2` on the head nodes and the chart's `h2_of_x` from
     delta on."""
-    _require_finite("beta", beta)
+    _require("beta", beta, math.isfinite, "finite")
     if beta > 0:
         raise NoSolutionError("no solutions exist for beta > 0")
     if beta == 0:
@@ -320,6 +312,7 @@ def solve_monopole(metric: MetricProfile, mass: float, tol: float = 1e-10,
     point passed on to `beta_of_mass`.  beta is rooted at tol
     max(tol, 1e-9), so below 1e-9 the mass meets the request only to
     about 1e-9, though `tol` still sets the profile's shot."""
+    ode.check_tol(tol)
     metric = _one_series_build(metric)
     beta = beta_of_mass(mass, metric, tol=max(tol, 1e-9), beta0=beta0)
     return profile_of_beta(beta, metric, tol=tol)

@@ -44,6 +44,34 @@ def test_rho_series_sums_as_scipy_does():
     assert [rho_of_s(float(s)) for s in ss] == rho_of_s(ss).tolist()
 
 
+def _rho_series_early_exit(s):
+    """s F(1/2, 1/4; 3/2; -s^2) summed term by term until a term is at
+    most 2^-53 of the sum: the oracle of metric's fixed-length sum."""
+    z, total, term, k = -s * s, 1.0, 1.0, 0.0
+    while True:
+        term = term * ((0.5 + k) * (0.25 + k) * z / ((1.5 + k) * (k + 1.0)))
+        total += term
+        k += 1.0
+        if not abs(term / total) > 2.0 ** -53:
+            return s * total
+
+
+def test_rho_series_is_the_early_exit_sum():
+    top = metric._S_SERIES
+    ss = np.concatenate([[0.0, 5e-324, math.nextafter(top, 0.0), top],
+                         np.linspace(0.0, top, 20001), np.geomspace(1e-300, top, 2001)])
+    want = [_rho_series_early_exit(s).hex() for s in ss.tolist()]
+    assert [metric._rho_series(s).hex() for s in ss.tolist()] == want
+    assert [v.hex() for v in metric._rho_series(ss).tolist()] == want
+    # at _S_SERIES the first term left out is below half an ulp of the sum
+    terms = [1.0]
+    for k in range(metric._RHO_TERMS):
+        terms.append(terms[-1] * (0.5 + k) * (0.25 + k) * -top * top
+                     / ((1.5 + k) * (k + 1.0)))
+    total = math.fsum(terms[:-1])
+    assert abs(terms[-1]) < 0.5 * math.ulp(total)
+
+
 def test_s_of_rho_roundtrip():
     ss = np.geomspace(1e-3, 1e3, 40)
     back = s_of_rho(rho_of_s(ss))
@@ -250,6 +278,7 @@ def test_chart_contract():
         xs = ch.x_of_r(rs)
         assert np.max(np.abs(ch.r_of_x(xs) / rs - 1.0)) <= 1e-13, met.id
         assert np.max(np.abs(ch.h2_of_x(xs) / met.h2(rs) - 1.0)) <= 1e-12, met.id
+        assert np.max(np.abs(ch.green_of_x(xs) / met.green_tail(rs) - 1.0)) <= 1e-12, met.id
         dx = 1e-6 * xs
         fd = (ch.r_of_x(xs + dx) - ch.r_of_x(xs - dx)) / (2.0 * dx)
         assert np.max(np.abs(ch.dr_dx(xs) / fd - 1.0)) <= 1e-8, met.id

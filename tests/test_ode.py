@@ -56,9 +56,10 @@ def test_rhs_plus_signs_and_decoupled():
 def test_rhs_domain_errors():
     with pytest.raises(DomainError):
         rhs("minus", ProfileState(0.0, 1.0, 0.0), metric.EUCLIDEAN)
-    # the radius is checked by metric.h2, on every backend
-    for met in (metric.HYPERBOLIC, metric.BS_S4):
-        for r in (0.0, -1.0, float("nan")):
+    # the radius is checked first, by the rule of h2 and green_tail:
+    # 0 < r < inf on every backend
+    for met in (metric.EUCLIDEAN, metric.HYPERBOLIC, metric.BS_S4):
+        for r in (0.0, -1.0, float("nan"), math.inf):
             with pytest.raises(DomainError):
                 rhs("minus", ProfileState(r, 1.0, 0.0), met)
             with pytest.raises(DomainError):
@@ -339,7 +340,10 @@ def test_tail_stop_takes_the_solve_ivp_steps(met):
     shot = integrate("minus", init, met, 1e5, tol=tol, tail_stop=True)
     R, a_R, G_R = shot.tail
     assert R == shot.r_end and a_R == math.exp(0.5 * shot.y[0, -1])
-    assert G_R == met.green_tail(R) and 2.0 * a_R ** 2 * G_R <= tol / 10.0
+    # G is read in the chart, at the last step's x; read off R = r(x), it
+    # carries the x -> r -> x round trip
+    assert G_R == met.chart.green_of_x(shot.x[-1]) and 2.0 * a_R ** 2 * G_R <= tol / 10.0
+    assert abs(G_R - met.green_tail(R)) <= 16.0 * math.ulp(G_R)
     sol = _solve_ivp("minus", init, met, 2.0 * R, tol)
     r = met.chart.r_of_x(sol.t)
     n = len(shot.r)
@@ -371,6 +375,30 @@ def test_integrate_never_calls_solve_ivp():
     shot = integrate("minus", _shot_initial(-0.4, metric.HYPERBOLIC),
                      metric.HYPERBOLIC, 1e5, tail_stop=True)
     assert shot.tail is not None
+
+
+def test_ode_reads_the_background_only_through_the_chart(monkeypatch):
+    # ode names neither MetricProfile.h2 nor green_tail; on bs_s4, whose
+    # chart does not route through them, a shot, its envelope and rhs run
+    # with both removed
+    path = pathlib.Path(ode.__file__)
+    attrs = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)}
+    assert not attrs & {"h2", "green_tail"}
+
+    def removed(*args):
+        raise AssertionError("read past the chart")
+
+    met = metric.BS_S4
+    init = _shot_initial(-0.4, met)
+    want = integrate("minus", init, met, 1e5, tail_stop=True)
+    want_rhs = ode.rhs("minus", init, met)
+    monkeypatch.setattr(metric.MetricProfile, "h2", removed)
+    monkeypatch.setattr(metric.MetricProfile, "green_tail", removed)
+    shot = integrate("minus", init, met, 1e5, tail_stop=True)
+    assert shot.tail == want.tail and np.array_equal(shot.y, want.y)
+    assert ode.rhs("minus", init, met) == want_rhs
+    assert ode.envelope_check(shot).passed
 
 
 @pytest.mark.parametrize("met", [metric.EUCLIDEAN, metric.HYPERBOLIC,
@@ -625,7 +653,8 @@ def _generated_step(f, met, sigma, n, n_err, dense):
     (x, h, y, f(x, y), rtol, atol) -> (y_new, f_new, err, F), with F the
     interpolant rows if `dense`, else None."""
     c = met.chart
-    step, rows = ode._stepper(n, n_err)
+    step = ode._generated(ode._STEPPERS, "step", ode._step_source, n, n_err)
+    rows = ode._generated(ode._ROWS, "rows", ode._rows_source, n) if dense else None
 
     def run(x, h, y, fx, rtol, atol):
         y_new, f_new, err, stages = step(f, c.dr_dx, c.h2_of_x, sigma, x, h, y,
@@ -633,6 +662,20 @@ def _generated_step(f, met, sigma, n, n_err, dense):
         F = rows(f, c.dr_dx, c.h2_of_x, sigma, x, h, y, y_new, stages) if dense else None
         return y_new, f_new, err, F
     return run
+
+
+def test_interpolant_rows_are_generated_on_first_dense_use(monkeypatch):
+    # a slope shot compiles only its step; rows are compiled once per
+    # state length, whatever the error-controlled length
+    monkeypatch.setattr(ode, "_STEPPERS", {})
+    monkeypatch.setattr(ode, "_ROWS", {})
+    met = metric.EUCLIDEAN
+    init = _shot_initial(-0.4, met)
+    integrate("minus", init, met, 1e5, tail_stop=True, dense=False, variation=(0.0, 1.0))
+    assert sorted(ode._STEPPERS) == [(4, 2)] and not ode._ROWS
+    integrate("minus", init, met, 5.0)
+    integrate("plus", ProfileState(1.0, 0.5, -0.1), met, 2.0)
+    assert sorted(ode._STEPPERS) == [(2, 2), (4, 2)] and sorted(ode._ROWS) == [(2,)]
 
 
 def _bits(v):

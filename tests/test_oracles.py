@@ -125,10 +125,12 @@ def test_minus_system_is_odd_in_a():
 
 def test_residual_does_not_hide_nan():
     # max(worst, nan) keeps worst: a NaN term must not read as 0.0
-    with np.errstate(invalid="ignore"):
-        for form, met in ((oracles.bps_mass(np.nan), metric.EUCLIDEAN),
-                          (oracles.bps(np.nan, 0.0), metric.EUCLIDEAN),
-                          (oracles.hyperbolic(np.inf), metric.HYPERBOLIC)):
+    nan_state = oracles.ClosedForm(
+        "nan", (), lambda r: ProfileState(r, np.nan, np.nan), lambda r: (0.0, 0.0))
+    nan_derivative = oracles.ClosedForm(
+        "nan", (), lambda r: ProfileState(r, 1.0, 0.0), lambda r: (np.nan, 0.0))
+    for form in (nan_state, nan_derivative):
+        for met in (metric.EUCLIDEAN, metric.HYPERBOLIC):
             assert not np.isfinite(oracles.residual(form, "minus", met, RS))
 
     # the flat state, NaN past r = 2.5: one NaN term after a finite one

@@ -419,10 +419,37 @@ def test_shot_is_one_integration_past_the_tail_bound(tmp_path, monkeypatch):
                     assert len(calls) == 1, (met.id, beta, tol, slope)
                     assert not calls[0]["dense"]
                     a_end = math.exp(0.5 * res.y[0, -1])
-                    G_end = met.green_tail(res.r_end)
+                    G_end = met.chart.green_of_x(res.x[-1])
                     assert (R, a_R, G_R) == (res.r_end, a_end, G_end)
+                    # G_R is read at x_end, green_tail(R) after x -> r -> x
+                    assert abs(G_R - met.green_tail(R)) <= 16.0 * math.ulp(G_R)
                     assert 2.0 * a_end ** 2 * G_end <= tol / 10.0, (met.id, beta)
                     assert m == 2.0 * (G_end - 0.25 * res.y[1, -1])
+
+
+def test_bs_shot_maps_rho_to_s_twice(monkeypatch):
+    # the two ends of the span; the tail test reads G in s, at the step
+    calls = []
+    s_of_rho = metric.s_of_rho
+
+    def counted(rho):
+        calls.append(rho)
+        return s_of_rho(rho)
+
+    monkeypatch.setattr(metric, "s_of_rho", counted)
+    for beta in (-0.02, -0.4, -3.0, -30.0):
+        for tol in (1e-9, 1e-10):
+            calls.clear()
+            shooting._shoot(beta, metric.BS_S4, tol)
+            assert len(calls) == 2, (beta, tol, calls)
+
+
+def test_solve_checks_tol_before_shooting(monkeypatch):
+    calls = _count_integrations(monkeypatch)
+    for tol in (1e-15, 1e-5, math.nan):
+        with pytest.raises(ValueError, match="tol must lie"):
+            solve_monopole(metric.BS_S4, 1.0, tol=tol)
+    assert calls == []
 
 
 def test_blowup_shot_raises_through_the_loop(monkeypatch):
