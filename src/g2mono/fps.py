@@ -2,8 +2,9 @@
 
 All operations are exact (fractions.Fraction) and truncated at a fixed
 order.  This is deliberately a small, boring toolkit: enough to expand
-metric coefficients, raise to powers and revert series,
-nothing more.
+metric coefficients, raise to powers and revert series, nothing more.
+Powers, inverses (power -1) and reversions (Lagrange inversion, power -k
+for coefficient k) run one integer recurrence, one Fraction per output.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ class FormalSeries:
         if order is not None:
             cs = cs[: order + 1]
             cs += [Fraction(0)] * (order + 1 - len(cs))
-        if not cs:
-            cs = [Fraction(0)]
-        self.coeffs = cs
+        self.coeffs = cs or [Fraction(0)]
 
     # -- basics -------------------------------------------------------
 
@@ -105,15 +104,9 @@ class FormalSeries:
         """Multiplicative inverse; requires nonzero constant term."""
         if self[0] == 0:
             raise ZeroDivisionError("series has zero constant term")
-        n = self.order
-        inv0 = 1 / self[0]
-        out = [inv0] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += self[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return FormalSeries(out)
+        A, E = common_denominator(self.coeffs)      # 1/f = (E/A_0) (f/f_0)^(-1)
+        return FormalSeries([Fraction(N * E, den * A[0])
+                             for N, den in _power_terms(A, -1, 1, self.order)])
 
     # -- calculus -----------------------------------------------------
 
@@ -138,43 +131,44 @@ class FormalSeries:
         p = _as_fraction(p)
         if self[0] != 1:
             raise ValueError("pow requires constant term 1")
-        # f = a^p with a0=1:  k f_k = sum_{j=1..k} (j p - (k - j)) a_j f_{k-j}.
-        # With a_j = A_j/D and p = P/Q, f_k = N_k / ((QD)^k k!) for the
-        # integers N_0 = 1 and
-        #   N_k = sum_j (jP - (k-j)Q) A_j N_{k-j} (QD)^(j-1) (k-1)!/(k-j)!,
-        # so only the output coefficients are normalised
-        n = self.order
-        A, D = common_denominator(self.coeffs)
-        P, Q = p.numerator, p.denominator
-        qd = Q * D
-        N = [1]
-        for k in range(1, n + 1):
-            acc = 0
-            scale = 1                       # (QD)^(j-1) (k-1)!/(k-j)!
-            for j in range(1, k + 1):
-                if A[j]:
-                    acc += (j * P - (k - j) * Q) * A[j] * N[k - j] * scale
-                scale *= qd * (k - j)
-            N.append(acc)
-        out, den = [], 1                    # den = (QD)^k k!
-        for k, Nk in enumerate(N):
-            out.append(Fraction(Nk, den))
-            den *= qd * (k + 1)
-        return FormalSeries(out)
+        A, _ = common_denominator(self.coeffs)
+        return FormalSeries([Fraction(N, den) for N, den in
+                             _power_terms(A, p.numerator, p.denominator, self.order)])
 
     def reversion(self) -> "FormalSeries":
         """Compositional inverse g with self(g(x)) = x.
 
         Requires coefficients (0, nonzero, ...).  By Lagrange inversion,
-        g_k = (1/k) [x^(k-1)] (x/self)^k: one inverse and n-1 products.
+        g_k = [x^(k-1)] w^(-k) / (k a1^k) for w = self/(a1 x) = 1 + ...
         """
         if self[0] != 0 or self[1] == 0:
             raise ValueError("reversion requires series of the form a1 x + ...")
-        n = self.order
-        x_over_f = self.shift(-1).inverse()     # order n-1
-        power = x_over_f                        # (x/self)^k, kept at order n-1
-        g = [Fraction(0), power[0]]
-        for k in range(2, n + 1):
-            power = power * x_over_f
-            g.append(power[k - 1] / k)
+        # f_j = F_j/E, so a1 = F_1/E and w_j = F_(j+1)/F_1
+        F, E = common_denominator(self.coeffs[1:])
+        g = [0]
+        for k in range(1, self.order + 1):
+            N, den = _power_terms(F, -k, 1, k - 1)[-1]
+            g.append(Fraction(N * E ** k, den * F[0] ** k * k))
         return FormalSeries(g)
+
+
+def _power_terms(A, P: int, Q: int, n: int) -> list[tuple[int, int]]:
+    """[x^k] (A(x)/A_0)^(P/Q) as integers (N_k, (Q A_0)^k k!), k = 0 .. n,
+    for integers A_j with A_0 != 0.
+
+    a^p with a_0 = 1 obeys k f_k = sum_{j=1..k} (j p - (k - j)) a_j f_{k-j};
+    at a_j = A_j/A_0 and p = P/Q that is N_0 = 1 and
+      N_k = sum_j (jP - (k-j)Q) A_j N_{k-j} (Q A_0)^(j-1) (k-1)!/(k-j)!.
+    """
+    qd = Q * A[0]
+    N, dens = [1], [1]
+    for k in range(1, n + 1):
+        acc = 0
+        scale = 1                           # (Q A_0)^(j-1) (k-1)!/(k-j)!
+        for j in range(1, k + 1):
+            if A[j]:
+                acc += (j * P - (k - j) * Q) * A[j] * N[k - j] * scale
+            scale *= qd * (k - j)
+        N.append(acc)
+        dens.append(dens[-1] * qd * k)
+    return list(zip(N, dens))

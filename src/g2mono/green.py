@@ -46,7 +46,8 @@ def dirac(metric: MetricProfile, charge: int, mass: float) -> DiracMonopole:
 
 def harmonicity_check(d: DiracMonopole, radii) -> float:
     """sup |d/dr (2 h^2 phi_D')| by nested central differences."""
-    radii = _float_or_array(radii, lambda x: x > 0, "radii must be > 0")
+    radii = _float_or_array(radii, lambda x: (x > 0) & (x < math.inf),
+                            "radii must be > 0 and < inf")
     if d.charge == 0:
         return 0.0
 

@@ -30,6 +30,7 @@ only; independent quadrature oracles live in the tests.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
 import math
@@ -476,6 +477,7 @@ def load_custom(path: str) -> MetricProfile:
         lp = np.polyfit(np.log(table_r[sel]), np.log(table_h[sel]), 1)
         tail_p, tail_c = lp[0], float(np.exp(lp[1]))
         log_r, log_h = np.log(table_r), np.log(table_h)
+        xs, ys = log_r.tolist(), log_h.tolist()
         r_series = float(table_r[0])   # series inside, table beyond
     nonparabolic = tail_p is not None and 2.0 * tail_p > 1.0
 
@@ -486,8 +488,11 @@ def load_custom(path: str) -> MetricProfile:
         if isinstance(r, float):
             if table_r is None or r <= r_series:
                 return r * r * _horner(horner, r)
-            if r <= table_r[-1]:
-                h = np.exp(np.interp(np.log(r), log_r, log_h))
+            if r <= table_r[-1]:      # np.interp's rule, without its wrapper
+                x = np.log(r)
+                j = max(bisect.bisect_right(xs, x) - 1, 0)
+                h = np.exp(ys[j] if x <= xs[j] or j == len(xs) - 1 else
+                           (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + ys[j])
             else:               # the ufunc: scalar ** can round otherwise
                 h = tail_c * np.power(r, tail_p)
             return float(h * h)

@@ -157,6 +157,20 @@ def test_reversion_matches_oracle(n, a1, data):
     assert compose(g, f) == x
 
 
+@settings(max_examples=8, deadline=None)
+@given(st.integers(13, 24), st.booleans(), sparse_rationals.filter(bool), st.data())
+def test_reversion_matches_oracle_deep(n, odd, a1, data):
+    # the Bryant-Salamon shape (odd: every even coefficient 0) and sparse
+    # series, as deep as the series heads go
+    rest = data.draw(st.lists(sparse_rationals, min_size=n - 1, max_size=n - 1))
+    if odd:
+        rest = [c if k % 2 else F(0) for k, c in enumerate(rest)]
+    f = FormalSeries([0, a1] + rest, n)
+    g = f.reversion()
+    assert g.order == n and all(type(c) is F for c in g.coeffs)
+    assert g.coeffs == reversion_oracle(f).coeffs
+
+
 def test_bs_series_matches_oracle_reversion(monkeypatch):
     fast = metric._bs_series_coeffs(12)
     monkeypatch.setattr(FormalSeries, "reversion", reversion_oracle)

@@ -130,3 +130,12 @@ def test_parabolic_rejected(tmp_path):
 def test_green_input_checks(call, match):
     with pytest.raises(DomainError, match=match):
         call()
+
+
+@pytest.mark.parametrize("charge", [0, 1])
+def test_harmonicity_check_rejects_infinite_radii(charge):
+    # one 0 < r < inf check before the charge-0 return and before G is read
+    d = green.dirac(metric.EUCLIDEAN, charge, 1.0)
+    for radii in ([1.0, math.inf], math.inf, np.array([2.0, math.inf])):
+        with pytest.raises(DomainError, match=r"^radii must be > 0 and < inf$"):
+            green.harmonicity_check(d, radii)

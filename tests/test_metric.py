@@ -439,6 +439,27 @@ def test_custom_h2_array_matches_floats(tmp_path):
     assert np.array_equal(met.h2(rs.reshape(2, -1)), out.reshape(2, -1))
 
 
+def test_custom_h2_float_is_np_interp_to_the_bit(tmp_path):
+    # a float's table lookup is bisect plus np.interp's own rule; check it
+    # against np.interp on every row, both neighbouring floats of each row
+    # and 200k draws of a jittered table
+    rng = np.random.default_rng(28)
+    rs = np.sort(np.geomspace(0.4, 300.0, 257) * rng.uniform(0.97, 1.03, 257))
+    hs = rs ** 1.4 * rng.uniform(0.9, 1.1, 257)
+    (tmp_path / "t.csv").write_text(
+        "r,h\n" + "".join(f"{r!r},{h!r}\n" for r, h in zip(rs.tolist(), hs.tolist())))
+    (tmp_path / "m.txt").write_text("type=custom\ncoeffs=1,0,1/3\ntable=t.csv\n")
+    met = load_custom(str(tmp_path / "m.txt"))
+    log_r, log_h = np.log(rs), np.log(hs)
+    points = np.concatenate([rs, np.nextafter(rs, 0.0), np.nextafter(rs, np.inf),
+                             rng.uniform(rs[0], rs[-1], 200_000)])
+    points = points[(points > rs[0]) & (points <= rs[-1])]
+    assert len(points) > 200_000
+    got = np.array([met.h2(r) for r in points.tolist()])
+    h = np.array([np.exp(np.interp(np.log(r), log_r, log_h)) for r in points.tolist()])
+    assert got.tobytes() == (h * h).tobytes()
+
+
 def test_custom_series_branch_matches_pointwise_horner(tmp_path):
     coeffs = "1,0,1/3,0,-2/45,0,1/7"
     met = load_custom(_write_custom(tmp_path, coeffs=coeffs))
