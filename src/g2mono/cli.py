@@ -62,6 +62,7 @@ def _arg(convert, ok=lambda value: True, what=""):
 
 _FINITE = _arg(float, math.isfinite, "finite")
 _POSITIVE = _arg(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_NONNEGATIVE = _arg(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _COUNT = _arg(int, lambda v: v >= 1, "at least 1")
 _ORDER = _arg(int, lambda v: v >= 2, "at least 2")      # v_series needs order >= 2
 _FRACTION = _arg(Fraction)
@@ -211,9 +212,7 @@ def cmd_sweep(args, parser) -> int:
     plotted = range(0, args.steps, max(1, args.steps // 4)) if args.plot else ()
     rows, records, prof_curves = [], [], []
     for i, m in enumerate(masses):
-        # continuation: the previous root, scaled as in flat space (beta ~ m^2)
-        beta0 = rows[-1][1] * (m / rows[-1][0]) ** 2 if rows else None
-        prof = shooting.solve_monopole(met, m, tol=args.tol, beta0=beta0)
+        prof = shooting.solve_monopole(met, m, tol=args.tol)
         rep = energy.intermediate_energy(prof, met)
         rows.append((m, prof.beta, rep.value, prof.R_end))
         records.append({"mass": m, "beta": prof.beta, **_run_record(prof, m)})
@@ -339,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="shoot one monopole profile")
     s.add_argument("--metric", required=True)
     g = s.add_mutually_exclusive_group(required=True)
-    g.add_argument("--mass", type=_FINITE)
+    g.add_argument("--mass", type=_POSITIVE)
     g.add_argument("--beta", type=_REAL)
     s.add_argument("--tol", type=_TOL, default=1e-10)
     s.add_argument("--out", required=True)
@@ -372,14 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("green", help="Dirac monopole report")
     s.add_argument("--metric", required=True)
     s.add_argument("--charge", type=int, required=True)
-    s.add_argument("--mass", type=_FINITE, default=0.0)
+    s.add_argument("--mass", type=_NONNEGATIVE, default=0.0)
     s.add_argument("--r", type=_POSITIVE, default=50.0)
     s.set_defaults(fn=cmd_green)
 
     s = sub.add_parser("energy", help="energy report for a profile CSV")
     s.add_argument("--profile", required=True)
     s.add_argument("--metric")
-    s.add_argument("--mass", type=_FINITE)
+    s.add_argument("--mass", type=_NONNEGATIVE)
     s.set_defaults(fn=cmd_energy)
 
     s = sub.add_parser("series", help="singular-point series coefficients")

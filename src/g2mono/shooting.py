@@ -21,9 +21,8 @@ m(beta) - m; a step that leaves it, or a slope that is not negative,
 falls back to bisection, or to geometric expansion while one side of
 the bracket is still open.  Newton converges quadratically here, so
 after two Newton shots in a row the next residual is predicted from
-theirs, and the plain check shot comes one slope shot earlier.  The
-start is beta = -m^2/3, or a caller's `beta0` (`sweep` passes the
-previous root, scaled to the next mass).
+theirs, and the plain check shot comes one slope shot earlier.  Newton
+starts from a model root read off the metric's Green's function.
 
 Every shot starts from the exact series head, which needs the metric's
 expansion h^2/r^2 (on the Bryant-Salamon metrics an exact reversion of
@@ -175,12 +174,19 @@ def mass_of_beta(beta: float, metric: MetricProfile, tol: float = 1e-10) -> floa
     return mass
 
 
-def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9,
-                 beta0: Optional[float] = None) -> float:
+def _start(mass: float, metric: MetricProfile) -> float:
+    """x = log(-b) for b = -(m^2 + 4 g0 m)/3 with g0 = 1/(2r) - G(r) at
+    r = 1e-8: the root on euclidean (g0 = 0) and hyperbolic (1/2), its large-m
+    limit on Bryant-Salamon.  4 g0/m >= -1/2 keeps b < 0 if g0 < 0."""
+    g0 = 0.5 / 1e-8 - metric.green_tail(1e-8)      # O(r), cancellation < 1e-8
+    return 2.0 * math.log(mass) + math.log1p(max(4.0 * g0 / mass, -0.5)) - math.log(3.0)
+
+
+def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9) -> float:
     """The beta < 0 with |m(beta) - mass| <= tol, m shot at ODE tol `tol`.
 
     Newton in x = log(-beta) on log m (a line in flat space), from
-    `beta0` if given, else from the flat-space root beta = -m^2/3.  A
+    `_start`, the model root beta = -(m^2 + 4 g0 m)/3.  A
     Newton step is taken only if the slope is negative, the step stays
     inside the bracket, is at most _X_STEP long and at most half the
     step before last; otherwise the bracket is bisected, or expanded by
@@ -196,11 +202,7 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9,
     iteration goes on from the checked iterate.
     """
     _require("mass", mass, lambda m: 0 < m < math.inf, "finite and > 0")
-    if beta0 is None:
-        x = 2.0 * math.log(mass) - math.log(3.0)
-    else:
-        _require("beta0", beta0, lambda b: -math.inf < b < 0, "finite and < 0")
-        x = math.log(-beta0)
+    x = _start(mass, metric)
     metric = _one_series_build(metric)
     lo, hi = -math.inf, math.inf            # x with m < mass, m > mass
     lo_exhausted = False                    # lo's shot did not decay by _R_FAR
@@ -306,15 +308,13 @@ def profile_of_beta(beta: float, metric: MetricProfile,
     )
 
 
-def solve_monopole(metric: MetricProfile, mass: float, tol: float = 1e-10,
-                   beta0: Optional[float] = None) -> MonopoleProfile:
-    """The profile of the given mass; `beta0` is the Newton starting
-    point passed on to `beta_of_mass`.  beta is rooted at tol
-    max(tol, 1e-9), so below 1e-9 the mass meets the request only to
-    about 1e-9, though `tol` still sets the profile's shot."""
+def solve_monopole(metric: MetricProfile, mass: float, tol: float = 1e-10) -> MonopoleProfile:
+    """The profile of the given mass: beta rooted at tol max(tol, 1e-9), the
+    profile shot at `tol`.  At the default tol |mass - m| is about 5e-11 m
+    at large m (7e-8 at m = 1500): the root's test is absolute (ROADMAP item 14)."""
     ode.check_tol(tol)
     metric = _one_series_build(metric)
-    beta = beta_of_mass(mass, metric, tol=max(tol, 1e-9), beta0=beta0)
+    beta = beta_of_mass(mass, metric, tol=max(tol, 1e-9))
     return profile_of_beta(beta, metric, tol=tol)
 
 

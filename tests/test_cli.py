@@ -144,11 +144,16 @@ _VERIFY = ["verify", "--oracle"]
     (["series", "--metric", "euclidean", "--order", "-1"], "--order"),
     (["series", "--metric", "euclidean", "--order", "0"], "--order"),
     (["series", "--metric", "euclidean", "--order", "1"], "--order"),
+    (["solve", "--metric", "euclidean", "--mass", "0", "--out", "x.csv"], "--mass"),
+    (["solve", "--metric", "euclidean", "--mass=-1", "--out", "x.csv"], "--mass"),
+    (["energy", "--profile", "x.csv", "--mass=-1"], "--mass"),
+    (["green", "--metric", "euclidean", "--charge", "1", "--mass=-1"], "--mass"),
 ], ids=["verify-mass-inf", "verify-C-nan", "verify-D-inf", "verify-c-nan",
         "verify-r-min-nan", "verify-r-max-inf", "verify-n-0", "verify-n-neg",
         "verify-n-float", "green-mass-nan", "green-r-inf", "energy-mass-nan",
         "verify-r-min-0", "verify-r-max-neg", "green-r-0", "sweep-mass-min-0",
-        "sweep-steps-0", "series-order-neg", "series-order-0", "series-order-1"])
+        "sweep-steps-0", "series-order-neg", "series-order-0", "series-order-1",
+        "solve-mass-0", "solve-mass-neg", "energy-mass-neg", "green-mass-neg"])
 def test_bad_numeric_flag_exit2(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -347,15 +352,9 @@ def test_sweep_table_and_plot(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("met", ["bs_s4", "hyperbolic"])
-def test_sweep_warm_start_matches_cold_roots(tmp_path, capsys, monkeypatch, met):
-    starts = []
-    solve = shooting.solve_monopole
-
-    def spy(metric_, mass, tol=1e-10, beta0=None):
-        starts.append(beta0)
-        return solve(metric_, mass, tol=tol, beta0=beta0)
-
-    monkeypatch.setattr(shooting, "solve_monopole", spy)
+def test_sweep_rows_are_cold_solves(tmp_path, capsys, met):
+    # every row is solve_monopole(met, m) itself, bit for bit: no row
+    # depends on the one before
     out = str(tmp_path / "sweep.csv")
     code, _, _ = run(capsys, "sweep", "--metric", met, "--mass-min", "0.8",
                      "--mass-max", "1.2", "--steps", "5", "--out", out)
@@ -363,16 +362,9 @@ def test_sweep_warm_start_matches_cold_roots(tmp_path, capsys, monkeypatch, met)
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5
-    # every mass after the first starts from the previous root, scaled as
-    # beta ~ m^2
-    masses = [float(row["mass"]) for row in rows]
-    betas = [float(row["beta"]) for row in rows]
-    assert starts == [None] + [pytest.approx(b * (m1 / m0) ** 2, rel=1e-15)
-                               for b, m0, m1 in zip(betas, masses, masses[1:])]
     for row in rows:
-        beta = float(row["beta"])
-        cold = solve(metric.get_metric(met), float(row["mass"])).beta
-        assert abs(beta - cold) <= 1e-9 * abs(cold), (row["mass"], beta, cold)
+        cold = shooting.solve_monopole(metric.get_metric(met), float(row["mass"]))
+        assert float(row["beta"]) == cold.beta, row["mass"]
 
 
 def test_sweep_empty_range_exit2(tmp_path, capsys):

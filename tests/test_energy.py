@@ -298,7 +298,9 @@ def test_solve_and_energy_match_the_recorded_values(metric_id):
     assert len(records) == 6
     for _, m, *expected, grid, res, res_grid in records:
         assert res == abs(expected[-1] - 0.5 * expected[1]) <= res_grid
-        assert res_grid == abs(grid - 0.5 * expected[1])
+        # res_grid is taken at the grid rule's own mass, which off
+        # euclidean has since moved by at most 1e-10 (see the file's note)
+        assert abs(res_grid - abs(grid - 0.5 * expected[1])) <= 0.5e-10
         prof = solve_monopole(met, m)
         got = (prof.beta, prof.mass, prof.R_end,
                intermediate_energy(prof, met).value)

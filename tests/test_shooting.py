@@ -1,5 +1,6 @@
 """Mass bijection and full profiles."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -197,8 +198,9 @@ def _count_shots(monkeypatch):
 
 
 @pytest.mark.parametrize("met,budget", [(metric.EUCLIDEAN, 3),
-                                        (metric.BS_S4, 5)],
-                         ids=["euclidean", "bs_s4"])
+                                        (metric.HYPERBOLIC, 3),
+                                        (metric.BS_S4, 4)],
+                         ids=["euclidean", "hyperbolic", "bs_s4"])
 def test_beta_of_mass_shot_budget(monkeypatch, met, budget):
     count = _count_shots(monkeypatch)
     for m in (0.25, 1.0, 4.0, 16.0):
@@ -206,18 +208,6 @@ def test_beta_of_mass_shot_budget(monkeypatch, met, budget):
         beta = beta_of_mass(m, met)
         assert count[0] <= budget, (met.id, m, count[0])
         assert abs(mass_of_beta(beta, met, 1e-9) - m) <= 1e-9
-
-
-@pytest.mark.parametrize("met", [metric.BS_S4, metric.BS_CP2], ids=lambda m: m.id)
-def test_warm_start_from_a_neighbouring_root(monkeypatch, met):
-    # the flat-space continuation a sweep uses: two slope shots and the check
-    count = _count_shots(monkeypatch)
-    for m in (0.25, 1.0, 4.0, 16.0):
-        beta0 = beta_of_mass(m, met) * 1.02 ** 2
-        count[0] = 0
-        beta = beta_of_mass(1.02 * m, met, beta0=beta0)
-        assert count[0] <= 3, (met.id, m, count[0])
-        assert abs(mass_of_beta(beta, met, 1e-9) - 1.02 * m) <= 1e-9
 
 
 def test_start_above_the_root_expands_the_bracket_down(monkeypatch):
@@ -232,7 +222,8 @@ def test_start_above_the_root_expands_the_bracket_down(monkeypatch):
         return mass_slope(beta, *args)
 
     monkeypatch.setattr(shooting, "_mass_slope", recorded)
-    beta = beta_of_mass(1.0, metric.EUCLIDEAN, beta0=-1e4)
+    monkeypatch.setattr(shooting, "_start", lambda mass, met: math.log(1e4))
+    beta = beta_of_mass(1.0, metric.EUCLIDEAN)
     assert abs(3.0 * beta + 1.0) <= 1e-10
     steps = np.diff(np.log([-b for b in slopes[:5]]))
     assert np.allclose(steps, -shooting._X_STEP, rtol=0, atol=1e-12)
@@ -297,25 +288,16 @@ def _scripted(monkeypatch, shots):
 def test_quadratic_rate_predicts_the_check(monkeypatch):
     # residuals 1e-2 then 1e-5 from two Newton shots: the second step's
     # linear change is 1e-5, but C e^2 = e^3 / e'^2 = 1e-11 <= tol/10
+    monkeypatch.setattr(shooting, "_start", lambda mass, met: 0.0)   # beta = -1
     checks = _scripted(monkeypatch, [(1.01, -0.5), (1.0 + 1e-5, -0.5)])
-    beta_of_mass(1.0, metric.EUCLIDEAN, beta0=-1.0)
+    beta_of_mass(1.0, metric.EUCLIDEAN)
     assert checks == [2]
     # a bisection in between (a positive slope) clears that history
     checks = _scripted(monkeypatch,
                        [(1.01, -0.5), (0.999, 0.5), (1.0 + 1e-5, -0.5)])
     with pytest.raises(_ScriptEnd):
-        beta_of_mass(1.0, metric.EUCLIDEAN, beta0=-1.0)
+        beta_of_mass(1.0, metric.EUCLIDEAN)
     assert checks == []
-
-
-@pytest.mark.parametrize("beta0", [math.nan, math.inf, -math.inf, 0.0, 0.5])
-def test_bad_beta0_rejected_before_any_shot(monkeypatch, beta0):
-    count = _count_shots(monkeypatch)
-    for call in (lambda: beta_of_mass(1.0, metric.BS_S4, beta0=beta0),
-                 lambda: solve_monopole(metric.BS_S4, 1.0, beta0=beta0)):
-        with pytest.raises(ValueError, match="beta0 must be"):
-            call()
-    assert count[0] == 0
 
 
 @pytest.mark.parametrize("corrupt", [lambda dm: -dm, lambda dm: 10.0 * dm],
@@ -353,12 +335,61 @@ _EXACT_MASS = {"euclidean": lambda b: math.sqrt(-3.0 * b),
 @pytest.mark.parametrize("met", BACKENDS, ids=lambda m: m.id)
 @pytest.mark.parametrize("m", [1e-3, 1e-2])
 def test_small_masses_solve(met, m):
-    # from beta = -m^2/3 the first shot does not decay by _R_FAR on all
-    # but euclidean; such a shot counts as the m < mass side of the bracket
     prof = solve_monopole(met, m)
     assert abs(prof.mass - m) <= 1e-9
     if met.id in _EXACT_MASS:
         assert abs(_EXACT_MASS[met.id](prof.beta) - m) <= 1e-9
+
+
+@pytest.mark.parametrize("met", BACKENDS, ids=lambda m: m.id)
+@pytest.mark.parametrize("m", [1e-3, 1e-2, 0.05, 1.0, 40.0, 1500.0])
+def test_roots_across_the_mass_range(met, m):
+    # the root's own contract at every scale; the exact maps allow the
+    # shot's ODE error, which grows like m tol (7.4e-8 at m = 1500)
+    beta = beta_of_mass(m, met)
+    assert abs(mass_of_beta(beta, met, 1e-9) - m) <= 1e-9
+    if met.id in _EXACT_MASS:
+        assert abs(_EXACT_MASS[met.id](beta) - m) <= 1e-9 + 1e-10 * m
+
+
+def test_start_reads_g0_off_the_green_function(monkeypatch):
+    # g0 = lim (1/(2r) - G(r)): 0 on euclidean, where the start is the
+    # flat root to the bit, 1/2 on hyperbolic, _G_ZERO on Bryant-Salamon
+    for m in (1e-3, 0.3, 1.0, 7.0, 1500.0):
+        assert shooting._start(m, metric.EUCLIDEAN) == 2.0 * math.log(m) - math.log(3.0)
+        for met, g0 in ((metric.HYPERBOLIC, 0.5), (metric.BS_S4, metric._G_ZERO)):
+            beta0 = -math.exp(shooting._start(m, met))
+            assert beta0 == pytest.approx(-(m * m + 4.0 * g0 * m) / 3.0, rel=1e-7)
+    # with g0 = -1 the model root m^2 - 4m would be > 0; 4 g0/m is held at -1/2
+    below = dataclasses.replace(metric.EUCLIDEAN, _green=lambda r: 0.5 / r + 1.0)
+    assert shooting._start(1e-2, below) == pytest.approx(math.log(1e-4 / 6.0), rel=1e-12)
+    # a parabolic one raises from the start, before any shot
+    count = _count_shots(monkeypatch)
+    parabolic = dataclasses.replace(metric.EUCLIDEAN, _green=None)
+    with pytest.raises(metric.NonparabolicRequired):
+        beta_of_mass(1.0, parabolic)
+    assert count[0] == 0
+
+
+def test_a_start_that_does_not_decay_counts_as_below(monkeypatch):
+    # from the flat root beta = -m^2/3 at m = 0.01 on hyperbolic the first
+    # shot has not decayed by _R_FAR: it is the m < mass side of the bracket
+    monkeypatch.setattr(shooting, "_start",
+                        lambda mass, met: 2.0 * math.log(mass) - math.log(3.0))
+    exhausted = []
+    mass_slope = shooting._mass_slope
+
+    def recorded(*args):
+        try:
+            return mass_slope(*args)
+        except OutOfRangeError:
+            exhausted.append(args[0])
+            raise
+
+    monkeypatch.setattr(shooting, "_mass_slope", recorded)
+    beta = beta_of_mass(0.01, metric.HYPERBOLIC)
+    assert exhausted[0] == pytest.approx(-0.01 ** 2 / 3.0, rel=1e-12)
+    assert abs(_EXACT_MASS["hyperbolic"](beta) - 0.01) <= 1e-9
 
 
 @pytest.mark.parametrize("met", BACKENDS, ids=lambda m: m.id)
