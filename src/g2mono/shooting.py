@@ -19,10 +19,10 @@ beta-derivatives of the series head, which gives dm/dbeta = -dw(R)/2 at
 the cost of one shot.  A bracket in x is kept from the sign of
 m(beta) - m; a step that leaves it, or a slope that is not negative,
 falls back to bisection, or to geometric expansion while one side of
-the bracket is still open.  Newton converges quadratically here, so
-after two Newton shots in a row the next residual is predicted from
-theirs, and the plain check shot comes one slope shot earlier.  Newton
-starts from a model root read off the metric's Green's function.
+the bracket is still open.  Newton starts from a model root read off
+the metric's Green's function, whose curvature predicts each step's
+residual: the plain check shot follows the first step predicted within
+tol/10, on the flat backgrounds the first.
 
 Every shot starts from the exact series head, which needs the metric's
 expansion h^2/r^2 (on the Bryant-Salamon metrics an exact reversion of
@@ -174,12 +174,21 @@ def mass_of_beta(beta: float, metric: MetricProfile, tol: float = 1e-10) -> floa
     return mass
 
 
+def _model_c(mass: float, metric: MetricProfile) -> float:
+    """c = 4 g0 in the model root beta = -(m^2 + c m)/3, g0 = 1/(2r) - G(r) at
+    r = 1e-8 (O(r), cancellation < 1e-8); c >= -m/2 keeps beta < 0 if g0 < 0."""
+    return max(4.0 * (0.5 / 1e-8 - metric.green_tail(1e-8)), -0.5 * mass)
+
+
 def _start(mass: float, metric: MetricProfile) -> float:
-    """x = log(-b) for b = -(m^2 + 4 g0 m)/3 with g0 = 1/(2r) - G(r) at
-    r = 1e-8: the root on euclidean (g0 = 0) and hyperbolic (1/2), its large-m
-    limit on Bryant-Salamon.  4 g0/m >= -1/2 keeps b < 0 if g0 < 0."""
-    g0 = 0.5 / 1e-8 - metric.green_tail(1e-8)      # O(r), cancellation < 1e-8
-    return 2.0 * math.log(mass) + math.log1p(max(4.0 * g0 / mass, -0.5)) - math.log(3.0)
+    """x = log(-beta) at the model root, the root on the flat backgrounds."""
+    return 2.0 * math.log(mass) + math.log1p(_model_c(mass, metric) / mass) - math.log(3.0)
+
+
+def _curvature(mass: float, metric: MetricProfile) -> float:
+    """k: on the model a Newton step from m leaves |log(m'/mass)| ~ k log(m/mass)^2."""
+    c = _model_c(mass, metric)
+    return abs(c) * mass / (2.0 * (2.0 * mass + c) * (mass + c))
 
 
 def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9) -> float:
@@ -194,20 +203,17 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9) -> float
     counts as m < mass; a Newton step to or below such a shot means that
     the mass is too small to decay by _R_FAR: OutOfRangeError.
 
-    The new iterate is checked by one plain shot once its residual is
-    predicted to be at most tol/10: by the linear change |dm dbeta|, or,
-    after two Newton shots in a row with residuals e' > e > 0, by the
-    quadratic rate C e^2 with C = e / e'^2.  A bisection or expansion
-    clears that history.  A failed check costs one shot and the
-    iteration goes on from the checked iterate.
+    A Newton step from mass m is checked by one plain shot if the model
+    predicts its residual, mass k log(m/mass)^2 (`_curvature`), to be at
+    most tol/10; a bisection or expansion if its shot's own residual is.
+    A failed check costs one shot and the iteration goes on from it.
     """
     _require("mass", mass, lambda m: 0 < m < math.inf, "finite and > 0")
-    x = _start(mass, metric)
+    x, k = _start(mass, metric), _curvature(mass, metric)
     metric = _one_series_build(metric)
     lo, hi = -math.inf, math.inf            # x with m < mass, m > mass
     lo_exhausted = False                    # lo's shot did not decay by _R_FAR
     dx_prev = dx_last = math.inf            # the last two steps in x
-    e_prev = 0.0                            # residual a Newton step came from; 0: none
     for _ in range(_MAX_SHOTS):
         if x < _X_MIN:
             raise OutOfRangeError("bracket collapse near beta = 0")
@@ -218,7 +224,6 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9) -> float
             m, dm = _mass_slope(beta, metric, tol)
         except OutOfRangeError:             # not decayed by _R_FAR: m < mass
             m = dm = 0.0
-        e = abs(m - mass)
         if m < mass:
             lo, lo_exhausted = x, m == 0.0
         else:
@@ -231,11 +236,7 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9) -> float
                                       f"does not decay by r = {_R_FAR:g}")
         if lo < x + step < hi and abs(step) <= min(_X_STEP, 0.5 * dx_prev):
             x_new = x + step
-            beta_new = -math.exp(x_new)
-            predicted = abs(dm * (beta_new - beta))
-            if 0 < e < e_prev:                  # C e^2 with C = e / e_prev^2
-                predicted = min(predicted, e ** 3 / e_prev ** 2)
-            e_prev = e
+            beta_new, predicted = -math.exp(x_new), mass * k * math.log(m / mass) ** 2
         else:
             if hi == math.inf:
                 x_new = lo + _X_STEP
@@ -243,8 +244,7 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9) -> float
                 x_new = hi - _X_STEP
             else:
                 x_new = 0.5 * (lo + hi)
-            beta_new, predicted = beta, e           # this shot's own
-            e_prev = 0.0
+            beta_new, predicted = beta, abs(m - mass)   # this shot's own
         if (predicted <= tol / 10.0
                 and abs(mass_of_beta(beta_new, metric, tol) - mass) <= tol):
             return beta_new

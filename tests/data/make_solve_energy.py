@@ -4,17 +4,14 @@
 
 Each record keeps its E_I_grid, the E_I of the 4225-point grid rule
 computed by commit 62c551a, and that rule's residual |E_I_grid - mass/2|
-at the mass of that commit.  The euclidean records are kept byte for
-byte: the script stops unless this tree reproduces their beta, mass,
-R_end and E_I within the 1e-14 max(1, |x|) that tests/test_energy.py
-allows.  On the other backgrounds beta, mass, R_end and E_I are taken
-again from this tree, since a change of the Newton start moves the root
-within its tolerance; the script stops unless each new mass is within
-1e-10 of the recorded one, within 1e-9 of m and no further from m than
-the recorded one plus 1e-11, the exact hyperbolic map
-m(beta) = -1 + sqrt(1 - 3 beta) is within 1e-9 of m, and
-|E_I - mass/2| is at most the grid rule's recorded residual.
-"""
+at the mass of that commit.  beta, mass, R_end and E_I are taken again
+from this tree, since a change of the Newton path moves the root within
+its tolerance; the script stops unless each new mass is within 1e-10 of
+the recorded one, within 1e-9 of m and no further from m than the
+recorded one plus 1e-11, |E_I - mass/2| is at most the grid rule's
+recorded residual, and the exact map is within 1e-9 of m: on euclidean
+m(beta) = sqrt(-3 beta), with beta also within 1e-9 relative of -m^2/3,
+and on hyperbolic m(beta) = -1 + sqrt(1 - 3 beta)."""
 
 import json
 import math
@@ -29,15 +26,12 @@ NOTE = (
     "E_I_grid, |E_I - mass/2|, |E_I_grid - mass/2|], m = 0.25 * 64^(k/5), "
     "k = 0..5.  E_I_grid (E_I by the 4225-point grid rule, since replaced) "
     "and |E_I_grid - mass/2| as computed by commit 62c551a, the latter at "
-    "that commit's mass; on euclidean beta, mass and R_end too.  "
-    "E_I by the Gauss-Legendre rule on the shot's steps, and off euclidean "
-    "beta, mass and R_end from the Newton start of 11.0.0, written by "
-    "tests/data/make_solve_energy.py."
+    "that commit's mass.  E_I by the Gauss-Legendre rule on the shot's "
+    "steps, and beta, mass and R_end from the Newton path of 11.0.1, "
+    "written by tests/data/make_solve_energy.py."
 )
-
-
-def _close(got, recorded):
-    return all(abs(g - x) <= 1e-14 * max(1.0, abs(x)) for g, x in zip(got, recorded))
+_EXACT = {"euclidean": lambda beta: math.sqrt(-3.0 * beta),
+          "hyperbolic": lambda beta: -1.0 + math.sqrt(1.0 - 3.0 * beta)}
 
 
 def main():
@@ -48,16 +42,13 @@ def main():
         prof = shooting.solve_monopole(met, m)
         new = (prof.beta, float(prof.mass), prof.R_end,
                float(energy.intermediate_energy(prof, met).value))
-        if name == "euclidean":
-            if not _close(new, (beta, mass, R_end, value)):
-                raise SystemExit(f"{name} m={m}: {new} != {(beta, mass, R_end, value)}")
-            records.append(rec)
-            continue
         if not (abs(new[1] - mass) <= 1e-10 and abs(new[1] - m) <= 1e-9
                 and abs(new[1] - m) <= abs(mass - m) + 1e-11):
             raise SystemExit(f"{name} m={m}: mass {new[1]!r}, recorded {mass!r}")
-        if name == "hyperbolic" and abs(-1.0 + math.sqrt(1.0 - 3.0 * new[0]) - m) > 1e-9:
+        if name in _EXACT and abs(_EXACT[name](new[0]) - m) > 1e-9:
             raise SystemExit(f"{name} m={m}: beta {new[0]!r} is off the exact map")
+        if name == "euclidean" and abs(new[0] + m * m / 3.0) > 1e-9 * m * m / 3.0:
+            raise SystemExit(f"{name} m={m}: beta {new[0]!r} is not -m^2/3")
         beta, mass, R_end, value = new
         res = abs(value - 0.5 * mass)
         if res > res_grid:

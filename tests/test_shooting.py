@@ -197,8 +197,8 @@ def _count_shots(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("met,budget", [(metric.EUCLIDEAN, 3),
-                                        (metric.HYPERBOLIC, 3),
+@pytest.mark.parametrize("met,budget", [(metric.EUCLIDEAN, 2),
+                                        (metric.HYPERBOLIC, 2),
                                         (metric.BS_S4, 4)],
                          ids=["euclidean", "hyperbolic", "bs_s4"])
 def test_beta_of_mass_shot_budget(monkeypatch, met, budget):
@@ -265,7 +265,8 @@ class _ScriptEnd(Exception):
 
 def _scripted(monkeypatch, shots):
     """Feed beta_of_mass the (m, dm) of `shots` in turn, and pass every
-    root check; return the number of slope shots taken before each check."""
+    root check; return the betas shot and, for each check, the number of
+    slope shots taken before it."""
     script = iter(shots)
     taken, checks = [], []
 
@@ -282,21 +283,31 @@ def _scripted(monkeypatch, shots):
 
     monkeypatch.setattr(shooting, "_mass_slope", slope)
     monkeypatch.setattr(shooting, "mass_of_beta", check)
-    return checks
+    return taken, checks
 
 
-def test_quadratic_rate_predicts_the_check(monkeypatch):
-    # residuals 1e-2 then 1e-5 from two Newton shots: the second step's
-    # linear change is 1e-5, but C e^2 = e^3 / e'^2 = 1e-11 <= tol/10
-    monkeypatch.setattr(shooting, "_start", lambda mass, met: 0.0)   # beta = -1
-    checks = _scripted(monkeypatch, [(1.01, -0.5), (1.0 + 1e-5, -0.5)])
+def test_model_curvature_predicts_the_check(monkeypatch):
+    # from beta = -1 to mass 1 at tol 1e-9: a Newton step from m is checked
+    # once the model predicts its residual, k log(m)^2, to be <= 1e-10
+    monkeypatch.setattr(shooting, "_start", lambda mass, met: 0.0)
+    # euclidean: k = 0, so the first Newton shot is checked
+    assert shooting._curvature(1.0, metric.EUCLIDEAN) == 0.0
+    taken, checks = _scripted(monkeypatch, [(1.01, -0.5)])
     beta_of_mass(1.0, metric.EUCLIDEAN)
+    assert checks == [1]
+    # bs_s4: k = 0.078 predicts 7.7e-6 from a residual of 1e-2, not
+    # checked, and 7.8e-12 from 1e-5, checked
+    assert 0.07 < shooting._curvature(1.0, metric.BS_S4) < 0.09
+    taken, checks = _scripted(monkeypatch, [(1.01, -0.5), (1.0 + 1e-5, -0.5)])
+    beta_of_mass(1.0, metric.BS_S4)
     assert checks == [2]
-    # a bisection in between (a positive slope) clears that history
-    checks = _scripted(monkeypatch,
-                       [(1.01, -0.5), (0.999, 0.5), (1.0 + 1e-5, -0.5)])
+    # a bisection (a positive slope inside the bracket) checks the shot's
+    # own beta, once the shot's own residual is <= 1e-10
+    taken, checks = _scripted(monkeypatch, [(1.01, -0.5), (1.0 - 1e-11, 0.5)])
+    assert beta_of_mass(1.0, metric.BS_S4) == taken[1] and checks == [2]
+    taken, checks = _scripted(monkeypatch, [(1.01, -0.5), (1.0 - 1e-9, 0.5)])
     with pytest.raises(_ScriptEnd):
-        beta_of_mass(1.0, metric.EUCLIDEAN)
+        beta_of_mass(1.0, metric.BS_S4)
     assert checks == []
 
 
@@ -350,6 +361,21 @@ def test_roots_across_the_mass_range(met, m):
     assert abs(mass_of_beta(beta, met, 1e-9) - m) <= 1e-9
     if met.id in _EXACT_MASS:
         assert abs(_EXACT_MASS[met.id](beta) - m) <= 1e-9 + 1e-10 * m
+
+
+@pytest.mark.parametrize("met,m", [(metric.EUCLIDEAN, 0.01), (metric.EUCLIDEAN, 1000.0),
+                                   (metric.HYPERBOLIC, 1000.0)],
+                         ids=["euclidean-0.01", "euclidean-1000", "hyperbolic-1000"])
+def test_tight_tol_roots(met, m):
+    # a check that waits for the linear change |dm dbeta| <= tol/10 never
+    # comes here ("root polish failed to reach tolerance"): the shot's own
+    # error keeps that change above tol/10.  Bryant-Salamon at tol 1e-12
+    # still fails at some m >= 458 (458.6 and 933.7 on a log grid), where an
+    # absolute tol is below the shot's error (ROADMAP item 14's relative tol)
+    tol = 1e-12
+    beta = beta_of_mass(m, met, tol)
+    assert abs(mass_of_beta(beta, met, tol) - m) <= tol
+    assert abs(_EXACT_MASS[met.id](beta) - m) <= tol * (1.0 + m)
 
 
 def test_start_reads_g0_off_the_green_function(monkeypatch):
