@@ -40,16 +40,21 @@ class SeriesSolution:
     metric_coeffs: tuple     # phi_0 .. as used
     order: int
 
+    @functools.cached_property
+    def _floats(self) -> list:
+        return [float(c) for c in self.coeffs]
+
     def v_at(self, r: float) -> float:
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * r + float(c)
+        for c in reversed(self._floats):
+            acc = acc * r + c
         return acc
 
     def vdot_at(self, r: float) -> float:
         acc = 0.0
+        cs = self._floats
         for i in range(self.order, 0, -1):
-            acc = acc * r + i * float(self.coeffs[i])
+            acc = acc * r + i * cs[i]
         return acc
 
     def beta_derivative_at(self, r: float) -> tuple[float, float]:
@@ -57,10 +62,10 @@ class SeriesSolution:
         beta-polynomials; float arithmetic, as it only steers Newton."""
         b = float(self.beta)
         d = []
-        for num, den in _beta_polynomials(self.metric_coeffs, self.order):
+        for slope in _polynomial_set(_key(self.metric_coeffs), self.order)[1]:
             acc = 0.0
-            for k in range(len(num) - 1, 0, -1):
-                acc = acc * b + k * num[k] / den
+            for c in reversed(slope):
+                acc = acc * b + c
             d.append(acc)
         dv = dw = 0.0                              # v_0 = 0 for every beta
         for n in range(self.order, 0, -1):
@@ -71,18 +76,24 @@ class SeriesSolution:
     def truncation_bound(self, delta: float) -> float:
         # a-posteriori monitor: magnitude of the last retained terms
         n = self.order
-        tail = [abs(float(self.coeffs[i])) * delta ** i for i in (n - 1, n)]
+        tail = [abs(self._floats[i]) * delta ** i for i in (n - 1, n)]
         return max(tail)
 
 
-def _checked_metric(metric_coeffs, order) -> FormalSeries:
-    phi = FormalSeries([Fraction(c) for c in metric_coeffs], order)
-    if phi[0] != 1:
-        raise ValueError("metric series must have phi_0 = 1")
-    return phi
+def _key(phi) -> tuple:
+    # phi as integer (numerator, denominator) pairs: they hash faster than Fractions
+    return tuple(map(Fraction.as_integer_ratio, phi))
 
 
 @functools.lru_cache(maxsize=16)
+def _polynomial_set(key: tuple, order: int) -> tuple:
+    """`_beta_polynomials` of phi = `key`, and the float coefficients
+    k c_k / den (k >= 1) of each one's beta-derivative."""
+    polys = _beta_polynomials(tuple(Fraction(*nd) for nd in key), order)
+    return polys, tuple(tuple(k * num[k] / den for k in range(1, len(num)))
+                        for num, den in polys)
+
+
 def _beta_polynomials(phi: tuple, order: int) -> tuple:
     """v_n as exact polynomials in beta, each (integer coefficients
     c_0 .. c_d, common denominator).
@@ -122,10 +133,12 @@ def v_series(beta, metric_coeffs, order: int) -> SeriesSolution:
     if order < 2:
         raise ValueError("order must be >= 2")
     beta = Fraction(beta)
-    phi = tuple(_checked_metric(metric_coeffs, order))
+    phi = tuple(FormalSeries(metric_coeffs, order))
+    if phi[0] != 1:
+        raise ValueError("metric series must have phi_0 = 1")
     p, q = beta.numerator, beta.denominator
     coeffs = []
-    for num, den in _beta_polynomials(phi, order):
+    for num, den in _polynomial_set(_key(phi), order)[0]:
         # Horner in p/q over the common denominator den * q^deg
         acc, qk = num[-1], 1
         for c in reversed(num[:-1]):
