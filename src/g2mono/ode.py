@@ -79,9 +79,9 @@ class SU3State:
 
 
 def _expm1_clipped(v):
-    # numpy's expm1, not math.expm1: the two differ in the last bit; as
-    # a Python float, since a numpy scalar would slow every stage sum
-    return float(np.expm1(min(v, _EXP_CLIP)))
+    # math, not numpy: a numpy scalar call per stage costs more than the
+    # rest of the right-hand side (the two differ by at most 1 ulp)
+    return math.expm1(min(v, _EXP_CLIP))
 
 
 # ---------------------------------------------------------------------------

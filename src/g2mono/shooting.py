@@ -175,19 +175,21 @@ def mass_of_beta(beta: float, metric: MetricProfile, tol: float = 1e-10) -> floa
 
 
 def _model_c(mass: float, metric: MetricProfile) -> float:
-    """c = 4 g0 in the model root beta = -(m^2 + c m)/3, g0 = 1/(2r) - G(r) at
-    r = 1e-8 (O(r), cancellation < 1e-8); c >= -m/2 keeps beta < 0 if g0 < 0."""
-    return max(4.0 * (0.5 / 1e-8 - metric.green_tail(1e-8)), -0.5 * mass)
+    """c = 4 g0 in the model root beta = -(m^2 + c m)/3, g0 = lim 1/(2r) - G(r)
+    read as 2 g(r) - g(2r) at r = 1e-4 (O(r^2) and cancellation: ~1e-11);
+    c >= -m/2 keeps beta < 0 if g0 < 0."""
+    r = np.array([1e-4, 2e-4])
+    g = 0.5 / r - metric.green_tail(r)
+    return max(4.0 * float(2.0 * g[0] - g[1]), -0.5 * mass)
 
 
-def _start(mass: float, metric: MetricProfile) -> float:
+def _start(mass: float, c: float) -> float:
     """x = log(-beta) at the model root, the root on the flat backgrounds."""
-    return 2.0 * math.log(mass) + math.log1p(_model_c(mass, metric) / mass) - math.log(3.0)
+    return 2.0 * math.log(mass) + math.log1p(c / mass) - math.log(3.0)
 
 
-def _curvature(mass: float, metric: MetricProfile) -> float:
+def _curvature(mass: float, c: float) -> float:
     """k: on the model a Newton step from m leaves |log(m'/mass)| ~ k log(m/mass)^2."""
-    c = _model_c(mass, metric)
     return abs(c) * mass / (2.0 * (2.0 * mass + c) * (mass + c))
 
 
@@ -209,7 +211,8 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9) -> float
     A failed check costs one shot and the iteration goes on from it.
     """
     _require("mass", mass, lambda m: 0 < m < math.inf, "finite and > 0")
-    x, k = _start(mass, metric), _curvature(mass, metric)
+    c = _model_c(mass, metric)
+    x, k = _start(mass, c), _curvature(mass, c)
     metric = _one_series_build(metric)
     lo, hi = -math.inf, math.inf            # x with m < mass, m > mass
     lo_exhausted = False                    # lo's shot did not decay by _R_FAR

@@ -27,7 +27,7 @@ NOTE = (
     "k = 0..5.  E_I_grid (E_I by the 4225-point grid rule, since replaced) "
     "and |E_I_grid - mass/2| as computed by commit 62c551a, the latter at "
     "that commit's mass.  E_I by the Gauss-Legendre rule on the shot's "
-    "steps, and beta, mass and R_end from the Newton path of 11.0.1, "
+    "steps, and beta, mass and R_end from the Newton path of 11.0.2, "
     "written by tests/data/make_solve_energy.py."
 )
 _EXACT = {"euclidean": lambda beta: math.sqrt(-3.0 * beta),

@@ -428,6 +428,16 @@ def test_h2_float_path_bit_identical(tmp_path):
         assert scalar == [met.h2(r) for r in rs], met.id      # numpy scalars
 
 
+def test_hyperbolic_h2_float_within_3_ulp_of_array():
+    # a float takes math.sinh, an array np.sinh: both clip r at 350
+    rs = np.concatenate([np.geomspace(1e-8, 1e3, 4001), np.linspace(349.0, 351.0, 201),
+                         [math.nextafter(350.0, 0.0), 350.0, math.nextafter(350.0, 400.0)]])
+    array = HYPERBOLIC.h2(rs)
+    floats = np.array([HYPERBOLIC.h2(float(r)) for r in rs])
+    assert np.all(np.abs(floats - array) <= 3.0 * np.spacing(array))
+    assert HYPERBOLIC.h2(351.0) == HYPERBOLIC.h2(350.0) == math.sinh(350.0) ** 2
+
+
 def test_custom_h2_array_matches_floats(tmp_path):
     # series (r <= 0.5), table and power-law tail (r > 100) in one array;
     # energy densities and envelope grids take the array body

@@ -223,14 +223,39 @@ def test_tol_validation():
 
 
 def test_expm1_clipped_scalar_matches_array_form():
-    # the right-hand side clips with min() on a float; the array form
-    # np.clip is what it replaced
+    # the right-hand side clips with min() on a float and takes math's
+    # expm1, within 1 ulp of numpy's on the array form np.clip
     vs = np.concatenate([np.linspace(-800.0, 800.0, 4001),
                          [-1e-300, 0.0, 1e-17, 699.99, 700.0, 700.01, 1e308]])
     for v in vs:
-        want = np.expm1(np.clip(v, None, 700.0))
+        want = math.expm1(min(float(v), 700.0))
         assert ode._expm1_clipped(float(v)) == want
         assert ode._expm1_clipped(v) == want           # numpy scalar
+        array_form = np.expm1(np.clip(v, None, 700.0))
+        assert abs(want - array_form) <= np.spacing(abs(array_form))
+
+
+def test_shot_calls_no_numpy_scalar_per_stage(monkeypatch):
+    # np.expm1 and np.sinh only outside the stages: far fewer calls than
+    # the right-hand side's evaluations
+    calls, nfev = [0], []
+    for name in ("expm1", "sinh"):
+        def counted(*args, _f=getattr(np, name), **kwargs):
+            calls[0] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    true_integrate = ode.integrate
+
+    def recorded(*args, **kwargs):
+        res = true_integrate(*args, **kwargs)
+        nfev.append(res.stats["nfev"])
+        return res
+
+    monkeypatch.setattr(ode, "integrate", recorded)
+    for met in (metric.HYPERBOLIC, metric.EUCLIDEAN):
+        calls[0], nfev[:] = 0, []
+        shooting.mass_of_beta(-1.0, met)
+        assert nfev[0] > 200 and calls[0] < 10, (met.id, nfev, calls[0])
 
 
 # -- forward variation --------------------------------------------------------

@@ -222,7 +222,7 @@ def test_start_above_the_root_expands_the_bracket_down(monkeypatch):
         return mass_slope(beta, *args)
 
     monkeypatch.setattr(shooting, "_mass_slope", recorded)
-    monkeypatch.setattr(shooting, "_start", lambda mass, met: math.log(1e4))
+    monkeypatch.setattr(shooting, "_start", lambda mass, c: math.log(1e4))
     beta = beta_of_mass(1.0, metric.EUCLIDEAN)
     assert abs(3.0 * beta + 1.0) <= 1e-10
     steps = np.diff(np.log([-b for b in slopes[:5]]))
@@ -289,15 +289,15 @@ def _scripted(monkeypatch, shots):
 def test_model_curvature_predicts_the_check(monkeypatch):
     # from beta = -1 to mass 1 at tol 1e-9: a Newton step from m is checked
     # once the model predicts its residual, k log(m)^2, to be <= 1e-10
-    monkeypatch.setattr(shooting, "_start", lambda mass, met: 0.0)
+    monkeypatch.setattr(shooting, "_start", lambda mass, c: 0.0)
     # euclidean: k = 0, so the first Newton shot is checked
-    assert shooting._curvature(1.0, metric.EUCLIDEAN) == 0.0
+    assert shooting._curvature(1.0, shooting._model_c(1.0, metric.EUCLIDEAN)) == 0.0
     taken, checks = _scripted(monkeypatch, [(1.01, -0.5)])
     beta_of_mass(1.0, metric.EUCLIDEAN)
     assert checks == [1]
     # bs_s4: k = 0.078 predicts 7.7e-6 from a residual of 1e-2, not
     # checked, and 7.8e-12 from 1e-5, checked
-    assert 0.07 < shooting._curvature(1.0, metric.BS_S4) < 0.09
+    assert 0.07 < shooting._curvature(1.0, shooting._model_c(1.0, metric.BS_S4)) < 0.09
     taken, checks = _scripted(monkeypatch, [(1.01, -0.5), (1.0 + 1e-5, -0.5)])
     beta_of_mass(1.0, metric.BS_S4)
     assert checks == [2]
@@ -381,14 +381,17 @@ def test_tight_tol_roots(met, m):
 def test_start_reads_g0_off_the_green_function(monkeypatch):
     # g0 = lim (1/(2r) - G(r)): 0 on euclidean, where the start is the
     # flat root to the bit, 1/2 on hyperbolic, _G_ZERO on Bryant-Salamon
+    def start(m, met):
+        return shooting._start(m, shooting._model_c(m, met))
+
     for m in (1e-3, 0.3, 1.0, 7.0, 1500.0):
-        assert shooting._start(m, metric.EUCLIDEAN) == 2.0 * math.log(m) - math.log(3.0)
+        assert start(m, metric.EUCLIDEAN) == 2.0 * math.log(m) - math.log(3.0)
         for met, g0 in ((metric.HYPERBOLIC, 0.5), (metric.BS_S4, metric._G_ZERO)):
-            beta0 = -math.exp(shooting._start(m, met))
-            assert beta0 == pytest.approx(-(m * m + 4.0 * g0 * m) / 3.0, rel=1e-7)
+            beta0 = -math.exp(start(m, met))
+            assert beta0 == pytest.approx(-(m * m + 4.0 * g0 * m) / 3.0, rel=1e-10)
     # with g0 = -1 the model root m^2 - 4m would be > 0; 4 g0/m is held at -1/2
     below = dataclasses.replace(metric.EUCLIDEAN, _green=lambda r: 0.5 / r + 1.0)
-    assert shooting._start(1e-2, below) == pytest.approx(math.log(1e-4 / 6.0), rel=1e-12)
+    assert start(1e-2, below) == pytest.approx(math.log(1e-4 / 6.0), rel=1e-12)
     # a parabolic one raises from the start, before any shot
     count = _count_shots(monkeypatch)
     parabolic = dataclasses.replace(metric.EUCLIDEAN, _green=None)
@@ -401,7 +404,7 @@ def test_a_start_that_does_not_decay_counts_as_below(monkeypatch):
     # from the flat root beta = -m^2/3 at m = 0.01 on hyperbolic the first
     # shot has not decayed by _R_FAR: it is the m < mass side of the bracket
     monkeypatch.setattr(shooting, "_start",
-                        lambda mass, met: 2.0 * math.log(mass) - math.log(3.0))
+                        lambda mass, c: 2.0 * math.log(mass) - math.log(3.0))
     exhausted = []
     mass_slope = shooting._mass_slope
 
@@ -448,6 +451,15 @@ def test_mass_properties(met, m):
     assert beta_of_mass(m * (1.0 + 1e-3), met) < prof.beta
     assert abs(energy.intermediate_energy(prof, met).value - m / 2.0) <= 1e-5
     assert ode.envelope_check(prof.result).passed
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(BACKENDS),
+       st.floats(math.log(1e-3), math.log(1.5e3)).map(math.exp))
+def test_every_mass_in_range_solves(met, m):
+    # ROADMAP item 12: any m from 1e-3 to 1.5e3, drawn log-uniform
+    prof = solve_monopole(met, m)
+    assert abs(prof.mass - m) <= 1e-8 * max(1.0, m)
 
 
 # -- one bare-stepper integration per shot ---------------------------------
