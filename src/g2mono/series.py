@@ -52,9 +52,8 @@ class SeriesSolution:
 
     def vdot_at(self, r: float) -> float:
         acc = 0.0
-        cs = self._floats
         for i in range(self.order, 0, -1):
-            acc = acc * r + i * cs[i]
+            acc = acc * r + i * self._floats[i]
         return acc
 
     def beta_derivative_at(self, r: float) -> tuple[float, float]:
