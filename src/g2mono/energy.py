@@ -103,9 +103,10 @@ def cumulative_simpson(y, x):
 
 def profile_samples(r, a, phi, h2, w):
     """(r, a, phi, h2, w) as float arrays, checked as a quadrature rule:
-    2 or more samples, all finite, r >= 0 and strictly increasing, the
-    weights w >= 0 with a knot (weight 0) at each end.  h2 and w are
-    required: a missing one (None) raises ValueError naming it."""
+    2 or more samples, all finite, r >= 0 and strictly increasing, h2 > 0
+    where r > 0, the weights w >= 0 with a knot (weight 0) at each end.
+    h2 and w are required: a missing one (None) raises ValueError naming
+    it."""
     missing = [name for name, col in (("h2", h2), ("w", w)) if col is None]
     if missing:
         raise ValueError(f"the profile lacks {' and '.join(missing)}: the "
@@ -119,6 +120,8 @@ def profile_samples(r, a, phi, h2, w):
         raise ValueError("profile radii must be finite, >= 0 and strictly increasing")
     if not (np.isfinite(a).all() and np.isfinite(phi).all()):
         raise ValueError("profile a and phi must be finite")
+    if not (np.isfinite(h2).all() and (h2[r > 0] > 0).all()):
+        raise ValueError("profile h2 must be finite, and > 0 where r > 0")
     if not (np.isfinite(w).all() and (w >= 0).all()):
         raise ValueError("profile weights w must be finite and >= 0")
     if w[0] != 0 or w[-1] != 0:

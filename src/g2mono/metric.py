@@ -6,7 +6,7 @@ custom backend.  The two Bryant-Salamon metrics have the same radial
 function h^2 = s^2 sqrt(1+s^2), so one profile serves both: BS_CP2 is
 BS_S4 under another id, sharing its functions.  Each background exposes
 
-* exact evaluation h(r),
+* exact evaluation of h^2(r),
 * the local expansion h^2(r) = r^2 (phi_0 + phi_1 r + ...) with exact
   rational coefficients,
 * the Green's-function tail G(r) = int_r^inf dt / (2 h^2(t))  (fixed
@@ -81,22 +81,15 @@ _G_ZERO = 0.65551438857302995        # sqrt(pi) Gamma(5/4) / (2 Gamma(3/4))
 
 # rho(s) and G(s) are Gauss hypergeometric functions F(a, b; c; z).  With
 # q = 1 + s^2, w = s^2/q and u = 1/q:
-#   s <= _S_SERIES:  rho = s F(1/2, 1/4; 3/2; -s^2), the defining series
-#                    (s^2 <= 0.04: _RHO_TERMS terms),
-#   s <= 1:          rho = s q^(-1/4) F(1/4, 1; 3/2; w),
-#                    G = F(1, 3/4; 1/2; w) / (2 s q^(3/4)) - _G_ZERO,
-#   s > 1:           rho = 2 s q^(-1/4) F(1/4, 1; 3/4; u) - _RHO_OFFSET,
-#                    G = u^(5/4) F(5/4, 3/2; 9/4; u) / 5.
+#   s <= 1:  rho = s q^(-1/4) F(1/4, 1; 3/2; w),
+#            G = F(1, 3/4; 1/2; w) / (2 s q^(3/4)) - _G_ZERO,
+#   s > 1:   rho = 2 s q^(-1/4) F(1/4, 1; 3/4; u) - _RHO_OFFSET,
+#            G = u^(5/4) F(5/4, 3/2; 9/4; u) / 5.
 # w and u are at most 1/2 where they are used (see _hyp2f1 for the number of
 # terms).  Each formula takes a float or an array and runs the same
 # operations on either, so the two agree to the bit; fractional powers are
 # built from sqrt, which is correctly rounded in math and numpy alike.
-_S_SERIES = 0.2
-_RHO_TERMS = 12
 _HYP_TERMS = 60
-# s_of_rho starts from the series head below rho = 1.5 (at 1.5 itself the
-# two starts end on different floats, and the asymptote's is the recorded one)
-_RHO_HEAD = math.nextafter(1.5, 0.0)
 
 
 def _float_or_array(x, ok, message):
@@ -164,18 +157,6 @@ def _sqrt(x):
     return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
-def _rho_series(s):
-    # _RHO_TERMS terms (the rest are below half an ulp of the sum), each
-    # from the one before and summed as scipy.special's hyp2f1 sums them, so
-    # that s_of_rho keeps the hand-off radii the recorded BS solves used
-    z = -s * s
-    total = term = 1.0
-    for k in range(_RHO_TERMS - 1):
-        term = term * ((0.5 + k) * (0.25 + k) * z / ((1.5 + k) * (k + 1.0)))
-        total = total + term
-    return s * total
-
-
 def _rho_w(s):
     q = 1.0 + s * s
     return s / _sqrt(_sqrt(q)) * _F_RHO_W(s * s / q)
@@ -201,14 +182,10 @@ def _green_near(s):
     return _split(s, 0.0, lambda t: t + math.inf, _green_w)
 
 
-def _rho_near(s):
-    return _split(s, _S_SERIES, _rho_series, _rho_w)
-
-
 def _rho(s):
     """rho(s) by the series, for s below ~1e154 (each of s_of_rho's
     Halley steps calls it once)."""
-    return _split(s, 1.0, _rho_near, _rho_u)
+    return _split(s, 1.0, _rho_w, _rho_u)
 
 
 def rho_of_s(s):
@@ -226,9 +203,9 @@ def _s_far(rho):
 
 def _halley(rho):
     """Three Halley steps on rho(s) - rho, from the series head
-    rho (1 + rho^2/12) below rho = 1.5 and from the inverted asymptote
+    rho (1 + rho^2/12) up to rho = 1.5 and from the inverted asymptote
     above: rho' = q^(-1/4), rho'' = -s q^(-5/4) / 2."""
-    s = _split(rho, _RHO_HEAD, lambda p: p * (1.0 + p * p / 12.0), _s_far)
+    s = _split(rho, 1.5, lambda p: p * (1.0 + p * p / 12.0), _s_far)
     for _ in range(3):
         q = 1.0 + s * s
         g = _rho(s) - rho
@@ -326,9 +303,6 @@ class MetricProfile:
             return self._chart
         return Chart(x_of_r=_identity, r_of_x=_identity, dr_dx=lambda x: 1.0,
                      h2_of_x=self.h2, green_of_x=self.green_tail)
-
-    def h(self, r):
-        return _sqrt(self.h2(r))
 
     def _radii(self, r):
         """r as a float or an array, checked: h^2 and G take 0 < r < inf

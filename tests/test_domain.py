@@ -35,8 +35,6 @@ CASES = {
     "rho_of_s": (metric.rho_of_s, 1.5, [-1.0]),
     "s_of_rho": (metric.s_of_rho, 1.5, [-1.0, math.inf]),
     "bs_green_of_s": (metric.bs_green_of_s, 1.5, [-1.0]),
-    "h-euclidean": (EUCLIDEAN.h, 1.5, [0.0, -1.0, math.inf]),
-    "h-bs_s4": (BS_S4.h, 1.5, [0.0, -1.0, math.inf]),
     "h2-euclidean": (EUCLIDEAN.h2, 1.5, [0.0, -1.0, math.inf]),
     "h2-hyperbolic": (HYPERBOLIC.h2, 1.5, [0.0, -1.0, math.inf]),
     "h2-bs_s4": (BS_S4.h2, 1.5, [0.0, -1.0, math.inf]),

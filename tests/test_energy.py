@@ -182,6 +182,14 @@ _RULE = dict(h2=[0.0, 1.0, 4.0], w=[0.0, 0.5, 0.0])
     ([0.0, 1.0, _INF], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], _RULE, "finite"),
     ([0.0, 1.0, 2.0], [1.0, _NAN, 0.2], [0.0, -0.1, -0.2], _RULE, "a and phi"),
     ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -_INF, -0.2], _RULE, "a and phi"),
+    ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2],
+     dict(h2=[0.0, _NAN, 4.0], w=_RULE["w"]), "h2 must be finite"),
+    ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2],
+     dict(h2=[0.0, 1.0, _INF], w=_RULE["w"]), "h2 must be finite"),
+    ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2],
+     dict(h2=[0.0, -1.0, 4.0], w=_RULE["w"]), "h2 must be finite, and > 0 where r > 0"),
+    ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2],
+     dict(h2=[0.0, 0.0, 4.0], w=_RULE["w"]), "h2 must be finite, and > 0 where r > 0"),
     ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], dict(w=_RULE["w"]),
      "lacks h2:"),
     ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2], dict(h2=_RULE["h2"]),
@@ -196,7 +204,8 @@ _RULE = dict(h2=[0.0, 1.0, 4.0], w=[0.0, 0.5, 0.0])
     ([0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [0.0, -0.1, -0.2],
      dict(h2=_RULE["h2"], w=[0.0, 0.5]), "one length"),
 ], ids=["empty", "one-sample", "repeated-r", "decreasing-r", "negative-r",
-        "nan-r", "inf-r", "nan-a", "inf-phi", "no-h2", "no-w", "no-h2-no-w",
+        "nan-r", "inf-r", "nan-a", "inf-phi", "nan-h2", "inf-h2", "negative-h2",
+        "zero-h2", "no-h2", "no-w", "no-h2-no-w",
         "nan-w", "negative-w", "end-w", "short-w"])
 def test_malformed_samples_rejected(r, a, phi, rule, match):
     prof = SimpleNamespace(r=r, a=a, phi=phi, mass=1.0, **rule)
