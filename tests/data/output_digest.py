@@ -14,6 +14,10 @@ Families, on the four built-in backgrounds:
   energy     intermediate_energy of those profiles
   mass       mass_of_beta over BETAS x TOLS
   verify     the JSON line of each `g2mono verify` run in VERIFY
+and one family on the tables of CUSTOM, loaded with `load_custom`:
+  custom     h2 and green_tail on the table's rows, then per table the
+             entries of solve, profile, energy and mass above; a call
+             that raises is recorded by its exception's type and message
 """
 
 import argparse
@@ -21,6 +25,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import tempfile
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,29 +52,87 @@ VERIFY = (
 )
 
 
+
+def _curved_coeffs(order=12):
+    """h^2 / r^2 = (1 + r^2)^(2/5) to order `order`: binom(2/5, k) at r^(2k)."""
+    coeffs, c = [], Fraction(1)
+    for k in range(order // 2 + 1):
+        coeffs += [c, Fraction(0)]
+        c *= (Fraction(2, 5) - k) / (k + 1)
+    return coeffs[:order + 1]
+
+
+# name -> (table radii, h(r), series coefficients): the beta-scan table's
+# shape with h = r, and h = r (1 + r^2)^(1/5), whose h^2 the table's
+# log-log segments do not reproduce
+CUSTOM = {
+    "custom_flat": (np.geomspace(0.5, 200.0, 257), lambda r: r, [1] + [0] * 12),
+    "custom_curved": (np.geomspace(0.2, 60.0, 80), lambda r: r * (1.0 + r * r) ** 0.2,
+                      _curved_coeffs()),
+}
+
+
+def _load_custom(name, directory):
+    rs, h, coeffs = CUSTOM[name]
+    with open(os.path.join(directory, f"{name}.csv"), "w") as fh:
+        fh.write("r,h\n" + "".join(f"{r!r},{x!r}\n" for r, x in zip(rs.tolist(), h(rs).tolist())))
+    path = os.path.join(directory, f"{name}.txt")
+    with open(path, "w") as fh:
+        fh.write(f"type=custom\ncoeffs={','.join(map(str, coeffs))}\ntable={name}.csv\n")
+    return metric.load_custom(path)
+
+
 def _hex(values):
     return [float(v).hex() for v in np.ravel(values)]
 
 
+def _raised(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _backend_entries(name, met):
+    """The solve, profile, energy and mass entries of one backend."""
+    out = {"solve": [], "profile": [], "energy": [], "mass": []}
+    for m in MASSES:
+        key = [name, m]
+        p = _raised(shooting.solve_monopole, met, m)
+        if isinstance(p, str):
+            out["solve"].append(key + [p])
+            continue
+        out["solve"].append(key + _hex([p.beta, p.mass, p.delta, p.R_end,
+                                        p.a_end, p.G_end, p.tail[2]]))
+        out["profile"].append(key + [_hex(x) for x in (p.r, p.a, p.phi, p.v,
+                                                       p.h2, p.w)])
+        rep = _raised(energy.intermediate_energy, p, met)
+        out["energy"].append(key + ([rep] if isinstance(rep, str) else
+                                    _hex([rep.value, rep.boundary_limit,
+                                          rep.identity_residual, rep.quad_tol])
+                                    + [_hex(rep.partial), _hex(rep.boundary)]))
+    for beta in BETAS:
+        for tol in TOLS:
+            mass = _raised(shooting.mass_of_beta, beta, met, tol)
+            out["mass"].append([name, beta, tol]
+                               + ([mass] if isinstance(mass, str) else _hex([mass])))
+    return out
+
+
 def families():
-    out = {"solve": [], "profile": [], "energy": [], "mass": [], "verify": []}
+    out = {"solve": [], "profile": [], "energy": [], "mass": [], "verify": [],
+           "custom": []}
     for name in BACKENDS:
-        met = metric.get_metric(name)
-        for m in MASSES:
-            p = shooting.solve_monopole(met, m)
-            key = [name, m]
-            out["solve"].append(key + _hex([p.beta, p.mass, p.delta, p.R_end,
-                                            p.a_end, p.G_end, p.tail[2]]))
-            out["profile"].append(key + [_hex(x) for x in (p.r, p.a, p.phi, p.v,
-                                                           p.h2, p.w)])
-            rep = energy.intermediate_energy(p, met)
-            out["energy"].append(key + _hex([rep.value, rep.boundary_limit,
-                                             rep.identity_residual, rep.quad_tol])
-                                 + [_hex(rep.partial), _hex(rep.boundary)])
-        for beta in BETAS:
-            for tol in TOLS:
-                out["mass"].append([name, beta, tol]
-                                   + _hex([shooting.mass_of_beta(beta, met, tol)]))
+        for family, entries in _backend_entries(name, metric.get_metric(name)).items():
+            out[family] += entries
+    with tempfile.TemporaryDirectory() as directory:
+        for name in CUSTOM:
+            met = _load_custom(name, directory)
+            rs = CUSTOM[name][0]
+            out["custom"].append([name, _hex(met.h2(rs)), _hex(met.green_tail(rs))])
+            for family, entries in _backend_entries(name, met).items():
+                out["custom"] += [[family] + e for e in entries]
     for argv in VERIFY:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
