@@ -400,18 +400,37 @@ _GL_WEIGHTS = np.array([
     0.020300714900193223, 0.008807003569575447])
 
 
+def _roots_in(p, b: Fraction) -> int:
+    """The number of distinct roots in (0, b] of sum_i p[i] t^i, with
+    p[0] != 0: Sturm's theorem, in exact arithmetic."""
+    seq = [p, [i * c for i, c in enumerate(p)][1:]]
+    while any(seq[-1]):
+        r, q = seq[-2], seq[-1][:max(i for i, c in enumerate(seq[-1]) if c) + 1]
+        while len(r) >= len(q):         # r mod q: cancel r's leading term
+            f, pad = r[-1] / q[-1], [0] * (len(r) - len(q))
+            r = [a - f * c for a, c in zip(r, pad + q)][:-1]
+        seq[-1:] = [q, [-a for a in r]]
+
+    def changes(t):
+        signs = [v for v in (sum(c * t ** i for i, c in enumerate(s)) for s in seq) if v]
+        return sum(u * v < 0 for u, v in zip(signs, signs[1:]))
+    return changes(0) - changes(b)
+
+
 def load_custom(path: str) -> MetricProfile:
     """Load `type=custom` metric: series coefficients plus an optional
-    sampled far-field table (CSV with header r,h, from r <= 0.5); a
-    relative `table=` path is read from the metric file's directory."""
+    sampled table (CSV with header r,h, from r <= 0.5); a relative
+    `table=` path is read from the metric file's directory."""
     keys: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            k, _, v = line.partition("=")
-            keys[k.strip()] = v.strip()
+            k, eq, v = (part.strip() for part in line.partition("="))
+            if not eq or k not in ("type", "coeffs", "table") or k in keys:
+                raise UnsupportedBackend(f"custom metric file: unknown or repeated key in {line!r}")
+            keys[k] = v
     if keys.get("type") != "custom":
         raise UnsupportedBackend("custom metric file must declare type=custom")
     if "coeffs" not in keys:
@@ -419,119 +438,99 @@ def load_custom(path: str) -> MetricProfile:
     coeffs = [Fraction(c) for c in keys["coeffs"].split(",")]
     if coeffs[0] != 1 or (len(coeffs) > 1 and coeffs[1] != 0):
         raise UnsupportedBackend("custom series must start with 1, 0 (smoothness at 0)")
-
-    table_r = table_h = None
-    if "table" in keys:
-        rs, hs = [], []
-        with open(os.path.join(os.path.dirname(path), keys["table"])) as fh:
-            reader = csv.DictReader(fh)
-            if not {"r", "h"} <= set(reader.fieldnames or ()):
-                raise UnsupportedBackend("custom table needs the header r,h")
-            for row in reader:
-                rs.append(float(row["r"]))
-                hs.append(float(row["h"]))
-        table_r = np.asarray(rs)
-        table_h = np.asarray(hs)
-        if len(table_r) < 4:
-            raise UnsupportedBackend("custom table needs at least 4 rows")
-        if not np.all((table_r > 0) & (table_h > 0)
-                      & np.isfinite(table_r) & np.isfinite(table_h)):
-            raise UnsupportedBackend("custom table r and h must be finite and > 0")
-        if np.any(np.diff(table_r) <= 0):
-            raise UnsupportedBackend("custom table radii must be increasing")
-        if table_r[0] > 0.5:
-            raise UnsupportedBackend("custom table must start at r <= 0.5")
-
-    n_series = len(coeffs) - 1
     horner = [float(c) for c in reversed(coeffs)]
 
-    # estimated far-field power law h ~ c r^p from the last table decade,
-    # or the last two rows if the decade holds fewer
-    tail_p = tail_c = None
-    if table_r is not None:
-        sel = table_r >= min(table_r[-1] / 10.0, table_r[-2])
-        lp = np.polyfit(np.log(table_r[sel]), np.log(table_h[sel]), 1)
-        tail_p, tail_c = lp[0], float(np.exp(lp[1]))
-        log_r, log_h = np.log(table_r), np.log(table_h)
-        xs, ys = log_r.tolist(), log_h.tolist()
-        r_series = float(table_r[0])   # series inside, table beyond
-    nonparabolic = tail_p is not None and 2.0 * tail_p > 1.0
+    def series(order):
+        if order >= len(coeffs):
+            raise UnsupportedBackend(
+                f"custom backend has analytic data only to order {len(coeffs) - 1}")
+        return coeffs[: order + 1]
+
+    if "table" not in keys:
+        return MetricProfile(id="custom", _h2=lambda r: r * r * _horner(horner, r),
+                             _green=None, _series=series)
+    rs, hs = [], []
+    with open(os.path.join(os.path.dirname(path), keys["table"])) as fh:
+        reader = csv.DictReader(fh)
+        if not {"r", "h"} <= set(reader.fieldnames or ()):
+            raise UnsupportedBackend("custom table needs the header r,h")
+        for row in reader:
+            rs.append(float(row["r"]))
+            hs.append(float(row["h"]))
+    table_r = np.asarray(rs)
+    table_h = np.asarray(hs)
+    if len(table_r) < 4:
+        raise UnsupportedBackend("custom table needs at least 4 rows")
+    if not np.all((table_r > 0) & (table_h > 0)
+                  & np.isfinite(table_r) & np.isfinite(table_h)):
+        raise UnsupportedBackend("custom table r and h must be finite and > 0")
+    if np.any(np.diff(table_r) <= 0):
+        raise UnsupportedBackend("custom table radii must be increasing")
+    if table_r[0] > 0.5:
+        raise UnsupportedBackend("custom table must start at r <= 0.5")
+    r_series = float(table_r[0])   # series inside, table beyond
+    if _roots_in(coeffs, Fraction(r_series)):
+        raise UnsupportedBackend(f"custom series h^2/r^2 must be > 0 for 0 < r <= {r_series!r}")
+
+    log_r, log_h = np.log(table_r), np.log(table_h)
+    # the log-log slope from each row to the next; the last row takes the
+    # last segment's, which continues past the table: far out h ~ r^p
+    slopes = np.diff(log_h) / np.diff(log_r)
+    slopes = np.append(slopes, slopes[-1])
+    log_next = np.append(log_r[1:], math.inf)
+    xs, ys, ks = log_r.tolist(), log_h.tolist(), slopes.tolist()
+
+    def lookup(log_x):
+        """The segment j of each log r, and log h there: np.interp's rule
+        on the table, and the last segment continued past it."""
+        log_x = np.maximum(log_x, log_r[0])
+        j = np.searchsorted(log_r, log_x, side="right") - 1
+        return j, slopes[j] * (log_x - log_r[j]) + log_h[j]
 
     def h2(r):
-        # the series inside r_series, log-log interpolation on the table,
-        # the power law past it: a float (the right-hand side) is looked
-        # up in its one region, an array in all three at once
+        # the series up to the first row, log-log segments from there on:
+        # a float (the right-hand side) takes lookup's rule by bisect
         if isinstance(r, float):
-            if table_r is None or r <= r_series:
+            if r <= r_series:
                 return r * r * _horner(horner, r)
-            if r <= table_r[-1]:      # np.interp's rule, without its wrapper
-                x = np.log(r)
-                j = max(bisect.bisect_right(xs, x) - 1, 0)
-                h = np.exp(ys[j] if x <= xs[j] or j == len(xs) - 1 else
-                           (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + ys[j])
-            else:               # the ufunc: scalar ** can round otherwise
-                h = tail_c * np.power(r, tail_p)
+            x = max(np.log(r), xs[0])
+            j = bisect.bisect_right(xs, x) - 1
+            h = np.exp(ks[j] * (x - xs[j]) + ys[j])
             return float(h * h)
-        out = r * r * _horner(horner, r)
-        if table_r is not None:
-            h = np.where(r <= table_r[-1], np.exp(np.interp(np.log(r), log_r, log_h)),
-                         tail_c * r ** tail_p)
-            out = np.where(r <= r_series, out, h * h)
-        return out
+        h = np.exp(lookup(np.log(r))[1])
+        return np.where(r <= r_series, r * r * _horner(horner, r), h * h)
 
-    def tail_from(x):
-        return x ** (1.0 - 2.0 * tail_p) / (2.0 * tail_c ** 2 * (2.0 * tail_p - 1.0))
-
-    def segment(x, i):
-        """int_x^{r_{i+1}} dt / (2 h^2) inside table segment i.  There
-        h(t) = h(x) (t/x)^p with p the segment's log-log slope, so the
-        integral is x L E((1 - 2p) L) / (2 h(x)^2), where L = ln(r_{i+1}/x)
-        and E(z) = expm1(z)/z, E(0) = 1."""
+    def segment(x):
+        """(j, int_x^{r_{j+1}} dt / (2 h^2)) on the segment j that holds x,
+        r_{j+1} = inf on the last.  There h(t) = h(x) (t/x)^k, so with
+        w = 1 - 2k and L = ln(r_{j+1}/x) the integral is x expm1(w L) /
+        (2 w h(x)^2): x L / (2 h(x)^2) at w = 0, x / (2 (2k - 1) h(x)^2) past the table."""
         log_x = np.log(x)
-        span = log_r[i + 1] - log_x
-        z = (1.0 - 2.0 * slope[i]) * span
-        nonzero = np.where(z == 0.0, 1.0, z)
-        expm1_ratio = np.where(z == 0.0, 1.0, np.expm1(nonzero) / nonzero)
-        # h(x)^2 from the table's law, as h2 reads it
-        return x * span * expm1_ratio / (2.0 * np.exp(2.0 * np.interp(log_x, log_r, log_h)))
+        j, log_hx = lookup(log_x)
+        w = 1.0 - 2.0 * slopes[j]
+        span = log_next[j] - log_x
+        ratio = np.where(w == 0.0, span, np.expm1(w * span) / np.where(w == 0.0, 1.0, w))
+        return j, x * ratio / (2.0 * np.exp(2.0 * log_hx))
 
     def green(x):
-        """G = int_x^inf dt / (2 h^2): the power-law tail past the table,
-        closed forms on its log-log linear segments, and below the table
+        """G = int_x^inf dt / (2 h^2): from the first row on, the closed
+        form on x's segment plus G at the segment's end; below the table
         1/(2x) - 1/(2 r_series) plus a Gauss-Legendre rule on the smooth
         rest (1/P - 1)/(2t^2) = -Q/(2P), where h^2 = t^2 P and P = 1 + t^2 Q."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(xs)
-        far = xs >= table_r[-1]
-        out[far] = tail_from(xs[far])
         near = xs < r_series
-        mid = ~far & ~near
-        i = np.searchsorted(table_r, xs[mid], side="right") - 1
-        out[mid] = segment(xs[mid], i) + suffix[i + 1]
+        j, piece = segment(xs[~near])
+        out[~near] = piece + suffix[j + 1]
         x_in = xs[near, None]
         t = x_in + (r_series - x_in) * _GL_NODES
-        smooth = -_horner(horner_q, t) / (2.0 * _horner(horner, t))
+        smooth = -_horner(horner[:-2], t) / (2.0 * _horner(horner, t))
         out[near] = (0.5 / xs[near] - 0.5 / r_series + suffix[0]
                      + (r_series - xs[near]) * (smooth @ _GL_WEIGHTS))
         return out if np.ndim(x) else float(out[0])
 
-    if nonparabolic:
-        horner_q = horner[:-2]                     # Q(t) = (P(t) - 1) / t^2
-        slope = np.diff(log_h) / np.diff(log_r)
-        pieces = segment(table_r[:-1], np.arange(len(table_r) - 1))
-        # suffix[i] = G(r_i)
-        suffix = np.append(np.cumsum(pieces[::-1])[::-1], 0.0) + tail_from(table_r[-1])
-
-    def series(order):
-        if order > n_series:
-            raise UnsupportedBackend(
-                f"custom backend has analytic data only to order {n_series}"
-            )
-        return coeffs[: order + 1]
-
-    return MetricProfile(
-        id="custom",
-        _h2=h2,
-        _green=green if nonparabolic else None,
-        _series=series,
-    )
+    nonparabolic = 2.0 * ks[-1] > 1.0
+    if nonparabolic:        # suffix[i] = G(r_i), and 0 past the last segment
+        suffix = np.append(np.cumsum(segment(table_r)[1][::-1])[::-1], 0.0)
+    return MetricProfile(id="custom", _h2=h2, _green=green if nonparabolic else None,
+                         _series=series)

@@ -96,8 +96,9 @@ def test_s_of_rho_matches_scalar_loop():
     # s_of_rho after three Halley steps, the reference at a sign change, a
     # bracket of adjacent floats or a Newton step below 1e-15 max(1, s).
     # The bound is that stop rule's tolerance, which covers the band
-    # (observed: up to 7 ulp, 8.8e-16 relative, at rho = 1.53 of
-    # _NEWTON_CYCLES; at most 2.3e-16 absolute where s < 1)
+    # (observed: up to 7 ulp, at rho = 4.37; 3 ulp at rho = 1.53 of
+    # _NEWTON_CYCLES; 8.7e-16 relative at most, at rho = 1.71; at most
+    # 3.3e-16 absolute where s < 1)
     rho = np.concatenate([np.geomspace(1e-8, 1e8, 2001), [0.0, 1.0],
                           _NEWTON_CYCLES])
     ref = np.array([s_of_rho_loop(p) for p in rho])
@@ -625,24 +626,72 @@ def _table_metric(tmp_path, rs):
     return str(cfg)
 
 
-def test_custom_tail_fit_uses_two_rows_when_the_last_decade_has_one(tmp_path):
+def test_custom_sparse_table_continues_its_last_segment(tmp_path):
     # the first row is 0.5: a table must start inside the series region
     cfg = _table_metric(tmp_path, [0.5, 1.0, 10.0, 100.0, 1001.0])
     with warnings.catch_warnings():
-        warnings.simplefilter("error")           # no RankWarning from the fit
+        warnings.simplefilter("error")
         met = load_custom(cfg)
     assert met.nonparabolic
     assert abs(met.h2(5000.0) / 2.5e7 - 1.0) <= 1e-9
     assert main(["green", "--metric", cfg, "--charge", "1"]) == 0
 
 
-def test_custom_tail_fit_keeps_the_last_decade(tmp_path):
-    rs = np.geomspace(0.5, 200.0, 257)
-    met = load_custom(_table_metric(tmp_path, rs))
-    sel = rs >= rs[-1] / 10.0
-    p, log_c = np.polyfit(np.log(rs[sel]), np.log(rs[sel]), 1)
-    far = np.array([250.0, 1e3, 1e5])
-    assert np.array_equal(met.h2(far), (float(np.exp(log_c)) * far ** p) ** 2)
+def test_custom_far_field_is_the_last_segment_continued(tmp_path):
+    # past the table h = h_R (r/R)^p, p the last segment's log-log slope,
+    # and the metric is nonparabolic iff 2p > 1
+    rng = np.random.default_rng(33)
+    rs = np.sort(np.geomspace(0.5, 200.0, 64) * rng.uniform(0.97, 1.03, 64))
+    for power in (1.4, 0.6, 0.4):
+        hs = rs ** power * rng.uniform(0.9, 1.1, 64)
+        (tmp_path / "t.csv").write_text(
+            "r,h\n" + "".join(f"{r!r},{h!r}\n" for r, h in zip(rs.tolist(), hs.tolist())))
+        (tmp_path / "m.txt").write_text("type=custom\ncoeffs=1,0\ntable=t.csv\n")
+        met = load_custom(str(tmp_path / "m.txt"))
+        p = (math.log(hs[-1]) - math.log(hs[-2])) / (math.log(rs[-1]) - math.log(rs[-2]))
+        far = np.array([rs[-1] * 1.5, 1e3, 1e5, 1e8])
+        assert np.allclose(met.h2(far), (hs[-1] * (far / rs[-1]) ** p) ** 2,
+                           rtol=1e-13, atol=0.0)
+        assert met.h2(far).tolist() == [met.h2(float(r)) for r in far]
+        assert met.nonparabolic is (2.0 * p > 1.0)
+        if met.nonparabolic:      # G past the table: r / (2 (2p - 1) h^2)
+            assert np.allclose(met.green_tail(far), far / (2.0 * (2.0 * p - 1.0) * met.h2(far)),
+                               rtol=1e-13, atol=0.0)
+
+
+def test_custom_h2_is_continuous_at_the_last_row(tmp_path):
+    # the far field is the table's own last segment, so h^2 meets it
+    rs = np.geomspace(0.2, 60.0, 80)
+    hs = rs * (1.0 + rs * rs) ** 0.2
+    (tmp_path / "t.csv").write_text(
+        "r,h\n" + "".join(f"{r!r},{h!r}\n" for r, h in zip(rs.tolist(), hs.tolist())))
+    # blank lines and comments are skipped
+    (tmp_path / "m.txt").write_text("# h = r (1 + r^2)^(1/5)\n\ntype=custom\n"
+                                    "coeffs=1,0\n  # from r = 0.2\ntable=t.csv\n\n")
+    met = load_custom(str(tmp_path / "m.txt"))
+    R = float(rs[-1])
+    assert abs(met.h2(math.nextafter(R, math.inf)) / met.h2(R) - 1.0) <= 4.4e-16
+
+
+@pytest.mark.parametrize("coeffs, r0, ok", [
+    ("1,0,-5" + ",0" * 10, 0.5, False),   # P = 1 - 5 r^2 < 0 past r = 0.447
+    ("1,0,-15,0,50", 0.5, False),         # P < 0 between r = 0.316 and 0.447 only
+    ("1,0,-8,0,16", 0.5, False),          # P = (1 - 4 r^2)^2 = 0 at the first row
+    ("1,0,-8,0,16", 0.4, True),
+    ("1,0,-1/3,0,0", 0.5, True),
+], ids=["negative-past-0.45", "negative-inside", "zero-at-first-row", "double-root-past-table",
+        "positive"])
+def test_custom_series_must_be_positive_below_the_table(tmp_path, coeffs, r0, ok):
+    # h^2 = r^2 P(r) is the series up to the table's first row r0, so
+    # P > 0 on (0, r0] is required at load
+    rs = np.geomspace(r0, 100.0, 40)
+    (tmp_path / "t.csv").write_text("r,h\n" + "".join(f"{r!r},{r!r}\n" for r in rs.tolist()))
+    (tmp_path / "m.txt").write_text(f"type=custom\ncoeffs={coeffs}\ntable=t.csv\n")
+    if ok:
+        assert load_custom(str(tmp_path / "m.txt")).h2(0.3) > 0.0
+    else:
+        with pytest.raises(UnsupportedBackend, match="must be > 0"):
+            load_custom(str(tmp_path / "m.txt"))
 
 
 RHO_WIDE = [1e-300, 1.0, 1e5, 1e78, 1e200, 1.7e308]
@@ -724,8 +773,15 @@ def _custom_file(tmp_path, text):
      UnsupportedBackend, "must declare type=custom"),
     (lambda tmp: load_custom(_custom_file(tmp, "type=custom\ncoeffs=1,0\ntable=t.csv\n")),
      UnsupportedBackend, "radii must be increasing"),
+    (lambda tmp: load_custom(_custom_file(tmp, "type=custom\ncoeffs=1,0\ntabel=t.csv\n")),
+     UnsupportedBackend, "'tabel=t.csv'"),
+    (lambda tmp: load_custom(_custom_file(tmp, "type=custom\ncoeffs=1,0\ntable t.csv\n")),
+     UnsupportedBackend, "'table t.csv'"),
+    (lambda tmp: load_custom(_custom_file(tmp, "type=custom\ncoeffs=1,0\ncoeffs=1,0,1\n")),
+     UnsupportedBackend, "'coeffs=1,0,1'"),
     (lambda tmp: EUCLIDEAN.series_coeffs(-1), ValueError, "order must be >= 0"),
-], ids=["custom-no-type", "custom-repeated-radius", "negative-order"])
+], ids=["custom-no-type", "custom-repeated-radius", "custom-misspelled-key",
+        "custom-line-without-equals", "custom-repeated-key", "negative-order"])
 def test_metric_input_checks(tmp_path, call, exc, match):
     with pytest.raises(exc, match=match):
         call(tmp_path)
