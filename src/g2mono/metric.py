@@ -265,18 +265,24 @@ class Chart:
     """Integration coordinate x(r), and h^2 and the Green's-function tail
     G read in it.  Each map takes a float or an array and returns the
     same kind, except that the identity chart's dr_dx returns 1.0, which
-    broadcasts."""
+    broadcasts.  `stage` is the same dr_dx and h2_of_x at a float xs as
+    source lines, which `ode` inlines into its generated DOP853 stages:
+    they set J and h2, equal to the bit to dr_dx(xs) and h2_of_x(xs), and
+    may call `h2_of_x` and `_sqrt` (math.sqrt)."""
 
     x_of_r: Callable
     r_of_x: Callable
     dr_dx: Callable
     h2_of_x: Callable
     green_of_x: Callable
+    stage: tuple
 
 
-# BS fiber coordinate s; s_of_rho is looked up when called
+# BS fiber coordinate s; s_of_rho is looked up when called.  Its stage
+# writes out bs_f and bs_h2_of_s's float branch
 S_CHART = Chart(x_of_r=lambda rho: s_of_rho(rho), r_of_x=rho_of_s,
-                dr_dx=bs_f, h2_of_x=bs_h2_of_s, green_of_x=bs_green_of_s)
+                dr_dx=bs_f, h2_of_x=bs_h2_of_s, green_of_x=bs_green_of_s,
+                stage=("q = 1.0 + xs * xs", "J = q ** -0.25", "h2 = xs * xs * _sqrt(q)"))
 
 
 def _identity(x):
@@ -302,7 +308,8 @@ class MetricProfile:
         if self._chart is not None:
             return self._chart
         return Chart(x_of_r=_identity, r_of_x=_identity, dr_dx=lambda x: 1.0,
-                     h2_of_x=self.h2, green_of_x=self.green_tail)
+                     h2_of_x=self.h2, green_of_x=self.green_tail,
+                     stage=("J = 1.0", "h2 = h2_of_x(xs)"))
 
     def _radii(self, r):
         """r as a float or an array, checked: h^2 and G take 0 < r < inf
@@ -435,7 +442,11 @@ def load_custom(path: str) -> MetricProfile:
         raise UnsupportedBackend("custom metric file must declare type=custom")
     if "coeffs" not in keys:
         raise UnsupportedBackend("custom metric file must give coeffs=")
-    coeffs = [Fraction(c) for c in keys["coeffs"].split(",")]
+    try:
+        coeffs = [Fraction(c) for c in keys["coeffs"].split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise UnsupportedBackend(f"custom metric file {path}: each coefficient of "
+                                 f"'coeffs={keys['coeffs']}' must be a rational number") from None
     if coeffs[0] != 1 or (len(coeffs) > 1 and coeffs[1] != 0):
         raise UnsupportedBackend("custom series must start with 1, 0 (smoothness at 0)")
     horner = [float(c) for c in reversed(coeffs)]
@@ -450,13 +461,18 @@ def load_custom(path: str) -> MetricProfile:
         return MetricProfile(id="custom", _h2=lambda r: r * r * _horner(horner, r),
                              _green=None, _series=series)
     rs, hs = [], []
-    with open(os.path.join(os.path.dirname(path), keys["table"])) as fh:
+    table = os.path.join(os.path.dirname(path), keys["table"])
+    with open(table) as fh:
         reader = csv.DictReader(fh)
         if not {"r", "h"} <= set(reader.fieldnames or ()):
             raise UnsupportedBackend("custom table needs the header r,h")
         for row in reader:
-            rs.append(float(row["r"]))
-            hs.append(float(row["h"]))
+            try:      # a short row has h None
+                rs.append(float(row["r"]))
+                hs.append(float(row["h"]))
+            except (TypeError, ValueError):
+                raise UnsupportedBackend(
+                    f"custom table {table}, line {reader.line_num}: r and h must be numbers") from None
     table_r = np.asarray(rs)
     table_h = np.asarray(hs)
     if len(table_r) < 4:

@@ -3,10 +3,11 @@
 Each system is written once, in the table `_SYSTEMS`: "minus" (the
 monopoles), "plus" (the non-extendable flows, sigma = +-1) and "su3"
 (five fields on a Bryant-Salamon background).  An entry holds the
-right-hand side in the chart, the map from a state to the integrated
-variables, the map from their derivative back to d(fields)/dr, and the
-per-step stop test.  `integrate` steps these right-hand sides, and
-`rhs` (so `oracles.residual` and `g2mono verify`) evaluates them.
+right-hand side in the chart, as source lines (`_Rhs`), the map from a
+state to the integrated variables, the map from their derivative back
+to d(fields)/dr, and the per-step stop test.  `integrate` steps these
+right-hand sides, and `rhs` (so `oracles.residual` and `g2mono verify`)
+evaluates them.
 
 Derivatives are always with respect to the geodesic radius r (called
 rho on the BS backgrounds).  Internally every integration runs in the
@@ -15,15 +16,24 @@ most backgrounds, the fiber coordinate s on the BS ones.  A system reads
 its background only through the chart, at x: h^2, dr/dx and the tail's
 G.  Results are reported in r.
 
-Every system, and the linear comparison equation of `envelope_check`,
-runs through one DOP853 controller on Python floats (complex for su3)
-with scipy's tableau (written out in `_dop853_tableau`, so that scipy is
-not imported) and scipy's controller, so its steps are those of
+Every system, the minus system's variational rows and the linear
+comparison equation of `envelope_check` run through one DOP853
+controller on Python floats (complex for su3) with scipy's tableau
+(written out in `_dop853_tableau`, so that scipy is not imported) and
+scipy's controller, so its steps are those of
 `solve_ivp(method="DOP853")` up to rounding.  A step is straight-line
-code, generated from the tableau on first use for each state length:
-its stage sums are written out in the order `sum` adds them, next to
-the error norm, and a second function, generated on the first dense
-step, builds the interpolant rows.
+code, generated on first use for each right-hand side, chart and state
+length.  Every stage inlines, on local names, its argument, the chart's
+J = dr/dx and h^2 at the stage's x (`Chart.stage`: the identity chart
+calls h2_of_x there, the s chart writes bs_f and bs_h2_of_s out) and the
+right-hand side's lines; there are no argument lists and no calls
+besides.  The callable that `rhs` and the first step use is compiled
+from the same lines.  The stage sums are written out in the order `sum`
+adds them, without the tableau's exact 0.0 coefficients: a partial sum
+that starts from 0 is never -0.0, so adding 0.0 * k, a signed zero for a
+finite k, leaves it as it is, and a step equals the generic stage loop
+to the bit wherever its stages are finite.  A second function,
+generated on the first dense step, builds the interpolant rows.
 Each stop (blow-up, a at A_FLOOR, and in shooting mode the tail bound
 2 a^2 G <= tol/10) is a test on the state at an accepted step.
 Interpolants are built only when the caller asks for dense output.
@@ -42,7 +52,7 @@ import numpy as np
 from . import _dop853_tableau as _tab
 from .energy import cumulative_trapezoid
 # s_of_rho is not called here, but perfbench/tracer.py wraps ode.s_of_rho
-from .metric import (MetricProfile, DomainError, S_CHART, _float_or_array, _require, bs_f,
+from .metric import (MetricProfile, DomainError, S_CHART, _float_or_array, _require,
                      s_of_rho)
 
 V_BLOWUP = 50.0
@@ -78,44 +88,36 @@ class SU3State:
     phi2: float
 
 
-def _expm1_clipped(v):
-    # math, not numpy: a numpy scalar call per stage costs more than the
-    # rest of the right-hand side (the two differ by at most 1 ulp)
-    return math.expm1(min(v, _EXP_CLIP))
-
-
 # ---------------------------------------------------------------------------
 # the reduced systems
 # ---------------------------------------------------------------------------
 
-def _minus(x, y, J, h2, sigma):
-    """a' = 2 phi a, phi' = (a^2-1)/(2h^2) in (v, w) = (2 log|a|, 4 phi)."""
-    return [J * y[1], J * 2.0 * _expm1_clipped(y[0]) / h2]
+class _Rhs(NamedTuple):
+    """A right-hand side dy/dx as source: `lines` set temporaries from the
+    state a0, a1, ..., the chart point xs, J = dr/dx, h2 = h^2 and sigma,
+    and `dy` are the components of dy/dx over the same names."""
+    lines: tuple
+    dy: tuple
 
 
-def _minus_variation(x, y, J, h2, sigma):
-    """`_minus` and the variational rows dv' = dw, dw' = 2 e^v dv / h^2."""
-    e = _expm1_clipped(y[0])
-    return [J * y[1], J * 2.0 * e / h2,
-            J * y[3], J * 2.0 * (e + 1.0) * y[2] / h2]
-
-
-def _plus(x, y, J, h2, sigma):
-    """a' = sigma 2 a phi, phi' = sigma (1+a^2)/(2h^2) in (a, phi)."""
-    return [J * sigma * 2.0 * y[0] * y[1],
-            J * sigma * (1.0 + y[0] * y[0]) / (2.0 * h2)]
-
-
-def _su3(x, y, J, h2, sigma):
-    """The five fields (b1, b2, b3, phi1, phi2), with x = s."""
-    b1, b2, b3, p1, p2 = y[0], y[1], y[2], y[3].real, y[4].real
-    fs = bs_f(x) / x
-    return [J * d for d in (
-        fs * b2 * b3 - b1 * (2.0 * p1 + p2),
-        fs * b1 * b3 + b2 * (p1 - p2),
-        fs * b1 * b2 + b3 * (p1 + 2.0 * p2),
-        (b2 * b2 - b1 * b1 - 1.0).real / (2.0 * h2),
-        (b3 * b3 - b2 * b2 + 1.0).real / (2.0 * h2))]
+# math's expm1, not numpy's: a numpy scalar call per stage costs more
+# than the rest of the right-hand side (the two differ by at most 1 ulp)
+_CLIPPED = f"e = _expm1(min(a0, {_EXP_CLIP!r}))"
+# a' = 2 phi a, phi' = (a^2-1)/(2h^2) in (v, w) = (2 log|a|, 4 phi)
+_MINUS = _Rhs((_CLIPPED,), ("J * a1", "J * 2.0 * e / h2"))
+# with the variational rows dv' = dw, dw' = 2 e^v dv / h^2
+_MINUS_VARIATION = _Rhs(_MINUS.lines, (*_MINUS.dy, "J * a3", "J * 2.0 * (e + 1.0) * a2 / h2"))
+# a' = sigma 2 a phi, phi' = sigma (1+a^2)/(2h^2) in (a, phi)
+_PLUS = _Rhs((), ("J * sigma * 2.0 * a0 * a1", "J * sigma * (1.0 + a0 * a0) / (2.0 * h2)"))
+# the five fields (b1, b2, b3, phi1, phi2), with x = s and fs = bs_f(s) / s
+_SU3 = _Rhs(("p1 = a3.real", "p2 = a4.real", "fs = (1.0 + xs * xs) ** -0.25 / xs"),
+            ("J * (fs * a1 * a2 - a0 * (2.0 * p1 + p2))",
+             "J * (fs * a0 * a2 + a1 * (p1 - p2))",
+             "J * (fs * a0 * a1 + a2 * (p1 + 2.0 * p2))",
+             "J * ((a1 * a1 - a0 * a0 - 1.0).real / (2.0 * h2))",
+             "J * ((a2 * a2 - a1 * a1 + 1.0).real / (2.0 * h2))"))
+# envelope_check's linear comparison equation v'' = 2 v / h^2
+_LINEAR = _Rhs((), ("J * a1", "J * 2.0 * a0 / h2"))
 
 
 def _minus_stop(x, y, phi_r_blowup):
@@ -125,7 +127,7 @@ def _minus_stop(x, y, phi_r_blowup):
 
 
 class _System(NamedTuple):
-    f: Callable            # (x, y, J = dr/dx, h^2, sigma) -> dy/dx
+    rhs: _Rhs              # dy/dx in the chart
     to_y: Callable         # state -> y
     to_fields: Callable    # (state, dy/dr) -> d(fields)/dr
     stop: Callable         # (x, y, phi_r_blowup(phi, x)) -> reason or None
@@ -134,15 +136,15 @@ class _System(NamedTuple):
 _SYSTEMS = {
     # a = 0 maps to v = -inf, where phi' = -1/(2h^2): the Dirac monopole
     "minus": _System(
-        _minus, lambda st: [2.0 * math.log(abs(st.a)) if st.a else -math.inf,
+        _MINUS, lambda st: [2.0 * math.log(abs(st.a)) if st.a else -math.inf,
                             4.0 * float(st.phi)],
         lambda st, d: (0.5 * st.a * d[0], 0.25 * d[1]), _minus_stop),
     "plus": _System(
-        _plus, lambda st: [float(st.a), float(st.phi)], lambda st, d: tuple(d),
+        _PLUS, lambda st: [float(st.a), float(st.phi)], lambda st, d: tuple(d),
         lambda x, y, phi_r_blowup:
             "blow-up" if phi_r_blowup(abs(y[1]), x) else None),
     "su3": _System(
-        _su3, lambda st: [complex(v) for v in (st.b1, st.b2, st.b3,
+        _SU3, lambda st: [complex(v) for v in (st.b1, st.b2, st.b3,
                                                st.phi1, st.phi2)],
         lambda st, d: tuple(d),
         lambda x, y, _: "blow-up" if max(map(abs, y)) > PHI_R_BLOWUP else None),
@@ -168,7 +170,8 @@ def rhs(system: str, state, metric: MetricProfile, sigma: int = -1):
     spec = _system(system, metric, sigma)
     chart = metric.chart
     x = chart.x_of_r(metric._radii(state.r))
-    return spec.to_fields(state, spec.f(x, spec.to_y(state), 1.0, chart.h2_of_x(x), sigma))
+    f = _generated(_FUNCTIONS, "f", _function_source, spec.rhs)
+    return spec.to_fields(state, f(x, spec.to_y(state), 1.0, chart.h2_of_x(x), sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +187,13 @@ _E3, _E5, _D = _tab.E3, _tab.E5, _tab.D
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's controller
 _ERROR_EXPONENT = -1.0 / 8.0         # -1 / (error estimator order + 1)
 
-# (state length, error-controlled length) -> step, (state length,) -> rows:
-# straight-line code generated from the tableau on first use (for 2 to 5
-# components a loop over them costs more than the arithmetic).
-_STEPPERS, _ROWS = {}, {}
+# Straight-line code generated on first use (for 2 to 5 components a loop
+# over them costs more than the arithmetic): (_Rhs,) -> f, (_Rhs, chart
+# stage, state length, error-controlled length) -> step and (_Rhs, chart
+# stage, state length) -> rows.  The key is the chart's source, not the
+# Chart: an identity chart is built anew on each read, and every identity
+# chart shares one kernel.
+_FUNCTIONS, _STEPPERS, _ROWS = {}, {}, {}
 
 
 def _names(prefix, n):
@@ -195,22 +201,29 @@ def _names(prefix, n):
 
 
 def _dot(coeffs, i):
-    """sum(map(mul, coeffs, [k0_i, k1_i, ...])) as source: `sum`'s
-    left-to-right order, from the int 0 as `sum` starts (so a leading
-    -0.0 turns into 0.0 as there)."""
-    return "(0" + "".join(f" + {c!r} * k{j}_{i}" for j, c in enumerate(coeffs)) + ")"
+    """sum(map(mul, coeffs, [k0_i, k1_i, ...])) as source, in `sum`'s
+    left-to-right order, without the tableau's exact 0.0 coefficients.
+    It starts from 0.0, which adds as `sum`'s int 0 does, so a leading
+    -0.0 turns into 0.0 as there and no partial sum is -0.0.  Then
+    adding a dropped term, a signed zero for a finite stage, leaves the
+    sum's bits as they are."""
+    return "(0.0" + "".join(f" + {c!r} * k{j}_{i}" for j, c in enumerate(coeffs) if c) + ")"
 
 
-def _stage_lines(stages, first, n):
-    """Source evaluating `stages` as stages first, first + 1, ...:
-    k{s}_{i} is component i of stage s, `arg` and `ks` are the last
-    stage's argument and value."""
+def _function_source(rhs):
+    """`f(xs, y, J, h2, sigma)` -> dy/dx as a list."""
+    return "\n    ".join(["def f(xs, y, J, h2, sigma):", f"{_names('a', len(rhs.dy))}= y",
+                           *rhs.lines, f"return [{', '.join(rhs.dy)}]"]) + "\n"
+
+
+def _stage_lines(rhs, chart, stages, first, n):
+    """Source evaluating `stages` as stages first, first + 1, ... on local
+    names: the argument a0, a1, ..., then the chart's J and h2 at xs, then
+    k{s}_{i}, component i of stage s, from the lines of rhs."""
     lines = []
     for s, (a, c) in enumerate(stages, first):
-        arg = ", ".join(f"y{i} + h * {_dot(a, i)}" for i in range(n))
-        lines += [f"xs = x + {c!r} * h", f"arg = [{arg}]",
-                  "ks = f(xs, arg, dr_dx(xs), h2_of_x(xs), sigma)",
-                  f"{_names(f'k{s}_', n)}= ks"]
+        lines += [f"xs = x + {c!r} * h", *(f"a{i} = y{i} + h * {_dot(a, i)}" for i in range(n)),
+                  *chart, *rhs.lines, *(f"k{s}_{i} = {d}" for i, d in enumerate(rhs.dy))]
     return lines
 
 
@@ -218,57 +231,60 @@ def _stage_names(n):
     return ", ".join(f"k{s}_{i}" for s in range(_N + 1) for i in range(n))
 
 
-def _step_source(n, n_err):
-    """`step(f, dr_dx, h2_of_x, sigma, x, h, y, f(x, y), rtol, atol)` ->
-    (y_new, f_new, error norm, the stage values): scipy's step and error
-    norm over the first n_err components."""
-    step = ["def step(f, dr_dx, h2_of_x, sigma, x, h, y, k0, rtol, atol):",
+def _step_source(rhs, chart, n, n_err):
+    """`step(h2_of_x, sigma, x, h, y, f(x, y), rtol, atol)` -> (y_new,
+    f_new, error norm, the stage values): scipy's step and error norm
+    over the first n_err components, stage 12's argument being y_new."""
+    step = ["def step(h2_of_x, sigma, x, h, y, k0, rtol, atol):",
             f"{_names('y', n)}= y", f"{_names('k0_', n)}= k0",
-            *_stage_lines(_STEP, 1, n)]
+            *_stage_lines(rhs, chart, _STEP, 1, n)]
     for i in range(n_err):
-        step += [f"sc = atol + max(abs(y{i}), abs(arg[{i}])) * rtol",
+        step += [f"sc = atol + max(abs(y{i}), abs(a{i})) * rtol",
                  f"q5_{i} = abs({_dot(_E5, i)}) / sc",
                  f"q3_{i} = abs({_dot(_E3, i)}) / sc"]
     step += ["e5 = 0.0" + "".join(f" + q5_{i} * q5_{i}" for i in range(n_err)),
              "e3 = 0.0" + "".join(f" + q3_{i} * q3_{i}" for i in range(n_err)),
              f"err = abs(h) * e5 / _sqrt((e5 + 0.01 * e3) * {n_err}) if e5 or e3 else 0.0",
-             f"return arg, ks, err, ({_stage_names(n)})"]
+             f"return [{_names('a', n)}], [{_names(f'k{_N}_', n)}], err, ({_stage_names(n)})"]
     return "\n    ".join(step) + "\n"
 
 
-def _rows_source(n):
-    """`rows(f, dr_dx, h2_of_x, sigma, x, h, y, y_new, stages)` -> the 7
+def _rows_source(rhs, chart, n):
+    """`rows(h2_of_x, sigma, x, h, y, y_new, stages)` -> the 7
     interpolant rows of a step, at three more evaluations."""
     # component i of each of the 7 rows
     F = [[f"d{i}", f"h * k0_{i} - d{i}", f"2.0 * d{i} - h * (k{_N}_{i} + k0_{i})",
           *(f"h * {_dot(Dj, i)}" for Dj in _D)] for i in range(n)]
-    rows = ["def rows(f, dr_dx, h2_of_x, sigma, x, h, y, y_new, stages):",
-            f"{_names('y', n)}= y", f"{_names('d', n)}= [b - a for a, b in zip(y, y_new)]",
-            f"{_stage_names(n)}, = stages", *_stage_lines(_DENSE, _N + 1, n),
+    rows = ["def rows(h2_of_x, sigma, x, h, y, y_new, stages):",
+            f"{_names('y', n)}= y", f"{_names('yn', n)}= y_new",
+            *(f"d{i} = yn{i} - y{i}" for i in range(n)),
+            f"{_stage_names(n)}, = stages", *_stage_lines(rhs, chart, _DENSE, _N + 1, n),
             f"return [{', '.join('[' + ', '.join(row) + ']' for row in zip(*F))}]"]
     return "\n    ".join(rows) + "\n"
 
 
 def _generated(cache, name, source, *key):
     """The function `name` that source(*key) defines, compiled on first
-    use: "step" from _step_source, "rows" from _rows_source."""
+    use: "f" from _function_source, "step" from _step_source, "rows"
+    from _rows_source."""
     if key not in cache:
-        scope = {"_sqrt": math.sqrt}
+        scope = {"_sqrt": math.sqrt, "_expm1": math.expm1}
         exec(compile(source(*key), f"<DOP853 {name} {key}>", "exec"), scope)
         cache[key] = scope[name]
     return cache[key]
 
 
-def _dop853(f, dr_dx, h2_of_x, sigma, x, y, x_end, rtol, atol, n_err, dense):
-    """Step DOP853 on dy/dx = f(x, y, dr_dx(x), h2_of_x(x), sigma) from
-    (x, y) toward x_end, yielding (x, y, nfev, F) at each accepted step,
-    with the error controlled on the first n_err components.  F is None,
-    or with `dense` the step's 7 interpolant rows, at three more
-    evaluations."""
-    step = _generated(_STEPPERS, "step", _step_source, len(y), n_err)
-    rows = _generated(_ROWS, "rows", _rows_source, len(y)) if dense else None
+def _dop853(rhs, chart, sigma, x, y, x_end, rtol, atol, n_err, dense):
+    """Step DOP853 on dy/dx = rhs in the chart, from (x, y) toward x_end,
+    yielding (x, y, nfev, F) at each accepted step, with the error
+    controlled on the first n_err components.  F is None, or with `dense`
+    the step's 7 interpolant rows, at three more evaluations."""
+    n, h2_of_x = len(y), chart.h2_of_x
+    f = _generated(_FUNCTIONS, "f", _function_source, rhs)
+    step = _generated(_STEPPERS, "step", _step_source, rhs, chart.stage, n, n_err)
+    rows = _generated(_ROWS, "rows", _rows_source, rhs, chart.stage, n) if dense else None
     direction = 1.0 if x_end > x else -1.0
-    fx = f(x, y, dr_dx(x), h2_of_x(x), sigma)
+    fx = f(x, y, chart.dr_dx(x), h2_of_x(x), sigma)
     # the first step: scipy's select_initial_step (Hairer et al. II.4)
     scale = [atol + abs(yi) * rtol for yi in y[:n_err]]
 
@@ -281,7 +297,7 @@ def _dop853(f, dr_dx, h2_of_x, sigma, x, y, x_end, rtol, atol, n_err, dense):
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
     x1 = x + h0 * direction
     f1 = f(x1, [yi + h0 * direction * fi for yi, fi in zip(y, fx)],
-           dr_dx(x1), h2_of_x(x1), sigma)
+           chart.dr_dx(x1), h2_of_x(x1), sigma)
     d2 = rms([b - a for a, b in zip(fx, f1)]) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -300,8 +316,7 @@ def _dop853(f, dr_dx, h2_of_x, sigma, x, y, x_end, rtol, atol, n_err, dense):
                 x_new = x_end
             h = x_new - x
             h_abs = abs(h)
-            y_new, f_new, err, stages = step(f, dr_dx, h2_of_x, sigma, x, h, y,
-                                             fx, rtol, atol)
+            y_new, f_new, err, stages = step(h2_of_x, sigma, x, h, y, fx, rtol, atol)
             nfev += _N
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(
@@ -311,7 +326,7 @@ def _dop853(f, dr_dx, h2_of_x, sigma, x, y, x_end, rtol, atol, n_err, dense):
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
         if dense:
-            F = rows(f, dr_dx, h2_of_x, sigma, x, h, y, y_new, stages)
+            F = rows(h2_of_x, sigma, x, h, y, y_new, stages)
             nfev += len(_DENSE)
         x, y, fx = x_new, y_new, f_new
         yield x, y, nfev, F
@@ -375,9 +390,10 @@ class IntegrationResult:
     def eval(self, r):
         """`eval_x` at x(r), for r from r(x[0]) to r_end.  r is checked,
         not x(r): x(r_end) may round past the grid's last point."""
-        r = _float_or_array(r, _between(self.metric.chart.r_of_x(self.x[0]), self.r_end),
+        chart = self.metric.chart
+        r = _float_or_array(r, _between(chart.r_of_x(self.x[0]), self.r_end),
                             "r lies outside the integrated range")
-        return self._rows(self.metric.chart.x_of_r(r))
+        return self._rows(chart.x_of_r(r))
 
     # minus-system conveniences -------------------------------------
 
@@ -456,18 +472,18 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
         return phi > phi_far and phi * chart.r_of_x(x) > PHI_R_BLOWUP
 
     rtol, atol = 0.9 * tol, 0.1 * tol
-    y0, f = spec.to_y(initial), spec.f
+    y0, rhs = spec.to_y(initial), spec.rhs
     # the variational rows are left out of error control
     n_err, flat = len(y0), minus and y0 == [0.0, 0.0]
     if variation is not None:
         y0 += [float(d) for d in variation]
-        f = _minus_variation
+        rhs = _MINUS_VARIATION
 
     xs, ys, Fs = [x_span[0]], [y0], []
     v_test = V_TAIL
     stop = tail = None
-    for x, y, nfev, F in _dop853(f, chart.dr_dx, chart.h2_of_x, sigma, x_span[0],
-                                 y0, x_span[1], rtol, atol, n_err, dense):
+    for x, y, nfev, F in _dop853(rhs, chart, sigma, x_span[0], y0, x_span[1], rtol, atol,
+                                 n_err, dense):
         xs.append(x)
         ys.append(y)
         Fs.append(F)
@@ -549,12 +565,9 @@ def envelope_check(result: IntegrationResult) -> EnvelopeReport:
     II = cumulative_trapezoid(J, rs)
     lower_quad = tangent - 2.0 * II
 
-    def lin(x, y, J, h2, sigma):
-        return [J * y[1], J * 2.0 * y[0] / h2]
-
     xs, ys, Fs = [float(chart.x_of_r(d))], [[v0, w0]], []
-    for x, y, _, F in _dop853(lin, chart.dr_dx, chart.h2_of_x, -1, xs[0], ys[0],
-                              float(chart.x_of_r(r_end)), 1e-10, 1e-12, 2, True):
+    for x, y, _, F in _dop853(_LINEAR, chart, -1, xs[0], ys[0], float(chart.x_of_r(r_end)),
+                              1e-10, 1e-12, 2, True):
         xs.append(x)
         ys.append(y)
         Fs.append(F)

@@ -768,6 +768,12 @@ def _custom_file(tmp_path, text):
     return str(tmp_path / "m.txt")
 
 
+def _custom_table(tmp_path, rows):
+    (tmp_path / "m.txt").write_text("type=custom\ncoeffs=1,0\ntable=t.csv\n")
+    (tmp_path / "t.csv").write_text("r,h\n" + rows)
+    return str(tmp_path / "m.txt")
+
+
 @pytest.mark.parametrize("call, exc, match", [
     (lambda tmp: load_custom(_custom_file(tmp, "coeffs=1,0,1/3\n")),
      UnsupportedBackend, "must declare type=custom"),
@@ -779,9 +785,29 @@ def _custom_file(tmp_path, text):
      UnsupportedBackend, "'table t.csv'"),
     (lambda tmp: load_custom(_custom_file(tmp, "type=custom\ncoeffs=1,0\ncoeffs=1,0,1\n")),
      UnsupportedBackend, "'coeffs=1,0,1'"),
+    (lambda tmp: load_custom(_custom_file(tmp, "type=custom\ncoeffs=1,0,1/0\n")),
+     UnsupportedBackend, r"m\.txt: .*'coeffs=1,0,1/0'"),
+    (lambda tmp: load_custom(_custom_file(tmp, "type=custom\ncoeffs=1,0,,0\n")),
+     UnsupportedBackend, r"m\.txt: .*'coeffs=1,0,,0'"),
+    (lambda tmp: load_custom(_custom_table(tmp, "0.5,0.5\n1,1\nx,2\n3,3\n")),
+     UnsupportedBackend, r"t\.csv, line 4: "),
+    (lambda tmp: load_custom(_custom_table(tmp, "0.5,0.5\n1,1\n2,2\n0.4\n")),
+     UnsupportedBackend, r"t\.csv, line 5: "),
     (lambda tmp: EUCLIDEAN.series_coeffs(-1), ValueError, "order must be >= 0"),
 ], ids=["custom-no-type", "custom-repeated-radius", "custom-misspelled-key",
-        "custom-line-without-equals", "custom-repeated-key", "negative-order"])
+        "custom-line-without-equals", "custom-repeated-key", "custom-zero-denominator",
+        "custom-empty-coefficient", "custom-table-cell-not-a-number", "custom-short-table-row",
+        "negative-order"])
 def test_metric_input_checks(tmp_path, call, exc, match):
     with pytest.raises(exc, match=match):
         call(tmp_path)
+
+
+def test_short_table_row_is_a_cli_error(tmp_path, capsys):
+    # a row without its h was a TypeError traceback out of `g2mono solve`
+    path = _custom_table(tmp_path, "0.5,0.5\n1,1\n2,2\n0.4\n")
+    assert main(["solve", "--metric", path, "--mass", "1",
+                 "--out", str(tmp_path / "p.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("g2mono: error:") and "t.csv, line 5" in err
+    assert "Traceback" not in err

@@ -222,15 +222,18 @@ def test_tol_validation():
         integrate("minus", _bps_initial(0.05), metric.EUCLIDEAN, 5.0, tol=1e-3)
 
 
-def test_expm1_clipped_scalar_matches_array_form():
-    # the right-hand side clips with min() on a float and takes math's
-    # expm1, within 1 ulp of numpy's on the array form np.clip
+def test_generated_clip_matches_array_form():
+    # the minus right-hand side clips v with min() on a float and takes
+    # math's expm1, within 1 ulp of numpy's on the array form np.clip;
+    # at J = 1 and h^2 = 2, phi's row is that expm1 exactly
+    f = _function(ode._MINUS)
+    assert "_expm1(min(a0, 700.0))" in ode._function_source(ode._MINUS)
     vs = np.concatenate([np.linspace(-800.0, 800.0, 4001),
                          [-1e-300, 0.0, 1e-17, 699.99, 700.0, 700.01, 1e308]])
     for v in vs:
         want = math.expm1(min(float(v), 700.0))
-        assert ode._expm1_clipped(float(v)) == want
-        assert ode._expm1_clipped(v) == want           # numpy scalar
+        assert f(1.0, [float(v), 0.0], 1.0, 2.0, -1)[1] == want
+        assert f(1.0, [v, 0.0], 1.0, 2.0, -1)[1] == want       # numpy scalar
         array_form = np.expm1(np.clip(v, None, 700.0))
         assert abs(want - array_form) <= np.spacing(abs(array_form))
 
@@ -294,16 +297,22 @@ def _shot_initial(beta, met):
     return ProfileState(d, a, phi)
 
 
-def _chart_rhs(system, met, sigma=-1):
-    """The system's right-hand side in the chart x, as `integrate` steps it."""
-    f, c = ode._SYSTEMS[system].f, met.chart
+def _function(rhs):
+    """The callable f(x, y, J, h2, sigma) compiled from a right-hand side's
+    source, as `rhs` and the first step call it."""
+    return ode._generated(ode._FUNCTIONS, "f", ode._function_source, rhs)
+
+
+def _chart_rhs(rhs, met, sigma=-1):
+    """A right-hand side in the chart x, read through the chart's callables."""
+    f, c = _function(rhs), met.chart
     return lambda x, y: f(x, y, c.dr_dx(x), c.h2_of_x(x), sigma)
 
 
 def _solve_ivp(system, init, met, r1, tol, sigma=-1, dense=False):
     """scipy's solve_ivp DOP853 from init.r to r1, in the chart x."""
     c = met.chart
-    sol = solve_ivp(_chart_rhs(system, met, sigma),
+    sol = solve_ivp(_chart_rhs(ode._SYSTEMS[system].rhs, met, sigma),
                     (float(c.x_of_r(init.r)), float(c.x_of_r(r1))),
                     ode._SYSTEMS[system].to_y(init),
                     method="DOP853", rtol=0.9 * tol, atol=0.1 * tol,
@@ -646,8 +655,8 @@ def test_one_step_matches_scipys_rk_step():
     # cancellation of O(1) stage values, so only to a relative 1e-2
     from scipy.integrate._ivp.rk import DOP853, rk_step
     met, tol = metric.BS_S4, 1e-10
-    fun = _chart_rhs("minus", met)
-    step = _generated_step(ode._SYSTEMS["minus"].f, met, -1, 2, 2, False)
+    fun = _chart_rhs(ode._MINUS, met)
+    step = _generated_step(ode._MINUS, met, -1, 2, False)
     states = []
     for beta in (-0.02, -0.4, -3.0, -30.0):
         res = integrate("minus", _shot_initial(beta, met), met, 1e5, tol=tol,
@@ -673,34 +682,55 @@ def test_one_step_matches_scipys_rk_step():
 
 # -- the generated steps against the generic stage loop -----------------------
 
-def _generated_step(f, met, sigma, n, n_err, dense):
-    """ode's generated step for the right-hand side f, as
+def _generated_step(rhs, met, sigma, n_err, dense):
+    """The kernels `integrate` runs for rhs on met's chart, as
     (x, h, y, f(x, y), rtol, atol) -> (y_new, f_new, err, F), with F the
     interpolant rows if `dense`, else None."""
-    c = met.chart
-    step = ode._generated(ode._STEPPERS, "step", ode._step_source, n, n_err)
-    rows = ode._generated(ode._ROWS, "rows", ode._rows_source, n) if dense else None
+    n, c = len(rhs.dy), met.chart
+    step = ode._generated(ode._STEPPERS, "step", ode._step_source, rhs, c.stage, n, n_err)
+    rows = ode._generated(ode._ROWS, "rows", ode._rows_source, rhs, c.stage, n) if dense else None
 
     def run(x, h, y, fx, rtol, atol):
-        y_new, f_new, err, stages = step(f, c.dr_dx, c.h2_of_x, sigma, x, h, y,
-                                         fx, rtol, atol)
-        F = rows(f, c.dr_dx, c.h2_of_x, sigma, x, h, y, y_new, stages) if dense else None
+        y_new, f_new, err, stages = step(c.h2_of_x, sigma, x, h, y, fx, rtol, atol)
+        F = rows(c.h2_of_x, sigma, x, h, y, y_new, stages) if dense else None
         return y_new, f_new, err, F
     return run
 
 
 def test_interpolant_rows_are_generated_on_first_dense_use(monkeypatch):
     # a slope shot compiles only its step; rows are compiled once per
-    # state length, whatever the error-controlled length
+    # right-hand side and chart, whatever the error-controlled length
     monkeypatch.setattr(ode, "_STEPPERS", {})
     monkeypatch.setattr(ode, "_ROWS", {})
     met = metric.EUCLIDEAN
-    init = _shot_initial(-0.4, met)
+    init, flat = _shot_initial(-0.4, met), met.chart.stage
     integrate("minus", init, met, 1e5, tail_stop=True, dense=False, variation=(0.0, 1.0))
-    assert sorted(ode._STEPPERS) == [(4, 2)] and not ode._ROWS
+    assert list(ode._STEPPERS) == [(ode._MINUS_VARIATION, flat, 4, 2)] and not ode._ROWS
     integrate("minus", init, met, 5.0)
     integrate("plus", ProfileState(1.0, 0.5, -0.1), met, 2.0)
-    assert sorted(ode._STEPPERS) == [(2, 2), (4, 2)] and sorted(ode._ROWS) == [(2,)]
+    assert list(ode._STEPPERS) == [(ode._MINUS_VARIATION, flat, 4, 2), (ode._MINUS, flat, 2, 2),
+                                   (ode._PLUS, flat, 2, 2)]
+    assert list(ode._ROWS) == [(ode._MINUS, flat, 2), (ode._PLUS, flat, 2)]
+
+
+def test_second_shot_compiles_nothing(monkeypatch):
+    # kernels are keyed on source: euclidean and hyperbolic share the
+    # identity chart's, though each read of their chart builds a new Chart
+    for cache in ("_FUNCTIONS", "_STEPPERS", "_ROWS"):
+        monkeypatch.setattr(ode, cache, {})
+    shooting.mass_of_beta(-0.4, metric.EUCLIDEAN)
+    kernels = {**ode._FUNCTIONS, **ode._STEPPERS, **ode._ROWS}
+    assert len(kernels) == 2
+
+    def compiled(*args):
+        raise AssertionError("compiled a second kernel")
+
+    monkeypatch.setattr(ode, "compile", compiled, raising=False)
+    assert metric.EUCLIDEAN.chart is not metric.EUCLIDEAN.chart
+    assert metric.HYPERBOLIC.chart.stage == metric.EUCLIDEAN.chart.stage
+    for met in (metric.EUCLIDEAN, metric.HYPERBOLIC):
+        shooting.mass_of_beta(-0.4, met)
+    assert {**ode._FUNCTIONS, **ode._STEPPERS, **ode._ROWS} == kernels
 
 
 def _bits(v):
@@ -747,29 +777,30 @@ def _oracle_states(system, n, rng, count):
 
 
 _ORACLE_CASES = {
-    # right-hand side, metric, sigma, state length, error-controlled length
-    "minus-euclidean": ("minus", metric.EUCLIDEAN, -1, 2, 2),
-    "minus-bs_s4": ("minus", metric.BS_S4, -1, 2, 2),
-    "plus-euclidean": ("plus", metric.EUCLIDEAN, 1, 2, 2),
-    "plus-bs_s4": ("plus", metric.BS_S4, -1, 2, 2),
-    "variation-hyperbolic": ("variation", metric.HYPERBOLIC, -1, 4, 2),
-    "su3-bs_s4": ("su3", metric.BS_S4, -1, 5, 5),
+    # right-hand side, metric, sigma, error-controlled length
+    "minus-euclidean": (ode._MINUS, metric.EUCLIDEAN, -1, 2),
+    "minus-bs_s4": (ode._MINUS, metric.BS_S4, -1, 2),
+    "plus-euclidean": (ode._PLUS, metric.EUCLIDEAN, 1, 2),
+    "plus-bs_s4": (ode._PLUS, metric.BS_S4, -1, 2),
+    "variation-hyperbolic": (ode._MINUS_VARIATION, metric.HYPERBOLIC, -1, 2),
+    "variation-bs_s4": (ode._MINUS_VARIATION, metric.BS_S4, -1, 2),
+    "su3-bs_s4": (ode._SU3, metric.BS_S4, -1, 5),
+    "linear-hyperbolic": (ode._LINEAR, metric.HYPERBOLIC, -1, 2),
 }
 
 
 @pytest.mark.parametrize("dense", [False, True])
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_generated_step_is_the_stage_loop_to_the_bit(case, dense):
-    # y_new, f_new, the error norm and the interpolant rows of each
-    # generated step, against the generic loop it unrolls, bit for bit;
-    # where a stage overflows, equal bits or both reject the step with
-    # the same next step size
-    system, met, sigma, n, n_err = _ORACLE_CASES[case]
-    f = ode._minus_variation if system == "variation" else ode._SYSTEMS[system].f
-    c = met.chart
-
-    def fun(x, y):
-        return f(x, y, c.dr_dx(x), c.h2_of_x(x), sigma)
+    # y_new, f_new, the error norm and the interpolant rows of each kernel
+    # `integrate` runs, with the right-hand side and the chart's J and h^2
+    # inlined at every stage, against the generic loop stepping the
+    # compiled right-hand side on the chart's own dr_dx and h2_of_x, bit
+    # for bit; where a stage overflows, equal bits or both reject the step
+    # with the same next step size
+    rhs, met, sigma, n_err = _ORACLE_CASES[case]
+    fun = _chart_rhs(rhs, met, sigma)
+    n, system = len(rhs.dy), case.split("-")[0]
 
     def reference(x, h, y, fx, rtol, atol):
         return dop853_oracle.step(fun, x, h, y, fx, rtol, atol, n_err, dense)
@@ -779,7 +810,7 @@ def test_generated_step_is_the_stage_loop_to_the_bit(case, dense):
         assert not err < 1.0
         return abs(h) * max(ode._MIN_FACTOR, ode._SAFETY * err ** ode._ERROR_EXPONENT)
 
-    generated = _generated_step(f, met, sigma, n, n_err, dense)
+    generated = _generated_step(rhs, met, sigma, n_err, dense)
     overflowed = 0
     for x, h, y in _oracle_states(system, n, np.random.default_rng(17), 80):
         fx = fun(x, y)

@@ -94,22 +94,17 @@ def test_flat_residual_zero():
 
 
 def test_residual_checks_the_integrated_rhs(monkeypatch):
-    # the residual and a shot evaluate the one minus right-hand side
-    spec, calls = ode._SYSTEMS["minus"], []
-
-    def counted(*args):
-        calls.append(args[0])
-        return spec.f(*args)
-
-    monkeypatch.setitem(ode._SYSTEMS, "minus", spec._replace(f=counted))
-    assert oracles.residual(oracles.bps_mass(1.0), "minus", metric.EUCLIDEAN,
-                            RS) <= 1e-12
-    assert calls == RS.tolist()
-    calls.clear()
-    res = ode.integrate("minus", oracles.bps_mass(1.0).state(0.05),
-                        metric.EUCLIDEAN, 10.0)
-    assert res.classification == "bounded"
-    assert len(calls) == res.stats["nfev"]
+    # the residual and a shot read the one minus source: a change to it
+    # reaches both
+    form, met = oracles.bps_mass(1.0), metric.EUCLIDEAN
+    assert oracles.residual(form, "minus", met, RS) <= 1e-12
+    want = ode.integrate("minus", form.state(0.05), met, 10.0)
+    spec = ode._SYSTEMS["minus"]
+    scaled = spec.rhs._replace(dy=(spec.rhs.dy[0], f"1.5 * {spec.rhs.dy[1]}"))
+    monkeypatch.setitem(ode._SYSTEMS, "minus", spec._replace(rhs=scaled))
+    assert oracles.residual(form, "minus", met, RS) >= 0.05
+    got = ode.integrate("minus", form.state(0.05), met, 10.0)
+    assert np.max(np.abs(got.eval(RS[RS >= 0.05]) - want.eval(RS[RS >= 0.05]))) >= 1.0
 
 
 def test_minus_system_is_odd_in_a():
