@@ -267,8 +267,9 @@ class Chart:
     same kind, except that the identity chart's dr_dx returns 1.0, which
     broadcasts.  `stage` is the same dr_dx and h2_of_x at a float xs as
     source lines, which `ode` inlines into its generated DOP853 stages:
-    they set J and h2, equal to the bit to dr_dx(xs) and h2_of_x(xs), and
-    may call `h2_of_x` and `_sqrt` (math.sqrt)."""
+    they set J and h2, equal to the bit to dr_dx(xs) and h2_of_x(xs) at
+    a float 0 < xs < inf, and may call `h2_of_x`, `_sqrt` (math.sqrt)
+    and `_sinh` (math.sinh)."""
 
     x_of_r: Callable
     r_of_x: Callable
@@ -287,6 +288,13 @@ S_CHART = Chart(x_of_r=lambda rho: s_of_rho(rho), r_of_x=rho_of_s,
 
 def _identity(x):
     return x
+
+
+def _inlined(line, h2):
+    """h2, carrying as `h2.stage` its float branch: `line`, an expression
+    of the float xs that the identity chart's stage inlines."""
+    h2.stage = line
+    return h2
 
 
 @dataclass(frozen=True)
@@ -309,7 +317,7 @@ class MetricProfile:
             return self._chart
         return Chart(x_of_r=_identity, r_of_x=_identity, dr_dx=lambda x: 1.0,
                      h2_of_x=self.h2, green_of_x=self.green_tail,
-                     stage=("J = 1.0", "h2 = h2_of_x(xs)"))
+                     stage=("J = 1.0", f"h2 = {getattr(self._h2, 'stage', 'h2_of_x(xs)')}"))
 
     def _radii(self, r):
         """r as a float or an array, checked: h^2 and G take 0 < r < inf
@@ -339,7 +347,7 @@ class MetricProfile:
 
 EUCLIDEAN = MetricProfile(
     id="euclidean",
-    _h2=lambda r: r * r,
+    _h2=_inlined("xs * xs", lambda r: r * r),
     _green=lambda r: 0.5 / r,
     _series=lambda order: [Fraction(1)] + [Fraction(0)] * order,
 )
@@ -356,8 +364,9 @@ HYPERBOLIC = MetricProfile(
     # arguments clipped below the overflow threshold; values beyond
     # it are ~1e303 and behave as +inf for every caller; a float takes
     # math's sinh, within 3 ulp of numpy's and without a numpy call
-    _h2=lambda r: (math.sinh(min(r, 350.0)) ** 2 if isinstance(r, float)
-                   else np.sinh(np.minimum(r, 350.0)) ** 2),
+    _h2=_inlined("_sinh(350.0 if 350.0 < xs else xs) ** 2",
+                 lambda r: (math.sinh(min(r, 350.0)) ** 2 if isinstance(r, float)
+                            else np.sinh(np.minimum(r, 350.0)) ** 2)),
     _green=lambda r: 1.0 / np.expm1(np.minimum(2.0 * r, 700.0)),  # (coth r - 1)/2
     _series=_hyperbolic_series,
 )

@@ -25,9 +25,12 @@ scipy's controller, so its steps are those of
 code, generated on first use for each right-hand side, chart and state
 length.  Every stage inlines, on local names, its argument, the chart's
 J = dr/dx and h^2 at the stage's x (`Chart.stage`: the identity chart
-calls h2_of_x there, the s chart writes bs_f and bs_h2_of_s out) and the
-right-hand side's lines; there are no argument lists and no calls
-besides.  The callable that `rhs` and the first step use is compiled
+writes out a built-in metric's float h^2 and calls h2_of_x for any
+other, the s chart writes bs_f and bs_h2_of_s out) and the right-hand
+side's lines; there are no argument lists, and no calls but h2_of_x
+and math's sqrt, sinh and expm1.  Both ends of the range are radii
+> 0, so the x of every stage is one, and h^2 needs no range check
+there.  The callable that `rhs` and the first step use is compiled
 from the same lines.  The stage sums are written out in the order `sum`
 adds them, without the tableau's exact 0.0 coefficients: a partial sum
 that starts from 0 is never -0.0, so adding 0.0 * k, a signed zero for a
@@ -101,8 +104,9 @@ class _Rhs(NamedTuple):
 
 
 # math's expm1, not numpy's: a numpy scalar call per stage costs more
-# than the rest of the right-hand side (the two differ by at most 1 ulp)
-_CLIPPED = f"e = _expm1(min(a0, {_EXP_CLIP!r}))"
+# than the rest of the right-hand side (the two differ by at most 1 ulp).
+# The clip is min(a0, 700.0) without the call, NaN and -0.0 included
+_CLIPPED = f"e = _expm1({_EXP_CLIP!r} if {_EXP_CLIP!r} < a0 else a0)"
 # a' = 2 phi a, phi' = (a^2-1)/(2h^2) in (v, w) = (2 log|a|, 4 phi)
 _MINUS = _Rhs((_CLIPPED,), ("J * a1", "J * 2.0 * e / h2"))
 # with the variational rows dv' = dw, dw' = 2 e^v dv / h^2
@@ -192,7 +196,7 @@ _ERROR_EXPONENT = -1.0 / 8.0         # -1 / (error estimator order + 1)
 # stage, state length, error-controlled length) -> step and (_Rhs, chart
 # stage, state length) -> rows.  The key is the chart's source, not the
 # Chart: an identity chart is built anew on each read, and every identity
-# chart shares one kernel.
+# chart whose h^2 is a call shares one kernel.
 _FUNCTIONS, _STEPPERS, _ROWS = {}, {}, {}
 
 
@@ -268,7 +272,7 @@ def _generated(cache, name, source, *key):
     use: "f" from _function_source, "step" from _step_source, "rows"
     from _rows_source."""
     if key not in cache:
-        scope = {"_sqrt": math.sqrt, "_expm1": math.expm1}
+        scope = {"_sqrt": math.sqrt, "_sinh": math.sinh, "_expm1": math.expm1}
         exec(compile(source(*key), f"<DOP853 {name} {key}>", "exec"), scope)
         cache[key] = scope[name]
     return cache[key]
@@ -415,9 +419,9 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
               tail_stop: bool = False,
               dense: bool = True) -> IntegrationResult:
     """Adaptive embedded Runge-Kutta (DOP853) trace of one of the
-    reduced systems, in the metric's chart x(r), from `initial` to r_max
-    (a non-empty range).  A step below 10 ulp of x raises StiffnessError
-    with `state` the (x, y) it could not step from.
+    reduced systems, in the metric's chart x(r), from `initial` to
+    0 < r_max < inf (a non-empty range).  A step below 10 ulp of x
+    raises StiffnessError with `state` the (x, y) it could not step from.
 
     `initial` is a ProfileState (minus/plus) or SU3State.  A backward
     run, such as the plus system's toward the singular origin, passes
@@ -449,7 +453,7 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     check_tol(tol)
     for name, value in vars(initial).items():
         _require(f"initial {name}", value, cmath.isfinite, "finite")
-    _require("r_max", r_max, math.isfinite, "finite")
+    _require("r_max", r_max, lambda r: 0 < r < math.inf, "finite and > 0")
     if initial.r <= 0:
         raise DomainError("initial radius must be > 0")
     spec = _system(system, metric, sigma)

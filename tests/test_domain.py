@@ -112,3 +112,18 @@ def test_non_finite_parameters_name_themselves(name):
     call, param = NON_FINITE[name]
     with pytest.raises(DomainError, match=f"^{param} must be"):
         call()
+
+
+@pytest.mark.parametrize("r_max", [0.0, -1.0])
+@pytest.mark.parametrize("backend", ["euclidean", "hyperbolic", "bs_s4", "custom"])
+def test_integrate_rejects_r_max_at_or_below_zero(backend, r_max, tmp_path):
+    # a stage takes h^2 at its x without a range check, so integrate
+    # checks that both ends of the range are radii > 0
+    if backend == "custom":
+        (tmp_path / "t.csv").write_text("r,h\n0.5,0.5\n1,1\n2,2\n4,4\n")
+        (tmp_path / "m.txt").write_text("type=custom\ncoeffs=1,0\ntable=t.csv\n")
+        met = metric.load_custom(str(tmp_path / "m.txt"))
+    else:
+        met = metric.get_metric(backend)
+    with pytest.raises(DomainError, match="^r_max must be finite and > 0"):
+        ode.integrate("minus", ProfileState(0.5, 0.9, 0.1), met, r_max)

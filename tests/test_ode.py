@@ -223,30 +223,35 @@ def test_tol_validation():
 
 
 def test_generated_clip_matches_array_form():
-    # the minus right-hand side clips v with min() on a float and takes
-    # math's expm1, within 1 ulp of numpy's on the array form np.clip;
-    # at J = 1 and h^2 = 2, phi's row is that expm1 exactly
+    # the minus right-hand side clips v as min(v, 700.0) does, without
+    # the call, and takes math's expm1, within 1 ulp of numpy's on the
+    # array form np.clip; at J = 1 and h^2 = 2, phi's row is that expm1
+    # exactly, NaN and -0.0 included
     f = _function(ode._MINUS)
-    assert "_expm1(min(a0, 700.0))" in ode._function_source(ode._MINUS)
+    assert "e = _expm1(700.0 if 700.0 < a0 else a0)" in ode._function_source(ode._MINUS)
     vs = np.concatenate([np.linspace(-800.0, 800.0, 4001),
-                         [-1e-300, 0.0, 1e-17, 699.99, 700.0, 700.01, 1e308]])
+                         [-1e-300, 0.0, -0.0, 1e-17, 699.99, 700.0, 700.01, 1e308,
+                          math.inf, -math.inf, math.nan]])
     for v in vs:
         want = math.expm1(min(float(v), 700.0))
-        assert f(1.0, [float(v), 0.0], 1.0, 2.0, -1)[1] == want
-        assert f(1.0, [v, 0.0], 1.0, 2.0, -1)[1] == want       # numpy scalar
-        array_form = np.expm1(np.clip(v, None, 700.0))
-        assert abs(want - array_form) <= np.spacing(abs(array_form))
+        for got in (f(1.0, [float(v), 0.0], 1.0, 2.0, -1)[1],
+                    f(1.0, [v, 0.0], 1.0, 2.0, -1)[1]):        # numpy scalar
+            assert type(got) is float
+            assert math.isnan(got) if math.isnan(want) else _bits(got) == _bits(want), v
+        if math.isfinite(v):
+            array_form = np.expm1(np.clip(v, None, 700.0))
+            assert abs(want - array_form) <= np.spacing(abs(array_form))
 
 
-def test_shot_calls_no_numpy_scalar_per_stage(monkeypatch):
-    # np.expm1 and np.sinh only outside the stages: far fewer calls than
-    # the right-hand side's evaluations
+def _calls_per_shot(monkeypatch, owner, names):
+    """(metric id, nfev, calls) of one mass_of_beta(-1) shot on hyperbolic
+    and on euclidean, counting the calls of owner.<name> for each name."""
     calls, nfev = [0], []
-    for name in ("expm1", "sinh"):
-        def counted(*args, _f=getattr(np, name), **kwargs):
+    for name in names:
+        def counted(*args, _f=getattr(owner, name), **kwargs):
             calls[0] += 1
             return _f(*args, **kwargs)
-        monkeypatch.setattr(np, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     true_integrate = ode.integrate
 
     def recorded(*args, **kwargs):
@@ -258,7 +263,38 @@ def test_shot_calls_no_numpy_scalar_per_stage(monkeypatch):
     for met in (metric.HYPERBOLIC, metric.EUCLIDEAN):
         calls[0], nfev[:] = 0, []
         shooting.mass_of_beta(-1.0, met)
-        assert nfev[0] > 200 and calls[0] < 10, (met.id, nfev, calls[0])
+        yield met.id, nfev[0], calls[0]
+
+
+def test_shot_calls_no_numpy_scalar_per_stage(monkeypatch):
+    # np.expm1 and np.sinh only outside the stages: far fewer calls than
+    # the right-hand side's evaluations
+    for met, nfev, calls in _calls_per_shot(monkeypatch, np, ("expm1", "sinh")):
+        assert nfev > 200 and calls < 10, (met, nfev, calls)
+
+
+def test_flat_shot_calls_h2_only_off_the_stages(monkeypatch):
+    # the stages write out euclidean's and hyperbolic's float h^2, so
+    # MetricProfile.h2 runs only where the first step is chosen (twice a
+    # shot), not once a stage
+    for met, nfev, calls in _calls_per_shot(monkeypatch, metric.MetricProfile, ("h2",)):
+        assert nfev > 200 and calls < 10, (met, nfev, calls)
+
+
+@pytest.mark.parametrize("met", [metric.EUCLIDEAN, metric.HYPERBOLIC], ids=lambda m: m.id)
+def test_inlined_h2_is_the_metric_h2_to_the_bit(met):
+    # the identity chart's stage writes out the metric's float h^2 with
+    # no call of h2_of_x, and sets the same bits as MetricProfile.h2
+    def no_call(x):
+        raise AssertionError("the stage called h2_of_x")
+
+    stage = met.chart.stage
+    assert "h2_of_x" not in "".join(stage)
+    code = compile("\n".join(stage), "<stage>", "exec")
+    for x in (1e-8, 0.3, 1.0, 349.99, 350.0, 350.01, 1e5):
+        scope = {"_sqrt": math.sqrt, "_sinh": math.sinh, "h2_of_x": no_call, "xs": x}
+        exec(code, scope)
+        assert scope["J"] == 1.0 and _bits(scope["h2"]) == _bits(met.h2(x)), (met.id, x)
 
 
 # -- forward variation --------------------------------------------------------
@@ -714,20 +750,22 @@ def test_interpolant_rows_are_generated_on_first_dense_use(monkeypatch):
 
 
 def test_second_shot_compiles_nothing(monkeypatch):
-    # kernels are keyed on source: euclidean and hyperbolic share the
-    # identity chart's, though each read of their chart builds a new Chart
+    # kernels are keyed on source, though each read of an identity
+    # metric's chart builds a new Chart: euclidean and hyperbolic share
+    # the right-hand side and each has its own step, which a second shot
+    # reuses
     for cache in ("_FUNCTIONS", "_STEPPERS", "_ROWS"):
         monkeypatch.setattr(ode, cache, {})
-    shooting.mass_of_beta(-0.4, metric.EUCLIDEAN)
+    for met in (metric.EUCLIDEAN, metric.HYPERBOLIC):
+        shooting.mass_of_beta(-0.4, met)
     kernels = {**ode._FUNCTIONS, **ode._STEPPERS, **ode._ROWS}
-    assert len(kernels) == 2
+    assert len(ode._FUNCTIONS) == 1 and len(ode._STEPPERS) == 2 and not ode._ROWS
 
     def compiled(*args):
         raise AssertionError("compiled a second kernel")
 
     monkeypatch.setattr(ode, "compile", compiled, raising=False)
     assert metric.EUCLIDEAN.chart is not metric.EUCLIDEAN.chart
-    assert metric.HYPERBOLIC.chart.stage == metric.EUCLIDEAN.chart.stage
     for met in (metric.EUCLIDEAN, metric.HYPERBOLIC):
         shooting.mass_of_beta(-0.4, met)
     assert {**ode._FUNCTIONS, **ode._STEPPERS, **ode._ROWS} == kernels
