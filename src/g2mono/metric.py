@@ -326,7 +326,7 @@ class MetricProfile:
                                "the geodesic radius r or rho must be finite and > 0")
 
     def h2(self, r):
-        if isinstance(r, float) and 0 < r < math.inf:   # an identity chart's hot path
+        if isinstance(r, float) and 0 < r < math.inf:   # first steps, custom-table stages
             return float(self._h2(r))
         r = self._radii(r)
         return float(self._h2(r)) if isinstance(r, float) else self._h2(r)

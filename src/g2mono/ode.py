@@ -35,8 +35,8 @@ from the same lines.  The stage sums are written out in the order `sum`
 adds them, without the tableau's exact 0.0 coefficients: a partial sum
 that starts from 0 is never -0.0, so adding 0.0 * k, a signed zero for a
 finite k, leaves it as it is, and a step equals the generic stage loop
-to the bit wherever its stages are finite.  A second function,
-generated on the first dense step, builds the interpolant rows.
+to the bit wherever its stages are finite.  A dense step, once its
+error norm accepts it, goes on to the interpolant's three stages and rows.
 Each stop (blow-up, a at A_FLOOR, and in shooting mode the tail bound
 2 a^2 G <= tol/10) is a test on the state at an accepted step.
 Interpolants are built only when the caller asks for dense output.
@@ -174,7 +174,7 @@ def rhs(system: str, state, metric: MetricProfile, sigma: int = -1):
     spec = _system(system, metric, sigma)
     chart = metric.chart
     x = chart.x_of_r(metric._radii(state.r))
-    f = _generated(_FUNCTIONS, "f", _function_source, spec.rhs)
+    f = _generated(_function_source, spec.rhs)
     return spec.to_fields(state, f(x, spec.to_y(state), 1.0, chart.h2_of_x(x), sigma))
 
 
@@ -192,12 +192,12 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's controller
 _ERROR_EXPONENT = -1.0 / 8.0         # -1 / (error estimator order + 1)
 
 # Straight-line code generated on first use (for 2 to 5 components a loop
-# over them costs more than the arithmetic): (_Rhs,) -> f, (_Rhs, chart
-# stage, state length, error-controlled length) -> step and (_Rhs, chart
-# stage, state length) -> rows.  The key is the chart's source, not the
-# Chart: an identity chart is built anew on each read, and every identity
-# chart whose h^2 is a call shares one kernel.
-_FUNCTIONS, _STEPPERS, _ROWS = {}, {}, {}
+# over them costs more than the arithmetic), keyed on (source, *key): f on
+# (_function_source, _Rhs), step on (_step_source, _Rhs, chart stage, state
+# length, error-controlled length, dense).  The key holds the chart's source,
+# not the Chart: an identity chart is built anew on each read, and every
+# identity chart whose h^2 is a call shares one kernel.
+_KERNELS = {}
 
 
 def _names(prefix, n):
@@ -216,7 +216,7 @@ def _dot(coeffs, i):
 
 def _function_source(rhs):
     """`f(xs, y, J, h2, sigma)` -> dy/dx as a list."""
-    return "\n    ".join(["def f(xs, y, J, h2, sigma):", f"{_names('a', len(rhs.dy))}= y",
+    return "\n    ".join(["def kernel(xs, y, J, h2, sigma):", f"{_names('a', len(rhs.dy))}= y",
                            *rhs.lines, f"return [{', '.join(rhs.dy)}]"]) + "\n"
 
 
@@ -231,15 +231,13 @@ def _stage_lines(rhs, chart, stages, first, n):
     return lines
 
 
-def _stage_names(n):
-    return ", ".join(f"k{s}_{i}" for s in range(_N + 1) for i in range(n))
-
-
-def _step_source(rhs, chart, n, n_err):
+def _step_source(rhs, chart, n, n_err, dense):
     """`step(h2_of_x, sigma, x, h, y, f(x, y), rtol, atol)` -> (y_new,
-    f_new, error norm, the stage values): scipy's step and error norm
-    over the first n_err components, stage 12's argument being y_new."""
-    step = ["def step(h2_of_x, sigma, x, h, y, k0, rtol, atol):",
+    f_new, error norm, F): scipy's step and error norm over the first
+    n_err components, stage 12's argument being y_new.  F is None, or
+    with `dense` and an accepted step (error norm < 1) its 7 interpolant
+    rows, at three more evaluations."""
+    step = ["def kernel(h2_of_x, sigma, x, h, y, k0, rtol, atol):",
             f"{_names('y', n)}= y", f"{_names('k0_', n)}= k0",
             *_stage_lines(rhs, chart, _STEP, 1, n)]
     for i in range(n_err):
@@ -249,44 +247,38 @@ def _step_source(rhs, chart, n, n_err):
     step += ["e5 = 0.0" + "".join(f" + q5_{i} * q5_{i}" for i in range(n_err)),
              "e3 = 0.0" + "".join(f" + q3_{i} * q3_{i}" for i in range(n_err)),
              f"err = abs(h) * e5 / _sqrt((e5 + 0.01 * e3) * {n_err}) if e5 or e3 else 0.0",
-             f"return [{_names('a', n)}], [{_names(f'k{_N}_', n)}], err, ({_stage_names(n)})"]
+             f"y_new, f_new = [{_names('a', n)}], [{_names(f'k{_N}_', n)}]"]
+    rows = "None"
+    if dense:
+        # component i of each of the 7 rows
+        F = [[f"d{i}", f"h * k0_{i} - d{i}", f"2.0 * d{i} - h * (k{_N}_{i} + k0_{i})",
+              *(f"h * {_dot(Dj, i)}" for Dj in _D)] for i in range(n)]
+        rows = f"[{', '.join('[' + ', '.join(row) + ']' for row in zip(*F))}]"
+        step += ["if not err < 1.0: return y_new, f_new, err, None",
+                 *(f"d{i} = a{i} - y{i}" for i in range(n)),
+                 *_stage_lines(rhs, chart, _DENSE, _N + 1, n)]
+    step.append(f"return y_new, f_new, err, {rows}")
     return "\n    ".join(step) + "\n"
 
 
-def _rows_source(rhs, chart, n):
-    """`rows(h2_of_x, sigma, x, h, y, y_new, stages)` -> the 7
-    interpolant rows of a step, at three more evaluations."""
-    # component i of each of the 7 rows
-    F = [[f"d{i}", f"h * k0_{i} - d{i}", f"2.0 * d{i} - h * (k{_N}_{i} + k0_{i})",
-          *(f"h * {_dot(Dj, i)}" for Dj in _D)] for i in range(n)]
-    rows = ["def rows(h2_of_x, sigma, x, h, y, y_new, stages):",
-            f"{_names('y', n)}= y", f"{_names('yn', n)}= y_new",
-            *(f"d{i} = yn{i} - y{i}" for i in range(n)),
-            f"{_stage_names(n)}, = stages", *_stage_lines(rhs, chart, _DENSE, _N + 1, n),
-            f"return [{', '.join('[' + ', '.join(row) + ']' for row in zip(*F))}]"]
-    return "\n    ".join(rows) + "\n"
-
-
-def _generated(cache, name, source, *key):
-    """The function `name` that source(*key) defines, compiled on first
-    use: "f" from _function_source, "step" from _step_source, "rows"
-    from _rows_source."""
-    if key not in cache:
+def _generated(source, *key):
+    """The kernel that source(*key) defines, compiled on first use: f
+    from _function_source, step from _step_source."""
+    if (source, *key) not in _KERNELS:
         scope = {"_sqrt": math.sqrt, "_sinh": math.sinh, "_expm1": math.expm1}
-        exec(compile(source(*key), f"<DOP853 {name} {key}>", "exec"), scope)
-        cache[key] = scope[name]
-    return cache[key]
+        exec(compile(source(*key), f"<DOP853 {source.__name__} {key}>", "exec"), scope)
+        _KERNELS[source, *key] = scope["kernel"]
+    return _KERNELS[source, *key]
 
 
 def _dop853(rhs, chart, sigma, x, y, x_end, rtol, atol, n_err, dense):
     """Step DOP853 on dy/dx = rhs in the chart, from (x, y) toward x_end,
     yielding (x, y, nfev, F) at each accepted step, with the error
     controlled on the first n_err components.  F is None, or with `dense`
-    the step's 7 interpolant rows, at three more evaluations."""
-    n, h2_of_x = len(y), chart.h2_of_x
-    f = _generated(_FUNCTIONS, "f", _function_source, rhs)
-    step = _generated(_STEPPERS, "step", _step_source, rhs, chart.stage, n, n_err)
-    rows = _generated(_ROWS, "rows", _rows_source, rhs, chart.stage, n) if dense else None
+    the step's 7 interpolant rows, which the step builds once accepted."""
+    h2_of_x = chart.h2_of_x
+    f = _generated(_function_source, rhs)
+    step = _generated(_step_source, rhs, chart.stage, len(y), n_err, dense)
     direction = 1.0 if x_end > x else -1.0
     fx = f(x, y, chart.dr_dx(x), h2_of_x(x), sigma)
     # the first step: scipy's select_initial_step (Hairer et al. II.4)
@@ -307,7 +299,7 @@ def _dop853(rhs, chart, sigma, x, y, x_end, rtol, atol, n_err, dense):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0) if max(d1, d2) > 0 else math.inf
-    h_abs, nfev, F = min(100.0 * h0, h1, interval), 2, None
+    h_abs, nfev = min(100.0 * h0, h1, interval), 2
     while direction * (x - x_end) < 0:
         min_step = 10.0 * abs(math.nextafter(x, direction * math.inf) - x)
         h_abs, rejected = max(h_abs, min_step), False
@@ -320,7 +312,7 @@ def _dop853(rhs, chart, sigma, x, y, x_end, rtol, atol, n_err, dense):
                 x_new = x_end
             h = x_new - x
             h_abs = abs(h)
-            y_new, f_new, err, stages = step(h2_of_x, sigma, x, h, y, fx, rtol, atol)
+            y_new, f_new, err, F = step(h2_of_x, sigma, x, h, y, fx, rtol, atol)
             nfev += _N
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(
@@ -330,7 +322,6 @@ def _dop853(rhs, chart, sigma, x, y, x_end, rtol, atol, n_err, dense):
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
         if dense:
-            F = rows(h2_of_x, sigma, x, h, y, y_new, stages)
             nfev += len(_DENSE)
         x, y, fx = x_new, y_new, f_new
         yield x, y, nfev, F
@@ -444,11 +435,11 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     `dense` builds the interpolant behind `eval`/`eval_a_phi`; without
     it those raise ValueError, and off the integrated range DomainError.
 
-    `variation=(dv0, dw0)` (minus system only) appends the forward
-    variational rows  dv' = dw,  dw' = 2 e^v dv / h^2  to the state, so
-    rows 2 and 3 of `y` carry d(v, w)/dp for a parameter p of the
-    initial data.  They are left out of error control, so the shot
-    takes the same steps as without them.
+    `variation=(dv0, dw0)` (minus system only), two finite numbers,
+    appends the forward variational rows  dv' = dw,  dw' = 2 e^v dv / h^2
+    to the state, so rows 2 and 3 of `y` carry d(v, w)/dp for a
+    parameter p of the initial data.  They are left out of error
+    control, so the shot takes the same steps as without them.
     """
     check_tol(tol)
     for name, value in vars(initial).items():
@@ -462,6 +453,9 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
         raise ValueError("variation and tail_stop apply to the minus system")
     if minus and initial.a <= 0:
         raise DomainError("minus system requires a > 0 (use a=0 via green.dirac)")
+    if variation is not None:
+        _require("variation", variation, lambda v: len(v) == 2 and all(map(math.isfinite, v)),
+                 "two finite numbers")
 
     chart = metric.chart
     x_span = (float(chart.x_of_r(initial.r)), float(chart.x_of_r(r_max)))

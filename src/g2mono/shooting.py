@@ -184,8 +184,11 @@ def _model_c(mass: float, metric: MetricProfile) -> float:
 
 
 def _start(mass: float, c: float) -> float:
-    """x = log(-beta) at the model root, the root on the flat backgrounds."""
-    return 2.0 * math.log(mass) + math.log1p(c / mass) - math.log(3.0)
+    """x = log(-beta) at the model root, the root on the flat backgrounds.
+    Where c / mass overflows, log1p(c / mass) is log(c) - log(mass)."""
+    q = c / mass
+    return (2.0 * math.log(mass) + math.log1p(q) if q < math.inf
+            else math.log(mass) + math.log(c)) - math.log(3.0)
 
 
 def _curvature(mass: float, c: float) -> float:
@@ -212,7 +215,7 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9) -> float
     """
     _require("mass", mass, lambda m: 0 < m < math.inf, "finite and > 0")
     c = _model_c(mass, metric)
-    x, k = _start(mass, c), _curvature(mass, c)
+    x = _start(mass, c)
     metric = _one_series_build(metric)
     lo, hi = -math.inf, math.inf            # x with m < mass, m > mass
     lo_exhausted = False                    # lo's shot did not decay by _R_FAR
@@ -238,8 +241,9 @@ def beta_of_mass(mass: float, metric: MetricProfile, tol: float = 1e-9) -> float
                 raise OutOfRangeError(f"integration range exhausted: mass {mass:g} "
                                       f"does not decay by r = {_R_FAR:g}")
         if lo < x + step < hi and abs(step) <= min(_X_STEP, 0.5 * dx_prev):
-            x_new = x + step
-            beta_new, predicted = -math.exp(x_new), mass * k * math.log(m / mass) ** 2
+            # k is read only in range: far below it 2 (2m) m underflows to 0
+            x_new, beta_new = x + step, -math.exp(x + step)
+            predicted = mass * _curvature(mass, c) * math.log(m / mass) ** 2
         else:
             if hi == math.inf:
                 x_new = lo + _X_STEP

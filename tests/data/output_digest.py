@@ -18,6 +18,9 @@ and one family on the tables of CUSTOM, loaded with `load_custom`:
   custom     h2 and green_tail on the table's rows, then per table the
              entries of solve, profile, energy and mass above; a call
              that raises is recorded by its exception's type and message
+and one family on the dense `ode.integrate` traces of TRACES:
+  integrate  each trace's x, y, nfev and interpolant rows `_F`, then
+             `envelope_check(...).lower_linear` of the first
 """
 
 import argparse
@@ -31,7 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from g2mono import cli, energy, metric, shooting
+from g2mono import cli, energy, metric, ode, oracles, shooting
+from g2mono.series import initial_data, v_series
 
 BACKENDS = ("euclidean", "hyperbolic", "bs_s4", "bs_cp2")
 MASSES = (1e-3, 0.3, 1.7, 16.0, 1500.0)
@@ -51,6 +55,30 @@ VERIFY = (
     ["--oracle", "su3_instanton", "--c", "0.5", "--branch", "-1"],
 )
 
+
+def _head(beta, met):
+    """The minus system's start at the series head of beta."""
+    return ode.ProfileState(*initial_data(v_series(beta, met.series_coeffs(12), 12)))
+
+
+# name -> (system, initial state, metric, r_max, keyword arguments) of a
+# dense trace: minus shots, the plus flow forward and backward toward the
+# origin, su3 and a tail-stopped shot with its variational rows
+TRACES = {
+    "minus-euclidean": lambda: ("minus", _head(-0.4, metric.EUCLIDEAN), metric.EUCLIDEAN,
+                                15.0, {}),
+    "minus-hyperbolic": lambda: ("minus", _head(-1.0, metric.HYPERBOLIC), metric.HYPERBOLIC,
+                                 15.0, {}),
+    "minus-bs_s4": lambda: ("minus", _head(-0.4, metric.BS_S4), metric.BS_S4, 15.0, {}),
+    "plus-forward": lambda: ("plus", ode.ProfileState(1.0, 0.4, -0.2), metric.HYPERBOLIC,
+                             5.0, {"sigma": 1}),
+    "plus-backward": lambda: ("plus", ode.ProfileState(1.0, 0.0, 0.0), metric.EUCLIDEAN,
+                              1e-3, {"sigma": -1, "tol": 1e-12}),
+    "su3-bs_s4": lambda: ("su3", oracles.su3_instanton(2.0, 1).state(metric.rho_of_s(0.05)),
+                          metric.BS_S4, metric.rho_of_s(6.0), {}),
+    "variation-bs_s4": lambda: ("minus", _head(-3.0, metric.BS_S4), metric.BS_S4, 1e5,
+                                {"tail_stop": True, "variation": (0.0, 1.0)}),
+}
 
 
 def _curved_coeffs(order=12):
@@ -84,6 +112,23 @@ def _load_custom(name, directory):
 
 def _hex(values):
     return [float(v).hex() for v in np.ravel(values)]
+
+
+def _hex_complex(values):
+    return _hex(np.real(values)) + _hex(np.imag(values))
+
+
+def _trace_entries():
+    """The integrate family: per trace its grid, states, nfev and rows."""
+    out = []
+    for name, trace in TRACES.items():
+        system, initial, met, r_max, kw = trace()
+        res = ode.integrate(system, initial, met, r_max, **kw)
+        out.append([name, _hex(res.x), _hex_complex(res.y), res.stats["nfev"],
+                    _hex_complex(res._F)])
+        if name == "minus-euclidean":
+            out.append([name, "envelope", _hex(ode.envelope_check(res).lower_linear)])
+    return out
 
 
 def _raised(fn, *args):
@@ -122,7 +167,7 @@ def _backend_entries(name, met):
 
 def families():
     out = {"solve": [], "profile": [], "energy": [], "mass": [], "verify": [],
-           "custom": []}
+           "custom": [], "integrate": _trace_entries()}
     for name in BACKENDS:
         for family, entries in _backend_entries(name, metric.get_metric(name)).items():
             out[family] += entries

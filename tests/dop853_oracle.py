@@ -39,12 +39,13 @@ def error_norm(K, h, y, y_new, rtol, atol, n_err):
 
 def step(fun, x, h, y, f, rtol, atol, n_err, dense):
     """(y_new, f_new, error norm, F): one step from (x, y) with f = fun(x, y),
-    and with `dense` the 7 interpolant rows (else F is None)."""
+    and with `dense` and an accepted step (error norm < 1) the 7
+    interpolant rows, as the controller uses them (else F is None)."""
     K = [[fi] for fi in f]
     y_new, f_new = add_stages(fun, x, h, y, K, ode._STEP)
     err = error_norm(K, h, y, y_new, rtol, atol, n_err)
     F = None
-    if dense:
+    if dense and err < 1.0:
         add_stages(fun, x, h, y, K, ode._DENSE)
         dy = [b - a for a, b in zip(y, y_new)]
         F = [dy, [h * f0 - d for f0, d in zip(f, dy)],

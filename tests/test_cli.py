@@ -500,9 +500,10 @@ import os, sys
 import numpy as np
 from g2mono import cli, energy, metric, ode, shooting
 assert "numpy.polynomial" not in sys.modules
-assert not ode._STEPPERS, sorted(ode._STEPPERS)       # generated on first use
+assert not ode._KERNELS, list(ode._KERNELS)           # generated on first use
 shooting.mass_of_beta(-0.5, metric.EUCLIDEAN)
-assert list(ode._STEPPERS) == [(ode._MINUS, metric.EUCLIDEAN.chart.stage, 2, 2)], list(ode._STEPPERS)
+assert list(ode._KERNELS) == [(ode._function_source, ode._MINUS), (
+    ode._step_source, ode._MINUS, metric.EUCLIDEAN.chart.stage, 2, 2, False)], list(ode._KERNELS)
 for name in ("euclidean", "hyperbolic", "bs_s4", "bs_cp2"):
     met = metric.get_metric(name)
     energy.intermediate_energy(shooting.solve_monopole(met, 1.0), met)

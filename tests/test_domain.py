@@ -127,3 +127,12 @@ def test_integrate_rejects_r_max_at_or_below_zero(backend, r_max, tmp_path):
         met = metric.get_metric(backend)
     with pytest.raises(DomainError, match="^r_max must be finite and > 0"):
         ode.integrate("minus", ProfileState(0.5, 0.9, 0.1), met, r_max)
+
+
+@pytest.mark.parametrize("variation", [(math.nan, 1.0), (math.inf, 0.0), (1.0,), (1, 2, 3)],
+                         ids=["nan", "inf", "one", "three"])
+def test_integrate_rejects_a_variation_not_two_finite_numbers(variation):
+    # a NaN or inf seed used to give NaN variational rows, and a length
+    # other than two failed to unpack inside the generated step
+    with pytest.raises(DomainError, match="^variation must be two finite numbers"):
+        ode.integrate("minus", ProfileState(0.5, 0.9, 0.1), EUCLIDEAN, 2.0, variation=variation)

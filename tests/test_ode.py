@@ -336,7 +336,7 @@ def _shot_initial(beta, met):
 def _function(rhs):
     """The callable f(x, y, J, h2, sigma) compiled from a right-hand side's
     source, as `rhs` and the first step call it."""
-    return ode._generated(ode._FUNCTIONS, "f", ode._function_source, rhs)
+    return ode._generated(ode._function_source, rhs)
 
 
 def _chart_rhs(rhs, met, sigma=-1):
@@ -719,34 +719,28 @@ def test_one_step_matches_scipys_rk_step():
 # -- the generated steps against the generic stage loop -----------------------
 
 def _generated_step(rhs, met, sigma, n_err, dense):
-    """The kernels `integrate` runs for rhs on met's chart, as
+    """The kernel `integrate` runs for rhs on met's chart, as
     (x, h, y, f(x, y), rtol, atol) -> (y_new, f_new, err, F), with F the
-    interpolant rows if `dense`, else None."""
-    n, c = len(rhs.dy), met.chart
-    step = ode._generated(ode._STEPPERS, "step", ode._step_source, rhs, c.stage, n, n_err)
-    rows = ode._generated(ode._ROWS, "rows", ode._rows_source, rhs, c.stage, n) if dense else None
-
-    def run(x, h, y, fx, rtol, atol):
-        y_new, f_new, err, stages = step(c.h2_of_x, sigma, x, h, y, fx, rtol, atol)
-        F = rows(c.h2_of_x, sigma, x, h, y, y_new, stages) if dense else None
-        return y_new, f_new, err, F
-    return run
+    interpolant rows if `dense` and the step is accepted, else None."""
+    c = met.chart
+    step = ode._generated(ode._step_source, rhs, c.stage, len(rhs.dy), n_err, dense)
+    return lambda x, h, y, fx, rtol, atol: step(c.h2_of_x, sigma, x, h, y, fx, rtol, atol)
 
 
 def test_interpolant_rows_are_generated_on_first_dense_use(monkeypatch):
-    # a slope shot compiles only its step; rows are compiled once per
-    # right-hand side and chart, whatever the error-controlled length
-    monkeypatch.setattr(ode, "_STEPPERS", {})
-    monkeypatch.setattr(ode, "_ROWS", {})
+    # one cache: a slope shot compiles its right-hand side and a step
+    # without rows; a dense trace compiles the step that builds them
+    monkeypatch.setattr(ode, "_KERNELS", {})
     met = metric.EUCLIDEAN
     init, flat = _shot_initial(-0.4, met), met.chart.stage
+    f, step = ode._function_source, ode._step_source
     integrate("minus", init, met, 1e5, tail_stop=True, dense=False, variation=(0.0, 1.0))
-    assert list(ode._STEPPERS) == [(ode._MINUS_VARIATION, flat, 4, 2)] and not ode._ROWS
+    assert list(ode._KERNELS) == [(f, ode._MINUS_VARIATION),
+                                  (step, ode._MINUS_VARIATION, flat, 4, 2, False)]
     integrate("minus", init, met, 5.0)
     integrate("plus", ProfileState(1.0, 0.5, -0.1), met, 2.0)
-    assert list(ode._STEPPERS) == [(ode._MINUS_VARIATION, flat, 4, 2), (ode._MINUS, flat, 2, 2),
-                                   (ode._PLUS, flat, 2, 2)]
-    assert list(ode._ROWS) == [(ode._MINUS, flat, 2), (ode._PLUS, flat, 2)]
+    assert list(ode._KERNELS)[2:] == [(f, ode._MINUS), (step, ode._MINUS, flat, 2, 2, True),
+                                      (f, ode._PLUS), (step, ode._PLUS, flat, 2, 2, True)]
 
 
 def test_second_shot_compiles_nothing(monkeypatch):
@@ -754,12 +748,14 @@ def test_second_shot_compiles_nothing(monkeypatch):
     # metric's chart builds a new Chart: euclidean and hyperbolic share
     # the right-hand side and each has its own step, which a second shot
     # reuses
-    for cache in ("_FUNCTIONS", "_STEPPERS", "_ROWS"):
-        monkeypatch.setattr(ode, cache, {})
+    monkeypatch.setattr(ode, "_KERNELS", {})
     for met in (metric.EUCLIDEAN, metric.HYPERBOLIC):
         shooting.mass_of_beta(-0.4, met)
-    kernels = {**ode._FUNCTIONS, **ode._STEPPERS, **ode._ROWS}
-    assert len(ode._FUNCTIONS) == 1 and len(ode._STEPPERS) == 2 and not ode._ROWS
+    kernels = dict(ode._KERNELS)
+    step = (ode._step_source, ode._MINUS)
+    assert list(kernels) == [(ode._function_source, ode._MINUS),
+                             (*step, metric.EUCLIDEAN.chart.stage, 2, 2, False),
+                             (*step, metric.HYPERBOLIC.chart.stage, 2, 2, False)]
 
     def compiled(*args):
         raise AssertionError("compiled a second kernel")
@@ -768,7 +764,7 @@ def test_second_shot_compiles_nothing(monkeypatch):
     assert metric.EUCLIDEAN.chart is not metric.EUCLIDEAN.chart
     for met in (metric.EUCLIDEAN, metric.HYPERBOLIC):
         shooting.mass_of_beta(-0.4, met)
-    assert {**ode._FUNCTIONS, **ode._STEPPERS, **ode._ROWS} == kernels
+    assert ode._KERNELS == kernels
 
 
 def _bits(v):
@@ -835,7 +831,9 @@ def test_generated_step_is_the_stage_loop_to_the_bit(case, dense):
     # inlined at every stage, against the generic loop stepping the
     # compiled right-hand side on the chart's own dr_dx and h2_of_x, bit
     # for bit; where a stage overflows, equal bits or both reject the step
-    # with the same next step size
+    # with the same next step size.  A kernel builds rows only for an
+    # accepted step, which at (1e-10, 1e-11) few of these states are, so
+    # a second pass at rtol = atol = 1e300 accepts most finite ones
     rhs, met, sigma, n_err = _ORACLE_CASES[case]
     fun = _chart_rhs(rhs, met, sigma)
     n, system = len(rhs.dy), case.split("-")[0]
@@ -849,16 +847,24 @@ def test_generated_step_is_the_stage_loop_to_the_bit(case, dense):
         return abs(h) * max(ode._MIN_FACTOR, ode._SAFETY * err ** ode._ERROR_EXPONENT)
 
     generated = _generated_step(rhs, met, sigma, n_err, dense)
-    overflowed = 0
-    for x, h, y in _oracle_states(system, n, np.random.default_rng(17), 80):
-        fx = fun(x, y)
-        want = _outcome(reference, x, h, y, fx, 1e-10, 1e-11)
-        got = _outcome(generated, x, h, y, fx, 1e-10, 1e-11)
-        overflowed += not _finite(want)
-        if got != want:
-            assert not _finite(want), (x, h, y)
-            assert next_h_abs(generated, x, h, y, fx) == next_h_abs(reference, x, h, y, fx)
-    assert overflowed >= 15
+    states = _oracle_states(system, n, np.random.default_rng(17), 80)
+    for rtol, atol in ((1e-10, 1e-11), (1e300, 1e300)):
+        overflowed = with_rows = 0
+        for x, h, y in states:
+            fx = fun(x, y)
+            want = _outcome(reference, x, h, y, fx, rtol, atol)
+            got = _outcome(generated, x, h, y, fx, rtol, atol)
+            overflowed += not _finite(want)
+            # y_new, f_new, err and 7 rows are 9 n + 1 values, else 2 n + 2
+            with_rows += got == want and isinstance(want, list) and len(want) == 9 * n + 1
+            if got != want:
+                assert not _finite(want), (x, h, y)
+                # at 1e300 an overflowed scale turns the loop's 0.0 * inf
+                # terms into a NaN error norm, and the kernel's into 0.0
+                if rtol < 1.0:
+                    assert next_h_abs(generated, x, h, y, fx) == next_h_abs(reference, x, h, y, fx)
+        assert overflowed >= 15
+        assert with_rows >= (35 if dense and rtol == 1e300 else 0)
 
 
 # -- failure paths on Python floats -------------------------------------------

@@ -338,6 +338,16 @@ def test_beta_of_mass_out_of_range(monkeypatch):
         beta_of_mass(1.0, metric.EUCLIDEAN)
 
 
+@pytest.mark.parametrize("met", BACKENDS, ids=lambda m: m.id)
+@pytest.mark.parametrize("m", [1e-200, 1e-300, 1e-308, 5e-324])
+def test_tiny_masses_collapse_the_bracket_near_zero(met, m):
+    # the model root's beta is far below -1e-12: on euclidean the
+    # curvature's 2 (2m) m used to underflow to a division by zero, and
+    # elsewhere c / m overflowed to a start past beta = -1e6
+    with pytest.raises(OutOfRangeError, match="^bracket collapse near beta = 0$"):
+        beta_of_mass(m, met)
+
+
 # the exact mass maps of the flat backgrounds
 _EXACT_MASS = {"euclidean": lambda b: math.sqrt(-3.0 * b),
                "hyperbolic": lambda b: -1.0 + math.sqrt(1.0 - 3.0 * b)}
@@ -369,9 +379,10 @@ def test_roots_across_the_mass_range(met, m):
 def test_tight_tol_roots(met, m):
     # a check that waits for the linear change |dm dbeta| <= tol/10 never
     # comes here ("root polish failed to reach tolerance"): the shot's own
-    # error keeps that change above tol/10.  Bryant-Salamon at tol 1e-12
-    # still fails at some m >= 458 (458.6 and 933.7 on a log grid), where an
-    # absolute tol is below the shot's error (ROADMAP item 14's relative tol)
+    # error keeps that change above tol/10.  On geomspace(1e-3, 1.5e3, 61)
+    # bs_s4 at tol 1e-12 solves m = 458.58 but still fails at m = 933.73,
+    # where an absolute tol is below the shot's error (ROADMAP item 14's
+    # relative tol)
     tol = 1e-12
     beta = beta_of_mass(m, met, tol)
     assert abs(mass_of_beta(beta, met, tol) - m) <= tol
