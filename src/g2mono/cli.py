@@ -252,6 +252,8 @@ _ORACLES = {
 
 
 def cmd_verify(args, parser) -> int:
+    if not args.r_min < args.r_max:
+        parser.error("need r-min < r-max")
     make_form, system, met = _ORACLES[args.oracle]
     if args.metric:
         met = _metric_arg(args.metric)

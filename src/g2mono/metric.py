@@ -266,10 +266,10 @@ class Chart:
     G read in it.  Each map takes a float or an array and returns the
     same kind, except that the identity chart's dr_dx returns 1.0, which
     broadcasts.  `stage` is the same dr_dx and h2_of_x at a float xs as
-    source lines, which `ode` inlines into its generated DOP853 stages:
-    they set J and h2, equal to the bit to dr_dx(xs) and h2_of_x(xs) at
-    a float 0 < xs < inf, and may call `h2_of_x`, `_sqrt` (math.sqrt)
-    and `_sinh` (math.sinh)."""
+    source lines, which `ode` inlines into its generated DOP853 loop: they
+    set J and h2, equal to the bit to dr_dx(xs) and h2_of_x(xs) at a float
+    0 < xs < inf, and may call `h2_of_x`, `_sqrt` (math.sqrt), `_sinh`
+    (math.sinh) and `scope`'s (name, value) pairs, the loop's globals."""
 
     x_of_r: Callable
     r_of_x: Callable
@@ -277,6 +277,7 @@ class Chart:
     h2_of_x: Callable
     green_of_x: Callable
     stage: tuple
+    scope: frozenset = frozenset()
 
 
 # BS fiber coordinate s; s_of_rho is looked up when called.  Its stage
@@ -290,10 +291,10 @@ def _identity(x):
     return x
 
 
-def _inlined(line, h2):
-    """h2, carrying as `h2.stage` its float branch: `line`, an expression
-    of the float xs that the identity chart's stage inlines."""
-    h2.stage = line
+def _inlined(h2, stage, **scope):
+    """h2, carrying its float branch as `h2.stage`, lines on the float xs that
+    set h2 (the identity chart inlines them), and the names they read."""
+    h2.stage, h2.scope = stage, frozenset(scope.items())
     return h2
 
 
@@ -317,7 +318,8 @@ class MetricProfile:
             return self._chart
         return Chart(x_of_r=_identity, r_of_x=_identity, dr_dx=lambda x: 1.0,
                      h2_of_x=self.h2, green_of_x=self.green_tail,
-                     stage=("J = 1.0", f"h2 = {getattr(self._h2, 'stage', 'h2_of_x(xs)')}"))
+                     stage=("J = 1.0", *getattr(self._h2, "stage", ("h2 = h2_of_x(xs)",))),
+                     scope=getattr(self._h2, "scope", frozenset()))
 
     def _radii(self, r):
         """r as a float or an array, checked: h^2 and G take 0 < r < inf
@@ -347,7 +349,7 @@ class MetricProfile:
 
 EUCLIDEAN = MetricProfile(
     id="euclidean",
-    _h2=_inlined("xs * xs", lambda r: r * r),
+    _h2=_inlined(lambda r: r * r, ("h2 = xs * xs",)),
     _green=lambda r: 0.5 / r,
     _series=lambda order: [Fraction(1)] + [Fraction(0)] * order,
 )
@@ -364,9 +366,9 @@ HYPERBOLIC = MetricProfile(
     # arguments clipped below the overflow threshold; values beyond
     # it are ~1e303 and behave as +inf for every caller; a float takes
     # math's sinh, within 3 ulp of numpy's and without a numpy call
-    _h2=_inlined("_sinh(350.0 if 350.0 < xs else xs) ** 2",
-                 lambda r: (math.sinh(min(r, 350.0)) ** 2 if isinstance(r, float)
-                            else np.sinh(np.minimum(r, 350.0)) ** 2)),
+    _h2=_inlined(lambda r: (math.sinh(min(r, 350.0)) ** 2 if isinstance(r, float)
+                            else np.sinh(np.minimum(r, 350.0)) ** 2),
+                 ("h2 = _sinh(350.0 if 350.0 < xs else xs) ** 2",)),
     _green=lambda r: 1.0 / np.expm1(np.minimum(2.0 * r, 700.0)),  # (coth r - 1)/2
     _series=_hyperbolic_series,
 )
@@ -459,6 +461,10 @@ def load_custom(path: str) -> MetricProfile:
     if coeffs[0] != 1 or (len(coeffs) > 1 and coeffs[1] != 0):
         raise UnsupportedBackend("custom series must start with 1, 0 (smoothness at 0)")
     horner = [float(c) for c in reversed(coeffs)]
+    # r * r * _horner(horner, r) as source: at a finite xs its leading
+    # 0.0 * xs + horner[0] is horner[0], which is not -0.0
+    series_h2 = "xs * xs * (" + functools.reduce(
+        lambda acc, c: f"({acc}) * xs + {c!r}", horner[1:], repr(horner[0])) + ")"
 
     def series(order):
         if order >= len(coeffs):
@@ -467,8 +473,8 @@ def load_custom(path: str) -> MetricProfile:
         return coeffs[: order + 1]
 
     if "table" not in keys:
-        return MetricProfile(id="custom", _h2=lambda r: r * r * _horner(horner, r),
-                             _green=None, _series=series)
+        return MetricProfile(id="custom", _series=series, _green=None, _h2=_inlined(
+            lambda r: r * r * _horner(horner, r), (f"h2 = {series_h2}",)))
     rs, hs = [], []
     table = os.path.join(os.path.dirname(path), keys["table"])
     with open(table) as fh:
@@ -514,7 +520,7 @@ def load_custom(path: str) -> MetricProfile:
 
     def h2(r):
         # the series up to the first row, log-log segments from there on:
-        # a float (the right-hand side) takes lookup's rule by bisect
+        # a float (the first step, rhs, a stage below) takes lookup's rule by bisect
         if isinstance(r, float):
             if r <= r_series:
                 return r * r * _horner(horner, r)
@@ -554,6 +560,11 @@ def load_custom(path: str) -> MetricProfile:
                      + (r_series - xs[near]) * (smooth @ _GL_WEIGHTS))
         return out if np.ndim(x) else float(out[0])
 
+    _inlined(h2, (f"if xs <= {r_series!r}: h2 = {series_h2}",
+                  f"else: lx = max(float(_np_log(xs)), {xs[0]!r}); j = _bisect(_LOG_R, lx) - 1; "
+                  "hx = float(_np_exp(_SLOPE[j] * (lx - _LOG_R[j]) + _LOG_H[j])); h2 = hx * hx"),
+             _np_log=np.log, _np_exp=np.exp, _bisect=bisect.bisect_right,
+             _LOG_R=tuple(xs), _LOG_H=tuple(ys), _SLOPE=tuple(ks))
     nonparabolic = 2.0 * ks[-1] > 1.0
     if nonparabolic:        # suffix[i] = G(r_i), and 0 past the last segment
         suffix = np.append(np.cumsum(segment(table_r)[1][::-1])[::-1], 0.0)

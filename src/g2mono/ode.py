@@ -5,9 +5,9 @@ monopoles), "plus" (the non-extendable flows, sigma = +-1) and "su3"
 (five fields on a Bryant-Salamon background).  An entry holds the
 right-hand side in the chart, as source lines (`_Rhs`), the map from a
 state to the integrated variables, the map from their derivative back
-to d(fields)/dr, and the per-step stop test.  `integrate` steps these
-right-hand sides, and `rhs` (so `oracles.residual` and `g2mono verify`)
-evaluates them.
+to d(fields)/dr, and the stop test on an accepted step, as source lines
+too.  `integrate` steps these right-hand sides, and `rhs` (so
+`oracles.residual` and `g2mono verify`) evaluates them.
 
 Derivatives are always with respect to the geodesic radius r (called
 rho on the BS backgrounds).  Internally every integration runs in the
@@ -17,29 +17,30 @@ its background only through the chart, at x: h^2, dr/dx and the tail's
 G.  Results are reported in r.
 
 Every system, the minus system's variational rows and the linear
-comparison equation of `envelope_check` run through one DOP853
-controller on Python floats (complex for su3) with scipy's tableau
-(written out in `_dop853_tableau`, so that scipy is not imported) and
-scipy's controller, so its steps are those of
-`solve_ivp(method="DOP853")` up to rounding.  A step is straight-line
-code, generated on first use for each right-hand side, chart and state
-length.  Every stage inlines, on local names, its argument, the chart's
-J = dr/dx and h^2 at the stage's x (`Chart.stage`: the identity chart
-writes out a built-in metric's float h^2 and calls h2_of_x for any
-other, the s chart writes bs_f and bs_h2_of_s out) and the right-hand
-side's lines; there are no argument lists, and no calls but h2_of_x
-and math's sqrt, sinh and expm1.  Both ends of the range are radii
-> 0, so the x of every stage is one, and h^2 needs no range check
-there.  The callable that `rhs` and the first step use is compiled
-from the same lines.  The stage sums are written out in the order `sum`
-adds them, without the tableau's exact 0.0 coefficients: a partial sum
-that starts from 0 is never -0.0, so adding 0.0 * k, a signed zero for a
-finite k, leaves it as it is, and a step equals the generic stage loop
-to the bit wherever its stages are finite.  A dense step, once its
-error norm accepts it, goes on to the interpolant's three stages and rows.
-Each stop (blow-up, a at A_FLOOR, and in shooting mode the tail bound
-2 a^2 G <= tol/10) is a test on the state at an accepted step.
-Interpolants are built only when the caller asks for dense output.
+comparison equation of `envelope_check` run through one DOP853 driver
+on Python floats (complex for su3), with scipy's tableau (written out in
+`_dop853_tableau`, so that scipy is not imported), first step and
+controller, so its steps are those of `solve_ivp(method="DOP853")` up
+to rounding.  The first step is chosen in Python; the rest of a run is
+one loop, generated on first use for each right-hand side, stop test,
+chart, state length and dense flag.  It is straight-line code on local
+names: scipy's controller with its rejections and x_end clamp, the
+stages, the error norm, the interpolant rows and the stop test.  Every
+stage inlines its argument, the chart's J = dr/dx and h^2 at the stage's
+x (`Chart.stage`: the identity chart writes out the float h^2 of a
+built-in or custom metric and calls h2_of_x for any other, the s chart
+writes bs_f and bs_h2_of_s out) and the right-hand side's lines.  Both
+ends of the range are radii > 0, so the x of every stage is one, and
+h^2 needs no range check there.  The callable that `rhs` and the first
+step use is compiled from the same lines.  The stage sums are written
+out in the order `sum` adds them, without the tableau's exact 0.0
+coefficients: a partial sum that starts from 0 is never -0.0, so adding
+0.0 * k, a signed zero for a finite k, leaves it as it is, and a step
+equals the generic stage loop to the bit wherever its stages are finite.
+A dense step, once its error norm accepts it, goes on to the
+interpolant's three stages and rows.  Each stop (blow-up, a at A_FLOOR,
+and in shooting mode the tail bound 2 a^2 G <= tol/10) is a test on the
+state at an accepted step.
 """
 
 from __future__ import annotations
@@ -123,18 +124,32 @@ _SU3 = _Rhs(("p1 = a3.real", "p2 = a4.real", "fs = (1.0 + xs * xs) ** -0.25 / xs
 # envelope_check's linear comparison equation v'' = 2 v / h^2
 _LINEAR = _Rhs((), ("J * a1", "J * 2.0 * a0 / h2"))
 
-
-def _minus_stop(x, y, phi_r_blowup):
-    if y[0] > V_BLOWUP or phi_r_blowup(abs(y[1]) * 0.25, x):
-        return "blow-up"
-    return "a fell to A_FLOOR" if y[0] <= _V_FLOOR else None
+# Each stop test is source lines on an accepted step's state y0, y1, ...
+# at x: they set `stop` to the reason, or leave it None.  |phi| r is
+# tested only where |phi| > phi_far, so r_of_x is called only there.
+_MINUS_STOP = (
+    f"if y0 > {V_BLOWUP!r} or abs(y1) * 0.25 > phi_far and "
+    f"abs(y1) * 0.25 * r_of_x(x) > {PHI_R_BLOWUP!r}: stop = 'blow-up'",
+    f"elif y0 <= {_V_FLOOR!r}: stop = 'a fell to A_FLOOR'")
+_PLUS_STOP = (f"if abs(y1) > phi_far and abs(y1) * r_of_x(x) > {PHI_R_BLOWUP!r}: "
+              "stop = 'blow-up'",)
+_SU3_STOP = (f"if max({', '.join(f'abs(y{i})' for i in range(5))}) > {PHI_R_BLOWUP!r}: "
+             "stop = 'blow-up'",)
+# the shooting mode's tail test, after the minus system's: G once v <=
+# v_test, and after a failed test v_test lowered to where that G passes
+_TAIL_STOP = _MINUS_STOP + (
+    "if stop is None and y0 <= v_test:",
+    "    G = green_of_x(x)",
+    "    if 2.0 * _exp(y0) * G <= tol / 10.0:",
+    "        stop, tail = 'tail bound reached', (_exp(0.5 * y0), G)",
+    "    else: v_test = _log(tol / (20.0 * G))")
 
 
 class _System(NamedTuple):
     rhs: _Rhs              # dy/dx in the chart
     to_y: Callable         # state -> y
     to_fields: Callable    # (state, dy/dr) -> d(fields)/dr
-    stop: Callable         # (x, y, phi_r_blowup(phi, x)) -> reason or None
+    stop: tuple            # the stop test, as source lines
 
 
 _SYSTEMS = {
@@ -142,16 +157,13 @@ _SYSTEMS = {
     "minus": _System(
         _MINUS, lambda st: [2.0 * math.log(abs(st.a)) if st.a else -math.inf,
                             4.0 * float(st.phi)],
-        lambda st, d: (0.5 * st.a * d[0], 0.25 * d[1]), _minus_stop),
+        lambda st, d: (0.5 * st.a * d[0], 0.25 * d[1]), _MINUS_STOP),
     "plus": _System(
-        _PLUS, lambda st: [float(st.a), float(st.phi)], lambda st, d: tuple(d),
-        lambda x, y, phi_r_blowup:
-            "blow-up" if phi_r_blowup(abs(y[1]), x) else None),
+        _PLUS, lambda st: [float(st.a), float(st.phi)], lambda st, d: tuple(d), _PLUS_STOP),
     "su3": _System(
         _SU3, lambda st: [complex(v) for v in (st.b1, st.b2, st.b3,
                                                st.phi1, st.phi2)],
-        lambda st, d: tuple(d),
-        lambda x, y, _: "blow-up" if max(map(abs, y)) > PHI_R_BLOWUP else None),
+        lambda st, d: tuple(d), _SU3_STOP),
 }
 
 
@@ -192,11 +204,11 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0      # scipy's controller
 _ERROR_EXPONENT = -1.0 / 8.0         # -1 / (error estimator order + 1)
 
 # Straight-line code generated on first use (for 2 to 5 components a loop
-# over them costs more than the arithmetic), keyed on (source, *key): f on
-# (_function_source, _Rhs), step on (_step_source, _Rhs, chart stage, state
-# length, error-controlled length, dense).  The key holds the chart's source,
-# not the Chart: an identity chart is built anew on each read, and every
-# identity chart whose h^2 is a call shares one kernel.
+# over them costs more than the arithmetic), keyed on (source, *key, the
+# chart's scope): f on (_function_source, _Rhs), the loop on (_loop_source,
+# _Rhs, stop test, chart stage, state length, error-controlled length,
+# dense).  The key holds the chart's source and scope, not the Chart: an
+# identity chart is built anew on each read.
 _KERNELS = {}
 
 
@@ -231,54 +243,85 @@ def _stage_lines(rhs, chart, stages, first, n):
     return lines
 
 
-def _step_source(rhs, chart, n, n_err, dense):
-    """`step(h2_of_x, sigma, x, h, y, f(x, y), rtol, atol)` -> (y_new,
-    f_new, error norm, F): scipy's step and error norm over the first
-    n_err components, stage 12's argument being y_new.  F is None, or
-    with `dense` and an accepted step (error norm < 1) its 7 interpolant
-    rows, at three more evaluations."""
-    step = ["def kernel(h2_of_x, sigma, x, h, y, k0, rtol, atol):",
-            f"{_names('y', n)}= y", f"{_names('k0_', n)}= k0",
-            *_stage_lines(rhs, chart, _STEP, 1, n)]
+def _loop_source(rhs, stop, chart, n, n_err, dense):
+    """`loop(h2_of_x, r_of_x, green_of_x, sigma, phi_far, tol, x, y, k0,
+    h_abs, x_end, rtol, atol)` -> (grid, states, rows, nfev, stop, tail):
+    DOP853 from (x, y), with k0 = f(x, y) and scipy's first step h_abs
+    (whose two evaluations nfev counts), to x_end or to the first
+    accepted step where the stop test sets `stop`.  A step is written
+    out: its stages, stage 12's argument being y_new, scipy's error norm
+    over the first n_err components, and scipy's controller.  With
+    `dense`, an accepted step goes on to the interpolant's three stages
+    and its 7 rows.  The loop's own names are none of those that the
+    stages set (xs, a{i}, k{s}_{i}, J, h2 and the lines' temporaries)."""
+    ys, k0s = _names("y", n), _names("k0_", n)
+    attempt = ["if h_abs < min_step: raise StiffnessError('Required step size is less than "
+               f"spacing between numbers.', state=(x, [{ys}]))",
+               "x_new = x + h_abs * direction",
+               "if direction * (x_new - x_end) > 0: x_new = x_end",
+               "h = x_new - x",
+               "h_abs = abs(h)",
+               *_stage_lines(rhs, chart, _STEP, 1, n)]
     for i in range(n_err):
-        step += [f"sc = atol + max(abs(y{i}), abs(a{i})) * rtol",
-                 f"q5_{i} = abs({_dot(_E5, i)}) / sc",
-                 f"q3_{i} = abs({_dot(_E3, i)}) / sc"]
-    step += ["e5 = 0.0" + "".join(f" + q5_{i} * q5_{i}" for i in range(n_err)),
-             "e3 = 0.0" + "".join(f" + q3_{i} * q3_{i}" for i in range(n_err)),
-             f"err = abs(h) * e5 / _sqrt((e5 + 0.01 * e3) * {n_err}) if e5 or e3 else 0.0",
-             f"y_new, f_new = [{_names('a', n)}], [{_names(f'k{_N}_', n)}]"]
-    rows = "None"
+        attempt += [f"sc = atol + max(abs(y{i}), abs(a{i})) * rtol",
+                    f"q5_{i} = abs({_dot(_E5, i)}) / sc",
+                    f"q3_{i} = abs({_dot(_E3, i)}) / sc"]
+    grow = f"{_SAFETY!r} * err ** {_ERROR_EXPONENT!r}"
+    attempt += ["e5 = 0.0" + "".join(f" + q5_{i} * q5_{i}" for i in range(n_err)),
+                "e3 = 0.0" + "".join(f" + q3_{i} * q3_{i}" for i in range(n_err)),
+                f"err = abs(h) * e5 / _sqrt((e5 + 0.01 * e3) * {n_err}) if e5 or e3 else 0.0",
+                f"nfev += {_N}",
+                "if err < 1.0:",
+                f"    factor = {_MAX_FACTOR!r} if err == 0.0 else min({_MAX_FACTOR!r}, {grow})",
+                "    h_abs *= min(1.0, factor) if rejected else factor",
+                "    break",
+                f"h_abs *= max({_MIN_FACTOR!r}, {grow})",
+                "rejected = True"]
+    step = ["min_step = 10.0 * abs(_nextafter(x, toward) - x)",
+            "h_abs, rejected = max(h_abs, min_step), False",
+            "while True:", *(f"    {line}" for line in attempt),
+            f"state = [{_names('a', n)}]", "grid.append(x_new)", "states.append(state)"]
     if dense:
         # component i of each of the 7 rows
         F = [[f"d{i}", f"h * k0_{i} - d{i}", f"2.0 * d{i} - h * (k{_N}_{i} + k0_{i})",
               *(f"h * {_dot(Dj, i)}" for Dj in _D)] for i in range(n)]
-        rows = f"[{', '.join('[' + ', '.join(row) + ']' for row in zip(*F))}]"
-        step += ["if not err < 1.0: return y_new, f_new, err, None",
-                 *(f"d{i} = a{i} - y{i}" for i in range(n)),
-                 *_stage_lines(rhs, chart, _DENSE, _N + 1, n)]
-    step.append(f"return y_new, f_new, err, {rows}")
-    return "\n    ".join(step) + "\n"
+        step += [*(f"d{i} = a{i} - y{i}" for i in range(n)),
+                 *_stage_lines(rhs, chart, _DENSE, _N + 1, n),
+                 f"rows.append([{', '.join('[' + ', '.join(row) + ']' for row in zip(*F))}])",
+                 f"nfev += {len(_DENSE)}"]
+    step += ["x = x_new", f"{ys}= state", f"{k0s}= {_names(f'k{_N}_', n)}", *stop]
+    if stop:
+        step.append("if stop is not None: break")
+    return "\n    ".join([
+        "def kernel(h2_of_x, r_of_x, green_of_x, sigma, phi_far, tol, x, y, k0, h_abs, x_end, "
+        "rtol, atol):", f"{ys}= y", f"{k0s}= k0",
+        "direction = 1.0 if x_end > x else -1.0", "toward = direction * _inf",
+        f"grid, states, rows, nfev, stop, tail, v_test = [x], [y], [], 2, None, None, {V_TAIL!r}",
+        "while direction * (x - x_end) < 0:", *(f"    {line}" for line in step),
+        "return grid, states, rows, nfev, stop, tail"]) + "\n"
 
 
-def _generated(source, *key):
-    """The kernel that source(*key) defines, compiled on first use: f
-    from _function_source, step from _step_source."""
-    if (source, *key) not in _KERNELS:
-        scope = {"_sqrt": math.sqrt, "_sinh": math.sinh, "_expm1": math.expm1}
-        exec(compile(source(*key), f"<DOP853 {source.__name__} {key}>", "exec"), scope)
-        _KERNELS[source, *key] = scope["kernel"]
-    return _KERNELS[source, *key]
+def _generated(source, *key, scope=frozenset()):
+    """The kernel that source(*key) defines, compiled on first use with
+    math's functions and the chart's `scope` ((name, value) pairs) as
+    its globals: f from _function_source, the loop from _loop_source."""
+    kernel = _KERNELS.get((source, *key, scope))
+    if kernel is None:
+        names = {"_sqrt": math.sqrt, "_sinh": math.sinh, "_expm1": math.expm1,
+                 "_exp": math.exp, "_log": math.log, "_nextafter": math.nextafter,
+                 "_inf": math.inf, "StiffnessError": StiffnessError, **dict(scope)}
+        exec(compile(source(*key), f"<DOP853 {source.__name__} {key}>", "exec"), names)
+        kernel = _KERNELS[source, *key, scope] = names["kernel"]
+    return kernel
 
 
-def _dop853(rhs, chart, sigma, x, y, x_end, rtol, atol, n_err, dense):
-    """Step DOP853 on dy/dx = rhs in the chart, from (x, y) toward x_end,
-    yielding (x, y, nfev, F) at each accepted step, with the error
-    controlled on the first n_err components.  F is None, or with `dense`
-    the step's 7 interpolant rows, which the step builds once accepted."""
+def _trace(rhs, stop, chart, sigma, x, y, x_end, rtol, atol, n_err, dense,
+           phi_far=math.inf, tol=None):
+    """DOP853 on dy/dx = rhs in the chart from (x, y) toward x_end, its error
+    controlled on the first n_err components: scipy's first step, chosen
+    here, then the generated loop, whose result it returns."""
     h2_of_x = chart.h2_of_x
     f = _generated(_function_source, rhs)
-    step = _generated(_step_source, rhs, chart.stage, len(y), n_err, dense)
     direction = 1.0 if x_end > x else -1.0
     fx = f(x, y, chart.dr_dx(x), h2_of_x(x), sigma)
     # the first step: scipy's select_initial_step (Hairer et al. II.4)
@@ -299,32 +342,10 @@ def _dop853(rhs, chart, sigma, x, y, x_end, rtol, atol, n_err, dense):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0) if max(d1, d2) > 0 else math.inf
-    h_abs, nfev = min(100.0 * h0, h1, interval), 2
-    while direction * (x - x_end) < 0:
-        min_step = 10.0 * abs(math.nextafter(x, direction * math.inf) - x)
-        h_abs, rejected = max(h_abs, min_step), False
-        while True:
-            if h_abs < min_step:
-                raise StiffnessError("Required step size is less than "
-                                     "spacing between numbers.", state=(x, y))
-            x_new = x + h_abs * direction
-            if direction * (x_new - x_end) > 0:
-                x_new = x_end
-            h = x_new - x
-            h_abs = abs(h)
-            y_new, f_new, err, F = step(h2_of_x, sigma, x, h, y, fx, rtol, atol)
-            nfev += _N
-            if err < 1.0:
-                factor = _MAX_FACTOR if err == 0.0 else min(
-                    _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-            rejected = True
-        if dense:
-            nfev += len(_DENSE)
-        x, y, fx = x_new, y_new, f_new
-        yield x, y, nfev, F
+    loop = _generated(_loop_source, rhs, stop, chart.stage, len(y), n_err, dense,
+                      scope=chart.scope)
+    return loop(h2_of_x, chart.r_of_x, chart.green_of_x, sigma, phi_far, tol, x, y, fx,
+                min(100.0 * h0, h1, interval), x_end, rtol, atol)
 
 
 def _between(a, b):
@@ -465,10 +486,6 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     # start of a backward run), so |phi| r can pass PHI_R_BLOWUP only
     # where |phi| > phi_far
     phi_far = PHI_R_BLOWUP / chart.r_of_x(max(x_span))
-
-    def phi_r_blowup(phi, x):
-        return phi > phi_far and phi * chart.r_of_x(x) > PHI_R_BLOWUP
-
     rtol, atol = 0.9 * tol, 0.1 * tol
     y0, rhs = spec.to_y(initial), spec.rhs
     # the variational rows are left out of error control
@@ -476,25 +493,9 @@ def integrate(system: str, initial, metric: MetricProfile, r_max: float,
     if variation is not None:
         y0 += [float(d) for d in variation]
         rhs = _MINUS_VARIATION
-
-    xs, ys, Fs = [x_span[0]], [y0], []
-    v_test = V_TAIL
-    stop = tail = None
-    for x, y, nfev, F in _dop853(rhs, chart, sigma, x_span[0], y0, x_span[1], rtol, atol,
-                                 n_err, dense):
-        xs.append(x)
-        ys.append(y)
-        Fs.append(F)
-        stop = spec.stop(x, y, phi_r_blowup)
-        if tail_stop and stop is None and y[0] <= v_test:
-            G = chart.green_of_x(x)
-            if 2.0 * math.exp(y[0]) * G <= tol / 10.0:
-                tail = (math.exp(0.5 * y[0]), G)
-                stop = "tail bound reached"
-            else:
-                v_test = math.log(tol / (20.0 * G))
-        if stop is not None:
-            break
+    xs, ys, Fs, nfev, stop, tail = _trace(
+        rhs, _TAIL_STOP if tail_stop else spec.stop, chart, sigma, x_span[0], y0, x_span[1],
+        rtol, atol, n_err, dense, phi_far, tol)
     r_end = float(chart.r_of_x(xs[-1]))
     return IntegrationResult(
         system=system, metric=metric,
@@ -563,12 +564,8 @@ def envelope_check(result: IntegrationResult) -> EnvelopeReport:
     II = cumulative_trapezoid(J, rs)
     lower_quad = tangent - 2.0 * II
 
-    xs, ys, Fs = [float(chart.x_of_r(d))], [[v0, w0]], []
-    for x, y, _, F in _dop853(_LINEAR, chart, -1, xs[0], ys[0], float(chart.x_of_r(r_end)),
-                              1e-10, 1e-12, 2, True):
-        xs.append(x)
-        ys.append(y)
-        Fs.append(F)
+    xs, ys, Fs = _trace(_LINEAR, (), chart, -1, float(chart.x_of_r(d)), [v0, w0],
+                        float(chart.x_of_r(r_end)), 1e-10, 1e-12, 2, True)[:3]
     lower_lin = _interpolate(np.array(xs), np.array(Fs), np.array(ys).T, x_rs)[0]
 
     tol = _ENVELOPE_SLACK * (1.0 + np.abs(v))

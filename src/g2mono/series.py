@@ -40,9 +40,18 @@ class SeriesSolution:
     metric_coeffs: tuple     # phi_0 .. as used
     order: int
 
+    def __getattr__(self, name):
+        # v_series gives integer ratios, and coeffs from them on first read
+        if name != "coeffs" or "_ratios" not in vars(self):
+            raise AttributeError(name)
+        coeffs = vars(self)["coeffs"] = tuple(Fraction(*nd) for nd in self._ratios)
+        return coeffs
+
     @functools.cached_property
     def _floats(self) -> list:
-        return [float(c) for c in self.coeffs]
+        # int / int is correctly rounded, as float(Fraction) is
+        ratios = vars(self).get("_ratios") or map(Fraction.as_integer_ratio, self.coeffs)
+        return [num / den for num, den in ratios]
 
     def v_at(self, r: float) -> float:
         acc = 0.0
@@ -136,16 +145,17 @@ def v_series(beta, metric_coeffs, order: int) -> SeriesSolution:
     if phi[0] != 1:
         raise ValueError("metric series must have phi_0 = 1")
     p, q = beta.numerator, beta.denominator
-    coeffs = []
+    ratios = []
     for num, den in _polynomial_set(_key(phi), order)[0]:
         # Horner in p/q over the common denominator den * q^deg
         acc, qk = num[-1], 1
         for c in reversed(num[:-1]):
             qk *= q
             acc = acc * p + c * qk
-        coeffs.append(Fraction(acc, den * qk))
-    return SeriesSolution(beta=beta, coeffs=tuple(coeffs), metric_coeffs=phi,
-                          order=order)
+        ratios.append((acc, den * qk))
+    sol = object.__new__(SeriesSolution)        # coeffs on first read
+    vars(sol).update(beta=beta, metric_coeffs=phi, order=order, _ratios=tuple(ratios))
+    return sol
 
 
 def initial_data(series: SeriesSolution) -> tuple[float, float, float]:

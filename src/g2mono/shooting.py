@@ -178,9 +178,8 @@ def _model_c(mass: float, metric: MetricProfile) -> float:
     """c = 4 g0 in the model root beta = -(m^2 + c m)/3, g0 = lim 1/(2r) - G(r)
     read as 2 g(r) - g(2r) at r = 1e-4 (O(r^2) and cancellation: ~1e-11);
     c >= -m/2 keeps beta < 0 if g0 < 0."""
-    r = np.array([1e-4, 2e-4])
-    g = 0.5 / r - metric.green_tail(r)
-    return max(4.0 * float(2.0 * g[0] - g[1]), -0.5 * mass)
+    g1, g2 = (0.5 / r - metric.green_tail(r) for r in (1e-4, 2e-4))
+    return max(4.0 * (2.0 * g1 - g2), -0.5 * mass)
 
 
 def _start(mass: float, c: float) -> float:

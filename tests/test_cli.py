@@ -412,6 +412,16 @@ def test_verify_bps(capsys):
     assert json.loads(stdout)["sup_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("r_min, r_max", [("5", "1"), ("2", "2")])
+def test_verify_needs_r_min_below_r_max(r_min, r_max, capsys):
+    # an empty or reversed window used to exit 0 with "range": [5.0, 1.0]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--oracle", "bps", "--C", "1", "--r-min", r_min, "--r-max", r_max])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "need r-min < r-max" in captured.err
+
+
 @pytest.mark.parametrize("oracle, met, system", [
     ("bps", "euclidean", "minus"),
     ("bps_mass", "euclidean", "minus"),
@@ -502,8 +512,9 @@ from g2mono import cli, energy, metric, ode, shooting
 assert "numpy.polynomial" not in sys.modules
 assert not ode._KERNELS, list(ode._KERNELS)           # generated on first use
 shooting.mass_of_beta(-0.5, metric.EUCLIDEAN)
-assert list(ode._KERNELS) == [(ode._function_source, ode._MINUS), (
-    ode._step_source, ode._MINUS, metric.EUCLIDEAN.chart.stage, 2, 2, False)], list(ode._KERNELS)
+assert list(ode._KERNELS) == [(ode._function_source, ode._MINUS, frozenset()), (
+    ode._loop_source, ode._MINUS, ode._TAIL_STOP, metric.EUCLIDEAN.chart.stage, 2, 2, False,
+    frozenset())], list(ode._KERNELS)
 for name in ("euclidean", "hyperbolic", "bs_s4", "bs_cp2"):
     met = metric.get_metric(name)
     energy.intermediate_energy(shooting.solve_monopole(met, 1.0), met)
@@ -527,7 +538,7 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
 def test_import_and_solves_do_not_load_scipy(tmp_path):
     # scipy is needed only by the tests, numpy.polynomial by none (the
     # `green` fit's np.polyfit does not load it), and the import
-    # generates no DOP853 step
+    # generates no DOP853 loop
     src = str(Path(g2mono.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -281,20 +281,74 @@ def test_flat_shot_calls_h2_only_off_the_stages(monkeypatch):
         assert nfev > 200 and calls < 10, (met, nfev, calls)
 
 
+def _stage_h2(chart):
+    """xs -> (J, h2) as the chart's stage sets them at a float xs, in the
+    generated loop's globals but with no h2_of_x to call."""
+    def no_call(x):
+        raise AssertionError("the stage called h2_of_x")
+
+    scope = {"_sqrt": math.sqrt, "_sinh": math.sinh, "h2_of_x": no_call, **dict(chart.scope)}
+    exec("def stage(xs):\n" + "".join(f"    {line}\n" for line in chart.stage)
+         + "    return J, h2\n", scope)
+    return scope["stage"]
+
+
 @pytest.mark.parametrize("met", [metric.EUCLIDEAN, metric.HYPERBOLIC], ids=lambda m: m.id)
 def test_inlined_h2_is_the_metric_h2_to_the_bit(met):
     # the identity chart's stage writes out the metric's float h^2 with
     # no call of h2_of_x, and sets the same bits as MetricProfile.h2
-    def no_call(x):
-        raise AssertionError("the stage called h2_of_x")
-
-    stage = met.chart.stage
-    assert "h2_of_x" not in "".join(stage)
-    code = compile("\n".join(stage), "<stage>", "exec")
+    assert "h2_of_x" not in "".join(met.chart.stage)
+    stage = _stage_h2(met.chart)
     for x in (1e-8, 0.3, 1.0, 349.99, 350.0, 350.01, 1e5):
-        scope = {"_sqrt": math.sqrt, "_sinh": math.sinh, "h2_of_x": no_call, "xs": x}
-        exec(code, scope)
-        assert scope["J"] == 1.0 and _bits(scope["h2"]) == _bits(met.h2(x)), (met.id, x)
+        J, h2 = stage(x)
+        assert J == 1.0 and _bits(h2) == _bits(met.h2(x)), (met.id, x)
+
+
+def test_inlined_table_h2_is_the_metric_h2_to_the_bit(tmp_path):
+    # a table's stage writes out MetricProfile.h2's float branch, numpy's
+    # log and exp around a bisect on the log radii, with the rows in its
+    # scope: the same bits at the rows, both float neighbours of each,
+    # between rows, below the first row (the series) and past the last
+    rng = np.random.default_rng(37)
+    rs = np.sort(np.geomspace(0.4, 300.0, 257) * rng.uniform(0.97, 1.03, 257))
+    met = _table_metric(tmp_path, rs.tolist(), (rs ** 1.4 * rng.uniform(0.9, 1.1, 257)).tolist(),
+                        coeffs="1,0,1/3,0,-2/45")
+    points = np.concatenate([rs, np.nextafter(rs, 0.0), np.nextafter(rs, np.inf),
+                             np.sqrt(rs[1:] * rs[:-1]), rng.uniform(rs[0], rs[-1], 20_000),
+                             np.geomspace(1e-6, rs[0], 500), np.geomspace(rs[-1], 1e8, 500)])
+    assert "h2_of_x" not in "".join(met.chart.stage)
+    stage = _stage_h2(met.chart)
+    for x in points.tolist():
+        J, h2 = stage(x)
+        assert J == 1.0 and _bits(h2) == _bits(met.h2(x)), x
+    # a series-only metric writes out its Horner expression too
+    (tmp_path / "s.txt").write_text("type=custom\ncoeffs=1,0,1/3,0,-2/45,0,1/7\n")
+    series = metric.load_custom(str(tmp_path / "s.txt"))
+    assert series.chart.scope == frozenset()
+    stage = _stage_h2(series.chart)
+    for x in np.geomspace(1e-6, 10.0, 500).tolist():
+        J, h2 = stage(x)
+        assert J == 1.0 and _bits(h2) == _bits(series.h2(x)), x
+
+
+def test_tables_with_one_stage_source_get_their_own_kernels(tmp_path, monkeypatch):
+    # two tables with the same series and first row, so the same stage
+    # source, but other rows: each shot runs a kernel of its own table's
+    # rows, and equals, bit for bit, the shot whose stages call
+    # MetricProfile.h2 through h2_of_x
+    monkeypatch.setattr(ode, "_KERNELS", {})
+    rs = np.geomspace(0.5, 200.0, 257)
+    tables = [_table_metric(tmp_path, rs.tolist(), (rs * (rs / 0.5) ** p).tolist(), name=f"m{i}")
+              for i, p in enumerate((0.0, 0.1))]
+    assert tables[0].chart.stage == tables[1].chart.stage
+    assert tables[0].chart.scope != tables[1].chart.scope
+    masses = [shooting.mass_of_beta(-0.4, met) for met in tables]
+    assert masses[0] != masses[1]
+    assert len([key for key in ode._KERNELS if key[0] is ode._loop_source]) == 2
+    for met, mass in zip(tables, masses):
+        called = dataclasses.replace(met, _h2=lambda r, _h2=met._h2: _h2(r))
+        assert called.chart.stage == ("J = 1.0", "h2 = h2_of_x(xs)")
+        assert _bits(shooting.mass_of_beta(-0.4, called)) == _bits(mass)
 
 
 # -- forward variation --------------------------------------------------------
@@ -686,13 +740,15 @@ def test_controller_constants_are_scipys():
 
 
 def test_one_step_matches_scipys_rk_step():
-    # 300 steps on bs_s4 from states of four shots, with steps 0.5 to 1.5
-    # times the accepted ones: y_new to rounding; the error norm is a
+    # 300 steps on bs_s4 from states of four shots, tried at 0.5 to 1.5
+    # times the accepted ones: the generated loop's first accepted step
+    # (the tried one, or a shorter one after rejections) against scipy's
+    # rk_step of the same length, y_new to rounding; the error norm is a
     # cancellation of O(1) stage values, so only to a relative 1e-2
     from scipy.integrate._ivp.rk import DOP853, rk_step
     met, tol = metric.BS_S4, 1e-10
     fun = _chart_rhs(ode._MINUS, met)
-    step = _generated_step(ode._MINUS, met, -1, 2, False)
+    step = _first_accepted_step(ode._MINUS, met, -1, 2, False)
     states = []
     for beta in (-0.02, -0.4, -3.0, -30.0):
         res = integrate("minus", _shot_initial(beta, met), met, 1e5, tol=tol,
@@ -701,12 +757,15 @@ def test_one_step_matches_scipys_rk_step():
         states += [(float(xs[k]), res.y[:, k].tolist(), xs[k + 1] - xs[k])
                    for k in range(len(xs) - 1)]
     rng = np.random.default_rng(7)
+    shorter = 0
     for k in rng.integers(len(states), size=300):
         x, y, h = states[k]
         h = float(h * rng.uniform(0.5, 1.5))
         f = fun(x, y)
-        y_new, f_new, err, _ = step(x, h, y, f, 0.9 * tol, 0.1 * tol)
+        x_new, y_new, f_new, nfev, err, _ = step(x, h, y, f, math.inf, 0.9 * tol, 0.1 * tol)
         assert all(type(v) is float for v in y_new + f_new)
+        shorter += nfev > 2 + ode._N
+        h = x_new - x
         K_ref = np.empty((DOP853.n_stages + 1, 2))
         y_ref, _ = rk_step(lambda t, z: np.asarray(fun(t, z)), x, np.array(y),
                            np.array(f), h, DOP853.A, DOP853.B, DOP853.C, K_ref)
@@ -714,57 +773,38 @@ def test_one_step_matches_scipys_rk_step():
         scale = 0.1 * tol + np.maximum(np.abs(y), np.abs(y_ref)) * 0.9 * tol
         err_ref = DOP853._estimate_error_norm(DOP853, K_ref, h, scale)
         assert abs(err / err_ref - 1.0) <= 1e-2
+    assert 20 <= shorter <= 280             # 37: both kinds of step are covered
 
 
-# -- the generated steps against the generic stage loop -----------------------
+# -- the generated loop against the oracle's controller ------------------------
 
-def _generated_step(rhs, met, sigma, n_err, dense):
-    """The kernel `integrate` runs for rhs on met's chart, as
-    (x, h, y, f(x, y), rtol, atol) -> (y_new, f_new, err, F), with F the
-    interpolant rows if `dense` and the step is accepted, else None."""
-    c = met.chart
-    step = ode._generated(ode._step_source, rhs, c.stage, len(rhs.dy), n_err, dense)
-    return lambda x, h, y, fx, rtol, atol: step(c.h2_of_x, sigma, x, h, y, fx, rtol, atol)
+def _first_accepted_step(rhs, met, sigma, n_err, dense):
+    """The loop `integrate` generates for rhs on met's chart, with a stop
+    test that ends it at its first accepted step, as (x, h, y, f(x, y),
+    x_end, rtol, atol) -> (x_new, y_new, f_new, nfev, err, F): the step
+    tried first is h long, and F is its interpolant rows if `dense`, else
+    None."""
+    c, n = met.chart, len(rhs.dy)
+    stop = (f"stop = err, [{ode._names(f'k{ode._N}_', n)}]",)
+    loop = ode._generated(ode._loop_source, rhs, stop, c.stage, n, n_err, dense, scope=c.scope)
 
-
-def test_interpolant_rows_are_generated_on_first_dense_use(monkeypatch):
-    # one cache: a slope shot compiles its right-hand side and a step
-    # without rows; a dense trace compiles the step that builds them
-    monkeypatch.setattr(ode, "_KERNELS", {})
-    met = metric.EUCLIDEAN
-    init, flat = _shot_initial(-0.4, met), met.chart.stage
-    f, step = ode._function_source, ode._step_source
-    integrate("minus", init, met, 1e5, tail_stop=True, dense=False, variation=(0.0, 1.0))
-    assert list(ode._KERNELS) == [(f, ode._MINUS_VARIATION),
-                                  (step, ode._MINUS_VARIATION, flat, 4, 2, False)]
-    integrate("minus", init, met, 5.0)
-    integrate("plus", ProfileState(1.0, 0.5, -0.1), met, 2.0)
-    assert list(ode._KERNELS)[2:] == [(f, ode._MINUS), (step, ode._MINUS, flat, 2, 2, True),
-                                      (f, ode._PLUS), (step, ode._PLUS, flat, 2, 2, True)]
+    def first(x, h, y, fx, x_end, rtol, atol):
+        grid, states, rows, nfev, (err, f_new), _ = loop(
+            c.h2_of_x, c.r_of_x, c.green_of_x, sigma, math.inf, None, x, y, fx, abs(h), x_end,
+            rtol, atol)
+        return grid[1], states[1], f_new, nfev, err, rows[0] if dense else None
+    return first
 
 
-def test_second_shot_compiles_nothing(monkeypatch):
-    # kernels are keyed on source, though each read of an identity
-    # metric's chart builds a new Chart: euclidean and hyperbolic share
-    # the right-hand side and each has its own step, which a second shot
-    # reuses
-    monkeypatch.setattr(ode, "_KERNELS", {})
-    for met in (metric.EUCLIDEAN, metric.HYPERBOLIC):
-        shooting.mass_of_beta(-0.4, met)
-    kernels = dict(ode._KERNELS)
-    step = (ode._step_source, ode._MINUS)
-    assert list(kernels) == [(ode._function_source, ode._MINUS),
-                             (*step, metric.EUCLIDEAN.chart.stage, 2, 2, False),
-                             (*step, metric.HYPERBOLIC.chart.stage, 2, 2, False)]
+def _oracle_first_accepted_step(rhs, met, sigma, n_err, dense):
+    """The same step from the oracle's controller and stage loop."""
+    fun = _chart_rhs(rhs, met, sigma)
 
-    def compiled(*args):
-        raise AssertionError("compiled a second kernel")
-
-    monkeypatch.setattr(ode, "compile", compiled, raising=False)
-    assert metric.EUCLIDEAN.chart is not metric.EUCLIDEAN.chart
-    for met in (metric.EUCLIDEAN, metric.HYPERBOLIC):
-        shooting.mass_of_beta(-0.4, met)
-    assert ode._KERNELS == kernels
+    def first(x, h, y, fx, x_end, rtol, atol):
+        x_new, y_new, f_new, nfev, F, err = next(dop853_oracle.controller(
+            fun, x, y, fx, abs(h), x_end, rtol, atol, n_err, dense))
+        return x_new, y_new, f_new, nfev, err, F
+    return first
 
 
 def _bits(v):
@@ -781,6 +821,8 @@ def _outcome(step, *args):
         return _bits(step(*args))
     except ArithmeticError as exc:          # e.g. abs of a huge complex
         return type(exc).__name__
+    except StiffnessError as exc:
+        return "StiffnessError", tuple(_bits(exc.state))
 
 
 def _finite(bits):
@@ -826,45 +868,207 @@ _ORACLE_CASES = {
 @pytest.mark.parametrize("dense", [False, True])
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
 def test_generated_step_is_the_stage_loop_to_the_bit(case, dense):
-    # y_new, f_new, the error norm and the interpolant rows of each kernel
-    # `integrate` runs, with the right-hand side and the chart's J and h^2
-    # inlined at every stage, against the generic loop stepping the
-    # compiled right-hand side on the chart's own dr_dx and h2_of_x, bit
-    # for bit; where a stage overflows, equal bits or both reject the step
-    # with the same next step size.  A kernel builds rows only for an
-    # accepted step, which at (1e-10, 1e-11) few of these states are, so
-    # a second pass at rtol = atol = 1e300 accepts most finite ones
+    # the first accepted step of each loop `integrate` runs, with the
+    # right-hand side and the chart's J and h^2 inlined at every stage,
+    # against the oracle's controller stepping the generic stage loop on
+    # the chart's own dr_dx and h2_of_x: x, y_new, f_new, nfev, the error
+    # norm and the interpolant rows, or the StiffnessError and its state,
+    # bit for bit, rejected tries included.  Where a stage overflows the
+    # two may part (see below).  A loop builds rows only for an accepted
+    # step, so a second pass at rtol = atol = 1e300 accepts most finite
+    # states at their first try
     rhs, met, sigma, n_err = _ORACLE_CASES[case]
     fun = _chart_rhs(rhs, met, sigma)
     n, system = len(rhs.dy), case.split("-")[0]
-
-    def reference(x, h, y, fx, rtol, atol):
-        return dop853_oracle.step(fun, x, h, y, fx, rtol, atol, n_err, dense)
-
-    def next_h_abs(step, x, h, y, fx):
-        err = step(x, h, y, fx, 1e-10, 1e-11)[2]
-        assert not err < 1.0
-        return abs(h) * max(ode._MIN_FACTOR, ode._SAFETY * err ** ode._ERROR_EXPONENT)
-
-    generated = _generated_step(rhs, met, sigma, n_err, dense)
+    reference = _oracle_first_accepted_step(rhs, met, sigma, n_err, dense)
+    generated = _first_accepted_step(rhs, met, sigma, n_err, dense)
     states = _oracle_states(system, n, np.random.default_rng(17), 80)
     for rtol, atol in ((1e-10, 1e-11), (1e300, 1e300)):
         overflowed = with_rows = 0
         for x, h, y in states:
             fx = fun(x, y)
-            want = _outcome(reference, x, h, y, fx, rtol, atol)
-            got = _outcome(generated, x, h, y, fx, rtol, atol)
-            overflowed += not _finite(want)
-            # y_new, f_new, err and 7 rows are 9 n + 1 values, else 2 n + 2
-            with_rows += got == want and isinstance(want, list) and len(want) == 9 * n + 1
+            first_try = _outcome(dop853_oracle.step, fun, x, h, y, fx, rtol, atol, n_err, dense)
+            want = _outcome(reference, x, h, y, fx, x + h, rtol, atol)
+            got = _outcome(generated, x, h, y, fx, x + h, rtol, atol)
+            overflowed += not _finite(first_try)
+            # an accepted first try: x, y_new, f_new, nfev, err and 7 rows
+            with_rows += got == want and isinstance(want, list) and len(want) == 9 * n + 3
             if got != want:
-                assert not _finite(want), (x, h, y)
-                # at 1e300 an overflowed scale turns the loop's 0.0 * inf
-                # terms into a NaN error norm, and the kernel's into 0.0
-                if rtol < 1.0:
-                    assert next_h_abs(generated, x, h, y, fx) == next_h_abs(reference, x, h, y, fx)
+                # at 1e300 an overflowed scale turns the oracle's 0.0 * inf
+                # terms into a NaN error norm, and the loop's into 0.0
+                assert rtol > 1.0 and not _finite(first_try), (x, h, y)
         assert overflowed >= 15
         assert with_rows >= (35 if dense and rtol == 1e300 else 0)
+
+
+def test_interpolant_rows_are_generated_on_first_dense_use(monkeypatch):
+    # one cache: a slope shot compiles its right-hand side and a loop
+    # without rows; a dense trace compiles the loop that builds them
+    monkeypatch.setattr(ode, "_KERNELS", {})
+    met = metric.EUCLIDEAN
+    init, flat, none = _shot_initial(-0.4, met), met.chart.stage, frozenset()
+    f, loop = ode._function_source, ode._loop_source
+    integrate("minus", init, met, 1e5, tail_stop=True, dense=False, variation=(0.0, 1.0))
+    assert list(ode._KERNELS) == [
+        (f, ode._MINUS_VARIATION, none),
+        (loop, ode._MINUS_VARIATION, ode._TAIL_STOP, flat, 4, 2, False, none)]
+    integrate("minus", init, met, 5.0)
+    integrate("plus", ProfileState(1.0, 0.5, -0.1), met, 2.0)
+    assert list(ode._KERNELS)[2:] == [
+        (f, ode._MINUS, none), (loop, ode._MINUS, ode._MINUS_STOP, flat, 2, 2, True, none),
+        (f, ode._PLUS, none), (loop, ode._PLUS, ode._PLUS_STOP, flat, 2, 2, True, none)]
+
+
+def test_second_shot_compiles_nothing(monkeypatch):
+    # kernels are keyed on source, though each read of an identity
+    # metric's chart builds a new Chart: euclidean and hyperbolic share
+    # the right-hand side and each has its own loop, which a second shot
+    # reuses
+    monkeypatch.setattr(ode, "_KERNELS", {})
+    for met in (metric.EUCLIDEAN, metric.HYPERBOLIC):
+        shooting.mass_of_beta(-0.4, met)
+    kernels = dict(ode._KERNELS)
+    loop = (ode._loop_source, ode._MINUS, ode._TAIL_STOP)
+    assert list(kernels) == [(ode._function_source, ode._MINUS, frozenset()),
+                             (*loop, metric.EUCLIDEAN.chart.stage, 2, 2, False, frozenset()),
+                             (*loop, metric.HYPERBOLIC.chart.stage, 2, 2, False, frozenset())]
+
+    def compiled(*args):
+        raise AssertionError("compiled a second kernel")
+
+    monkeypatch.setattr(ode, "compile", compiled, raising=False)
+    assert metric.EUCLIDEAN.chart is not metric.EUCLIDEAN.chart
+    for met in (metric.EUCLIDEAN, metric.HYPERBOLIC):
+        shooting.mass_of_beta(-0.4, met)
+    assert ode._KERNELS == kernels
+
+
+def _table_metric(tmp_path, rs, hs, coeffs="1" + ",0" * 12, name="m"):
+    (tmp_path / f"{name}.csv").write_text(
+        "r,h\n" + "".join(f"{r!r},{h!r}\n" for r, h in zip(rs, hs)))
+    (tmp_path / f"{name}.txt").write_text(f"type=custom\ncoeffs={coeffs}\ntable={name}.csv\n")
+    return metric.load_custom(str(tmp_path / f"{name}.txt"))
+
+
+def _h_equals_r_table(tmp_path):
+    """h = r on 257 rows from r = 0.5 to 200, as `beta-scan` tabulates it."""
+    rs = np.geomspace(0.5, 200.0, 257).tolist()
+    return _table_metric(tmp_path, rs, rs)
+
+
+def _minus_runs(met):
+    """The three minus shots of beta = -0.4: plain, slope and dense."""
+    sol = v_series(-0.4, met.series_coeffs(12), 12)
+    d, a, phi = initial_data(sol)
+    init = ProfileState(d, a, phi)
+    return {"plain": ("minus", init, met, 1e5, {"tail_stop": True, "dense": False}),
+            "slope": ("minus", init, met, 1e5, {"tail_stop": True, "dense": False,
+                                                "variation": sol.beta_derivative_at(d)}),
+            "dense": ("minus", init, met, 1e5, {"tail_stop": True})}
+
+
+_SHOT_METRICS = {"euclidean": lambda tmp_path: metric.EUCLIDEAN,
+                 "hyperbolic": lambda tmp_path: metric.HYPERBOLIC,
+                 "bs_s4": lambda tmp_path: metric.BS_S4, "table": _h_equals_r_table}
+_TRACES = {
+    # system, initial state, metric, r_max, keyword arguments
+    **{f"minus-{m}-{kind}": lambda tmp_path, m=m, kind=kind:
+       _minus_runs(_SHOT_METRICS[m](tmp_path))[kind]
+       for m in _SHOT_METRICS for kind in ("plain", "slope", "dense")},
+    "minus-blowup": lambda tmp_path: ("minus", _shot_initial(0.5, metric.EUCLIDEAN),
+                                      metric.EUCLIDEAN, 5000.0, {}),
+    "minus-a-floor": lambda tmp_path: ("minus", _shot_initial(-0.4, metric.HYPERBOLIC),
+                                       metric.HYPERBOLIC, 3000.0, {"dense": False}),
+    "plus-sigma-minus": lambda tmp_path: ("plus", ProfileState(1.0, 0.4, -0.2),
+                                          metric.EUCLIDEAN, 5.0, {"sigma": -1, "tol": 1e-11}),
+    "plus-sigma-plus": lambda tmp_path: ("plus", ProfileState(1.0, 0.4, 0.2),
+                                         metric.BS_S4, 5.0, {"sigma": 1}),
+    "plus-backward": lambda tmp_path: ("plus", ProfileState(1.0, 0.0, 0.0), metric.BS_S4,
+                                       1e-3, {"sigma": -1}),
+    "su3": lambda tmp_path: ("su3", _su3_initial(), metric.BS_S4, metric.rho_of_s(6.0), {}),
+    # past r = 1 the right-hand side jumps by 1e6: the steps there are rejected
+    "plus-rejections": lambda tmp_path: (
+        "plus", ProfileState(0.5, 0.1, -0.1),
+        _euclidean_with_h2(lambda r: np.where(r > 1.0, 1e-6, 1.0) * r * r), 3.0, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRACES))
+def test_generated_loop_is_the_oracle_controller_to_the_bit(case, tmp_path):
+    # every trace of `integrate`, against the Python controller and stop
+    # tests it replaced: the grid, the states, nfev, the interpolant
+    # rows, the stop's message and the tail, bit for bit
+    system, init, met, r_max, kw = _TRACES[case](tmp_path)
+    res = integrate(system, init, met, r_max, **kw)
+    want = dop853_oracle.integrate(system, init, met, r_max, **kw)
+    assert res.x.tobytes() == np.array(want["x"]).tobytes()
+    assert res.y.dtype == np.array(want["y"]).dtype
+    assert res.y.tobytes() == np.array(want["y"]).T.tobytes()
+    if want["F"] is None:
+        assert res._F is None
+    else:
+        assert res._F.tobytes() == np.array(want["F"]).tobytes()
+    assert (res.stats["nfev"], res.stats["message"]) == (want["nfev"], want["message"])
+    assert (res.tail is None) == (want["tail"] is None)
+    assert res.tail is None or _bits(res.tail) == _bits(want["tail"])
+    assert bool(want["rejected"]) >= (case == "plus-rejections")
+    if case.endswith("-plain") or case == "minus-blowup":
+        assert res.stats["message"] == ("tail bound reached" if kw else "blow-up")
+    assert (res.stats["message"] == "a fell to A_FLOOR") == (case == "minus-a-floor")
+
+
+@pytest.mark.parametrize("met", [metric.EUCLIDEAN, metric.BS_S4], ids=lambda m: m.id)
+def test_envelope_linear_run_is_the_oracle_controller_to_the_bit(met):
+    res = integrate("minus", _shot_initial(-0.4, met), met, 15.0)
+    rep = envelope_check(res)
+    chart, fun = met.chart, _chart_rhs(ode._LINEAR, met)
+    v, w = res.eval(rep.r)
+    x0, y, x1 = float(chart.x_of_r(rep.r[0])), [float(v[0]), float(w[0])], float(
+        chart.x_of_r(rep.r[-1]))
+    fx, h_abs = dop853_oracle.first_step(fun, x0, y, x1, 1e-10, 1e-12, 2)
+    xs, ys, Fs = [x0], [y], []
+    for x, y, _, _, F, _ in dop853_oracle.controller(fun, x0, y, fx, h_abs, x1, 1e-10, 1e-12,
+                                                     2, True):
+        xs.append(x)
+        ys.append(y)
+        Fs.append(F)
+    want = ode._interpolate(np.array(xs), np.array(Fs), np.array(ys).T, chart.x_of_r(rep.r))
+    assert rep.lower_linear.tobytes() == want[0].tobytes()
+
+
+def test_stiffness_error_is_the_oracle_controllers():
+    # a NaN right-hand side past r = 1: both reject down to 10 ulp of x
+    met = _euclidean_with_h2(lambda r: np.where(r > 1.0, np.nan, r * r))
+    init = ProfileState(0.5, 0.1, -0.1)
+    with pytest.raises(StiffnessError) as got:
+        integrate("plus", init, met, 3.0)
+    with pytest.raises(StiffnessError) as want:
+        dop853_oracle.integrate("plus", init, met, 3.0)
+    assert str(got.value) == str(want.value)
+    assert _bits(got.value.state) == _bits(want.value.state)
+
+
+def test_loop_names_are_not_the_stages(tmp_path):
+    # the loop's bookkeeping (its grid, states, step sizes and stop) sets
+    # none of the names that a stage sets, or a stage would overwrite it
+    charts = [metric.EUCLIDEAN.chart, metric.HYPERBOLIC.chart, metric.S_CHART,
+              _h_equals_r_table(tmp_path).chart, _euclidean_with_h2(lambda r: r * r).chart]
+    systems = [(ode._MINUS, ode._TAIL_STOP, 2), (ode._MINUS_VARIATION, ode._TAIL_STOP, 2),
+               (ode._PLUS, ode._PLUS_STOP, 2), (ode._SU3, ode._SU3_STOP, 5), (ode._LINEAR, (), 2)]
+    for chart in charts:
+        for rhs, stop, n_err in systems:
+            n = len(rhs.dy)
+            stage = set(ode._stage_lines(rhs, chart.stage, ode._STEP + ode._DENSE, 1, n))
+            for dense in (False, True):
+                source = ode._loop_source(rhs, stop, chart.stage, n, n_err, dense)
+                lines = source.splitlines()
+                names = {True: set(), False: set()}         # in a stage line or not
+                for node in ast.walk(ast.parse(source)):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                        names[lines[node.lineno - 1].strip() in stage].add(node.id)
+                assert {"xs", "J", "h2", "a0", f"k{ode._N}_0"} <= names[True]
+                assert {"x", "y0", "k0_0", "h", "grid", "states", "stop"} <= names[False]
+                assert not names[True] & names[False], (chart.stage, rhs, dense)
 
 
 # -- failure paths on Python floats -------------------------------------------
