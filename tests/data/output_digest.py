@@ -18,6 +18,11 @@ and one family on the tables of CUSTOM, loaded with `load_custom`:
   custom     h2 and green_tail on the table's rows, then per table the
              entries of solve, profile, energy and mass above; a call
              that raises is recorded by its exception's type and message
+and one family on the series heads, of the four built-ins and the tables
+of CUSTOM:
+  series     series_coeffs(n) for n in SERIES_ORDERS as exact strings, then
+             per beta in BETAS the coefficients of v_series(beta, ., 12) as
+             exact strings and its initial_data floats
 and one family on the dense `ode.integrate` traces of TRACES:
   integrate  each trace's x, y, nfev and interpolant rows `_F`, then
              `envelope_check(...).lower_linear` of the first
@@ -41,6 +46,7 @@ BACKENDS = ("euclidean", "hyperbolic", "bs_s4", "bs_cp2")
 MASSES = (1e-3, 0.3, 1.7, 16.0, 1500.0)
 BETAS = (-1e-3, -0.02, -0.4, -3.0, -30.0, -300.0)
 TOLS = (1e-9, 1e-10, 1e-12)
+SERIES_ORDERS = range(25)
 VERIFY = (
     ["--oracle", "bps", "--C", "1", "--D", "0"],
     ["--oracle", "bps", "--C", "2", "--D", "0.5"],
@@ -139,6 +145,17 @@ def _raised(fn, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _series_entries(name, met):
+    """The series family of one backend: its metric series at every order
+    in SERIES_ORDERS, then the v series head and its hand-off per beta."""
+    out = [[name, n, _raised(lambda: [str(c) for c in met.series_coeffs(n)])]
+           for n in SERIES_ORDERS]
+    for beta in BETAS:
+        ser = v_series(beta, met.series_coeffs(12), 12)
+        out.append([name, beta, [str(c) for c in ser.coeffs], _hex(initial_data(ser))])
+    return out
+
+
 def _backend_entries(name, met):
     """The solve, profile, energy and mass entries of one backend."""
     out = {"solve": [], "profile": [], "energy": [], "mass": []}
@@ -167,15 +184,18 @@ def _backend_entries(name, met):
 
 def families():
     out = {"solve": [], "profile": [], "energy": [], "mass": [], "verify": [],
-           "custom": [], "integrate": _trace_entries()}
+           "custom": [], "integrate": _trace_entries(), "series": []}
     for name in BACKENDS:
-        for family, entries in _backend_entries(name, metric.get_metric(name)).items():
+        met = metric.get_metric(name)
+        for family, entries in _backend_entries(name, met).items():
             out[family] += entries
+        out["series"] += _series_entries(name, met)
     with tempfile.TemporaryDirectory() as directory:
         for name in CUSTOM:
             met = _load_custom(name, directory)
             rs = CUSTOM[name][0]
             out["custom"].append([name, _hex(met.h2(rs)), _hex(met.green_tail(rs))])
+            out["series"] += _series_entries(name, met)
             for family, entries in _backend_entries(name, met).items():
                 out["custom"] += [[family] + e for e in entries]
     for argv in VERIFY:
