@@ -322,7 +322,7 @@ def cmd_series(args, parser) -> int:
     print(json.dumps({
         "metric": met.id, "beta": str(sol.beta), "order": sol.order,
         "coeffs_exact": [str(c) for c in sol.coeffs],
-        "coeffs_float": [float(c) for c in sol.coeffs],
+        "coeffs_float": sol.floats,
     }))
     return 0
 

@@ -242,18 +242,21 @@ def bs_green_of_s(s):
 def _bs_series_coeffs(order: int) -> list[Fraction]:
     """Exact rational expansion of h^2(rho)/rho^2 for the BS profile.
 
-    rho(s) is expanded and reverted, then composed into s^2 sqrt(1+s^2).
+    rho(s)/s and h^2/rho^2 are even, so the build runs at half order, in
+    u = s^2 and tau = rho^2.  With c_k = [u^k] (1+u)^(-1/4),
+    rho = int_0^s (1+t^2)^(-1/4) dt = s R(u),  R(u) = sum_k c_k u^k/(2k+1),
+    so tau = u R(u)^2 = u + ...; its reversion u = U(tau), at order
+    M + 1 for M = order // 2, gives h^2/rho^2 = u sqrt(1+u)/tau
+    = (U/tau) sqrt(1+U) to tau^M, and phi_(2k) is its tau^k coefficient;
+    every odd phi is 0.
     """
-    n = order + 1           # the lowest order that fills phi_0 .. phi_order
-    # integrand (1+t^2)^(-1/4) as series in t
-    one_plus_t2 = FormalSeries([1, 0, 1], n)
-    integrand = one_plus_t2.pow(Fraction(-1, 4))
-    rho_ser = integrand.integrate().truncate(n + 1)  # rho(s), no constant term
-    s_ser = rho_ser.reversion()                      # s(rho)
-    s2 = s_ser * s_ser
-    h2 = s2 * (FormalSeries([1], s2.order) + s2).pow(Fraction(1, 2))
-    phi = h2.shift(-2)
-    return [phi[i] for i in range(order + 1)]
+    m = order // 2
+    c = FormalSeries([1, 1], m).pow(Fraction(-1, 4))
+    R = FormalSeries([ck / (2 * k + 1) for k, ck in enumerate(c)])
+    U = (R * R).shift(1).reversion()                 # u(tau), order m + 1
+    head = (U.shift(-1) * (U.truncate(m) + 1).pow(Fraction(1, 2))).coeffs
+    zero = Fraction(0)
+    return [head[i // 2] if i % 2 == 0 else zero for i in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,16 @@ occurrence, psi_0 * v_n, has been moved to the left).
 
 The recurrence runs in exact rational arithmetic.  Each v_n is a
 polynomial in beta; `v_series` builds these polynomials once per metric
-series and order and evaluates them exactly at each beta.
+series and order and evaluates them exactly at each beta.  A beta so
+large in magnitude that the floats of the head (its coefficients, or a
+and phi at the hand-off) are not finite raises SeriesOverflowError.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +34,16 @@ from .fps import FormalSeries, common_denominator
 
 TRUNCATION_BOUND = 1e-14     # largest truncation monitor at the hand-off
 MAX_DELTA = 0.1              # largest hand-off radius
+
+
+class SeriesOverflowError(ValueError):
+    """|beta| is so large that the series head's floats are not finite."""
+
+
+def _overflow(beta: Fraction) -> SeriesOverflowError:
+    value = float(beta) if abs(beta) <= sys.float_info.max else beta
+    return SeriesOverflowError(f"beta = {value}: the series head's floats are not finite "
+                               "(|beta| is too large)")
 
 
 @dataclass(frozen=True)
@@ -48,21 +61,25 @@ class SeriesSolution:
         return coeffs
 
     @functools.cached_property
-    def _floats(self) -> list:
-        # int / int is correctly rounded, as float(Fraction) is
+    def floats(self) -> tuple:
+        """The coefficients, correctly rounded (as float(Fraction) is, by
+        int / int); SeriesOverflowError where one is past the float range."""
         ratios = vars(self).get("_ratios") or map(Fraction.as_integer_ratio, self.coeffs)
-        return [num / den for num, den in ratios]
+        try:
+            return tuple([num / den for num, den in ratios])
+        except OverflowError:
+            raise _overflow(self.beta) from None
 
     def v_at(self, r: float) -> float:
         acc = 0.0
-        for c in reversed(self._floats):
+        for c in reversed(self.floats):
             acc = acc * r + c
         return acc
 
     def vdot_at(self, r: float) -> float:
         acc = 0.0
         for i in range(self.order, 0, -1):
-            acc = acc * r + i * self._floats[i]
+            acc = acc * r + i * self.floats[i]
         return acc
 
     def beta_derivative_at(self, r: float) -> tuple[float, float]:
@@ -84,7 +101,7 @@ class SeriesSolution:
     def truncation_bound(self, delta: float) -> float:
         # a-posteriori monitor: magnitude of the last retained terms
         n = self.order
-        tail = [abs(self._floats[i]) * delta ** i for i in (n - 1, n)]
+        tail = [abs(self.floats[i]) * delta ** i for i in (n - 1, n)]
         return max(tail)
 
 
@@ -141,7 +158,8 @@ def v_series(beta, metric_coeffs, order: int) -> SeriesSolution:
     if order < 2:
         raise ValueError("order must be >= 2")
     beta = Fraction(beta)
-    phi = tuple(FormalSeries(metric_coeffs, order))
+    phi = [c if isinstance(c, Fraction) else Fraction(c) for c in metric_coeffs][: order + 1]
+    phi = tuple(phi) + (Fraction(0),) * (order + 1 - len(phi))
     if phi[0] != 1:
         raise ValueError("metric series must have phi_0 = 1")
     p, q = beta.numerator, beta.denominator
@@ -161,9 +179,12 @@ def v_series(beta, metric_coeffs, order: int) -> SeriesSolution:
 def initial_data(series: SeriesSolution) -> tuple[float, float, float]:
     """(delta, a, phi) at the hand-off radius: the largest delta from
     MAX_DELTA down by factors 3/4 whose truncation monitor is at most
-    TRUNCATION_BOUND, a = exp(v(delta)/2) and phi = v'(delta)/4."""
+    TRUNCATION_BOUND, a = exp(v(delta)/2) and phi = v'(delta)/4;
+    SeriesOverflowError, naming beta, unless v, a and phi are finite."""
     delta = MAX_DELTA
     while series.truncation_bound(delta) > TRUNCATION_BOUND:
         delta *= 0.75
-    a = math.exp(0.5 * series.v_at(delta))
-    return delta, a, 0.25 * series.vdot_at(delta)
+    v, phi = series.v_at(delta), 0.25 * series.vdot_at(delta)
+    if not (-math.inf < v < 1419.0 and math.isfinite(phi)):   # exp(v/2) < inf
+        raise _overflow(series.beta)
+    return delta, math.exp(0.5 * v), phi

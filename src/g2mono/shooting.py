@@ -25,11 +25,14 @@ residual: the plain check shot follows the first step predicted within
 tol/10, on the flat backgrounds the first.
 
 Every shot starts from the exact series head, which needs the metric's
-expansion h^2/r^2 (on the Bryant-Salamon metrics an exact reversion of
-rho(s)).  `solve_monopole` and `beta_of_mass` build it once and share
-it with every shot they take: slope shots, the root check and the
-profile.  The memo lives on a copy of the metric that the call drops
-when it returns, so the next solve builds again.
+expansion h^2/r^2 (on the Bryant-Salamon metrics one exact reversion of
+rho^2 as a series in s^2, at half the order, in integer arithmetic).
+`solve_monopole` and `beta_of_mass` build it once and share it with
+every shot they take: slope shots, the root check and the profile.  The
+memo lives on a copy of the metric that the call drops when it returns,
+so the next solve builds again.  A beta so large in magnitude that the
+head's floats are not finite (from about -6e51 on every background)
+raises `series.SeriesOverflowError`, naming beta.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ independent way: by fixed-point iteration of the double integral of
 (2/h^2)(exp(v) - 1).  `recurrence_oracle` is the per-n recurrence with
 e^v rebuilt from scratch for every n, by `series_exp`.  `compose` and
 `differentiate` are the series operations that only the tests use.
+`bs_series_oracle` is the Bryant-Salamon metric series built at full
+order in s, where `g2mono.metric` builds it at half order.
 """
 
 from fractions import Fraction
@@ -40,6 +42,20 @@ def differentiate(f: FormalSeries) -> FormalSeries:
     if f.order == 0:
         return FormalSeries([0])
     return FormalSeries([i * f[i] for i in range(1, f.order + 1)])
+
+
+def bs_series_oracle(order: int) -> list:
+    """phi_0 .. phi_order of h^2(rho)/rho^2 on the BS profile, at full order:
+    rho(s) = int_0^s (1+t^2)^(-1/4) dt expanded to order + 2 and reverted
+    at order + 2, then s(rho)^2 composed into h^2 = s^2 sqrt(1+s^2)."""
+    n = order + 1           # the lowest order that fills phi_0 .. phi_order
+    integrand = FormalSeries([1, 0, 1], n).pow(Fraction(-1, 4))
+    rho_ser = integrand.integrate().truncate(n + 1)  # rho(s), no constant term
+    s_ser = rho_ser.reversion()                      # s(rho)
+    s2 = s_ser * s_ser
+    h2 = s2 * (FormalSeries([1], s2.order) + s2).pow(Fraction(1, 2))
+    phi = h2.shift(-2)
+    return [phi[i] for i in range(order + 1)]
 
 
 def recurrence_oracle(beta: Fraction, psi: FormalSeries, order: int) -> list:

@@ -58,6 +58,14 @@ def test_solve_positive_beta_exit1(tmp_path, capsys):
     assert "no solutions" in err
 
 
+def test_solve_huge_beta_names_it(tmp_path, capsys):
+    code, _, err = run(capsys, "solve", "--metric", "bs_s4", "--beta=-1e60",
+                       "--out", str(tmp_path / "p.csv"))
+    assert code == 1
+    assert err == ("g2mono: error: beta = -1e+60: the series head's floats "
+                   "are not finite (|beta| is too large)\n")
+
+
 def test_solve_usage_error_exit2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--metric", "euclidean",
@@ -487,7 +495,8 @@ def test_overflow_exit1(tmp_path, capsys, command):
         argv += ["--out", str(tmp_path / "x.csv")]
     code, _, err = run(capsys, *argv)
     assert code == 1
-    assert err.startswith("g2mono: error:") and "Traceback" not in err
+    assert err.startswith("g2mono: error: beta = -1e+200: the series head") \
+        and "Traceback" not in err
 
 
 def test_deterministic_outputs(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Formal power series arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from g2mono import metric
 from g2mono.fps import FormalSeries
-from series_oracle import compose, differentiate, series_exp
+from series_oracle import bs_series_oracle, compose, differentiate, series_exp
 
 F = Fraction
 
@@ -54,6 +55,81 @@ def test_mul_matches_termwise_oracle(n1, n2, a, b):
         assert got.order == min(n1, n2)
         assert got.coeffs == mul_oracle(x, y).coeffs
         assert all(type(c) is F for c in got.coeffs)
+
+
+def assert_reads(f, expected):
+    """Every way to read f gives `expected`, as Fractions in lowest terms."""
+    expected = [F(c) for c in expected]
+    assert f.order == len(expected) - 1 and len(f) == len(expected)
+    for got in (f.coeffs, [f[i] for i in range(f.order + 1)], list(f)):
+        assert got == expected
+        assert all(type(c) is F and c.denominator > 0
+                   and math.gcd(c.numerator, c.denominator) == 1 for c in got)
+    assert f[-1] == f[f.order + 1] == 0
+
+
+orders = st.integers(0, 14)
+series_coeffs = st.lists(st.one_of(sparse_rationals, st.integers(-10 ** 6, 10 ** 6)),
+                         max_size=15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders, orders, series_coeffs, series_coeffs, sparse_rationals)
+def test_linear_operations_match_termwise_oracles(n1, n2, a, b, c):
+    f, g = FormalSeries(a, n1), FormalSeries(b, n2)
+    n = min(n1, n2)
+    given_coeffs = [F(x) for x in a[: n1 + 1]]
+    assert_reads(f, given_coeffs + [0] * (n1 + 1 - len(given_coeffs)))
+    assert_reads(f + g, [f[i] + g[i] for i in range(n + 1)])
+    assert_reads(f - g, [f[i] - g[i] for i in range(n + 1)])
+    assert_reads(f * c, [c * x for x in f.coeffs])
+    assert_reads(c * f, [c * x for x in f.coeffs])
+    assert_reads(f + c, [f[0] + c] + f.coeffs[1:])
+    assert_reads(f * 3 - 2, [3 * f[0] - 2] + [3 * x for x in f.coeffs[1:]])
+    assert_reads(f.integrate(), [0] + [f[i] / (i + 1) for i in range(n1 + 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders, series_coeffs, st.integers(-4, 4), st.integers(0, 16))
+def test_shift_and_truncate_match_termwise_oracles(n, a, k, m):
+    f = FormalSeries(a, n)
+    cs = f.coeffs
+    assert_reads(f.truncate(m), cs[: m + 1] + [0] * (m - n))
+    if k >= 0:
+        assert_reads(f.shift(k), [0] * k + cs)
+    elif any(cs[:-k]):
+        with pytest.raises(ValueError, match="shift would drop"):
+            f.shift(k)
+    else:
+        assert_reads(f.shift(k), cs[-k:] or [0])
+
+
+def inverse_oracle(f):
+    """b_0 = 1/a_0, b_k = -(1/a_0) sum_{j=1..k} a_j b_{k-j}, term by term."""
+    out = [1 / f[0]]
+    for k in range(1, f.order + 1):
+        out.append(-sum(f[j] * out[k - j] for j in range(1, k + 1)) / f[0])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders, sparse_rationals.filter(bool), series_coeffs)
+def test_inverse_matches_termwise_oracle(n, a0, tail):
+    f = FormalSeries([a0] + tail, n)
+    assert_reads(f.inverse(), inverse_oracle(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders, st.integers(0, 6), series_coeffs, series_coeffs)
+def test_equality_across_orders(n, extra, a, b):
+    f = FormalSeries(a, n)
+    padded = FormalSeries(f.coeffs + [0] * extra)          # the same series, deeper
+    assert f == padded and padded == f
+    g = FormalSeries(b, n + extra)
+    same = all(f[i] == g[i] for i in range(n + extra + 1))
+    assert (f == g) is same and (g == f) is same
+    if extra and any(f.coeffs):
+        assert FormalSeries(f.coeffs + [0] * (extra - 1) + [1]) != f
 
 
 def test_add_mul_basics():
@@ -111,18 +187,25 @@ def test_pow_matches_fraction_recurrence(n, tail, p):
 
 
 def test_bs_series_unchanged_by_integer_pow(monkeypatch):
-    reversions = [0]
+    reverted = []                       # the order of each reverted series
     reversion = FormalSeries.reversion
 
     def counted(self):
-        reversions[0] += 1
+        reverted.append(self.order)
         return reversion(self)
 
     monkeypatch.setattr(FormalSeries, "reversion", counted)
     fast = [metric._bs_series_coeffs(n) for n in range(21)]
-    assert reversions[0] == 21
+    assert reverted == [n // 2 + 1 for n in range(21)]   # one, at half order
     monkeypatch.setattr(FormalSeries, "pow", pow_oracle)
     assert [metric._bs_series_coeffs(n) for n in range(21)] == fast
+
+
+def test_bs_series_matches_full_order_oracle():
+    for n in range(25):
+        got = metric._bs_series_coeffs(n)
+        assert got == bs_series_oracle(n), n
+        assert all(type(c) is F for c in got) and not any(got[1::2])   # h^2/rho^2 is even
 
 
 def test_bs_series_is_built_as_deep_as_it_returns():

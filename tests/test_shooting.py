@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from g2mono.metric import DomainError
 from g2mono.shooting import (MonopoleProfile, NoSolutionError,
                              OutOfRangeError, beta_of_mass, bubbling_report,
                              mass_of_beta, profile_of_beta, solve_monopole)
+from g2mono.series import SeriesOverflowError
 
 BACKENDS = (metric.EUCLIDEAN, metric.HYPERBOLIC, metric.BS_S4, metric.BS_CP2)
 
@@ -32,6 +34,23 @@ def test_mass_of_beta_zero_and_positive():
     assert mass_of_beta(0.0, metric.BS_S4) == 0.0
     with pytest.raises(NoSolutionError):
         mass_of_beta(0.25, metric.EUCLIDEAN)
+
+
+@pytest.mark.parametrize("met", BACKENDS, ids=lambda m: m.id)
+@pytest.mark.parametrize("beta", [-1e52, -1e300])
+@pytest.mark.parametrize("fn", [mass_of_beta, profile_of_beta], ids=lambda f: f.__name__)
+def test_huge_beta_raises_naming_beta(met, beta, fn):
+    # the head's floats overflow: v_12 ~ beta^6 is past the float range
+    with pytest.raises(SeriesOverflowError, match=re.escape(f"beta = {beta!r}: the series head")):
+        fn(beta, met)
+    assert issubclass(SeriesOverflowError, ValueError)
+
+
+@pytest.mark.parametrize("met", BACKENDS, ids=lambda m: m.id)
+def test_large_beta_still_solves(met):
+    # the model root beta = -(m^2 + 4 g0 m)/3: m ~ sqrt(-3 beta) - 2 g0 at large -beta
+    for beta in (-1e20, -1e50):
+        assert abs(mass_of_beta(beta, met) / math.sqrt(-3.0 * beta) - 1.0) <= 1e-9
 
 
 _PARENT_MASSES = json.loads(
