@@ -23,6 +23,9 @@ of CUSTOM:
   series     series_coeffs(n) for n in SERIES_ORDERS as exact strings, then
              per beta in BETAS the coefficients of v_series(beta, ., 12) as
              exact strings and its initial_data floats
+  head       per beta in BETAS the floats of v_series(beta, ., 12) and its
+             beta_derivative_at(delta) at initial_data's delta: the slope
+             seeds of a Newton shot
 and one family on the dense `ode.integrate` traces of TRACES:
   integrate  each trace's x, y, nfev and interpolant rows `_F`, then
              `envelope_check(...).lower_linear` of the first
@@ -156,6 +159,15 @@ def _series_entries(name, met):
     return out
 
 
+def _head_entries(name, met):
+    """The head family of one backend: per beta the head's floats and the
+    slope seeds at its hand-off radius, or the error the head raises."""
+    def head(beta):
+        ser = v_series(beta, met.series_coeffs(12), 12)
+        return [_hex(ser.floats), _hex(ser.beta_derivative_at(initial_data(ser)[0]))]
+    return [[name, beta, _raised(head, beta)] for beta in BETAS]
+
+
 def _backend_entries(name, met):
     """The solve, profile, energy and mass entries of one backend."""
     out = {"solve": [], "profile": [], "energy": [], "mass": []}
@@ -184,18 +196,20 @@ def _backend_entries(name, met):
 
 def families():
     out = {"solve": [], "profile": [], "energy": [], "mass": [], "verify": [],
-           "custom": [], "integrate": _trace_entries(), "series": []}
+           "custom": [], "integrate": _trace_entries(), "series": [], "head": []}
     for name in BACKENDS:
         met = metric.get_metric(name)
         for family, entries in _backend_entries(name, met).items():
             out[family] += entries
         out["series"] += _series_entries(name, met)
+        out["head"] += _head_entries(name, met)
     with tempfile.TemporaryDirectory() as directory:
         for name in CUSTOM:
             met = _load_custom(name, directory)
             rs = CUSTOM[name][0]
             out["custom"].append([name, _hex(met.h2(rs)), _hex(met.green_tail(rs))])
             out["series"] += _series_entries(name, met)
+            out["head"] += _head_entries(name, met)
             for family, entries in _backend_entries(name, met).items():
                 out["custom"] += [[family] + e for e in entries]
     for argv in VERIFY:
