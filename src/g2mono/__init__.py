@@ -7,7 +7,7 @@ bijection), oracles (closed-form families), green (abelian monopoles),
 energy (intermediate-energy identity), cli (command line).
 """
 
-__version__ = "17.0.0"
+__version__ = "18.0.0"
 
 from .metric import (EUCLIDEAN, HYPERBOLIC, BS_S4, BS_CP2, MetricProfile,
                      get_metric, load_custom)

@@ -45,6 +45,8 @@ class FormalSeries:
     def __init__(self, coeffs, order: int | None = None):
         cs = [_as_fraction(c) for c in coeffs]
         if order is not None:
+            if order < 0:
+                raise ValueError("order must be >= 0")
             cs = cs[: order + 1] + [0] * (order + 1 - len(cs))
         self._num, self._den = common_denominator(cs or [0])
 
@@ -77,6 +79,8 @@ class FormalSeries:
         return f"FormalSeries({[str(c) for c in self.coeffs]})"
 
     def truncate(self, order: int) -> "FormalSeries":
+        if order < 0:
+            raise ValueError("order must be >= 0")
         return _of(self._num[: order + 1] + [0] * (order - self.order) or [0], self._den)
 
     # -- operations ---------------------------------------------------

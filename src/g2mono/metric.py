@@ -331,8 +331,6 @@ class MetricProfile:
                                "the geodesic radius r or rho must be finite and > 0")
 
     def h2(self, r):
-        if isinstance(r, float) and 0 < r < math.inf:   # first steps, custom-table stages
-            return float(self._h2(r))
         r = self._radii(r)
         return float(self._h2(r)) if isinstance(r, float) else self._h2(r)
 
@@ -463,7 +461,11 @@ def load_custom(path: str) -> MetricProfile:
                                  f"'coeffs={keys['coeffs']}' must be a rational number") from None
     if coeffs[0] != 1 or (len(coeffs) > 1 and coeffs[1] != 0):
         raise UnsupportedBackend("custom series must start with 1, 0 (smoothness at 0)")
-    horner = [float(c) for c in reversed(coeffs)]
+    try:
+        horner = [float(c) for c in reversed(coeffs)]
+    except OverflowError:
+        raise UnsupportedBackend(f"custom metric file {path}: a coefficient of "
+                                 f"'coeffs={keys['coeffs']}' is past the float range") from None
     # r * r * _horner(horner, r) as source: at a finite xs its leading
     # 0.0 * xs + horner[0] is horner[0], which is not -0.0
     series_h2 = "xs * xs * (" + functools.reduce(
@@ -523,7 +525,7 @@ def load_custom(path: str) -> MetricProfile:
 
     def h2(r):
         # the series up to the first row, log-log segments from there on:
-        # a float (the first step, rhs, a stage below) takes lookup's rule by bisect
+        # a float (a first step, rhs) takes lookup's rule by bisect
         if isinstance(r, float):
             if r <= r_series:
                 return r * r * _horner(horner, r)

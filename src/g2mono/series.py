@@ -49,24 +49,21 @@ def _overflow(beta: Fraction) -> SeriesOverflowError:
 @dataclass(frozen=True)
 class SeriesSolution:
     beta: Fraction
-    coeffs: tuple            # v_0 .. v_N, exact rationals
+    ratios: tuple            # v_0 .. v_N, each an integer (numerator, denominator)
     metric_coeffs: tuple     # phi_0 .. as used
     order: int
 
-    def __getattr__(self, name):
-        # v_series gives integer ratios, and coeffs from them on first read
-        if name != "coeffs" or "_ratios" not in vars(self):
-            raise AttributeError(name)
-        coeffs = vars(self)["coeffs"] = tuple(Fraction(*nd) for nd in self._ratios)
-        return coeffs
+    @functools.cached_property
+    def coeffs(self) -> tuple:
+        """v_0 .. v_N, exact rationals in lowest terms."""
+        return tuple(Fraction(*nd) for nd in self.ratios)
 
     @functools.cached_property
     def floats(self) -> tuple:
         """The coefficients, correctly rounded (as float(Fraction) is, by
         int / int); SeriesOverflowError where one is past the float range."""
-        ratios = vars(self).get("_ratios") or map(Fraction.as_integer_ratio, self.coeffs)
         try:
-            return tuple([num / den for num, den in ratios])
+            return tuple([num / den for num, den in self.ratios])
         except OverflowError:
             raise _overflow(self.beta) from None
 
@@ -101,8 +98,7 @@ class SeriesSolution:
     def truncation_bound(self, delta: float) -> float:
         # a-posteriori monitor: magnitude of the last retained terms
         n = self.order
-        tail = [abs(self.floats[i]) * delta ** i for i in (n - 1, n)]
-        return max(tail)
+        return max([abs(self.floats[i]) * delta ** i for i in (n - 1, n)])
 
 
 def _key(phi) -> tuple:
@@ -171,9 +167,7 @@ def v_series(beta, metric_coeffs, order: int) -> SeriesSolution:
             qk *= q
             acc = acc * p + c * qk
         ratios.append((acc, den * qk))
-    sol = object.__new__(SeriesSolution)        # coeffs on first read
-    vars(sol).update(beta=beta, metric_coeffs=phi, order=order, _ratios=tuple(ratios))
-    return sol
+    return SeriesSolution(beta, tuple(ratios), phi, order)
 
 
 def initial_data(series: SeriesSolution) -> tuple[float, float, float]:

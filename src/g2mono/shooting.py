@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -77,11 +76,11 @@ class MonopoleProfile:
     a: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
+    h2: np.ndarray = field(repr=False)       # h^2 on r
+    w: np.ndarray = field(repr=False)        # weights; 0: knot
     R_end: float = 0.0
     a_end: float = 0.0
     G_end: float = 0.0
-    h2: Optional[np.ndarray] = field(default=None, repr=False)  # h^2 on r
-    w: Optional[np.ndarray] = field(default=None, repr=False)   # weights; 0: knot
 
     @property
     def tail(self):
@@ -128,8 +127,7 @@ class MonopoleProfile:
 
 
 def _series_for(beta, metric: MetricProfile) -> SeriesSolution:
-    coeffs = metric.series_coeffs(_SERIES_ORDER)
-    return v_series(Fraction(beta), coeffs, _SERIES_ORDER)
+    return v_series(beta, metric.series_coeffs(_SERIES_ORDER), _SERIES_ORDER)
 
 
 def _one_series_build(metric: MetricProfile) -> MetricProfile:
@@ -167,14 +165,18 @@ def _mass_slope(beta: float, metric: MetricProfile, tol: float):
     return mass, -0.5 * float(res.y[3, -1])
 
 
-def mass_of_beta(beta: float, metric: MetricProfile, tol: float = 1e-10) -> float:
+def _checked_beta(beta, tol: float) -> float:
+    """beta as a float, once tol is in range and beta finite and <= 0."""
+    ode.check_tol(tol)
     _require("beta", beta, math.isfinite, "finite")
     if beta > 0:
         raise NoSolutionError("no solutions exist for beta > 0")
-    if beta == 0:
-        return 0.0
-    mass, *_ = _shoot(float(beta), metric, tol)
-    return mass
+    return float(beta)
+
+
+def mass_of_beta(beta: float, metric: MetricProfile, tol: float = 1e-10) -> float:
+    beta = _checked_beta(beta, tol)
+    return _shoot(beta, metric, tol)[0] if beta < 0 else 0.0
 
 
 def _model_c(mass: float, metric: MetricProfile) -> float:
@@ -284,9 +286,7 @@ def profile_of_beta(beta: float, metric: MetricProfile,
     bit, as `r_of_x` maps floats and arrays alike), and h^2 is 0 at
     r = 0, `metric.h2` on the head nodes and the chart's `h2_of_x` from
     delta on."""
-    _require("beta", beta, math.isfinite, "finite")
-    if beta > 0:
-        raise NoSolutionError("no solutions exist for beta > 0")
+    beta = _checked_beta(beta, tol)
     if beta == 0:
         ser = _series_for(0, metric)
         r = np.linspace(0.0, 10.0, 101)
@@ -295,8 +295,7 @@ def profile_of_beta(beta: float, metric: MetricProfile,
             delta=initial_data(ser)[0], series=ser, result=None, r=r,
             a=np.ones_like(r), phi=np.zeros_like(r), v=np.zeros_like(r),
             h2=np.concatenate([[0.0], metric.h2(r[1:])]), w=np.zeros_like(r))
-    mass, ser, delta, res, (R, a_R, G_R) = _shoot(float(beta), metric, tol,
-                                                  dense=True)
+    mass, ser, delta, res, (R, a_R, G_R) = _shoot(beta, metric, tol, dense=True)
     chart, x, y = metric.chart, res.x, res.y
     dx = np.diff(x)[:, None]
     x_nodes = x[:-1, None] + dx * _GL_NODES            # one row per step
@@ -309,7 +308,7 @@ def profile_of_beta(beta: float, metric: MetricProfile,
     weight = np.concatenate([[0.0], delta * _GL_WEIGHTS, _steps(
         dx * _GL_WEIGHTS * chart.dr_dx(x_nodes), np.zeros(len(x)))])
     return MonopoleProfile(
-        metric_id=metric.id, beta=float(beta), mass=mass, tol=tol,
+        metric_id=metric.id, beta=beta, mass=mass, tol=tol,
         delta=delta, series=ser, result=res,
         r=np.concatenate([r_head, chart.r_of_x(x_steps)]),
         a=np.exp(0.5 * v_all), phi=0.25 * w_all, v=v_all,

@@ -103,7 +103,7 @@ def v_series_oracle(beta, metric_coeffs, order: int) -> SeriesSolution:
         v = v_new
     return SeriesSolution(
         beta=beta,
-        coeffs=tuple(v[i] for i in range(order + 1)),
+        ratios=tuple(v[i].as_integer_ratio() for i in range(order + 1)),
         metric_coeffs=tuple(phi[i] for i in range(order + 1)),
         order=order,
     )

@@ -66,6 +66,15 @@ def test_solve_huge_beta_names_it(tmp_path, capsys):
                    "are not finite (|beta| is too large)\n")
 
 
+def test_series_coefficient_past_float_range_exit1(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("type=custom\ncoeffs=1,0,1e400\n")
+    code, _, err = run(capsys, "series", "--metric", str(path))
+    assert code == 1
+    assert err == (f"g2mono: error: custom metric file {path}: a coefficient of "
+                   "'coeffs=1,0,1e400' is past the float range\n")
+
+
 def test_solve_usage_error_exit2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--metric", "euclidean",

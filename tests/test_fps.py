@@ -315,7 +315,9 @@ def test_exp_requires_zero_constant():
      "shift would drop nonzero low-order terms"),
     (lambda: FormalSeries([2, 1]).pow(Fraction(1, 2)), ValueError,
      "pow requires constant term 1"),
-], ids=["inverse", "shift", "pow"])
+    (lambda: FormalSeries([1, 2, 3, 4, 5]).truncate(-3), ValueError, "order must be >= 0"),
+    (lambda: FormalSeries([1, 2, 3, 4, 5], -2), ValueError, "order must be >= 0"),
+], ids=["inverse", "shift", "pow", "truncate-negative-order", "init-negative-order"])
 def test_fps_input_checks(call, exc, match):
     with pytest.raises(exc, match=match):
         call()

@@ -789,6 +789,8 @@ def _custom_table(tmp_path, rows):
      UnsupportedBackend, r"m\.txt: .*'coeffs=1,0,1/0'"),
     (lambda tmp: load_custom(_custom_file(tmp, "type=custom\ncoeffs=1,0,,0\n")),
      UnsupportedBackend, r"m\.txt: .*'coeffs=1,0,,0'"),
+    (lambda tmp: load_custom(_custom_file(tmp, "type=custom\ncoeffs=1,0,1e400\n")),
+     UnsupportedBackend, r"m\.txt: .*'coeffs=1,0,1e400' is past the float range"),
     (lambda tmp: load_custom(_custom_table(tmp, "0.5,0.5\n1,1\nx,2\n3,3\n")),
      UnsupportedBackend, r"t\.csv, line 4: "),
     (lambda tmp: load_custom(_custom_table(tmp, "0.5,0.5\n1,1\n2,2\n0.4\n")),
@@ -796,8 +798,8 @@ def _custom_table(tmp_path, rows):
     (lambda tmp: EUCLIDEAN.series_coeffs(-1), ValueError, "order must be >= 0"),
 ], ids=["custom-no-type", "custom-repeated-radius", "custom-misspelled-key",
         "custom-line-without-equals", "custom-repeated-key", "custom-zero-denominator",
-        "custom-empty-coefficient", "custom-table-cell-not-a-number", "custom-short-table-row",
-        "negative-order"])
+        "custom-empty-coefficient", "custom-coefficient-past-float-range",
+        "custom-table-cell-not-a-number", "custom-short-table-row", "negative-order"])
 def test_metric_input_checks(tmp_path, call, exc, match):
     with pytest.raises(exc, match=match):
         call(tmp_path)

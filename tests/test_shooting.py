@@ -551,6 +551,17 @@ def test_solve_checks_tol_before_shooting(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("beta", [0.0, -0.5, 0.25])
+@pytest.mark.parametrize("fn", [mass_of_beta, profile_of_beta], ids=lambda f: f.__name__)
+def test_beta_calls_check_tol_first(monkeypatch, fn, beta):
+    # at beta = 0 no shot is taken, and beta > 0 has no solution: tol is checked first
+    calls = _count_integrations(monkeypatch)
+    for tol in (-1.0, 5.0, 1e-15, math.nan):
+        with pytest.raises(ValueError, match="tol must lie"):
+            fn(beta, metric.BS_S4, tol)
+    assert calls == []
+
+
 def test_blowup_shot_raises_through_the_loop(monkeypatch):
     calls = _count_integrations(monkeypatch)
     for met in (metric.EUCLIDEAN, metric.BS_S4):
